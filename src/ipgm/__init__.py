@@ -6,80 +6,8 @@ plus the adaptive rank-p spectrahedron projection oracle, benchmark problem
 generators and an experiment harness.
 """
 
-from .linalg import (
-    EigenPair,
-    EigenSolverError,
-    IncrementalEigen,
-    SymMatrix,
-    frobenius_inner,
-    frobenius_norm,
-    largest_eigenpair,
-    leading_eigenpairs,
-    symmetrize,
-)
-from .schedules import (
-    ForcingParams,
-    SummableSchedule,
-    ToleranceFn,
-    forcing_for_iteration,
-    schedule_values,
-    tolerance_bound_check,
-)
-from .sets import (
-    Ball,
-    Box,
-    ConvexSetOracle,
-    ExactProjectionAdapter,
-    InexactProjection,
-    LorentzCone,
-    SimplexSet,
-    Spectrahedron,
-    SpectrahedronState,
-    UnsupportedOracleCapability,
-    certify_inexact_projection,
-    exact_project_ball,
-    exact_project_box,
-    exact_project_lorentz,
-    exact_project_spectrahedron,
-    inexact_project_spectrahedron,
-    project_simplex,
-    support_point_spectrahedron,
-)
-from .solver import (
-    ArmijoConfig,
-    ConstantStepConfig,
-    InfeasibleStartError,
-    IterationRecord,
-    LineSearchError,
-    MonitorReport,
-    ObjectiveOracle,
-    SolveResult,
-    SolverError,
-    armijo_search,
-    constant_alpha_from_gamma,
-    monitor_complexity,
-    monitor_descent,
-    solve_armijo,
-    solve_constant,
-    spectral_step,
-)
-from .problems import (
-    BoxQP,
-    SpectrahedronLSQ,
-    default_density,
-    generate_instance,
-    load_instance,
-    make_boxqp,
-    save_instance,
-    starting_point,
-)
-from .harness import (
-    ExperimentConfig,
-    RunReport,
-    cmd_compare,
-    cmd_generate,
-    cmd_sweep_gamma3,
-    cmd_verify,
-)
+from .problems import generate_instance, starting_point
+from .schedules import SummableSchedule
+from .solver import ConstantStepConfig, constant_alpha_from_gamma, solve_constant
 
 __version__ = "0.1.0"

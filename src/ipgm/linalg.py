@@ -127,9 +127,9 @@ class _DeflatedLanczos:
         self.best_residual = np.inf
         self.locked_vals: list[float] = []
         self.locked = np.zeros((n, 0))
-        # largest-of-complement value found by the most recent run; locked
-        # values above it are certified contiguous, harvested values below
-        # it may still miss multiplicity copies of a larger eigenvalue
+        # largest-of-complement value found by the most recent run; a locked
+        # value below it was reached out of order (from a warm start that
+        # converged to a non-dominant eigenvector)
         self.confirmed_floor = np.inf
         self._rng = np.random.default_rng(0x5EED1E55)
 
@@ -170,8 +170,7 @@ class _DeflatedLanczos:
 
     # -- one deflated run ----------------------------------------------
 
-    def _run(self, v0: np.ndarray, extra: np.ndarray | None = None,
-             need: int = 1):
+    def _run(self, v0: np.ndarray, extra: np.ndarray | None = None):
         """Converge the top Ritz pair of the operator deflated by the locked
         set (plus ``extra``), thick-restarting at v0 = best Ritz vector.
 
@@ -182,9 +181,7 @@ class _DeflatedLanczos:
         floor harmless.  When restarts stop improving the raw residual, any
         value within ``tol_abs`` is accepted.
 
-        Returns a nonempty list of (theta, y, residual, krylov_dim): the top
-        pair followed by up to ``need - 1`` further converged leading pairs
-        harvested from the same Krylov space.
+        Returns (theta, y, krylov_dim) of the top pair.
         """
         n_lock = self.locked.shape[1] + (extra.shape[1] if extra is not None else 0)
         n_free = self.n - n_lock
@@ -232,8 +229,7 @@ class _DeflatedLanczos:
                     idx = np.arange(j)
                     t[idx, idx + 1] = betas[:j]
                     t[idx + 1, idx] = betas[:j]
-                evals, evecs = np.linalg.eigh(t)
-                ritz_coef = evecs[:, -1]
+                ritz_coef = np.linalg.eigh(t)[1][:, -1]
                 resid_est = beta * abs(float(ritz_coef[-1]))
                 if resid_est <= target or hit_break:
                     broke_down = hit_break
@@ -256,60 +252,16 @@ class _DeflatedLanczos:
             self.best_residual = min(self.best_residual, residual)
             if best is None or residual < best[0]:
                 best = (residual, theta, y, j_used)
-            accepted = None
             if residual <= target or (broke_down and residual <= self.tol_abs):
-                accepted = (theta, y, residual, j_used)
-            else:
-                stalled = residual > 0.9 * prev_residual
-                if stalled and best[0] <= self.tol_abs:
-                    accepted = (best[1], best[2], best[0], best[3])
-                elif stalled:
-                    # force deeper Krylov exploration before the next attempt
-                    target = 0.25 * target
-            if accepted is None:
-                prev_residual = residual
-                q0 = self._start_vector(None, extra)[0] if broke_down else y
-                continue
-            out = [accepted]
-            if need > 1 and j_used > 1:
-                out.extend(self._harvest_trailing(
-                    basis[:, :j_used], evals, evecs, beta, target,
-                    accepted[1], extra, need - 1))
-            return out
-
-    def _harvest_trailing(self, basis, evals, evecs, beta, target, top_vec,
-                          extra, count):
-        """Extract further converged leading Ritz pairs from a finished run.
-
-        The Krylov space that converged the top pair usually carries the next
-        one or two eigenpairs as well; certifying them here avoids a fresh
-        run per pair.  Only a contiguous prefix is taken.
-        """
-        got = []
-        block = [top_vec]
-        j_used = basis.shape[1]
-        for i in range(2, min(count + 2, j_used + 1)):
-            coef = evecs[:, -i]
-            est = beta * abs(float(coef[-1]))
-            if est > target:
-                break
-            y = basis @ coef
-            y = self._deflate(y, extra)
-            for b in block:
-                y = y - b * float(b @ y)
-            ny = float(np.sqrt(y @ y))
-            if ny <= 0.99:  # heavy overlap: not a clean new direction
-                break
-            y /= ny
-            ay = self._mv(y)
-            theta = float(y @ ay)
-            rv = ay - theta * y
-            residual = float(np.sqrt(rv @ rv))
-            if residual > target:
-                break
-            got.append((theta, y, residual, j_used))
-            block.append(y)
-        return got
+                return theta, y, j_used
+            stalled = residual > 0.9 * prev_residual
+            if stalled and best[0] <= self.tol_abs:
+                return best[1:]
+            if stalled:
+                # force deeper Krylov exploration before the next attempt
+                target = 0.25 * target
+            prev_residual = residual
+            q0 = self._start_vector(None, extra)[0] if broke_down else y
 
     # -- public: lock the next pair -------------------------------------
 
@@ -349,18 +301,13 @@ class _DeflatedLanczos:
             t[idx + 1, idx] = betas[:k_off]
         return float(np.linalg.eigvalsh(t)[-1])
 
-    def extend(self, warm: np.ndarray | None = None, need: int = 1) -> int:
-        """Lock the largest eigenpair(s) of the complement of the locked set.
-
-        Locks at least one pair and opportunistically up to ``need`` pairs
-        from a single Krylov run; returns the number locked.
-        """
+    def extend(self, warm: np.ndarray | None = None) -> None:
+        """Lock the largest eigenpair of the complement of the locked set."""
         if self.locked.shape[1] >= self.n:
             raise ValueError("all eigenpairs already locked")
         self.allowance = self.used_matvecs + self.matvecs_per_pair
         v0, used_warm = self._start_vector(warm)
-        found = self._run(v0, need=need)
-        theta, y, resid, dim = found[0]
+        theta, y, dim = self._run(v0)
         margin = max(self.tol_abs, 1e-14 * self.scale)
         prev_min = min(self.locked_vals) if self.locked_vals else np.inf
         contiguous = theta >= prev_min - margin
@@ -373,14 +320,12 @@ class _DeflatedLanczos:
             cand = y.reshape(-1, 1)
             if self._probe_max(cand) > theta + margin:
                 v1, _ = self._start_vector(None, extra=cand)
-                theta2, y2, resid2, _ = self._run(v1, extra=cand)[0]
+                theta2, y2, _ = self._run(v1, extra=cand)
                 if theta2 > theta + margin:
-                    found = [(theta2, y2, resid2, dim)]
-        for theta_i, y_i, _, _ in found:
-            self.locked_vals.append(theta_i)
-            self.locked = np.hstack([self.locked, y_i.reshape(-1, 1)])
-        self.confirmed_floor = found[0][0]
-        return len(found)
+                    theta, y = theta2, y2
+        self.locked_vals.append(theta)
+        self.locked = np.hstack([self.locked, y.reshape(-1, 1)])
+        self.confirmed_floor = theta
 
     def pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top ``k`` locked pairs sorted by descending eigenvalue."""
@@ -425,15 +370,16 @@ class IncrementalEigen:
         while len(eng.locked_vals) < k:
             i = len(eng.locked_vals)
             warm = self._warm[i] if i < len(self._warm) else None
-            eng.extend(warm, need=k - i)
-        # harvested pairs may sit below a missed multiplicity copy; keep
-        # pulling the top of the complement until it confirms the k-th value
+            eng.extend(warm)
+        # a warm start can lock a pair below a larger eigenvalue still in the
+        # complement; keep pulling the top of the complement until it
+        # confirms the k-th value
         margin = 2.0 * self.tol_abs
         while len(eng.locked_vals) < self.n:
             kth = eng.pairs(k)[0][k - 1]
             if eng.confirmed_floor <= kth + margin:
                 break
-            eng.extend(None, need=1)
+            eng.extend(None)
         return eng.pairs(k)
 
 

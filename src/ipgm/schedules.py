@@ -63,28 +63,25 @@ def _sq(a, b) -> float:
     return d * d
 
 
-def _phi1(g: ForcingParams, u, v, w) -> float:
-    return g.gamma1 * _sq(v, u) + g.gamma2 * _sq(w, v) + g.gamma3 * _sq(w, u)
+# canonical tolerance forms over the three squared distances
+# ||v - u||^2, ||w - v||^2, ||w - u||^2
+_FORMS = {
+    "phi1": lambda g, vu, wv, wu: g.gamma1 * vu + g.gamma2 * wv + g.gamma3 * wu,
+    "phi2": lambda g, vu, wv, wu: g.gamma1 * vu,
+    "phi3": lambda g, vu, wv, wu: g.gamma2 * wv,
+    "phi4": lambda g, vu, wv, wu: g.gamma3 * wu,
+    "phi5": lambda g, vu, wv, wu: g.gamma1 * g.gamma2 * g.gamma3 * vu * wv * wu,
+}
 
 
-def _phi2(g: ForcingParams, u, v, w) -> float:
-    return g.gamma1 * _sq(v, u)
+def _on_points(form):
+    def fn(g: ForcingParams, u, v, w) -> float:
+        return form(g, _sq(v, u), _sq(w, v), _sq(w, u))
+    return fn
 
 
-def _phi3(g: ForcingParams, u, v, w) -> float:
-    return g.gamma2 * _sq(w, v)
-
-
-def _phi4(g: ForcingParams, u, v, w) -> float:
-    return g.gamma3 * _sq(w, u)
-
-
-def _phi5(g: ForcingParams, u, v, w) -> float:
-    return g.gamma1 * g.gamma2 * g.gamma3 * _sq(v, u) * _sq(w, v) * _sq(w, u)
-
-
-_CANONICAL = {"phi1": _phi1, "phi2": _phi2, "phi3": _phi3, "phi4": _phi4,
-              "phi5": _phi5}
+# built once so that equal kinds compare equal as ToleranceFn values
+_CANONICAL = {kind: _on_points(form) for kind, form in _FORMS.items()}
 
 
 @dataclass(frozen=True)
@@ -129,22 +126,14 @@ class ToleranceFn:
         Equivalent to ``self(g, u, v, w)``; lets callers that already know
         the distances skip the matrix arithmetic.  Canonical kinds only.
         """
-        if self.kind == "phi1":
-            return g.gamma1 * sq_vu + g.gamma2 * sq_wv + g.gamma3 * sq_wu
-        if self.kind == "phi2":
-            return g.gamma1 * sq_vu
-        if self.kind == "phi3":
-            return g.gamma2 * sq_wv
-        if self.kind == "phi4":
-            return g.gamma3 * sq_wu
-        if self.kind == "phi5":
-            return g.gamma1 * g.gamma2 * g.gamma3 * sq_vu * sq_wv * sq_wu
-        raise ValueError(f"{self.kind!r} has no squared-distance form")
+        if self.kind not in _FORMS:
+            raise ValueError(f"{self.kind!r} has no squared-distance form")
+        return _FORMS[self.kind](g, sq_vu, sq_wv, sq_wu)
 
 
 def tolerance_bound_check(phi: ToleranceFn, g: ForcingParams, u, v, w) -> bool:
     """True iff phi stays below its defining three-term bound at (u, v, w)."""
-    bound = _phi1(g, u, v, w)
+    bound = _CANONICAL["phi1"](g, u, v, w)
     val = phi(g, u, v, w)
     return val <= bound + 1e-12 * max(1.0, bound)
 

@@ -291,15 +291,21 @@ class LorentzCone(ConvexSetOracle):
 # spectrahedron
 
 
+def _eigh_simplex(vs):
+    """Eigenvalues (ascending), eigenvectors and the simplex projection lam
+    of the eigenvalues of symmetric ``vs``: its projection onto the
+    spectrahedron is sum_i lam_i q_i q_i^T."""
+    evals, evecs = np.linalg.eigh(vs)
+    return evals, evecs, project_simplex(evals)
+
+
 def exact_project_spectrahedron(v) -> np.ndarray:
     """Exact projection onto {W symmetric PSD, tr W = 1}.
 
     Full eigendecomposition of the symmetric part, then projection of the
     eigenvalues onto the simplex.
     """
-    vs = symmetrize(np.asarray(v, dtype=float))
-    evals, evecs = np.linalg.eigh(vs)
-    lam = project_simplex(evals)
+    _, evecs, lam = _eigh_simplex(symmetrize(np.asarray(v, dtype=float)))
     return (evecs * lam) @ evecs.T
 
 
@@ -375,17 +381,17 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         inner_uw = float(lam @ np.asarray(diag_uq[:p]))
         sq_wv = max(0.0, norm_v_sq - 2.0 * inner_vw + w_norm_sq)
         sq_wu = max(0.0, norm_u_sq - 2.0 * inner_uw + w_norm_sq)
-        theta, y_vec = _largest_eig_shifted(
+        theta = _largest_eig_shifted(
             vs, vals, lam, vecs, p, cache.tol_abs,
-            check_tol=max(cache.tol_abs, 1e-8 * max(1.0, np.sqrt(norm_v_sq))))
+            max(cache.tol_abs, 1e-8 * max(1.0, np.sqrt(norm_v_sq))))
         # <W_p - V, Y_p - W_p> = <V - W_p, W_p> - theta with Y_p = y y^T
         lhs = (inner_vw - w_norm_sq) - theta
         if phi.is_canonical:
             phi_val = phi.from_squares(gamma, sq_vu, sq_wv, sq_wu)
         else:
             q_p = vecs[:, :p]
-            phi_val = phi(gamma, u_arr, vs, 0.5 * ((q_p * lam) @ q_p.T
-                                                   + ((q_p * lam) @ q_p.T).T))
+            w_p = (q_p * lam) @ q_p.T
+            phi_val = phi(gamma, u_arr, vs, 0.5 * (w_p + w_p.T))
         if lhs >= -phi_val - slack or p == n:
             q_p = vecs[:, :p]
             w_p = (q_p * lam) @ q_p.T
@@ -398,14 +404,12 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                                      certificate_gap=float(gap),
                                      phi_value=phi_val, state=state)
     # dense fallback: exact projection, certified directly
-    evals, evecs = np.linalg.eigh(vs)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    lam = project_simplex(evals)
+    evals, evecs, lam = _eigh_simplex(vs)
+    evals, evecs, lam = evals[::-1], evecs[:, ::-1], lam[::-1]
     w_p = (evecs * lam) @ evecs.T
     w_p = 0.5 * (w_p + w_p.T)
     nz = max(1, int(np.count_nonzero(lam)))
     resid = w_p - vs
-    theta = float(np.max(evals - lam))
     y_vec = evecs[:, int(np.argmax(evals - lam))]
     lhs = float(y_vec @ (resid @ y_vec)) - frobenius_inner(resid, w_p)
     phi_val = phi(gamma, u_arr, vs, w_p)
@@ -416,16 +420,14 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                              phi_value=phi_val, state=state)
 
 
-def _largest_eig_shifted(vs, vals, lam, vecs, p, tol_abs, check_tol=None):
-    """Largest eigenpair of V - W_p, without forming W_p.
+def _largest_eig_shifted(vs, vals, lam, vecs, p, tol_abs, check_tol) -> float:
+    """Largest eigenvalue of V - W_p, without forming W_p.
 
     On the span of the computed eigenvectors, V - W_p acts with eigenvalues
     vals[:p] - lam; on the orthogonal complement it acts like V, whose
     largest remaining eigenvalue is vals[p].  The best of these candidates
     warm-starts a short verification run on the true shifted operator.
     """
-    if check_tol is None:
-        check_tol = tol_abs
     q_p = vecs[:, :p]
     cand_vals = list(vals[:p] - lam)
     if p < vals.shape[0]:
@@ -437,13 +439,13 @@ def _largest_eig_shifted(vs, vals, lam, vecs, p, tol_abs, check_tol=None):
     r = approx - theta * warm
     residual = float(np.sqrt(r @ r))
     if residual <= check_tol:
-        return theta, warm
+        return theta
     w_p = (q_p * lam) @ q_p.T
     shifted = vs - 0.5 * (w_p + w_p.T)
     pair = largest_eigenpair(shifted,
                              eig_tol=tol_abs / max(1.0, frobenius_norm(shifted)),
                              warm_start=warm.reshape(-1, 1))
-    return pair.value, pair.vector
+    return pair.value
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Gradient projection with feasible inexact projections.
 
-Two step-size variants over a shared iteration scheme: a constant step
-(valid below (1 - 2 gamma3_bar)/L) whose projection error budget a_k is
-summable, and an Armijo backtracking search along the feasible direction
-w - x produced by an inexact projection with gamma1 = gamma2 = 0.
+One iteration serves both step rules: take an inexact projection w of
+x - alpha grad f(x) relative to x, then move from x toward w.  The constant
+rule (alpha below (1 - 2 gamma3_bar)/L) spends a summable error budget a_k
+on the forcing parameters and moves all the way to w; the Armijo rule
+projects with gamma1 = gamma2 = 0 and backtracks along the feasible
+direction w - x.
 
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
@@ -250,20 +252,21 @@ def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
     return x0
 
 
-def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
-                   cfg: ConstantStepConfig,
-                   track_distance_to: np.ndarray | None = None) -> SolveResult:
-    """Constant-step variant.
+def _iterate(algorithm: str, obj: ObjectiveOracle,
+             feasible_set: ConvexSetOracle, x0, cfg, step_params, move,
+             track_distance_to, meta: dict) -> SolveResult:
+    """The iteration shared by both step rules.
 
-    Each iteration spends the budget a_k on the forcing parameters, takes
-    z = x - alpha grad f(x) and accepts any inexact projection of z onto the
-    set relative to x.  Stops on a vanishing gradient, on a projection that
-    returns x itself, or when the relative change drops below ``stop_tol``
-    for two consecutive iterations.
+    Each pass takes an inexact projection w of x - alpha grad f(x) relative
+    to x under the forcing parameters gamma, then moves from x toward w.
+    ``step_params(k, x, g, grad_norm)`` returns (alpha, gamma, record
+    fields); ``move(x, w, g, f_x, dist)`` with dist = ||w - x|| returns
+    (x_next, f(x_next), ||x_next - x||, record fields).  Stops on a
+    vanishing gradient, on a projection that returns x under a zero error
+    budget (gamma1 = gamma2 = 0), or when the relative change stays below
+    ``cfg.stop_tol`` for two consecutive iterations.
     """
     x = _check_start(feasible_set, x0)
-    if obj.lipschitz_L is not None:
-        cfg.validate_against(obj.lipschitz_L)
     f_x = float(obj.value(x))
     f0 = f_x
     grad0_scale = None
@@ -281,54 +284,76 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
         if gn <= GRAD_ZERO_REL * grad0_scale:
             stop_reason = STOP_STATIONARY
             break
-        a_k, b_k = schedule_values(cfg.schedule, k)
-        b_prev = cfg.schedule.b_at(k - 1)
-        gamma = forcing_for_iteration(gn * gn, a_k, cfg.gamma2_cap,
-                                      cfg.gamma3_bar)
-        z = x - cfg.alpha * g
-        proj = feasible_set.inexact_project(z, x, gamma, cfg.phi, state=state)
+        alpha, gamma, params_fields = step_params(k, x, g, gn)
+        proj = feasible_set.inexact_project(x - alpha * g, x, gamma, cfg.phi,
+                                            state=state)
         w = np.asarray(proj.point, dtype=float)
         state = proj.state
-        step = _norm(w - x)
+        dist = _norm(w - x)
         if (gamma.gamma1 + gamma.gamma2 == 0.0
-                and step <= FIXED_POINT_REL * max(1.0, _norm(x))):
+                and dist <= FIXED_POINT_REL * max(1.0, _norm(x))):
             # with a zero budget the projection returning x certifies
             # stationarity; with a positive budget it does not
             stop_reason = STOP_FIXED_POINT
             break
-        f_next = float(obj.value(w))
+        x_next, f_next, step, move_fields = move(x, w, g, f_x, dist)
         rel = step / max(_norm(x), np.finfo(float).tiny)
         records.append(IterationRecord(
-            k=k, f_x=f_x, f_next=f_next, grad_norm=gn, alpha=cfg.alpha,
+            k=k, f_x=f_x, f_next=f_next, grad_norm=gn, alpha=alpha,
             gamma1=gamma.gamma1, gamma2=gamma.gamma2, gamma3=gamma.gamma3,
             step_norm=step, rel_change=rel,
             wall_time=time.perf_counter() - t0,
-            a_k=a_k, b_k=b_k, b_prev=b_prev,
             p_used=proj.rank_used, certificate_gap=proj.certificate_gap,
             phi_value=proj.phi_value,
             dist_to_ref=(None if track_distance_to is None
-                         else _norm(x - track_distance_to))))
-        x, f_x = w, f_next
+                         else _norm(x - track_distance_to)),
+            **params_fields, **move_fields))
+        x, f_x = x_next, f_next
         iterations = k + 1
         consec = consec + 1 if rel <= cfg.stop_tol else 0
         if consec >= 2:
             stop_reason = STOP_CONVERGED
             break
     return SolveResult(
-        algorithm="constant", x_final=x, f_final=f_x, iterations=iterations,
+        algorithm=algorithm, x_final=x, f_final=f_x, iterations=iterations,
         stop_reason=stop_reason, records=records, x0=np.asarray(x0, dtype=float),
-        f0=f0,
-        meta={
-            "alpha": cfg.alpha,
-            "gamma2_cap": cfg.gamma2_cap,
-            "gamma3_bar": cfg.gamma3_bar,
-            "rho": cfg.rho,
-            "nu": (cfg.nu(obj.lipschitz_L) if obj.lipschitz_L else None),
-            "lipschitz_L": obj.lipschitz_L,
-            "b_minus1": cfg.schedule.b_minus1,
-            "schedule": cfg.schedule.name,
-            "stop_tol": cfg.stop_tol,
-        })
+        f0=f0, meta=meta)
+
+
+def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
+                   cfg: ConstantStepConfig,
+                   track_distance_to: np.ndarray | None = None) -> SolveResult:
+    """Constant-step rule.
+
+    Each iteration spends the budget a_k on the forcing parameters, takes
+    z = x - alpha grad f(x) and accepts any inexact projection of z onto the
+    set relative to x as the next iterate.
+    """
+    if obj.lipschitz_L is not None:
+        cfg.validate_against(obj.lipschitz_L)
+
+    def step_params(k, x, g, gn):
+        a_k, b_k = schedule_values(cfg.schedule, k)
+        b_prev = cfg.schedule.b_at(k - 1)
+        gamma = forcing_for_iteration(gn * gn, a_k, cfg.gamma2_cap,
+                                      cfg.gamma3_bar)
+        return cfg.alpha, gamma, {"a_k": a_k, "b_k": b_k, "b_prev": b_prev}
+
+    def move(x, w, g, f_x, dist):
+        return w, float(obj.value(w)), dist, {}
+
+    return _iterate("constant", obj, feasible_set, x0, cfg, step_params, move,
+                    track_distance_to, meta={
+                        "alpha": cfg.alpha,
+                        "gamma2_cap": cfg.gamma2_cap,
+                        "gamma3_bar": cfg.gamma3_bar,
+                        "rho": cfg.rho,
+                        "nu": (cfg.nu(obj.lipschitz_L) if obj.lipschitz_L else None),
+                        "lipschitz_L": obj.lipschitz_L,
+                        "b_minus1": cfg.schedule.b_minus1,
+                        "schedule": cfg.schedule.name,
+                        "stop_tol": cfg.stop_tol,
+                    })
 
 
 def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
@@ -366,89 +391,52 @@ def spectral_step(s_k, y_k, alpha_min: float, alpha_max: float) -> float:
 def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
                  cfg: ArmijoConfig,
                  track_distance_to: np.ndarray | None = None) -> SolveResult:
-    """Armijo variant along the feasible direction w - x.
+    """Armijo rule along the feasible direction w - x.
 
     The inexact projection runs with gamma1 = gamma2 = 0 and gamma3 at its
-    cap; when it returns x itself the point is stationary and the run stops.
+    cap, so a projection returning x itself certifies stationarity.
     Otherwise a backtracking search picks tau_k and the iterate moves to
     x + tau_k (w - x), staying feasible by convexity.
     """
-    x = _check_start(feasible_set, x0)
-    f_x = float(obj.value(x))
-    f0 = f_x
     gamma = ForcingParams(0.0, 0.0, cfg.gamma3_bar)
-    grad0_scale = None
-    records: list[IterationRecord] = []
-    state = feasible_set.initial_projection_state()
-    consec = 0
-    stop_reason = STOP_MAX_ITER
-    iterations = 0
-    x_prev = None
-    g_prev = None
-    for k in range(cfg.max_iter):
-        t0 = time.perf_counter()
-        g = np.asarray(obj.gradient(x), dtype=float)
-        gn = _norm(g)
-        if grad0_scale is None:
-            grad0_scale = max(1.0, gn)
-        if gn <= GRAD_ZERO_REL * grad0_scale:
-            stop_reason = STOP_STATIONARY
-            break
+    prev = None  # (x, g) of the previous iteration, for the spectral step
+
+    def step_params(k, x, g, gn):
+        nonlocal prev
         if cfg.step_rule == "fixed":
             alpha_k = cfg.fixed_alpha if cfg.fixed_alpha is not None else cfg.alpha_max
-        elif k == 0:
+        elif prev is None:
             alpha_k = cfg.alpha_max
         else:
-            alpha_k = spectral_step(x - x_prev, g - g_prev, cfg.alpha_min,
+            alpha_k = spectral_step(x - prev[0], g - prev[1], cfg.alpha_min,
                                     cfg.alpha_max)
-        z = x - alpha_k * g
-        proj = feasible_set.inexact_project(z, x, gamma, cfg.phi, state=state)
-        w = np.asarray(proj.point, dtype=float)
-        state = proj.state
-        dir_norm = _norm(w - x)
-        if dir_norm <= FIXED_POINT_REL * max(1.0, _norm(x)):
-            stop_reason = STOP_FIXED_POINT
-            break
+        prev = (x, g)
+        return alpha_k, gamma, {}
+
+    def move(x, w, g, f_x, dist):
         dir_deriv = frobenius_inner(g, w - x)
         tau_k, j_k = armijo_search(obj, x, w, cfg.sigma, cfg.tau,
                                    cfg.max_backtracks, f_x=f_x,
                                    dir_deriv=dir_deriv)
         x_next = x + tau_k * (w - x)
-        f_next = float(obj.value(x_next))
-        step = _norm(x_next - x)
-        rel = step / max(_norm(x), np.finfo(float).tiny)
-        records.append(IterationRecord(
-            k=k, f_x=f_x, f_next=f_next, grad_norm=gn, alpha=alpha_k,
-            gamma1=0.0, gamma2=0.0, gamma3=cfg.gamma3_bar,
-            step_norm=step, rel_change=rel,
-            wall_time=time.perf_counter() - t0,
-            tau=tau_k, backtracks=j_k, dir_norm=dir_norm, dir_deriv=dir_deriv,
-            p_used=proj.rank_used, certificate_gap=proj.certificate_gap,
-            phi_value=proj.phi_value,
-            dist_to_ref=(None if track_distance_to is None
-                         else _norm(x - track_distance_to))))
-        x_prev, g_prev = x, g
-        x, f_x = x_next, f_next
-        iterations = k + 1
-        consec = consec + 1 if rel <= cfg.stop_tol else 0
-        if consec >= 2:
-            stop_reason = STOP_CONVERGED
-            break
-    return SolveResult(
-        algorithm="armijo", x_final=x, f_final=f_x, iterations=iterations,
-        stop_reason=stop_reason, records=records, x0=np.asarray(x0, dtype=float),
-        f0=f0,
-        meta={
-            "sigma": cfg.sigma,
-            "tau": cfg.tau,
-            "alpha_min": cfg.alpha_min,
-            "alpha_max": cfg.alpha_max,
-            "gamma3_bar": cfg.gamma3_bar,
-            "step_rule": cfg.step_rule,
-            "xi": cfg.xi,
-            "lipschitz_L": obj.lipschitz_L,
-            "stop_tol": cfg.stop_tol,
-        })
+        return x_next, float(obj.value(x_next)), _norm(x_next - x), {
+            "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
+            "dir_deriv": dir_deriv}
+
+    return _iterate("armijo", obj, feasible_set, x0, cfg, step_params, move,
+                    track_distance_to, meta={
+                        "sigma": cfg.sigma,
+                        "tau": cfg.tau,
+                        "alpha_min": cfg.alpha_min,
+                        "alpha_max": cfg.alpha_max,
+                        "gamma3_bar": cfg.gamma3_bar,
+                        "step_rule": cfg.step_rule,
+                        "xi": cfg.xi,
+                        "lipschitz_L": obj.lipschitz_L,
+                        "tau_min": (cfg.tau_min(obj.lipschitz_L)
+                                    if obj.lipschitz_L else None),
+                        "stop_tol": cfg.stop_tol,
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +534,8 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
             ((r.dir_deriv, (r.gamma3 - 1.0) / r.alpha * r.dir_norm ** 2)
              for r in recs),
             tol))
-        lip = result.meta.get("lipschitz_L")
-        if lip:
-            sigma = result.meta["sigma"]
-            tau = result.meta["tau"]
-            alpha_max = result.meta["alpha_max"]
-            gamma3_bar = result.meta["gamma3_bar"]
-            tau_min = min(2.0 * tau * (1.0 - sigma) * (1.0 - gamma3_bar)
-                          / (alpha_max * lip), 1.0)
+        tau_min = result.meta.get("tau_min")
+        if tau_min is not None:
             checks.append(_run_check(
                 "tau-lower-bound", ((tau_min, r.tau) for r in recs), 1e-12))
         else:
@@ -629,16 +611,13 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
         else:
             checks.append(_skipped("contraction", "needs mu and x_star"))
     elif result.algorithm == "armijo":
-        lip = result.meta.get("lipschitz_L")
+        tau_min = result.meta.get("tau_min")
         sigma = result.meta["sigma"]
         alpha_max = result.meta["alpha_max"]
         alpha_min = result.meta["alpha_min"]
         gamma3_bar = result.meta["gamma3_bar"]
         xi = result.meta["xi"]
-        if lip and n_rec > 0:
-            tau = result.meta["tau"]
-            tau_min = min(2.0 * tau * (1.0 - sigma) * (1.0 - gamma3_bar)
-                          / (alpha_max * lip), 1.0)
+        if tau_min is not None and n_rec > 0:
             c = alpha_max * max(result.f0 - f_star, 0.0) / (
                 sigma * tau_min * (1.0 - gamma3_bar))
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipgm.schedules import (
     ForcingParams,
@@ -187,6 +189,32 @@ class TestToleranceFns:
         phi = ToleranceFn.custom(lambda g, u, v, w: -1.0)
         with pytest.raises(ValueError):
             phi(ForcingParams.zero(), 0.0, 0.0, 0.0)
+
+    # the canonical forms written out independently of the library's table
+    REFERENCE = {
+        "phi1": lambda g, vu, wv, wu: g.gamma1 * vu + g.gamma2 * wv + g.gamma3 * wu,
+        "phi2": lambda g, vu, wv, wu: g.gamma1 * vu,
+        "phi3": lambda g, vu, wv, wu: g.gamma2 * wv,
+        "phi4": lambda g, vu, wv, wu: g.gamma3 * wu,
+        "phi5": lambda g, vu, wv, wu: g.gamma1 * g.gamma2 * g.gamma3 * vu * wv * wu,
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(REFERENCE)),
+           gammas=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+           dim=st.integers(1, 6),
+           data=st.data())
+    def test_from_squares_matches_point_form(self, kind, gammas, dim, data):
+        coords = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+        u, v, w = (np.array(data.draw(coords)) for _ in range(3))
+        g = ForcingParams(*gammas)
+        phi = ToleranceFn.canonical(kind)
+        dists = [float(np.linalg.norm(a - b)) for a, b in ((v, u), (w, v), (w, u))]
+        squares = [d * d for d in dists]
+        assert phi.from_squares(g, *squares) == phi(g, u, v, w)
+        assert phi(g, u, v, w) == pytest.approx(
+            self.REFERENCE[kind](g, *squares), rel=1e-12, abs=1e-300)
+        assert ToleranceFn.canonical(kind) == phi
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

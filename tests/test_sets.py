@@ -321,6 +321,27 @@ class TestInexactProjectSpectrahedron:
             inexact_project_spectrahedron(np.eye(3), np.eye(3) / 3,
                                           ForcingParams.zero(), PHI1, p_start=0)
 
+    def test_dense_fallback_is_exact_projection(self):
+        # a flat positive spectrum keeps every eigenvalue in the support of
+        # the exact projection, so at zero tolerance each partial rank is
+        # rejected until p reaches max(16, n/4) and the full eigh takes over
+        n = 20
+        rng = np.random.default_rng(81)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v = (q * (0.05 + 1e-3 * np.arange(n))) @ q.T
+        u = np.eye(n) / n
+        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+                                            p_start=1)
+        assert res.rank_used == n
+        assert frobenius_norm(res.point - exact_project_spectrahedron(v)) < 1e-12
+        ok, gap = certify_inexact_projection(Spectrahedron(n), u, v, res.point,
+                                             ForcingParams.zero(), PHI1)
+        assert ok, f"certificate gap {gap}"
+        vecs = res.state.vectors
+        assert vecs.shape == (n, 16)
+        rayleigh = np.einsum("ij,ij->j", vecs, v @ vecs)
+        assert np.all(np.diff(rayleigh) < 0)
+
     def test_eigensolver_failure_carries_rank_context(self):
         from ipgm.linalg import EigenSolverError
 

@@ -190,6 +190,41 @@ class TestSolveArmijo:
             assert res.records[1].alpha < cfg.alpha_max
 
 
+class TestRecordFields:
+    CONSTANT_ONLY = ("a_k", "b_k", "b_prev")
+    ARMIJO_ONLY = ("tau", "backtracks", "dir_norm", "dir_deriv")
+
+    def test_each_rule_sets_only_its_own_fields(self):
+        qp = make_boxqp(6, 0.5, 5.0, seed=13)
+        runs = {
+            self.CONSTANT_ONLY: solve_constant(
+                qp.objective(), qp.feasible_set(), np.zeros(6),
+                ConstantStepConfig(alpha=1.0 / qp.lipschitz_L,
+                                   schedule=SummableSchedule.harmonic(1.0),
+                                   max_iter=20)),
+            self.ARMIJO_ONLY: solve_armijo(
+                qp.objective(), qp.feasible_set(), np.zeros(6),
+                ArmijoConfig(max_iter=20)),
+        }
+        for own, res in runs.items():
+            assert res.records
+            other = (self.ARMIJO_ONLY if own == self.CONSTANT_ONLY
+                     else self.CONSTANT_ONLY)
+            for r in res.records:
+                assert all(getattr(r, name) is not None for name in own)
+                assert all(getattr(r, name) is None for name in other)
+
+    def test_tau_min_in_meta(self):
+        qp = make_boxqp(6, 0.5, 5.0, seed=14)
+        cfg = ArmijoConfig(max_iter=20)
+        res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(6), cfg)
+        assert res.meta["tau_min"] == cfg.tau_min(qp.lipschitz_L)
+        no_lip = ObjectiveOracle(value=qp.value, gradient=qp.gradient)
+        res = solve_armijo(no_lip, qp.feasible_set(), np.zeros(6), cfg)
+        assert res.meta["tau_min"] is None
+        assert monitor_descent(res).passed
+
+
 class TestConfigValidation:
     def test_constant_invariants(self):
         with pytest.raises(ValueError):
