@@ -2,18 +2,22 @@
 
 The projection oracles in this package repeatedly ask for a handful of
 algebraically largest eigenpairs of dense symmetric matrices that change
-slowly between calls.  ``leading_eigenpairs`` implements a deflated Lanczos
-iteration with full reorthogonalization, residual certification and warm
-starts; ``IncrementalEigen`` exposes the same machinery as a cache over a
-fixed matrix that can be extended one eigenpair at a time.
+slowly between calls.  ``IncrementalEigen`` serves them from a cache over a
+fixed matrix and fills it with ARPACK's implicitly restarted Lanczos
+(``scipy.sparse.linalg.eigsh``) on the shifted matrix ``S + 2 max(1,
+||S||_F) I``, warm-started from earlier eigenvectors, with every returned
+pair certified by its residual; near the whole spectrum it uses a dense
+``eigh``.  ``leading_eigenpairs`` and ``largest_eigenpair`` are one-shot
+front ends to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "SymMatrix",
@@ -29,9 +33,9 @@ __all__ = [
 
 DEFAULT_EIG_TOL = 1e-9
 
-# Full-reorthogonalization keeps basis vectors orthogonal to ~n*eps, so a
-# beta below this scale-relative floor means the Krylov space is invariant.
-_BREAKDOWN_REL = 1e-13
+# Norm of the random part of an ARPACK start vector whose warm part has unit
+# norm: enough for every eigenvector to get a share above rounding.
+_START_NOISE = 1e-2
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -108,279 +112,111 @@ def _as_dense_sym(matrix) -> np.ndarray:
     return a
 
 
-class _DeflatedLanczos:
-    """Lanczos with locking: finds top eigenpairs of ``matvec`` one at a time.
-
-    All randomness comes from a generator seeded at construction, so repeated
-    runs on the same inputs are bit-identical.
-    """
-
-    def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], n: int,
-                 tol_abs: float, scale: float, matvecs_per_pair: int):
-        self.matvec = matvec
-        self.n = n
-        self.tol_abs = tol_abs
-        self.scale = scale
-        self.matvecs_per_pair = matvecs_per_pair
-        self.allowance = matvecs_per_pair
-        self.used_matvecs = 0
-        self.best_residual = np.inf
-        self.locked_vals: list[float] = []
-        self.locked = np.zeros((n, 0))
-        # largest-of-complement value found by the most recent run; a locked
-        # value below it was reached out of order (from a warm start that
-        # converged to a non-dominant eigenvector)
-        self.confirmed_floor = np.inf
-        self._rng = np.random.default_rng(0x5EED1E55)
-
-    # -- primitives ----------------------------------------------------
-
-    def _mv(self, x: np.ndarray) -> np.ndarray:
-        if self.used_matvecs >= self.allowance:
-            raise EigenSolverError(
-                f"no convergence within {self.matvecs_per_pair} matrix-vector "
-                f"products per eigenpair (best residual "
-                f"{self.best_residual:.3e}, tolerance {self.tol_abs:.3e})",
-                best_residual=float(self.best_residual),
-            )
-        self.used_matvecs += 1
-        return self.matvec(x)
-
-    def _deflate(self, x: np.ndarray, extra: np.ndarray | None = None,
-                 passes: int = 2) -> np.ndarray:
-        for _ in range(passes):
-            if self.locked.shape[1]:
-                x = x - self.locked @ (self.locked.T @ x)
-            if extra is not None and extra.shape[1]:
-                x = x - extra @ (extra.T @ x)
-        return x
-
-    def _start_vector(self, warm: np.ndarray | None,
-                      extra: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-        if warm is not None:
-            v = self._deflate(np.asarray(warm, dtype=float).copy(), extra)
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                return v / nv, True
-        while True:
-            v = self._deflate(self._rng.standard_normal(self.n), extra)
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                return v / nv, False
-
-    # -- one deflated run ----------------------------------------------
-
-    def _run(self, v0: np.ndarray, extra: np.ndarray | None = None):
-        """Converge the top Ritz pair of the operator deflated by the locked
-        set (plus ``extra``), thick-restarting at v0 = best Ritz vector.
-
-        The inner iteration aims an order of magnitude below the certified
-        tolerance: residuals of locked pairs leak into every later pair
-        (the deflating vectors are only eigenvectors up to their own
-        residual), so locking well below ``tol_abs`` keeps that pollution
-        floor harmless.  When restarts stop improving the raw residual, any
-        value within ``tol_abs`` is accepted.
-
-        Returns (theta, y, krylov_dim) of the top pair.
-        """
-        n_lock = self.locked.shape[1] + (extra.shape[1] if extra is not None else 0)
-        n_free = self.n - n_lock
-        m_cap = max(2, min(n_free, 36))
-        target = 0.1 * self.tol_abs
-        q0 = v0
-        best = None  # (residual, theta, y, dim)
-        prev_residual = np.inf
-        t_buf = np.zeros((m_cap, m_cap))
-        while True:
-            basis = np.empty((self.n, m_cap))
-            alphas = np.empty(m_cap)
-            betas = np.empty(m_cap)
-            q = q0
-            basis[:, 0] = q
-            ritz_coef = None
-            j_used = 1
-            broke_down = False
-            for j in range(m_cap):
-                u = self._mv(q)
-                u = self._deflate(u, extra, passes=1)
-                alphas[j] = float(q @ u)
-                r = u - alphas[j] * q
-                if j > 0:
-                    r = r - betas[j - 1] * basis[:, j - 1]
-                # two-pass reorthogonalization against the current basis
-                for _ in range(2):
-                    r = r - basis[:, : j + 1] @ (basis[:, : j + 1].T @ r)
-                r = self._deflate(r, extra)
-                beta = float(np.sqrt(r @ r))
-                j_used = j + 1
-                # Ritz extraction is bookkeeping, not progress: once the
-                # basis has grown past a handful of vectors, check every
-                # other step unless the recurrence broke down
-                hit_break = beta <= _BREAKDOWN_REL * self.scale
-                if j >= 8 and j % 2 == 1 and not hit_break and j + 1 < m_cap:
-                    betas[j] = beta
-                    q = r / beta
-                    basis[:, j + 1] = q
-                    continue
-                t = t_buf[: j + 1, : j + 1]
-                t[:] = 0.0
-                t[np.arange(j + 1), np.arange(j + 1)] = alphas[: j + 1]
-                if j > 0:
-                    idx = np.arange(j)
-                    t[idx, idx + 1] = betas[:j]
-                    t[idx + 1, idx] = betas[:j]
-                ritz_coef = np.linalg.eigh(t)[1][:, -1]
-                resid_est = beta * abs(float(ritz_coef[-1]))
-                if resid_est <= target or hit_break:
-                    broke_down = hit_break
-                    break
-                betas[j] = beta
-                q = r / beta
-                if j + 1 < m_cap:
-                    basis[:, j + 1] = q
-            y = basis[:, :j_used] @ ritz_coef
-            y = self._deflate(y, extra)
-            ny = float(np.sqrt(y @ y))
-            if ny <= 1e-10:
-                q0, _ = self._start_vector(None, extra)
-                continue
-            y /= ny
-            ay = self._mv(y)
-            theta = float(y @ ay)
-            rv = ay - theta * y
-            residual = float(np.sqrt(rv @ rv))
-            self.best_residual = min(self.best_residual, residual)
-            if best is None or residual < best[0]:
-                best = (residual, theta, y, j_used)
-            if residual <= target or (broke_down and residual <= self.tol_abs):
-                return theta, y, j_used
-            stalled = residual > 0.9 * prev_residual
-            if stalled and best[0] <= self.tol_abs:
-                return best[1:]
-            if stalled:
-                # force deeper Krylov exploration before the next attempt
-                target = 0.25 * target
-            prev_residual = residual
-            q0 = self._start_vector(None, extra)[0] if broke_down else y
-
-    # -- public: lock the next pair -------------------------------------
-
-    def _probe_max(self, extra: np.ndarray, steps: int = 8) -> float:
-        """Cheap lower bound on the largest eigenvalue of the complement of
-        locked + ``extra``: a few plain Lanczos steps from a random start."""
-        v, _ = self._start_vector(None, extra)
-        q_prev = None
-        beta = 0.0
-        alphas = []
-        betas = []
-        basis = [v]
-        q = v
-        for j in range(min(steps, max(1, self.n - self.locked.shape[1]
-                                      - extra.shape[1]))):
-            u = self._mv(q)
-            u = self._deflate(u, extra, passes=1)
-            a = float(q @ u)
-            alphas.append(a)
-            r = u - a * q
-            if q_prev is not None:
-                r = r - beta * q_prev
-            for b in basis:
-                r = r - b * float(b @ r)
-            beta = float(np.sqrt(r @ r))
-            if beta <= _BREAKDOWN_REL * self.scale:
-                break
-            betas.append(beta)
-            q_prev = q
-            q = r / beta
-            basis.append(q)
-        t = np.diag(alphas)
-        k_off = min(len(betas), len(alphas) - 1)
-        if k_off > 0:
-            idx = np.arange(k_off)
-            t[idx, idx + 1] = betas[:k_off]
-            t[idx + 1, idx] = betas[:k_off]
-        return float(np.linalg.eigvalsh(t)[-1])
-
-    def extend(self, warm: np.ndarray | None = None) -> None:
-        """Lock the largest eigenpair of the complement of the locked set."""
-        if self.locked.shape[1] >= self.n:
-            raise ValueError("all eigenpairs already locked")
-        self.allowance = self.used_matvecs + self.matvecs_per_pair
-        v0, used_warm = self._start_vector(warm)
-        theta, y, dim = self._run(v0)
-        margin = max(self.tol_abs, 1e-14 * self.scale)
-        prev_min = min(self.locked_vals) if self.locked_vals else np.inf
-        contiguous = theta >= prev_min - margin
-        if (used_warm and dim <= 2 and not contiguous
-                and self.locked.shape[1] + 1 < self.n):
-            # A caller-supplied start that converges almost instantly is an
-            # eigenvector, but not necessarily the dominant one left; probe
-            # the complement of locked + candidate for anything larger and
-            # only then pay for a fully converged replacement run.
-            cand = y.reshape(-1, 1)
-            if self._probe_max(cand) > theta + margin:
-                v1, _ = self._start_vector(None, extra=cand)
-                theta2, y2, _ = self._run(v1, extra=cand)
-                if theta2 > theta + margin:
-                    theta, y = theta2, y2
-        self.locked_vals.append(theta)
-        self.locked = np.hstack([self.locked, y.reshape(-1, 1)])
-        self.confirmed_floor = theta
-
-    def pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top ``k`` locked pairs sorted by descending eigenvalue."""
-        vals = np.asarray(self.locked_vals)
-        order = np.argsort(-vals, kind="stable")
-        return vals[order][:k], self.locked[:, order][:, :k]
+class _BudgetExhausted(Exception):
+    """Raised from inside ARPACK's reverse-communication loop."""
 
 
 class IncrementalEigen:
-    """Lazily extended top-of-spectrum eigendecomposition of a fixed matrix.
+    """Top-of-spectrum eigenpairs of a fixed matrix, computed on demand.
 
-    ``top(k)`` returns the ``k`` algebraically largest eigenpairs, locking
-    additional pairs on demand and reusing everything already computed.
-    Warm-start directions (e.g. eigenvectors of a nearby matrix) are consumed
-    in order as each new pair is requested.
+    ``top(k)`` returns the ``k`` algebraically largest eigenpairs.  A request
+    beyond the cached pairs runs ARPACK's implicitly restarted Lanczos
+    (``scipy.sparse.linalg.eigsh``) started from the cached pairs, or from
+    the warm-start directions (e.g. eigenvectors of a nearby matrix) while
+    the cache is empty, and certifies every pair by its residual.
     """
 
     def __init__(self, matrix, eig_tol: float = DEFAULT_EIG_TOL,
                  warm_start: np.ndarray | None = None,
                  max_matvecs: int | None = None):
-        a = _as_dense_sym(matrix)
-        self.n = a.shape[0]
-        self.scale = max(1.0, float(np.linalg.norm(a)))
+        self._a = _as_dense_sym(matrix)
+        self.n = self._a.shape[0]
+        self.scale = max(1.0, float(np.linalg.norm(self._a)))
         self.tol_abs = float(eig_tol) * self.scale
-        budget = max_matvecs if max_matvecs is not None else 50 * self.n
-        self._engine = _DeflatedLanczos(
-            lambda x: a @ x, self.n, self.tol_abs, self.scale,
-            matvecs_per_pair=budget)
-        self._warm = [] if warm_start is None else [
-            np.asarray(warm_start[:, i], dtype=float)
-            for i in range(warm_start.shape[1])
-        ]
-
-    @property
-    def matvecs_used(self) -> int:
-        return self._engine.used_matvecs
+        self._per_pair = max_matvecs if max_matvecs is not None else 50 * self.n
+        self._warm = (None if warm_start is None
+                      else np.asarray(warm_start, dtype=float))
+        self._vals = np.empty(0)
+        self._vecs = np.empty((self.n, 0))
+        self.matvecs_used = 0
+        self._rng = np.random.default_rng(0x5EED1E55)
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= k <= self.n:
             raise ValueError(f"need 1 <= k <= {self.n}, got {k}")
-        eng = self._engine
-        while len(eng.locked_vals) < k:
-            i = len(eng.locked_vals)
-            warm = self._warm[i] if i < len(self._warm) else None
-            eng.extend(warm)
-        # a warm start can lock a pair below a larger eigenvalue still in the
-        # complement; keep pulling the top of the complement until it
-        # confirms the k-th value
-        margin = 2.0 * self.tol_abs
-        while len(eng.locked_vals) < self.n:
-            kth = eng.pairs(k)[0][k - 1]
-            if eng.confirmed_floor <= kth + margin:
-                break
-            eng.extend(None)
-        return eng.pairs(k)
+        if k > self._vals.size:
+            # Callers that need several pairs (the rank-p projector asks for
+            # p+1, then p+2, ...) get one pair ahead, so the next request is
+            # served from the cache.  A single largest pair gets none: the
+            # extra pair could sit inside a degenerate top cluster, where
+            # Lanczos converges a second copy only through rounding.
+            want = k if k == 1 else min(k + 1, self.n)
+            self._vals, self._vecs = self._solve(want)
+        return self._vals[:k], self._vecs[:, :k]
+
+    def _solve(self, want: int) -> tuple[np.ndarray, np.ndarray]:
+        a, n = self._a, self.n
+        if want >= n - 1:
+            # eigsh needs want < n, and at want = n - 1 its basis spans the
+            # whole space: one dense decomposition is cheaper
+            vals, vecs = np.linalg.eigh(a)
+            return vals[::-1], vecs[:, ::-1]
+        # ARPACK stops on a residual relative to the Ritz value, which cannot
+        # certify eigenvalues near zero; the shift maps the spectrum into
+        # [scale, 3 scale], so tol * 3 scale = tol_abs / 10 is absolute.
+        sigma = 2.0 * self.scale
+        budget = self._per_pair * want
+        used = 0
+
+        def shifted(x):
+            nonlocal used
+            if used >= budget:
+                raise _BudgetExhausted
+            used += 1
+            return a @ x + sigma * x
+
+        # The start mixes every cached (or warm) direction with a random
+        # component, so each eigenvector has a nonzero share of it and a
+        # misleading warm start cannot hide a larger eigenvalue.  All
+        # randomness, ARPACK's restarts after a breakdown included, comes
+        # from the seeded generator, so repeated calls are bit-identical.
+        v0 = self._rng.standard_normal(n)
+        v0 *= _START_NOISE / np.linalg.norm(v0)
+        start = self._vecs if self._vecs.size else self._warm
+        if start is not None and start.shape[1]:
+            guess = start.sum(axis=1)
+            norm = float(np.linalg.norm(guess))
+            if norm > 0.0:
+                v0 += guess / norm
+        op = LinearOperator((n, n), matvec=shifted, dtype=float)
+        # maxiter never binds before the product budget does
+        try:
+            _, q = eigsh(op, k=want, which="LA", v0=v0,
+                         ncv=min(n, max(2 * want + 1, 20)),
+                         tol=self.tol_abs / (30.0 * self.scale),
+                         maxiter=budget, rng=self._rng)
+        except _BudgetExhausted:
+            u = v0 / np.linalg.norm(v0)
+            au = a @ u
+            best = float(np.linalg.norm(au - (u @ au) * u))
+            raise EigenSolverError(
+                f"no convergence within {self._per_pair} matrix-vector "
+                f"products per eigenpair ({want} pairs; start-vector "
+                f"residual {best:.3e}, tolerance {self.tol_abs:.3e})",
+                best_residual=best) from None
+        finally:
+            self.matvecs_used += used
+        # certify: one block product gives every Rayleigh quotient and residual
+        aq = a @ q
+        self.matvecs_used += want
+        vals = np.einsum("ij,ij->j", q, aq)
+        worst = float(np.max(np.linalg.norm(aq - q * vals, axis=0)))
+        if worst > self.tol_abs:
+            raise EigenSolverError(
+                f"ARPACK returned a pair with residual {worst:.3e} above the "
+                f"tolerance {self.tol_abs:.3e}", best_residual=worst)
+        order = np.argsort(-vals, kind="stable")
+        return vals[order], q[:, order]
 
 
 def leading_eigenpairs(matrix, p: int, eig_tol: float = DEFAULT_EIG_TOL,
@@ -399,11 +235,11 @@ def leading_eigenpairs(matrix, p: int, eig_tol: float = DEFAULT_EIG_TOL,
         pair satisfies ``||S q - lam q|| <= eig_tol * max(1, ||S||_F)``.
     warm_start : array of shape (n, k), optional
         Starting directions (typically eigenvectors from a previous call on
-        a nearby matrix), consumed in order.
+        a nearby matrix), summed into the start vector.
     max_matvecs : int, optional
         Matrix-vector product budget per eigenpair; defaults to ``50 * n``.
-        Exhausting it raises :class:`EigenSolverError` carrying the best
-        residual reached.
+        Exhausting it raises :class:`EigenSolverError` carrying the residual
+        of the start vector as ``best_residual``.
 
     Returns
     -------

@@ -357,7 +357,6 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     norm_v_sq = float(np.vdot(vs, vs))
     norm_u_sq = float(np.vdot(u_arr, u_arr))
     sq_vu = float(np.vdot(vs - u_arr, vs - u_arr))
-    diag_uq: list[float] = []  # q_i^T U q_i, grown alongside the cache
     for p in range(p_start, n + 1):
         if p >= dense_switch and p < n:
             break
@@ -372,13 +371,13 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                 f"partial eigendecomposition failed at rank p={p}: {exc}",
                 best_residual=exc.best_residual) from exc
         lam = project_simplex(vals[:p])
-        # scalar identities on the eigenbasis; W_p is only formed on accept
-        while len(diag_uq) < p:
-            i = len(diag_uq)
-            diag_uq.append(float(vecs[:, i] @ (u_arr @ vecs[:, i])))
+        # scalar identities on the eigenbasis; W_p is only formed on accept.
+        # A cache that grows recomputes its earlier vectors too, so q_i^T U q_i
+        # is taken from the vectors of this call.
+        q_p = vecs[:, :p]
         w_norm_sq = float(lam @ lam)
         inner_vw = float(lam @ vals[:p])
-        inner_uw = float(lam @ np.asarray(diag_uq[:p]))
+        inner_uw = float(np.einsum("ij,ij,j->", q_p, u_arr @ q_p, lam))
         sq_wv = max(0.0, norm_v_sq - 2.0 * inner_vw + w_norm_sq)
         sq_wu = max(0.0, norm_u_sq - 2.0 * inner_uw + w_norm_sq)
         theta = _largest_eig_shifted(
@@ -389,11 +388,9 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         if phi.is_canonical:
             phi_val = phi.from_squares(gamma, sq_vu, sq_wv, sq_wu)
         else:
-            q_p = vecs[:, :p]
             w_p = (q_p * lam) @ q_p.T
             phi_val = phi(gamma, u_arr, vs, 0.5 * (w_p + w_p.T))
         if lhs >= -phi_val - slack or p == n:
-            q_p = vecs[:, :p]
             w_p = (q_p * lam) @ q_p.T
             w_p = 0.5 * (w_p + w_p.T)
             gap = -lhs - phi_val

@@ -297,7 +297,11 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
             stop_reason = STOP_FIXED_POINT
             break
         x_next, f_next, step, move_fields = move(x, w, g, f_x, dist)
-        rel = step / max(_norm(x), np.finfo(float).tiny)
+        norm_x = _norm(x)
+        if norm_x > 0.0 or step == 0.0:
+            rel = step / max(norm_x, np.finfo(float).tiny)
+        else:
+            rel = np.inf  # any move away from the zero vector
         records.append(IterationRecord(
             k=k, f_x=f_x, f_next=f_next, grad_norm=gn, alpha=alpha,
             gamma1=gamma.gamma1, gamma2=gamma.gamma2, gamma3=gamma.gamma3,

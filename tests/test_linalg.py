@@ -232,3 +232,84 @@ class TestIncrementalEigen:
             cache.top(0)
         with pytest.raises(ValueError):
             cache.top(5)
+
+
+def rotated(rng, eigenvalues):
+    """Symmetric matrix with the given spectrum in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    return (q * np.asarray(eigenvalues)) @ q.T, q
+
+
+class TestArpackPath:
+    """Sizes where the requested pairs go through ARPACK, not dense eigh."""
+
+    def test_top_eigenvalues_near_zero(self):
+        # ARPACK's stop test is relative to the Ritz value: inside a cluster
+        # of values near 0 only the shifted operator meets an absolute target
+        rng = np.random.default_rng(301)
+        n = 120
+        spec = np.concatenate([[3e-12, 2e-12, 1e-12],
+                               -rng.uniform(0.0, 1e-10, 40),
+                               -rng.uniform(0.05, 0.15, n - 43)])
+        s, _ = rotated(rng, spec / np.linalg.norm(spec))
+        pairs = leading_eigenpairs(s, 3)
+        oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
+        tol = 1e-9 * max(1.0, np.linalg.norm(s))
+        assert np.allclose([p.value for p in pairs], oracle[:3], atol=tol)
+        for val, vec in pairs:
+            assert np.linalg.norm(s @ vec - val * vec) <= tol
+
+    def test_misleading_warm_start_n200(self):
+        # warm start: the exact eigenvectors of 6, 5 and 4, below the top 3
+        rng = np.random.default_rng(302)
+        n = 200
+        spec = np.concatenate([[9.0, 8.0, 7.0, 6.0, 5.0, 4.0],
+                               rng.uniform(-3.0, 3.0, n - 6)])
+        s, q = rotated(rng, spec)
+        pairs = leading_eigenpairs(s, 3, warm_start=q[:, 3:6])
+        oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
+        assert np.allclose([p.value for p in pairs], oracle[:3],
+                           atol=1e-9 * np.linalg.norm(s))
+
+    def test_repeated_calls_bit_identical(self):
+        rng = np.random.default_rng(303)
+        s = random_symmetric(rng, 150)
+        warm = np.linalg.qr(rng.standard_normal((150, 4)))[0]
+        for kwargs in ({}, {"warm_start": warm}):
+            a = leading_eigenpairs(s, 4, **kwargs)
+            b = leading_eigenpairs(s, 4, **kwargs)
+            for pa, pb in zip(a, b):
+                assert pa.value == pb.value
+                assert np.array_equal(pa.vector, pb.vector)
+
+    @pytest.mark.parametrize("shape", ["multiplicity-20", "cold-certificate"])
+    def test_degenerate_top_cluster_within_default_budget(self, shape):
+        # Both are V - W_p shapes where vals[:p] - lam is equal on the whole
+        # support: a top value of multiplicity 20 with the next 6.5e-7 below,
+        # and the spectrum of a cold n=400 certificate (8 equal top values,
+        # then gaps of 1e-9 to 2e-6 over ~40 values, then a large cluster)
+        rng = np.random.default_rng(304)
+        n = 150
+        if shape == "multiplicity-20":
+            top = 1.0
+            spec = np.concatenate([np.full(20, top), [top - 6.5e-7],
+                                   rng.uniform(-1.0, 0.9, n - 21)])
+        else:
+            top = 2.5e-3
+            spec = np.concatenate([np.full(8, top),
+                                   top - np.array([1.2e-9, 2.4e-9, 3.9e-9]),
+                                   top - rng.uniform(5e-8, 2e-6, 40),
+                                   np.full(n - 51, -1.67e-2)])
+        s, _ = rotated(rng, spec)
+        pair = largest_eigenpair(s)
+        tol = 1e-9 * max(1.0, np.linalg.norm(s))
+        assert pair.value == pytest.approx(top, abs=tol)
+        assert np.linalg.norm(s @ pair.vector - pair.value * pair.vector) <= tol
+
+    def test_budget_exhaustion_finite_residual(self):
+        rng = np.random.default_rng(305)
+        s = random_symmetric(rng, 120)
+        with pytest.raises(EigenSolverError) as exc:
+            leading_eigenpairs(s, 5, max_matvecs=2)
+        assert np.isfinite(exc.value.best_residual)
+        assert exc.value.best_residual > 0.0

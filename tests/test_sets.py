@@ -352,6 +352,17 @@ class TestInexactProjectSpectrahedron:
             inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
                                           p_start=1, max_matvecs=2)
 
+    def test_budget_exhaustion_at_n120_keeps_rank_and_residual(self):
+        from ipgm.linalg import EigenSolverError
+
+        rng = np.random.default_rng(45)
+        v = symmetrize(rng.standard_normal((120, 120)))
+        u = random_feasible_spectra(rng, 120)
+        with pytest.raises(EigenSolverError, match="rank p=1") as exc:
+            inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+                                          p_start=1, max_matvecs=2)
+        assert np.isfinite(exc.value.best_residual)
+
 
 class TestCertify:
     def test_exact_projection_qualifies(self):

@@ -144,6 +144,30 @@ class TestSolveConstant1D:
         assert all(fs[i + 1] <= fs[i] + 1e-12 for i in range(len(fs) - 1))
 
 
+class TestStartAtOrigin:
+    def test_box_qp_from_origin_warns_nothing(self):
+        # the first move leaves x = 0: an infinite relative change, recorded
+        # as such rather than through an overflowing division
+        import warnings
+
+        qp = make_boxqp(40, 0.5, 5.0, seed=8)
+        x0 = np.zeros(40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [
+                solve_constant(qp.objective(), qp.feasible_set(), x0,
+                               ConstantStepConfig(
+                                   alpha=1.0 / qp.lipschitz_L,
+                                   schedule=SummableSchedule.logarithmic(100.0))),
+                solve_armijo(qp.objective(), qp.feasible_set(), x0,
+                             ArmijoConfig()),
+            ]
+        for res in results:
+            assert res.records[0].rel_change == np.inf
+            assert np.isfinite(res.records[1].rel_change)
+            assert res.stop_reason == "converged"
+
+
 class TestSolveArmijo:
     def test_1d_box(self):
         obj, box = quad_1d()
