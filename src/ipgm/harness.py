@@ -35,6 +35,7 @@ from .solver import (
     ArmijoConfig,
     ConstantStepConfig,
     SolveResult,
+    SolverError,
     constant_alpha_from_gamma,
     monitor_complexity,
     monitor_descent,
@@ -281,7 +282,7 @@ def cmd_sweep_gamma3(config: ExperimentConfig) -> RunReport:
             row.update(f=result.f_final, it=result.iterations, time_s=secs,
                        p_mean=result.p_mean, p_max=result.p_max,
                        monitors=_run_monitors(result))
-        except Exception as exc:  # record the failure, keep sweeping
+        except SolverError as exc:  # record the failure, keep sweeping
             row.update(monitors=f"error:{type(exc).__name__}")
         report.rows.append(row)
     return report
@@ -313,7 +314,7 @@ def cmd_compare(config: ExperimentConfig) -> RunReport:
                 result, secs = run_variant(inst, algo, proj, beta, gamma3_bar,
                                            schedule, config.tol,
                                            config.max_iter, phi=config.phi)
-            except Exception as exc:
+            except SolverError as exc:
                 verdicts.append(f"error:{type(exc).__name__}")
                 continue
             row[f"{tag}_{proj}_f"] = result.f_final

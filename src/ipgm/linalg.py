@@ -6,9 +6,10 @@ slowly between calls.  ``IncrementalEigen`` serves them from a cache over a
 fixed matrix and fills it with ARPACK's implicitly restarted Lanczos
 (``scipy.sparse.linalg.eigsh``) on the shifted matrix ``S + 2 max(1,
 ||S||_F) I``, warm-started from earlier eigenvectors, with every returned
-pair certified by its residual; near the whole spectrum it uses a dense
-``eigh``.  ``leading_eigenpairs`` and ``largest_eigenpair`` are one-shot
-front ends to it.
+pair certified by its residual and the returned vectors certified
+orthonormal; near the whole spectrum it uses a dense ``eigh``.
+``leading_eigenpairs`` and ``largest_eigenpair`` are one-shot front ends
+to it.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ class IncrementalEigen:
     beyond the cached pairs runs ARPACK's implicitly restarted Lanczos
     (``scipy.sparse.linalg.eigsh``) started from the cached pairs, or from
     the warm-start directions (e.g. eigenvectors of a nearby matrix) while
-    the cache is empty, and certifies every pair by its residual.
+    the cache is empty, and certifies every pair by its residual and the
+    vectors as orthonormal, both to the tolerance.
     """
 
     def __init__(self, matrix, eig_tol: float = DEFAULT_EIG_TOL,
@@ -132,7 +134,8 @@ class IncrementalEigen:
         self._a = _as_dense_sym(matrix)
         self.n = self._a.shape[0]
         self.scale = max(1.0, float(np.linalg.norm(self._a)))
-        self.tol_abs = float(eig_tol) * self.scale
+        self.eig_tol = float(eig_tol)
+        self.tol_abs = self.eig_tol * self.scale
         self._per_pair = max_matvecs if max_matvecs is not None else 50 * self.n
         self._warm = (None if warm_start is None
                       else np.asarray(warm_start, dtype=float))
@@ -215,6 +218,12 @@ class IncrementalEigen:
             raise EigenSolverError(
                 f"ARPACK returned a pair with residual {worst:.3e} above the "
                 f"tolerance {self.tol_abs:.3e}", best_residual=worst)
+        # callers build scalar identities on Q, so Q^T Q = I is certified too
+        drift = float(np.max(np.abs(q.T @ q - np.eye(want))))
+        if drift > self.eig_tol:
+            raise EigenSolverError(
+                f"ARPACK returned vectors {drift:.3e} from orthonormal, above "
+                f"the tolerance {self.eig_tol:.3e}", best_residual=worst)
         order = np.argsort(-vals, kind="stable")
         return vals[order], q[:, order]
 

@@ -291,21 +291,14 @@ class LorentzCone(ConvexSetOracle):
 # spectrahedron
 
 
-def _eigh_simplex(vs):
-    """Eigenvalues (ascending), eigenvectors and the simplex projection lam
-    of the eigenvalues of symmetric ``vs``: its projection onto the
-    spectrahedron is sum_i lam_i q_i q_i^T."""
-    evals, evecs = np.linalg.eigh(vs)
-    return evals, evecs, project_simplex(evals)
-
-
 def exact_project_spectrahedron(v) -> np.ndarray:
     """Exact projection onto {W symmetric PSD, tr W = 1}.
 
     Full eigendecomposition of the symmetric part, then projection of the
     eigenvalues onto the simplex.
     """
-    _, evecs, lam = _eigh_simplex(symmetrize(np.asarray(v, dtype=float)))
+    evals, evecs = np.linalg.eigh(symmetrize(np.asarray(v, dtype=float)))
+    lam = project_simplex(evals)
     return (evecs * lam) @ evecs.T
 
 
@@ -341,10 +334,15 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     returned together with the rank used and the signed certificate gap.
     At p = n the candidate is the exact projection and always accepted.
 
-    Once p climbs past max(16, n/4) the partial decomposition has lost its
+    Every term of the certificate comes from the eigenpairs of V, which
+    ``IncrementalEigen`` certifies by residual and orthonormality: on the
+    span of q_1..q_p, V - W_p has the eigenvalues vals[:p] - lam, and on its
+    complement it acts as V, whose largest remaining eigenvalue is vals[p].
+
+    Once p reaches max(16, n/4) the partial decomposition has lost its
     cost advantage (typically the spectrum of V clusters and the exact
-    projection has high rank), so the projector switches to the full
-    eigendecomposition and reports rank n.
+    projection has high rank), so the next rank tried is p = n, the full
+    eigendecomposition.
     """
     vs = symmetrize(np.asarray(v, dtype=float))
     u_arr = np.asarray(u, dtype=float)
@@ -352,18 +350,14 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     if not 1 <= p_start <= n:
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
     dense_switch = min(n, max(16, n // 4))
-    cache = None
+    cache = IncrementalEigen(vs, eig_tol=eig_tol, warm_start=warm_vectors,
+                             max_matvecs=max_matvecs)
     slack = 1e-12 * max(1.0, float(np.linalg.norm(vs)) ** 2)
     norm_v_sq = float(np.vdot(vs, vs))
     norm_u_sq = float(np.vdot(u_arr, u_arr))
     sq_vu = float(np.vdot(vs - u_arr, vs - u_arr))
-    for p in range(p_start, n + 1):
-        if p >= dense_switch and p < n:
-            break
-        if cache is None:
-            cache = IncrementalEigen(vs, eig_tol=eig_tol,
-                                     warm_start=warm_vectors,
-                                     max_matvecs=max_matvecs)
+    p = p_start if p_start < dense_switch else n
+    while True:
         try:
             vals, vecs = cache.top(min(p + 1, n))
         except EigenSolverError as exc:
@@ -380,9 +374,10 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         inner_uw = float(np.einsum("ij,ij,j->", q_p, u_arr @ q_p, lam))
         sq_wv = max(0.0, norm_v_sq - 2.0 * inner_vw + w_norm_sq)
         sq_wu = max(0.0, norm_u_sq - 2.0 * inner_uw + w_norm_sq)
-        theta = _largest_eig_shifted(
-            vs, vals, lam, vecs, p, cache.tol_abs,
-            max(cache.tol_abs, 1e-8 * max(1.0, np.sqrt(norm_v_sq))))
+        # largest eigenvalue of V - W_p
+        theta = float(np.max(vals[:p] - lam))
+        if p < n:
+            theta = max(theta, float(vals[p]))
         # <W_p - V, Y_p - W_p> = <V - W_p, W_p> - theta with Y_p = y y^T
         lhs = (inner_vw - w_norm_sq) - theta
         if phi.is_canonical:
@@ -391,58 +386,20 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
             w_p = (q_p * lam) @ q_p.T
             phi_val = phi(gamma, u_arr, vs, 0.5 * (w_p + w_p.T))
         if lhs >= -phi_val - slack or p == n:
-            w_p = (q_p * lam) @ q_p.T
-            w_p = 0.5 * (w_p + w_p.T)
-            gap = -lhs - phi_val
-            state = SpectrahedronState(
-                p_start=max(1, p - 1),
-                vectors=vecs[:, : min(p + 1, n)].copy())
-            return InexactProjection(point=w_p, rank_used=p,
-                                     certificate_gap=float(gap),
-                                     phi_value=phi_val, state=state)
-    # dense fallback: exact projection, certified directly
-    evals, evecs, lam = _eigh_simplex(vs)
-    evals, evecs, lam = evals[::-1], evecs[:, ::-1], lam[::-1]
-    w_p = (evecs * lam) @ evecs.T
+            break
+        p = p + 1 if p + 1 < dense_switch else n
+    w_p = (q_p * lam) @ q_p.T
     w_p = 0.5 * (w_p + w_p.T)
-    nz = max(1, int(np.count_nonzero(lam)))
-    resid = w_p - vs
-    y_vec = evecs[:, int(np.argmax(evals - lam))]
-    lhs = float(y_vec @ (resid @ y_vec)) - frobenius_inner(resid, w_p)
-    phi_val = phi(gamma, u_arr, vs, w_p)
-    state = SpectrahedronState(p_start=max(1, min(dense_switch - 1, nz)),
-                               vectors=evecs[:, : min(dense_switch, n)].copy())
-    return InexactProjection(point=w_p, rank_used=n,
+    if p > dense_switch:  # after the switch: restart below it
+        p_next = min(dense_switch - 1, int(np.count_nonzero(lam)))
+        keep = dense_switch
+    else:
+        p_next, keep = p - 1, min(p + 1, n)
+    state = SpectrahedronState(p_start=max(1, p_next),
+                               vectors=vecs[:, :keep].copy())
+    return InexactProjection(point=w_p, rank_used=p,
                              certificate_gap=float(-lhs - phi_val),
                              phi_value=phi_val, state=state)
-
-
-def _largest_eig_shifted(vs, vals, lam, vecs, p, tol_abs, check_tol) -> float:
-    """Largest eigenvalue of V - W_p, without forming W_p.
-
-    On the span of the computed eigenvectors, V - W_p acts with eigenvalues
-    vals[:p] - lam; on the orthogonal complement it acts like V, whose
-    largest remaining eigenvalue is vals[p].  The best of these candidates
-    warm-starts a short verification run on the true shifted operator.
-    """
-    q_p = vecs[:, :p]
-    cand_vals = list(vals[:p] - lam)
-    if p < vals.shape[0]:
-        cand_vals.append(float(vals[p]))
-    i_best = int(np.argmax(cand_vals))
-    warm = vecs[:, i_best]
-    approx = vs @ warm - q_p @ (lam * (q_p.T @ warm))
-    theta = float(warm @ approx)
-    r = approx - theta * warm
-    residual = float(np.sqrt(r @ r))
-    if residual <= check_tol:
-        return theta
-    w_p = (q_p * lam) @ q_p.T
-    shifted = vs - 0.5 * (w_p + w_p.T)
-    pair = largest_eigenpair(shifted,
-                             eig_tol=tol_abs / max(1.0, frobenius_norm(shifted)),
-                             warm_start=warm.reshape(-1, 1))
-    return pair.value
 
 
 @dataclass(frozen=True)

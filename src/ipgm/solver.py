@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import frobenius_inner, frobenius_norm
+from .linalg import EigenSolverError, frobenius_inner, frobenius_norm
 from .schedules import (
     ForcingParams,
     SummableSchedule,
@@ -264,7 +264,9 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
     (x_next, f(x_next), ||x_next - x||, record fields).  Stops on a
     vanishing gradient, on a projection that returns x under a zero error
     budget (gamma1 = gamma2 = 0), or when the relative change stays below
-    ``cfg.stop_tol`` for two consecutive iterations.
+    ``cfg.stop_tol`` for two consecutive iterations.  A non-finite gradient
+    or objective value, or a failed eigensolve in the projection, raises
+    ``SolverError`` naming the iteration.
     """
     x = _check_start(feasible_set, x0)
     f_x = float(obj.value(x))
@@ -279,14 +281,19 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
         t0 = time.perf_counter()
         g = np.asarray(obj.gradient(x), dtype=float)
         gn = _norm(g)
+        if not math.isfinite(gn):
+            raise SolverError(f"iteration {k}: gradient norm is {gn}")
         if grad0_scale is None:
             grad0_scale = max(1.0, gn)
         if gn <= GRAD_ZERO_REL * grad0_scale:
             stop_reason = STOP_STATIONARY
             break
         alpha, gamma, params_fields = step_params(k, x, g, gn)
-        proj = feasible_set.inexact_project(x - alpha * g, x, gamma, cfg.phi,
-                                            state=state)
+        try:
+            proj = feasible_set.inexact_project(x - alpha * g, x, gamma,
+                                                cfg.phi, state=state)
+        except EigenSolverError as exc:
+            raise SolverError(f"iteration {k}: projection failed: {exc}") from exc
         w = np.asarray(proj.point, dtype=float)
         state = proj.state
         dist = _norm(w - x)
@@ -297,6 +304,8 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
             stop_reason = STOP_FIXED_POINT
             break
         x_next, f_next, step, move_fields = move(x, w, g, f_x, dist)
+        if not math.isfinite(f_next):
+            raise SolverError(f"iteration {k}: objective value is {f_next}")
         norm_x = _norm(x)
         if norm_x > 0.0 or step == 0.0:
             rel = step / max(norm_x, np.finfo(float).tiny)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ipgm.harness
 from ipgm.cli import main
 from ipgm.harness import (
     ExperimentConfig,
@@ -13,6 +14,7 @@ from ipgm.harness import (
     config_from_mapping,
     load_config_file,
 )
+from ipgm.linalg import EigenSolverError, IncrementalEigen
 from ipgm.problems import load_instance, starting_point
 from ipgm.solver import constant_alpha_from_gamma
 
@@ -209,3 +211,28 @@ class TestCli:
         lines = out.strip().splitlines()
         assert len(lines) == 2  # header plus the single overridden gamma3
         assert lines[1].startswith("0.1,")
+
+
+class TestFailureRows:
+    """Solver failures become error rows; programming errors propagate."""
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken solver call")
+
+        monkeypatch.setattr(ipgm.harness, "solve_constant", broken)
+        with pytest.raises(TypeError, match="broken solver call"):
+            cmd_sweep_gamma3(small_cfg(gamma3=(0.0,)))
+        with pytest.raises(TypeError, match="broken solver call"):
+            cmd_compare(small_cfg(beta=(0.0,)))
+
+    def test_eigensolver_failure_is_an_error_row(self, monkeypatch, capsys):
+        def failing(self, k):
+            raise EigenSolverError("budget exhausted", best_residual=1.0)
+
+        monkeypatch.setattr(IncrementalEigen, "top", failing)
+        report = cmd_compare(small_cfg(beta=(0.0,)))
+        assert report.rows[0]["monitors"] == "error:SolverError;error:SolverError"
+        assert report.rows[0]["con_exact_it"] > 0
+        assert main(["compare", "--n", "24", "--m", "48", "--omega", "4",
+                     "--seed", "11", "--beta", "0.0"]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ipgm.linalg
 from ipgm.linalg import (
     EigenSolverError,
     IncrementalEigen,
@@ -313,3 +314,20 @@ class TestArpackPath:
             leading_eigenpairs(s, 5, max_matvecs=2)
         assert np.isfinite(exc.value.best_residual)
         assert exc.value.best_residual > 0.0
+
+    def test_duplicated_vector_fails_orthonormality(self, monkeypatch):
+        # two copies of one eigenvector both have a small residual; only the
+        # orthonormality check sees that they do not span two dimensions
+        real_eigsh = ipgm.linalg.eigsh
+
+        def duplicating(*args, **kwargs):
+            vals, q = real_eigsh(*args, **kwargs)
+            q = q.copy()
+            q[:, 0] = q[:, 1]
+            return vals, q
+
+        monkeypatch.setattr(ipgm.linalg, "eigsh", duplicating)
+        rng = np.random.default_rng(306)
+        cache = IncrementalEigen(random_symmetric(rng, 120))
+        with pytest.raises(EigenSolverError, match="orthonormal"):
+            cache.top(3)

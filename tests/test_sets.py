@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipgm.linalg import frobenius_inner, frobenius_norm, symmetrize
 from ipgm.schedules import ForcingParams, ToleranceFn
@@ -362,6 +364,39 @@ class TestInexactProjectSpectrahedron:
             inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
                                           p_start=1, max_matvecs=2)
         assert np.isfinite(exc.value.best_residual)
+
+
+class TestCertificateGapProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["phi1", "phi4"]),
+           gammas=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 0.49),
+                            st.floats(0.0, 0.49)),
+           flat=st.booleans())
+    def test_gap_matches_independent_certificate(self, n, seed, kind, gammas,
+                                                 flat):
+        # The projector takes its gap from the eigenpairs of V alone; the
+        # reference forms W and finds the support point of V - W afresh.
+        # A flat positive spectrum under a tiny tolerance rejects every
+        # partial rank, so the projection ends on the full decomposition.
+        rng = np.random.default_rng(seed)
+        if flat:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v = (q * (0.05 + 1e-3 * rng.random(n))) @ q.T
+            g = ForcingParams(*(1e-9 * gam for gam in gammas))
+        else:
+            v = symmetrize(rng.uniform(0.1, 10.0) * rng.standard_normal((n, n)))
+            g = ForcingParams(*gammas)
+        u = random_feasible_spectra(rng, n)
+        phi = ToleranceFn.canonical(kind)
+        res = inexact_project_spectrahedron(v, u, g, phi, p_start=1)
+        if flat:
+            assert res.rank_used == n
+        ok, gap = certify_inexact_projection(Spectrahedron(n), u, v, res.point,
+                                             g, phi)
+        assert ok
+        assert abs(res.certificate_gap - gap) <= 1e-8 * max(
+            1.0, frobenius_norm(v) ** 2)
 
 
 class TestCertify:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ipgm.linalg import EigenSolverError, IncrementalEigen
 from ipgm.problems import generate_instance, make_boxqp, starting_point
 from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
 from ipgm.sets import Box, ExactProjectionAdapter
@@ -10,6 +13,7 @@ from ipgm.solver import (
     InfeasibleStartError,
     LineSearchError,
     ObjectiveOracle,
+    SolverError,
     armijo_search,
     constant_alpha_from_gamma,
     monitor_complexity,
@@ -443,3 +447,78 @@ class TestSpectrahedronSolves:
         res = solve_constant(obj, cset, x0, cfg)
         assert monitor_descent(res).passed
         assert monitor_complexity(res).passed
+
+
+class TestFailuresNameTheIteration:
+    """A NaN gradient or objective value, or a failed eigensolve inside the
+    projection, stops the solve with a SolverError naming the iteration
+    instead of surfacing as an unrelated error further down."""
+
+    @staticmethod
+    def _problem(kind):
+        if kind == "boxqp":
+            qp = make_boxqp(12, 0.5, 5.0, seed=3)
+            return qp.objective(), qp.feasible_set(), np.full(12, 0.5)
+        inst = generate_instance(20, 40, 3, seed=90)
+        return inst.objective(), inst.feasible_set(), starting_point(0.5, 20)
+
+    @staticmethod
+    def _solve(rule, obj, cset, x0):
+        if rule == "armijo":
+            return solve_armijo(obj, cset, x0, ArmijoConfig())
+        cfg = ConstantStepConfig(
+            alpha=constant_alpha_from_gamma(obj.lipschitz_L, 0.0),
+            schedule=SummableSchedule.logarithmic(100.0))
+        return solve_constant(obj, cset, x0, cfg)
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
+    def test_nan_gradient(self, rule, kind):
+        obj, cset, x0 = self._problem(kind)
+        calls = []
+
+        def gradient(x):
+            calls.append(None)
+            g = obj.gradient(x)
+            return g * np.nan if len(calls) == 3 else g
+
+        with pytest.raises(SolverError,
+                           match="iteration 2: gradient norm is nan"):
+            self._solve(rule, replace(obj, gradient=gradient), cset, x0)
+
+    @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
+    def test_nan_value_after_the_move(self, kind):
+        obj, cset, x0 = self._problem(kind)
+        calls = []
+
+        def value(x):
+            # one call for the start, then one per constant-step iteration
+            calls.append(None)
+            return np.nan if len(calls) == 4 else obj.value(x)
+
+        with pytest.raises(SolverError,
+                           match="iteration 2: objective value is nan"):
+            self._solve("constant", replace(obj, value=value), cset, x0)
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_eigensolver_failure_in_projection(self, rule, monkeypatch):
+        obj, cset, x0 = self._problem("spectra")
+        calls = []
+
+        def gradient(x):
+            calls.append(None)
+            return obj.gradient(x)
+
+        real_top = IncrementalEigen.top
+
+        def top(self, k):
+            if len(calls) == 2:
+                raise EigenSolverError("budget exhausted", best_residual=1.0)
+            return real_top(self, k)
+
+        monkeypatch.setattr(IncrementalEigen, "top", top)
+        with pytest.raises(SolverError,
+                           match="iteration 1: projection failed") as exc:
+            self._solve(rule, replace(obj, gradient=gradient), cset, x0)
+        assert isinstance(exc.value.__cause__, EigenSolverError)
+        assert "rank p=" in str(exc.value)
