@@ -14,6 +14,7 @@ import sys
 
 from .harness import (
     ExperimentConfig,
+    _coerce,
     cmd_compare,
     cmd_generate,
     cmd_sweep_gamma3,
@@ -41,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
             ("verify", "replay the inequality monitors (JSON)")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--algo", choices=("constant", "armijo"))
         p.add_argument("--proj", choices=("inexact", "exact"))
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int)
@@ -64,15 +64,12 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     mapping: dict = {}
     if args.config:
         mapping.update(load_config_file(args.config))
-    for key in ("algo", "proj", "n", "m", "omega", "density", "beta",
-                "gamma3", "schedule", "bbar", "phi", "seed", "tol",
-                "max_iter", "strict", "out"):
+    for key in ("proj", "n", "m", "omega", "density", "beta", "gamma3",
+                "schedule", "bbar", "phi", "seed", "tol", "max_iter",
+                "strict", "out"):
         value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key in ("beta", "gamma3") and isinstance(value, str):
-            value = tuple(float(t) for t in value.split(",") if t != "")
-        mapping[key] = value
+        if value is not None:
+            mapping[key] = _coerce(key, value)
     return config_from_mapping(mapping)
 
 

@@ -61,7 +61,6 @@ ARMIJO_GAMMA3 = 0.49995
 class ExperimentConfig:
     """Everything needed to reproduce a run; serializable to flat key=value."""
 
-    algo: str = "constant"
     proj: str = "inexact"
     n: int = 200
     m: int | None = None
@@ -79,8 +78,6 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.algo not in ("constant", "armijo"):
-            raise ValueError(f"algo must be constant|armijo, got {self.algo!r}")
         if self.proj not in ("inexact", "exact"):
             raise ValueError(f"proj must be inexact|exact, got {self.proj!r}")
         if self.m is None:
@@ -91,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("omega must exceed 1")
         self.beta = tuple(float(b) for b in self.beta)
         self.gamma3 = tuple(float(g) for g in self.gamma3)
+        if not self.beta or not self.gamma3:
+            raise ValueError("beta and gamma3 each need at least one value")
         for b in self.beta:
             if not 0.0 <= b <= 1.0:
                 raise ValueError(f"beta must lie in [0, 1], got {b}")
@@ -263,8 +262,6 @@ def cmd_generate(config: ExperimentConfig) -> str:
 
 def cmd_sweep_gamma3(config: ExperimentConfig) -> RunReport:
     """One row per gamma3 cap, all on the same instance and start."""
-    if config.algo != "constant":
-        raise ValueError("sweep-gamma3 applies to the constant-step variant")
     inst = config.make_instance()
     schedule = config.make_schedule()
     beta = config.beta[0]
@@ -337,19 +334,13 @@ def cmd_verify(config: ExperimentConfig) -> dict:
     schedule = config.make_schedule()
     beta = config.beta[0]
 
-    result, _ = run_variant(inst, "constant", "inexact", beta, 0.0, schedule,
-                            config.tol, config.max_iter, phi=config.phi)
-    for chk in (monitor_descent(result).checks
-                + monitor_complexity(result).checks):
-        checks[f"constant.{chk.name}"] = chk.to_dict()
-
-    result, _ = run_variant(inst, "armijo", "inexact", beta, ARMIJO_GAMMA3,
-                            schedule, config.tol, config.max_iter,
-                            phi=config.phi)
-    for chk in (monitor_descent(result).checks
-                + monitor_complexity(result).checks):
-        checks[f"armijo.{chk.name}"] = chk.to_dict()
-
+    for algo, gamma3_bar in (("constant", 0.0), ("armijo", ARMIJO_GAMMA3)):
+        result, _ = run_variant(inst, algo, "inexact", beta, gamma3_bar,
+                                schedule, config.tol, config.max_iter,
+                                phi=config.phi)
+        for chk in (monitor_descent(result).checks
+                    + monitor_complexity(result).checks):
+            checks[f"{algo}.{chk.name}"] = chk.to_dict()
     checks["boxqp.contraction"] = _boxqp_contraction_check(config.seed)
     checks["projection.contract"] = _projection_contract_check(config.seed)
     return checks

@@ -2,32 +2,25 @@
 
 The projection oracles in this package repeatedly ask for a handful of
 algebraically largest eigenpairs of dense symmetric matrices that change
-slowly between calls.  ``IncrementalEigen`` serves them from a cache over a
-fixed matrix and fills it with ARPACK's implicitly restarted Lanczos
+slowly between calls.  ``IncrementalEigen`` is the one way to get them: a
+cache over a fixed matrix, filled by ARPACK's implicitly restarted Lanczos
 (``scipy.sparse.linalg.eigsh``) on the shifted matrix ``S + 2 max(1,
 ||S||_F) I``, warm-started from earlier eigenvectors, with every returned
 pair certified by its residual and the returned vectors certified
 orthonormal; near the whole spectrum it uses a dense ``eigh``.
-``leading_eigenpairs`` and ``largest_eigenpair`` are one-shot front ends
-to it.
+``largest_eigenpair`` is the single-pair call the support point makes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
-    "SymMatrix",
-    "EigenPair",
     "EigenSolverError",
     "frobenius_inner",
     "frobenius_norm",
     "symmetrize",
-    "leading_eigenpairs",
     "largest_eigenpair",
     "IncrementalEigen",
 ]
@@ -45,42 +38,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return 0.5 * (m + m.T)
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric n-by-n matrix with value semantics.
-
-    Construct via :meth:`from_array`, which symmetrizes a general square
-    matrix (the antisymmetric part is discarded) and rejects non-finite
-    entries.  The wrapped array is read-only.
-    """
-
-    array: np.ndarray
-
-    @classmethod
-    def from_array(cls, m) -> "SymMatrix":
-        a = symmetrize(m)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix has non-finite entries")
-        a.setflags(write=False)
-        return cls(array=a)
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.array.astype(dtype)
-        return self.array
-
-
-class EigenPair(NamedTuple):
-    """An (eigenvalue, unit eigenvector) pair."""
-
-    value: float
-    vector: np.ndarray
 
 
 class EigenSolverError(RuntimeError):
@@ -104,15 +61,6 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-def _as_dense_sym(matrix) -> np.ndarray:
-    if isinstance(matrix, SymMatrix):
-        return matrix.array
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 class _BudgetExhausted(Exception):
     """Raised from inside ARPACK's reverse-communication loop."""
 
@@ -120,19 +68,27 @@ class _BudgetExhausted(Exception):
 class IncrementalEigen:
     """Top-of-spectrum eigenpairs of a fixed matrix, computed on demand.
 
-    ``top(k)`` returns the ``k`` algebraically largest eigenpairs.  A request
-    beyond the cached pairs runs ARPACK's implicitly restarted Lanczos
-    (``scipy.sparse.linalg.eigsh``) started from the cached pairs, or from
-    the warm-start directions (e.g. eigenvectors of a nearby matrix) while
-    the cache is empty, and certifies every pair by its residual and the
-    vectors as orthonormal, both to the tolerance.
+    ``top(k)`` returns the ``k`` algebraically largest eigenvalues, in
+    non-increasing order, and their eigenvectors as columns.  A request
+    beyond the cached pairs runs ARPACK (``eigsh``) started from the cached
+    pairs, or from the ``warm_start`` columns (e.g. eigenvectors of a nearby
+    matrix) while the cache is empty.  Each pair has a residual of at most
+    ``eig_tol max(1, ||S||_F)`` and the vectors are orthonormal to
+    ``eig_tol``.  Running past ``max_matvecs`` products per pair (default
+    ``50 n``) raises :class:`EigenSolverError` with the start vector's
+    residual as ``best_residual``.
     """
 
     def __init__(self, matrix, eig_tol: float = DEFAULT_EIG_TOL,
                  warm_start: np.ndarray | None = None,
                  max_matvecs: int | None = None):
-        self._a = _as_dense_sym(matrix)
-        self.n = self._a.shape[0]
+        a = np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not eig_tol > 0:
+            raise ValueError("eig_tol must be positive")
+        self._a = a
+        self.n = a.shape[0]
         self.scale = max(1.0, float(np.linalg.norm(self._a)))
         self.eig_tol = float(eig_tol)
         self.tol_abs = self.eig_tol * self.scale
@@ -228,52 +184,9 @@ class IncrementalEigen:
         return vals[order], q[:, order]
 
 
-def leading_eigenpairs(matrix, p: int, eig_tol: float = DEFAULT_EIG_TOL,
-                       warm_start: np.ndarray | Sequence[np.ndarray] | None = None,
-                       max_matvecs: int | None = None) -> list[EigenPair]:
-    """Compute the ``p`` algebraically largest eigenpairs of a symmetric matrix.
-
-    Parameters
-    ----------
-    matrix : SymMatrix or ndarray
-        Dense symmetric matrix.
-    p : int
-        Number of pairs, ``1 <= p <= n``.
-    eig_tol : float
-        Residual tolerance relative to ``max(1, ||S||_F)``; every returned
-        pair satisfies ``||S q - lam q|| <= eig_tol * max(1, ||S||_F)``.
-    warm_start : array of shape (n, k), optional
-        Starting directions (typically eigenvectors from a previous call on
-        a nearby matrix), summed into the start vector.
-    max_matvecs : int, optional
-        Matrix-vector product budget per eigenpair; defaults to ``50 * n``.
-        Exhausting it raises :class:`EigenSolverError` carrying the residual
-        of the start vector as ``best_residual``.
-
-    Returns
-    -------
-    list of EigenPair, eigenvalues non-increasing, eigenvectors orthonormal.
-    """
-    a = _as_dense_sym(matrix)
-    n = a.shape[0]
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= {n}, got p={p}")
-    if eig_tol <= 0:
-        raise ValueError("eig_tol must be positive")
-    if warm_start is not None and not isinstance(warm_start, np.ndarray):
-        warm_start = np.column_stack(list(warm_start))
-    cache = IncrementalEigen(a, eig_tol=eig_tol, warm_start=warm_start,
-                             max_matvecs=max_matvecs)
-    vals, vecs = cache.top(p)
-    return [EigenPair(float(vals[i]), vecs[:, i].copy()) for i in range(p)]
-
-
-def largest_eigenpair(matrix, eig_tol: float = DEFAULT_EIG_TOL,
-                      warm_start: np.ndarray | None = None,
-                      max_matvecs: int | None = None) -> EigenPair:
-    """Largest eigenpair; same contract as ``leading_eigenpairs`` with p=1."""
-    if warm_start is not None and warm_start.ndim == 1:
-        warm_start = warm_start.reshape(-1, 1)
-    return leading_eigenpairs(matrix, 1, eig_tol=eig_tol,
-                              warm_start=warm_start,
-                              max_matvecs=max_matvecs)[0]
+def largest_eigenpair(matrix, eig_tol: float = DEFAULT_EIG_TOL
+                      ) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of a symmetric matrix and a unit eigenvector,
+    under the residual certificate of ``IncrementalEigen``."""
+    vals, vecs = IncrementalEigen(matrix, eig_tol=eig_tol).top(1)
+    return float(vals[0]), vecs[:, 0]

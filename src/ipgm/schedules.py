@@ -7,7 +7,10 @@ admissible tolerance is dominated by the weighted sum
 
     gamma1 ||v - u||^2 + gamma2 ||w - v||^2 + gamma3 ||w - u||^2,
 
-and the constant-step solver spends a summable per-iteration budget ``a_k``
+so ``ToleranceFn`` holds each tolerance as one function of these three
+squared distances: a caller with points gets them computed, and the rank-p
+projector, which knows them from eigenvalues, passes them directly.  The
+constant-step solver spends a summable per-iteration budget ``a_k``
 on the first two weights so that the accumulated projection error stays
 finite.
 """
@@ -58,9 +61,11 @@ class ForcingParams:
         return cls(0.0, 0.0, 0.0)
 
 
-def _sq(a, b) -> float:
-    d = frobenius_norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    return d * d
+def _squares(u, v, w) -> tuple[float, float, float]:
+    """||v - u||^2, ||w - v||^2, ||w - u||^2."""
+    u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
+    dists = [frobenius_norm(a - b) for a, b in ((v, u), (w, v), (w, u))]
+    return tuple(d * d for d in dists)
 
 
 # canonical tolerance forms over the three squared distances
@@ -74,67 +79,52 @@ _FORMS = {
 }
 
 
-def _on_points(form):
-    def fn(g: ForcingParams, u, v, w) -> float:
-        return form(g, _sq(v, u), _sq(w, v), _sq(w, u))
-    return fn
-
-
-# built once so that equal kinds compare equal as ToleranceFn values
-_CANONICAL = {kind: _on_points(form) for kind, form in _FORMS.items()}
-
-
 @dataclass(frozen=True)
 class ToleranceFn:
     """Error-tolerance function phi(gamma, u, v, w) -> nonnegative real.
 
-    Five canonical forms are provided (``phi1`` is the full three-term sum,
-    ``phi2``/``phi3``/``phi4`` are the single terms, ``phi5`` the product
-    form) plus a hook for custom callables.  The canonical forms are
-    continuous in (gamma3, u, w), as the feasible-direction solver requires;
-    custom hooks are trusted to be.
+    ``fn(gamma, sq_vu, sq_wv, sq_wu)`` is a function of the three squared
+    distances ||v - u||^2, ||w - v||^2 and ||w - u||^2, the quantities the
+    paper's defining bound is written in.  Five canonical forms are provided
+    (``phi1`` is the full three-term sum, ``phi2``/``phi3``/``phi4`` are the
+    single terms, ``phi5`` the product form) plus a hook for custom
+    callables of the same signature.  The canonical forms are continuous in
+    (gamma3, u, w), as the feasible-direction solver requires; custom hooks
+    are trusted to be.
     """
 
     kind: str
-    fn: Callable[[ForcingParams, object, object, object], float] = field(repr=False)
+    fn: Callable[[ForcingParams, float, float, float], float] = field(repr=False)
 
     def __call__(self, gamma: ForcingParams, u, v, w) -> float:
-        val = float(self.fn(gamma, u, v, w))
+        return self.from_squares(gamma, *_squares(u, v, w))
+
+    def from_squares(self, gamma: ForcingParams, sq_vu: float, sq_wv: float,
+                     sq_wu: float) -> float:
+        """Evaluate phi from ||v - u||^2, ||w - v||^2 and ||w - u||^2."""
+        val = float(self.fn(gamma, sq_vu, sq_wv, sq_wu))
         if val < 0.0 or not np.isfinite(val):
             raise ValueError(f"tolerance function returned {val}")
         return val
 
     @classmethod
     def canonical(cls, kind: str) -> "ToleranceFn":
-        if kind not in _CANONICAL:
+        if kind not in _FORMS:
             raise ValueError(f"unknown tolerance kind {kind!r}; "
-                             f"choose from {sorted(_CANONICAL)}")
-        return cls(kind=kind, fn=_CANONICAL[kind])
+                             f"choose from {sorted(_FORMS)}")
+        return cls(kind=kind, fn=_FORMS[kind])
 
     @classmethod
     def custom(cls, fn: Callable, name: str = "custom") -> "ToleranceFn":
+        """Wrap ``fn(gamma, sq_vu, sq_wv, sq_wu)``; ``name`` is a label only."""
         return cls(kind=name, fn=fn)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.kind in _CANONICAL
-
-    def from_squares(self, g: ForcingParams, sq_vu: float, sq_wv: float,
-                     sq_wu: float) -> float:
-        """Evaluate a canonical form from the three squared distances.
-
-        Equivalent to ``self(g, u, v, w)``; lets callers that already know
-        the distances skip the matrix arithmetic.  Canonical kinds only.
-        """
-        if self.kind not in _FORMS:
-            raise ValueError(f"{self.kind!r} has no squared-distance form")
-        return _FORMS[self.kind](g, sq_vu, sq_wv, sq_wu)
 
 
 def tolerance_bound_check(phi: ToleranceFn, g: ForcingParams, u, v, w) -> bool:
     """True iff phi stays below its defining three-term bound at (u, v, w)."""
-    bound = _CANONICAL["phi1"](g, u, v, w)
-    val = phi(g, u, v, w)
+    squares = _squares(u, v, w)
+    bound = _FORMS["phi1"](g, *squares)
+    val = phi.from_squares(g, *squares)
     return val <= bound + 1e-12 * max(1.0, bound)
 
 

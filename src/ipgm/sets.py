@@ -305,7 +305,7 @@ def exact_project_spectrahedron(v) -> np.ndarray:
 def support_point_spectrahedron(c, eig_tol: float = 1e-9) -> np.ndarray:
     """Maximizer q q^T of <c, Y> over the spectrahedron."""
     cs = symmetrize(np.asarray(c, dtype=float))
-    q = largest_eigenpair(cs, eig_tol=eig_tol).vector
+    _, q = largest_eigenpair(cs, eig_tol=eig_tol)
     return np.outer(q, q)
 
 
@@ -338,6 +338,8 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     ``IncrementalEigen`` certifies by residual and orthonormality: on the
     span of q_1..q_p, V - W_p has the eigenvalues vals[:p] - lam, and on its
     complement it acts as V, whose largest remaining eigenvalue is vals[p].
+    phi, custom forms included, is evaluated from the squared distances
+    ||V - U||^2, ||W_p - V||^2 and ||W_p - U||^2 taken from the same pairs.
 
     Once p reaches max(16, n/4) the partial decomposition has lost its
     cost advantage (typically the spectrum of V clusters and the exact
@@ -380,11 +382,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
             theta = max(theta, float(vals[p]))
         # <W_p - V, Y_p - W_p> = <V - W_p, W_p> - theta with Y_p = y y^T
         lhs = (inner_vw - w_norm_sq) - theta
-        if phi.is_canonical:
-            phi_val = phi.from_squares(gamma, sq_vu, sq_wv, sq_wu)
-        else:
-            w_p = (q_p * lam) @ q_p.T
-            phi_val = phi(gamma, u_arr, vs, 0.5 * (w_p + w_p.T))
+        phi_val = phi.from_squares(gamma, sq_vu, sq_wv, sq_wu)
         if lhs >= -phi_val - slack or p == n:
             break
         p = p + 1 if p + 1 < dense_switch else n

@@ -70,8 +70,8 @@ class InfeasibleStartError(SolverError):
 
 
 class LineSearchError(SolverError):
-    """Backtracking exhausted its budget: the sufficient-decrease test never
-    held, which points at a broken gradient or an invalid projection."""
+    """Backtracking met a NaN objective value or exhausted its budget, which
+    points at a broken objective or gradient or an invalid projection."""
 
 
 @dataclass(frozen=True)
@@ -265,11 +265,13 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
     vanishing gradient, on a projection that returns x under a zero error
     budget (gamma1 = gamma2 = 0), or when the relative change stays below
     ``cfg.stop_tol`` for two consecutive iterations.  A non-finite gradient
-    or objective value, or a failed eigensolve in the projection, raises
-    ``SolverError`` naming the iteration.
+    or objective value, a failed eigensolve in the projection or a failed
+    line search raises ``SolverError`` naming the iteration.
     """
     x = _check_start(feasible_set, x0)
     f_x = float(obj.value(x))
+    if not math.isfinite(f_x):
+        raise SolverError(f"starting point: objective value is {f_x}")
     f0 = f_x
     grad0_scale = None
     records: list[IterationRecord] = []
@@ -303,7 +305,10 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
             # stationarity; with a positive budget it does not
             stop_reason = STOP_FIXED_POINT
             break
-        x_next, f_next, step, move_fields = move(x, w, g, f_x, dist)
+        try:
+            x_next, f_next, step, move_fields = move(x, w, g, f_x, dist)
+        except LineSearchError as exc:
+            raise LineSearchError(f"iteration {k}: {exc}") from exc
         if not math.isfinite(f_next):
             raise SolverError(f"iteration {k}: objective value is {f_next}")
         norm_x = _norm(x)
@@ -372,19 +377,31 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
                   max_backtracks: int,
                   f_x: float | None = None,
-                  dir_deriv: float | None = None) -> tuple[float, int]:
-    """Smallest j >= 0 with f(x + tau^j (w - x)) <= f(x) + sigma tau^j <g, w - x>."""
+                  dir_deriv: float | None = None) -> tuple[float, int, float]:
+    """Smallest j >= 0 with f(x + tau^j (w - x)) <= f(x) + sigma tau^j <g, w - x>.
+
+    Returns (tau^j, j, f(x + tau^j (w - x))).  A NaN value of f(x) or of a
+    trial point raises ``LineSearchError`` at once; a +inf trial value
+    backtracks like any other rejected one.
+    """
     xk = np.asarray(xk, dtype=float)
     wk = np.asarray(wk, dtype=float)
     d = wk - xk
     if f_x is None:
         f_x = float(obj.value(xk))
+    if math.isnan(f_x):
+        raise LineSearchError("objective value at the base point is nan")
     if dir_deriv is None:
         dir_deriv = frobenius_inner(np.asarray(obj.gradient(xk), dtype=float), d)
     step = 1.0
     for j in range(max_backtracks + 1):
-        if float(obj.value(xk + step * d)) <= f_x + sigma * step * dir_deriv:
-            return step, j
+        f_trial = float(obj.value(xk + step * d))
+        if math.isnan(f_trial):
+            raise LineSearchError(
+                f"objective value is nan at trial step {step:.3e} "
+                f"(backtrack {j})")
+        if f_trial <= f_x + sigma * step * dir_deriv:
+            return step, j, f_trial
         step *= tau
     raise LineSearchError(
         f"no sufficient decrease within {max_backtracks} backtracks "
@@ -428,11 +445,11 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
     def move(x, w, g, f_x, dist):
         dir_deriv = frobenius_inner(g, w - x)
-        tau_k, j_k = armijo_search(obj, x, w, cfg.sigma, cfg.tau,
-                                   cfg.max_backtracks, f_x=f_x,
-                                   dir_deriv=dir_deriv)
+        tau_k, j_k, f_next = armijo_search(obj, x, w, cfg.sigma, cfg.tau,
+                                           cfg.max_backtracks, f_x=f_x,
+                                           dir_deriv=dir_deriv)
         x_next = x + tau_k * (w - x)
-        return x_next, float(obj.value(x_next)), _norm(x_next - x), {
+        return x_next, f_next, _norm(x_next - x), {
             "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
             "dir_deriv": dir_deriv}
 

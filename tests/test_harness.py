@@ -33,9 +33,13 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(algo="newton")
-        with pytest.raises(ValueError):
             ExperimentConfig(n=10, m=5)
+        with pytest.raises(ValueError):
+            ExperimentConfig(beta=())
+        with pytest.raises(ValueError):
+            ExperimentConfig(gamma3=())
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_mapping({"algo": "constant"})
         with pytest.raises(ValueError):
             ExperimentConfig(gamma3=(0.6,))
         with pytest.raises(ValueError):
@@ -128,10 +132,6 @@ class TestSweep:
             b_tok = [t for i, t in enumerate(b.split(",")) if i != t_ix]
             assert a_tok == b_tok
 
-    def test_requires_constant_algo(self):
-        with pytest.raises(ValueError):
-            cmd_sweep_gamma3(small_cfg(algo="armijo"))
-
     def test_phi_selection(self):
         report = cmd_sweep_gamma3(small_cfg(phi="phi2", gamma3=(0.0,)))
         assert report.rows[0]["monitors"] == "pass"
@@ -171,6 +171,16 @@ class TestCli:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-gamma3", "--beta", ","],
+        ["verify", "--beta", ","],
+        ["compare", "--beta", ","],
+        ["sweep-gamma3", "--gamma3", ","],
+    ])
+    def test_empty_value_list_is_a_usage_error(self, argv, capsys):
+        assert main(argv + ["--n", "24", "--m", "48", "--omega", "4"]) == 1
+        assert "at least one value" in capsys.readouterr().err
 
     def test_sweep_to_stdout(self, capsys):
         code = main(["sweep-gamma3", "--n", "24", "--m", "48", "--omega", "4",

@@ -5,11 +5,9 @@ import ipgm.linalg
 from ipgm.linalg import (
     EigenSolverError,
     IncrementalEigen,
-    SymMatrix,
     frobenius_inner,
     frobenius_norm,
     largest_eigenpair,
-    leading_eigenpairs,
     symmetrize,
 )
 
@@ -20,25 +18,17 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 class TestSymMatrix:
+    """Symmetric matrices are plain arrays made by ``symmetrize``."""
+
     def test_symmetrizes_general_square(self):
-        m = SymMatrix.from_array([[1.0, 5.0], [-5.0, 1.0]])
-        assert np.array_equal(m.array, np.eye(2))
+        m = symmetrize([[1.0, 5.0], [-5.0, 1.0]])
+        assert np.array_equal(m, np.eye(2))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            SymMatrix.from_array(np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
+            symmetrize(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            SymMatrix.from_array([[np.nan, 0.0], [0.0, 1.0]])
-
-    def test_array_is_readonly(self):
-        m = SymMatrix.from_array(np.eye(3))
-        with pytest.raises(ValueError):
-            m.array[0, 0] = 2.0
-
-    def test_dim(self):
-        assert SymMatrix.from_array(np.eye(4)).dim == 4
+            IncrementalEigen(np.ones((2, 3)))
 
     def test_symmetrize_preserves_symmetric_part(self):
         rng = np.random.default_rng(0)
@@ -78,41 +68,44 @@ class TestFrobenius:
 
 
 class TestLeadingEigenpairs:
+    """The p largest pairs of a fresh ``IncrementalEigen`` and the single
+    pair of ``largest_eigenpair``."""
+
     def test_diagonal(self):
-        pairs = leading_eigenpairs(np.diag([3.0, 2.0, 1.0]), 2)
-        assert pairs[0].value == pytest.approx(3.0, abs=1e-10)
-        assert pairs[1].value == pytest.approx(2.0, abs=1e-10)
-        assert abs(pairs[0].vector[0]) == pytest.approx(1.0, abs=1e-8)
-        assert abs(pairs[1].vector[1]) == pytest.approx(1.0, abs=1e-8)
+        vals, vecs = IncrementalEigen(np.diag([3.0, 2.0, 1.0])).top(2)
+        assert vals[0] == pytest.approx(3.0, abs=1e-10)
+        assert vals[1] == pytest.approx(2.0, abs=1e-10)
+        assert abs(vecs[0, 0]) == pytest.approx(1.0, abs=1e-8)
+        assert abs(vecs[1, 1]) == pytest.approx(1.0, abs=1e-8)
 
     def test_identity_any_unit_vector(self):
-        pair = leading_eigenpairs(np.eye(7), 1)[0]
-        assert pair.value == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+        vals, vecs = IncrementalEigen(np.eye(7)).top(1)
+        assert vals[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(vecs[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_matrix(self):
-        pair = largest_eigenpair(np.zeros((5, 5)))
-        assert pair.value == pytest.approx(0.0, abs=1e-12)
-        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+        value, vector = largest_eigenpair(np.zeros((5, 5)))
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_diagonal(self):
-        pair = largest_eigenpair(np.diag([0.4, -0.4]))
-        assert pair.value == pytest.approx(0.4, abs=1e-12)
-        assert abs(pair.vector[0]) == pytest.approx(1.0, abs=1e-10)
+        value, vector = largest_eigenpair(np.diag([0.4, -0.4]))
+        assert value == pytest.approx(0.4, abs=1e-12)
+        assert abs(vector[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_oracle_12x12(self):
         rng = np.random.default_rng(42)
         s = random_symmetric(rng, 12)
-        pairs = leading_eigenpairs(s, 4)
+        vals, _ = IncrementalEigen(s).top(4)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
         for i in range(4):
-            assert pairs[i].value == pytest.approx(oracle[i], abs=1e-8)
+            assert vals[i] == pytest.approx(oracle[i], abs=1e-8)
 
     def test_matches_dense_oracle_10x10_largest(self):
         rng = np.random.default_rng(7)
         s = random_symmetric(rng, 10)
-        pair = largest_eigenpair(s)
-        assert pair.value == pytest.approx(np.max(np.linalg.eigvalsh(s)), abs=1e-8)
+        value, _ = largest_eigenpair(s)
+        assert value == pytest.approx(np.max(np.linalg.eigvalsh(s)), abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_values_and_subspaces(self, seed):
@@ -122,9 +115,7 @@ class TestLeadingEigenpairs:
         n = int(rng.integers(5, 31))
         p = int(rng.integers(1, n + 1))
         s = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-        pairs = leading_eigenpairs(s, p)
-        vals = np.array([pr.value for pr in pairs])
-        vecs = np.column_stack([pr.vector for pr in pairs])
+        vals, vecs = IncrementalEigen(s).top(p)
         w, q = np.linalg.eigh(s)
         w, q = w[::-1], q[:, ::-1]
         scale = max(1.0, np.linalg.norm(s))
@@ -138,42 +129,38 @@ class TestLeadingEigenpairs:
     def test_residual_and_orthonormality_invariants(self):
         rng = np.random.default_rng(3)
         s = random_symmetric(rng, 20, scale=5.0)
-        pairs = leading_eigenpairs(s, 6, eig_tol=1e-9)
+        vals, vecs = IncrementalEigen(s, eig_tol=1e-9).top(6)
         tol = 1e-9 * max(1.0, np.linalg.norm(s))
-        vecs = np.column_stack([p.vector for p in pairs])
         gram = vecs.T @ vecs - np.eye(6)
         assert np.max(np.abs(gram)) < 1e-10
-        for val, vec in pairs:
+        for val, vec in zip(vals, vecs.T):
             assert np.linalg.norm(s @ vec - val * vec) <= tol
-        vals = [p.value for p in pairs]
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(5))
 
     def test_degenerate_cluster_projector(self):
         # eigenvalue 2 with multiplicity 3: any orthonormal basis accepted
         s = np.diag([2.0, 2.0, 2.0, 1.0, 0.5])
-        pairs = leading_eigenpairs(s, 3)
-        vecs = np.column_stack([p.vector for p in pairs])
+        vals, vecs = IncrementalEigen(s).top(3)
         proj = vecs @ vecs.T
         ref = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
         assert np.linalg.norm(proj - ref) < 1e-7
-        assert np.allclose([p.value for p in pairs], 2.0, atol=1e-9)
+        assert np.allclose(vals, 2.0, atol=1e-9)
 
     def test_full_spectrum_small(self):
         rng = np.random.default_rng(11)
         s = random_symmetric(rng, 8)
-        pairs = leading_eigenpairs(s, 8)
+        vals, _ = IncrementalEigen(s).top(8)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
-        assert np.allclose([p.value for p in pairs], oracle, atol=1e-8)
+        assert np.allclose(vals, oracle, atol=1e-8)
 
     def test_warm_start_previous_vectors(self):
         rng = np.random.default_rng(12)
         s = random_symmetric(rng, 25)
-        pairs = leading_eigenpairs(s, 3)
-        warm = np.column_stack([p.vector for p in pairs])
+        _, warm = IncrementalEigen(s).top(3)
         s2 = s + 1e-3 * random_symmetric(rng, 25)
-        warm_pairs = leading_eigenpairs(s2, 3, warm_start=warm)
+        warm_vals, _ = IncrementalEigen(s2, warm_start=warm).top(3)
         oracle = np.sort(np.linalg.eigvalsh(s2))[::-1]
-        assert np.allclose([p.value for p in warm_pairs], oracle[:3], atol=1e-8)
+        assert np.allclose(warm_vals, oracle[:3], atol=1e-8)
 
     def test_misleading_warm_start_not_trusted(self):
         # e2 is an eigenvector of the non-dominant eigenvalue; a naive
@@ -181,34 +168,35 @@ class TestLeadingEigenpairs:
         s = np.diag([3.0, 2.0, 1.0])
         warm = np.zeros((3, 1))
         warm[1, 0] = 1.0
-        pair = largest_eigenpair(s, warm_start=warm)
-        assert pair.value == pytest.approx(3.0, abs=1e-10)
+        vals, _ = IncrementalEigen(s, warm_start=warm).top(1)
+        assert vals[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            leading_eigenpairs(np.eye(3), 0)
+            IncrementalEigen(np.eye(3)).top(0)
         with pytest.raises(ValueError):
-            leading_eigenpairs(np.eye(3), 4)
+            IncrementalEigen(np.eye(3)).top(4)
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
-            leading_eigenpairs(np.eye(3), 1, eig_tol=0.0)
+            IncrementalEigen(np.eye(3), eig_tol=0.0)
+        with pytest.raises(ValueError):
+            largest_eigenpair(np.eye(3), eig_tol=0.0)
 
     def test_budget_exhaustion_reports_residual(self):
         rng = np.random.default_rng(5)
         s = random_symmetric(rng, 30)
         with pytest.raises(EigenSolverError) as exc:
-            leading_eigenpairs(s, 5, max_matvecs=3)
+            IncrementalEigen(s, max_matvecs=3).top(5)
         assert exc.value.best_residual is None or exc.value.best_residual >= 0
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(6)
         s = random_symmetric(rng, 15)
-        a = leading_eigenpairs(s, 4)
-        b = leading_eigenpairs(s, 4)
-        for pa, pb in zip(a, b):
-            assert pa.value == pb.value
-            assert np.array_equal(pa.vector, pb.vector)
+        a_vals, a_vecs = IncrementalEigen(s).top(4)
+        b_vals, b_vecs = IncrementalEigen(s).top(4)
+        assert np.array_equal(a_vals, b_vals)
+        assert np.array_equal(a_vecs, b_vecs)
 
 
 class TestIncrementalEigen:
@@ -253,11 +241,11 @@ class TestArpackPath:
                                -rng.uniform(0.0, 1e-10, 40),
                                -rng.uniform(0.05, 0.15, n - 43)])
         s, _ = rotated(rng, spec / np.linalg.norm(spec))
-        pairs = leading_eigenpairs(s, 3)
+        vals, vecs = IncrementalEigen(s).top(3)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
         tol = 1e-9 * max(1.0, np.linalg.norm(s))
-        assert np.allclose([p.value for p in pairs], oracle[:3], atol=tol)
-        for val, vec in pairs:
+        assert np.allclose(vals, oracle[:3], atol=tol)
+        for val, vec in zip(vals, vecs.T):
             assert np.linalg.norm(s @ vec - val * vec) <= tol
 
     def test_misleading_warm_start_n200(self):
@@ -267,9 +255,9 @@ class TestArpackPath:
         spec = np.concatenate([[9.0, 8.0, 7.0, 6.0, 5.0, 4.0],
                                rng.uniform(-3.0, 3.0, n - 6)])
         s, q = rotated(rng, spec)
-        pairs = leading_eigenpairs(s, 3, warm_start=q[:, 3:6])
+        vals, _ = IncrementalEigen(s, warm_start=q[:, 3:6]).top(3)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
-        assert np.allclose([p.value for p in pairs], oracle[:3],
+        assert np.allclose(vals, oracle[:3],
                            atol=1e-9 * np.linalg.norm(s))
 
     def test_repeated_calls_bit_identical(self):
@@ -277,11 +265,10 @@ class TestArpackPath:
         s = random_symmetric(rng, 150)
         warm = np.linalg.qr(rng.standard_normal((150, 4)))[0]
         for kwargs in ({}, {"warm_start": warm}):
-            a = leading_eigenpairs(s, 4, **kwargs)
-            b = leading_eigenpairs(s, 4, **kwargs)
-            for pa, pb in zip(a, b):
-                assert pa.value == pb.value
-                assert np.array_equal(pa.vector, pb.vector)
+            a_vals, a_vecs = IncrementalEigen(s, **kwargs).top(4)
+            b_vals, b_vecs = IncrementalEigen(s, **kwargs).top(4)
+            assert np.array_equal(a_vals, b_vals)
+            assert np.array_equal(a_vecs, b_vecs)
 
     @pytest.mark.parametrize("shape", ["multiplicity-20", "cold-certificate"])
     def test_degenerate_top_cluster_within_default_budget(self, shape):
@@ -302,16 +289,16 @@ class TestArpackPath:
                                    top - rng.uniform(5e-8, 2e-6, 40),
                                    np.full(n - 51, -1.67e-2)])
         s, _ = rotated(rng, spec)
-        pair = largest_eigenpair(s)
+        value, vector = largest_eigenpair(s)
         tol = 1e-9 * max(1.0, np.linalg.norm(s))
-        assert pair.value == pytest.approx(top, abs=tol)
-        assert np.linalg.norm(s @ pair.vector - pair.value * pair.vector) <= tol
+        assert value == pytest.approx(top, abs=tol)
+        assert np.linalg.norm(s @ vector - value * vector) <= tol
 
     def test_budget_exhaustion_finite_residual(self):
         rng = np.random.default_rng(305)
         s = random_symmetric(rng, 120)
         with pytest.raises(EigenSolverError) as exc:
-            leading_eigenpairs(s, 5, max_matvecs=2)
+            IncrementalEigen(s, max_matvecs=2).top(5)
         assert np.isfinite(exc.value.best_residual)
         assert exc.value.best_residual > 0.0
 

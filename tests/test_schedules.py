@@ -170,8 +170,7 @@ class TestToleranceFns:
             assert tolerance_bound_check(phi, g, u, v, w)
 
     def test_custom_violation_detected(self):
-        bad = ToleranceFn.custom(
-            lambda g, u, v, w: g.gamma1 * np.sum((np.asarray(v) - np.asarray(u)) ** 2) + 1.0)
+        bad = ToleranceFn.custom(lambda g, vu, wv, wu: g.gamma1 * vu + 1.0)
         g = ForcingParams(1.0, 1.0, 1.0)
         z = np.zeros(4)
         assert not tolerance_bound_check(bad, g, z, z, z)
@@ -186,9 +185,23 @@ class TestToleranceFns:
         assert phi(g, u, v, w) == pytest.approx(12.0)
 
     def test_negative_tolerance_rejected(self):
-        phi = ToleranceFn.custom(lambda g, u, v, w: -1.0)
+        phi = ToleranceFn.custom(lambda g, vu, wv, wu: -1.0)
         with pytest.raises(ValueError):
             phi(ForcingParams.zero(), 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            phi.from_squares(ForcingParams.zero(), 0.0, 0.0, 0.0)
+        nan = ToleranceFn.custom(lambda g, vu, wv, wu: float("nan"))
+        with pytest.raises(ValueError):
+            nan.from_squares(ForcingParams.zero(), 1.0, 1.0, 1.0)
+
+    def test_custom_receives_squared_distances(self):
+        seen = []
+        phi = ToleranceFn.custom(
+            lambda g, vu, wv, wu: seen.append((vu, wv, wu)) or 0.0)
+        phi(ForcingParams.zero(), np.zeros(2), np.array([3.0, 4.0]),
+            np.array([3.0, 0.0]))
+        # ||v - u||^2 = 25, ||w - v||^2 = 16, ||w - u||^2 = 9
+        assert seen == [(25.0, 16.0, 9.0)]
 
     # the canonical forms written out independently of the library's table
     REFERENCE = {

@@ -119,6 +119,39 @@ class TestProjectSimplex:
                                atol=1e-10)
 
 
+def simplex_reference_bisection(d):
+    """Projection onto the simplex by bisection on the threshold theta of
+    sum(max(d - theta, 0)) = 1, which lies in [min(d) - 1, max(d)]."""
+    lo, hi = float(np.min(d)) - 1.0, float(np.max(d))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.sum(np.maximum(d - mid, 0.0)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(d - 0.5 * (lo + hi), 0.0)
+
+
+class TestProjectSimplexProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=50))
+    def test_feasible_and_matches_bisection(self, d):
+        d = np.array(d)
+        x = project_simplex(d)
+        assert np.min(x) >= 0.0
+        assert abs(np.sum(x) - 1.0) <= 1e-12 * max(1.0, np.sum(np.abs(d)))
+        assert np.max(np.abs(x - simplex_reference_bisection(d))) <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50)
+           .filter(lambda w: sum(w) > 1e-3))
+    def test_simplex_points_unchanged(self, w):
+        d = np.array(w) / np.sum(w)
+        assert np.max(np.abs(project_simplex(d) - d)) <= 1e-12
+
+
 class TestSimpleSets:
     def test_box_clamp(self):
         assert np.allclose(exact_project_box([2.0, -1.0], 0.0, 1.0), [1.0, 0.0])
@@ -364,6 +397,39 @@ class TestInexactProjectSpectrahedron:
             inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
                                           p_start=1, max_matvecs=2)
         assert np.isfinite(exc.value.best_residual)
+
+
+class TestCustomTolerance:
+    def test_custom_named_like_canonical_is_honoured(self):
+        # a custom phi is evaluated as itself whatever its name; evaluating
+        # it as the canonical phi4 accepted rank 14 with a gap of 1.97e-2
+        n = 30
+        v = np.diag(np.linspace(0.2, 0.0, n))
+        u = np.eye(n) / n
+        g = ForcingParams(0.0, 0.0, 0.49)
+        phi = ToleranceFn.custom(lambda g, vu, wv, wu: 0.0, name="phi4")
+        res = inexact_project_spectrahedron(v, u, g, phi, p_start=1)
+        ok, gap = certify_inexact_projection(Spectrahedron(n), u, v, res.point,
+                                             g, phi)
+        assert ok, f"certificate gap {gap} at rank {res.rank_used}"
+        assert res.phi_value == 0.0
+
+    def test_custom_sees_the_distances_of_the_candidate(self):
+        rng = np.random.default_rng(82)
+        n = 12
+        v = symmetrize(rng.standard_normal((n, n)))
+        u = random_feasible_spectra(rng, n)
+        seen = []
+
+        def fn(g, vu, wv, wu):
+            seen.append((vu, wv, wu))
+            return 0.3 * wu
+
+        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(),
+                                            ToleranceFn.custom(fn), p_start=1)
+        w = res.point
+        ref = [frobenius_norm(a - b) ** 2 for a, b in ((v, u), (w, v), (w, u))]
+        assert np.allclose(seen[-1], ref, rtol=1e-9, atol=1e-12)
 
 
 class TestCertificateGapProperty:

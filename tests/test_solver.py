@@ -77,18 +77,19 @@ class TestArmijoSearch:
     def test_linear_accepts_full_step(self):
         obj = ObjectiveOracle(value=lambda x: float(x[0]),
                               gradient=lambda x: np.ones(1))
-        tau, j = armijo_search(obj, np.array([1.0]), np.array([0.0]),
-                               sigma=0.9, tau=0.5, max_backtracks=30)
-        assert (tau, j) == (1.0, 0)
+        tau, j, f_trial = armijo_search(obj, np.array([1.0]), np.array([0.0]),
+                                        sigma=0.9, tau=0.5, max_backtracks=30)
+        assert (tau, j, f_trial) == (1.0, 0, 0.0)
 
     def test_hand_traced_backtracking(self):
         # f(x) = x^2 from x = 1 along direction -3 with sigma = 0.9
         obj = ObjectiveOracle(value=lambda x: float(x[0] ** 2),
                               gradient=lambda x: 2.0 * x)
-        tau, j = armijo_search(obj, np.array([1.0]), np.array([-2.0]),
-                               sigma=0.9, tau=0.5, max_backtracks=30)
+        tau, j, f_trial = armijo_search(obj, np.array([1.0]), np.array([-2.0]),
+                                        sigma=0.9, tau=0.5, max_backtracks=30)
         assert j == 4
         assert tau == pytest.approx(0.0625)
+        assert f_trial == (1.0 - 3.0 * tau) ** 2
 
     def test_exhaustion_raises(self):
         obj = ObjectiveOracle(value=lambda x: float(x[0] ** 2),
@@ -97,6 +98,39 @@ class TestArmijoSearch:
         with pytest.raises(LineSearchError):
             armijo_search(obj, np.array([1.0]), np.array([5.0]),
                           sigma=0.5, tau=0.5, max_backtracks=10)
+
+    @staticmethod
+    def _counting(values):
+        """Objective returning ``values`` in turn, with its call list."""
+        calls = []
+
+        def value(x):
+            calls.append(None)
+            return values[len(calls) - 1]
+
+        return ObjectiveOracle(value=value, gradient=lambda x: -np.ones(1)), calls
+
+    def test_nan_trial_raises_at_once(self):
+        obj, calls = self._counting([np.inf, np.nan, -1.0])
+        with pytest.raises(LineSearchError, match="nan at trial step 5.000e-01"):
+            armijo_search(obj, np.zeros(1), np.ones(1), sigma=0.5, tau=0.5,
+                          max_backtracks=60, f_x=0.0)
+        assert len(calls) == 2
+
+    def test_nan_base_value_raises(self):
+        obj, calls = self._counting([np.nan, -1.0])
+        with pytest.raises(LineSearchError, match="base point is nan"):
+            armijo_search(obj, np.zeros(1), np.ones(1), sigma=0.5, tau=0.5,
+                          max_backtracks=60)
+        assert len(calls) == 1
+
+    def test_inf_trial_backtracks(self):
+        obj, calls = self._counting([np.inf, np.inf, -1.0])
+        tau, j, f_trial = armijo_search(obj, np.zeros(1), np.ones(1),
+                                        sigma=0.5, tau=0.5, max_backtracks=60,
+                                        f_x=0.0)
+        assert (tau, j, f_trial) == (0.25, 2, -1.0)
+        assert len(calls) == 3
 
 
 class TestSolveConstant1D:
@@ -499,6 +533,42 @@ class TestFailuresNameTheIteration:
         with pytest.raises(SolverError,
                            match="iteration 2: objective value is nan"):
             self._solve("constant", replace(obj, value=value), cset, x0)
+
+    def test_nan_value_in_line_search(self):
+        # before, 60 futile backtracks ended in a LineSearchError naming
+        # no iteration, after 66 value calls
+        obj, cset, x0 = self._problem("spectra")
+        calls = []
+
+        def value(x):
+            calls.append(None)
+            return np.nan if len(calls) >= 6 else obj.value(x)
+
+        with pytest.raises(LineSearchError,
+                           match="iteration 4: objective value is nan") as exc:
+            self._solve("armijo", replace(obj, value=value), cset, x0)
+        assert isinstance(exc.value.__cause__, LineSearchError)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_nan_start_value(self, rule):
+        obj, cset, x0 = self._problem("spectra")
+        with pytest.raises(SolverError,
+                           match="starting point: objective value is nan"):
+            self._solve(rule, replace(obj, value=lambda x: np.nan), cset, x0)
+
+    def test_armijo_evaluates_each_trial_once(self):
+        # the accepted trial value is f(x_next); it is not evaluated again
+        obj, cset, x0 = self._problem("spectra")
+        calls = []
+
+        def value(x):
+            calls.append(None)
+            return obj.value(x)
+
+        res = self._solve("armijo", replace(obj, value=value), cset, x0)
+        assert res.iterations > 0
+        assert len(calls) == 1 + sum(r.backtracks + 1 for r in res.records)
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     def test_eigensolver_failure_in_projection(self, rule, monkeypatch):
