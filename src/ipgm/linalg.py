@@ -7,7 +7,9 @@ cache over a fixed matrix, filled by ARPACK's implicitly restarted Lanczos
 (``scipy.sparse.linalg.eigsh``) on the shifted matrix ``S + 2 max(1,
 ||S||_F) I``, warm-started from earlier eigenvectors, with every returned
 pair certified by its residual and the returned vectors certified
-orthonormal; near the whole spectrum it uses a dense ``eigh``.
+orthonormal.  Each cache spends at most ``2 n`` matrix-vector products;
+when they run out, or when ARPACK's Krylov basis would span the whole
+space, one dense ``eigh`` fills the cache instead.
 ``largest_eigenpair`` is the single-pair call the support point makes.
 """
 
@@ -27,6 +29,10 @@ __all__ = [
 
 DEFAULT_EIG_TOL = 1e-9
 
+# Products one cache may spend, per unit of n: of the order of one dense
+# eigh, and above every warm solve on the benchmark (at most 1.22 n, n=300).
+_PRODUCTS_PER_N = 2
+
 # Norm of the random part of an ARPACK start vector whose warm part has unit
 # norm: enough for every eigenvector to get a share above rounding.
 _START_NOISE = 1e-2
@@ -41,7 +47,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 class EigenSolverError(RuntimeError):
-    """Partial eigensolver ran out of budget before reaching its tolerance."""
+    """The matrix is not finite, or ARPACK returned pairs that fail their
+    residual or orthonormality certificate.
+
+    ``best_residual`` is the largest residual of the returned pairs, or
+    ``None`` when no pair was computed.
+    """
 
     def __init__(self, message: str, best_residual: float | None = None):
         super().__init__(message)
@@ -70,34 +81,38 @@ class IncrementalEigen:
 
     ``top(k)`` returns the ``k`` algebraically largest eigenvalues, in
     non-increasing order, and their eigenvectors as columns.  A request
-    beyond the cached pairs runs ARPACK (``eigsh``) started from the cached
-    pairs, or from the ``warm_start`` columns (e.g. eigenvectors of a nearby
-    matrix) while the cache is empty.  Each pair has a residual of at most
-    ``eig_tol max(1, ||S||_F)`` and the vectors are orthonormal to
-    ``eig_tol``.  Running past ``max_matvecs`` products per pair (default
-    ``50 n``) raises :class:`EigenSolverError` with the start vector's
-    residual as ``best_residual``.
+    beyond the cache refills it (``fills`` counts this; every cached vector
+    is replaced) by ARPACK (``eigsh``) started from the cached pairs, or
+    from the ``warm_start`` columns while the cache is empty.  Each pair has
+    a residual of at most ``eig_tol max(1, ||S||_F)`` and the vectors are
+    orthonormal to ``eig_tol``.  ARPACK runs only while its Krylov basis is
+    smaller than ``n`` and the budget of ``2 n`` products (``matvecs_used``,
+    certificates included) lasts; otherwise, or when the budget runs out
+    partway, one dense ``eigh`` caches every pair.  A matrix whose
+    Frobenius norm is not finite raises :class:`EigenSolverError`.
     """
 
     def __init__(self, matrix, eig_tol: float = DEFAULT_EIG_TOL,
-                 warm_start: np.ndarray | None = None,
-                 max_matvecs: int | None = None):
+                 warm_start: np.ndarray | None = None):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not eig_tol > 0:
             raise ValueError("eig_tol must be positive")
+        norm = float(np.linalg.norm(a))
+        if not np.isfinite(norm):
+            raise EigenSolverError(f"matrix has Frobenius norm {norm}")
         self._a = a
         self.n = a.shape[0]
-        self.scale = max(1.0, float(np.linalg.norm(self._a)))
+        self.scale = max(1.0, norm)
         self.eig_tol = float(eig_tol)
         self.tol_abs = self.eig_tol * self.scale
-        self._per_pair = max_matvecs if max_matvecs is not None else 50 * self.n
         self._warm = (None if warm_start is None
                       else np.asarray(warm_start, dtype=float))
         self._vals = np.empty(0)
         self._vecs = np.empty((self.n, 0))
         self.matvecs_used = 0
+        self.fills = 0
         self._rng = np.random.default_rng(0x5EED1E55)
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,27 +126,25 @@ class IncrementalEigen:
             # Lanczos converges a second copy only through rounding.
             want = k if k == 1 else min(k + 1, self.n)
             self._vals, self._vecs = self._solve(want)
+            self.fills += 1
         return self._vals[:k], self._vecs[:, :k]
 
     def _solve(self, want: int) -> tuple[np.ndarray, np.ndarray]:
         a, n = self._a, self.n
-        if want >= n - 1:
-            # eigsh needs want < n, and at want = n - 1 its basis spans the
-            # whole space: one dense decomposition is cheaper
-            vals, vecs = np.linalg.eigh(a)
-            return vals[::-1], vecs[:, ::-1]
+        ncv = min(n, max(2 * want + 1, 20))
+        # the last `want` products certify; Lanczos needs ncv to start
+        stop = _PRODUCTS_PER_N * n - want
+        if ncv >= n or stop - self.matvecs_used < ncv:
+            return self._dense()
         # ARPACK stops on a residual relative to the Ritz value, which cannot
         # certify eigenvalues near zero; the shift maps the spectrum into
         # [scale, 3 scale], so tol * 3 scale = tol_abs / 10 is absolute.
         sigma = 2.0 * self.scale
-        budget = self._per_pair * want
-        used = 0
 
         def shifted(x):
-            nonlocal used
-            if used >= budget:
+            if self.matvecs_used >= stop:
                 raise _BudgetExhausted
-            used += 1
+            self.matvecs_used += 1
             return a @ x + sigma * x
 
         # The start mixes every cached (or warm) direction with a random
@@ -150,21 +163,11 @@ class IncrementalEigen:
         op = LinearOperator((n, n), matvec=shifted, dtype=float)
         # maxiter never binds before the product budget does
         try:
-            _, q = eigsh(op, k=want, which="LA", v0=v0,
-                         ncv=min(n, max(2 * want + 1, 20)),
+            _, q = eigsh(op, k=want, which="LA", v0=v0, ncv=ncv,
                          tol=self.tol_abs / (30.0 * self.scale),
-                         maxiter=budget, rng=self._rng)
+                         maxiter=stop, rng=self._rng)
         except _BudgetExhausted:
-            u = v0 / np.linalg.norm(v0)
-            au = a @ u
-            best = float(np.linalg.norm(au - (u @ au) * u))
-            raise EigenSolverError(
-                f"no convergence within {self._per_pair} matrix-vector "
-                f"products per eigenpair ({want} pairs; start-vector "
-                f"residual {best:.3e}, tolerance {self.tol_abs:.3e})",
-                best_residual=best) from None
-        finally:
-            self.matvecs_used += used
+            return self._dense()
         # certify: one block product gives every Rayleigh quotient and residual
         aq = a @ q
         self.matvecs_used += want
@@ -182,6 +185,10 @@ class IncrementalEigen:
                 f"the tolerance {self.eig_tol:.3e}", best_residual=worst)
         order = np.argsort(-vals, kind="stable")
         return vals[order], q[:, order]
+
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = np.linalg.eigh(self._a)
+        return vals[::-1], vecs[:, ::-1]
 
 
 def largest_eigenpair(matrix, eig_tol: float = DEFAULT_EIG_TOL

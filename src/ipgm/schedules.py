@@ -49,13 +49,6 @@ class ForcingParams:
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
-    def require_contractive(self):
-        """Check gamma2 < 1/2 and gamma3 < 1/2, required by the solver paths."""
-        if self.gamma2 >= 0.5 or self.gamma3 >= 0.5:
-            raise ValueError(
-                f"gamma2 and gamma3 must be < 1/2, got ({self.gamma2}, {self.gamma3})")
-        return self
-
     @classmethod
     def zero(cls) -> "ForcingParams":
         return cls(0.0, 0.0, 0.0)

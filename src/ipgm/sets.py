@@ -320,8 +320,8 @@ class SpectrahedronState:
 def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                                   p_start: int = 1,
                                   eig_tol: float = 1e-9,
-                                  warm_vectors: np.ndarray | None = None,
-                                  max_matvecs: int | None = None) -> InexactProjection:
+                                  warm_vectors: np.ndarray | None = None
+                                  ) -> InexactProjection:
     """Adaptive rank-p inexact projection onto the spectrahedron.
 
     For p = p_start, p_start + 1, ... the rank-p candidate
@@ -341,24 +341,23 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     phi, custom forms included, is evaluated from the squared distances
     ||V - U||^2, ||W_p - V||^2 and ||W_p - U||^2 taken from the same pairs.
 
-    Once p reaches max(16, n/4) the partial decomposition has lost its
-    cost advantage (typically the spectrum of V clusters and the exact
-    projection has high rank), so the next rank tried is p = n, the full
-    eigendecomposition.
+    The pairs come from one ``IncrementalEigen`` per call, whose product
+    budget bounds the cost: once it is spent, a dense eigendecomposition
+    serves every later rank.  The returned state restarts the next call at
+    rank p - 1 from the first p + 1 vectors.
     """
     vs = symmetrize(np.asarray(v, dtype=float))
     u_arr = np.asarray(u, dtype=float)
     n = vs.shape[0]
     if not 1 <= p_start <= n:
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
-    dense_switch = min(n, max(16, n // 4))
-    cache = IncrementalEigen(vs, eig_tol=eig_tol, warm_start=warm_vectors,
-                             max_matvecs=max_matvecs)
+    cache = IncrementalEigen(vs, eig_tol=eig_tol, warm_start=warm_vectors)
     slack = 1e-12 * max(1.0, float(np.linalg.norm(vs)) ** 2)
     norm_v_sq = float(np.vdot(vs, vs))
     norm_u_sq = float(np.vdot(u_arr, u_arr))
     sq_vu = float(np.vdot(vs - u_arr, vs - u_arr))
-    p = p_start if p_start < dense_switch else n
+    fill, uq = 0, np.empty(0)  # q_i^T U q_i of the current fill's vectors
+    p = p_start
     while True:
         try:
             vals, vecs = cache.top(min(p + 1, n))
@@ -366,14 +365,15 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
             raise EigenSolverError(
                 f"partial eigendecomposition failed at rank p={p}: {exc}",
                 best_residual=exc.best_residual) from exc
+        if cache.fills != fill:  # a refill replaces every cached vector
+            fill, uq = cache.fills, np.empty(0)
+        q_new = vecs[:, uq.size:p]
+        uq = np.append(uq, np.einsum("ij,ij->j", q_new, u_arr @ q_new))
         lam = project_simplex(vals[:p])
-        # scalar identities on the eigenbasis; W_p is only formed on accept.
-        # A cache that grows recomputes its earlier vectors too, so q_i^T U q_i
-        # is taken from the vectors of this call.
-        q_p = vecs[:, :p]
+        # scalar identities on the eigenbasis; W_p is only formed on accept
         w_norm_sq = float(lam @ lam)
         inner_vw = float(lam @ vals[:p])
-        inner_uw = float(np.einsum("ij,ij,j->", q_p, u_arr @ q_p, lam))
+        inner_uw = float(lam @ uq)
         sq_wv = max(0.0, norm_v_sq - 2.0 * inner_vw + w_norm_sq)
         sq_wu = max(0.0, norm_u_sq - 2.0 * inner_uw + w_norm_sq)
         # largest eigenvalue of V - W_p
@@ -385,16 +385,12 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         phi_val = phi.from_squares(gamma, sq_vu, sq_wv, sq_wu)
         if lhs >= -phi_val - slack or p == n:
             break
-        p = p + 1 if p + 1 < dense_switch else n
+        p += 1
+    q_p = vecs[:, :p]
     w_p = (q_p * lam) @ q_p.T
     w_p = 0.5 * (w_p + w_p.T)
-    if p > dense_switch:  # after the switch: restart below it
-        p_next = min(dense_switch - 1, int(np.count_nonzero(lam)))
-        keep = dense_switch
-    else:
-        p_next, keep = p - 1, min(p + 1, n)
-    state = SpectrahedronState(p_start=max(1, p_next),
-                               vectors=vecs[:, :keep].copy())
+    state = SpectrahedronState(p_start=max(1, p - 1),
+                               vectors=vecs[:, :min(p + 1, n)].copy())
     return InexactProjection(point=w_p, rank_used=p,
                              certificate_gap=float(-lhs - phi_val),
                              phi_value=phi_val, state=state)

@@ -183,12 +183,24 @@ class TestLeadingEigenpairs:
         with pytest.raises(ValueError):
             largest_eigenpair(np.eye(3), eig_tol=0.0)
 
-    def test_budget_exhaustion_reports_residual(self):
+    def test_failed_residual_reports_residual(self, eigsh_bad_residual):
         rng = np.random.default_rng(5)
-        s = random_symmetric(rng, 30)
-        with pytest.raises(EigenSolverError) as exc:
-            IncrementalEigen(s, max_matvecs=3).top(5)
-        assert exc.value.best_residual is None or exc.value.best_residual >= 0
+        s = random_symmetric(rng, 60)
+        cache = IncrementalEigen(s)
+        with pytest.raises(EigenSolverError, match="residual") as exc:
+            cache.top(3)
+        assert exc.value.best_residual > cache.tol_abs
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [5, 120])
+    def test_non_finite_matrix_rejected(self, n, bad):
+        # n=5 is served by the dense eigh, n=120 by ARPACK
+        s = random_symmetric(np.random.default_rng(8), n)
+        s[1, 2] = s[2, 1] = bad
+        with pytest.raises(EigenSolverError, match="Frobenius norm"):
+            IncrementalEigen(s)
+        with pytest.raises(EigenSolverError, match="Frobenius norm"):
+            largest_eigenpair(s)
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(6)
@@ -202,7 +214,7 @@ class TestLeadingEigenpairs:
 class TestIncrementalEigen:
     def test_extension_matches_oracle(self):
         rng = np.random.default_rng(21)
-        s = random_symmetric(rng, 18)
+        s = random_symmetric(rng, 60)
         cache = IncrementalEigen(s)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
         vals1, _ = cache.top(2)
@@ -294,13 +306,34 @@ class TestArpackPath:
         assert value == pytest.approx(top, abs=tol)
         assert np.linalg.norm(s @ vector - value * vector) <= tol
 
-    def test_budget_exhaustion_finite_residual(self):
+    def test_failed_residual_certificate_finite_residual(
+            self, eigsh_bad_residual):
         rng = np.random.default_rng(305)
         s = random_symmetric(rng, 120)
-        with pytest.raises(EigenSolverError) as exc:
-            IncrementalEigen(s, max_matvecs=2).top(5)
+        with pytest.raises(EigenSolverError, match="residual") as exc:
+            IncrementalEigen(s).top(5)
         assert np.isfinite(exc.value.best_residual)
         assert exc.value.best_residual > 0.0
+
+    def test_budget_runs_out_into_dense_fill(self):
+        # 20 distinct top values above a 60-fold cluster and a tail graded
+        # from 1e-7 below it, the shape of V at a cold start: top(21) and its
+        # lookahead pair sit in the cluster, where ARPACK does not converge
+        # within 2e5 products; eigh takes over when the budget runs out
+        rng = np.random.default_rng(307)
+        n = 200
+        s, _ = rotated(rng, np.concatenate([
+            np.linspace(2.0, 1.0, 20), np.full(60, 0.1),
+            0.1 - np.geomspace(1e-7, 1e-1, n - 80)]))
+        cache = IncrementalEigen(s)
+        vals, vecs = cache.top(21)
+        oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
+        assert np.allclose(vals, oracle[:21], atol=1e-9 * np.linalg.norm(s))
+        assert np.linalg.norm(s @ vecs - vecs * vals) < 1e-9
+        assert cache.matvecs_used <= 2 * n
+        # the dense fill cached every pair
+        cache.top(n)
+        assert cache.fills == 1
 
     def test_duplicated_vector_fails_orthonormality(self, monkeypatch):
         # two copies of one eigenvector both have a small residual; only the

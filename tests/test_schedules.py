@@ -24,13 +24,6 @@ class TestForcingParams:
         with pytest.raises(ValueError):
             ForcingParams(np.nan, 0.0, 0.0)
 
-    def test_contractive_guard(self):
-        with pytest.raises(ValueError):
-            ForcingParams(0.0, 0.5, 0.0).require_contractive()
-        with pytest.raises(ValueError):
-            ForcingParams(0.0, 0.0, 0.6).require_contractive()
-        ForcingParams(5.0, 0.49, 0.49).require_contractive()
-
     def test_zero(self):
         g = ForcingParams.zero()
         assert (g.gamma1, g.gamma2, g.gamma3) == (0.0, 0.0, 0.0)

@@ -359,7 +359,7 @@ class TestInexactProjectSpectrahedron:
     def test_dense_fallback_is_exact_projection(self):
         # a flat positive spectrum keeps every eigenvalue in the support of
         # the exact projection, so at zero tolerance each partial rank is
-        # rejected until p reaches max(16, n/4) and the full eigh takes over
+        # rejected until p = n, the full decomposition
         n = 20
         rng = np.random.default_rng(81)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -372,22 +372,44 @@ class TestInexactProjectSpectrahedron:
         ok, gap = certify_inexact_projection(Spectrahedron(n), u, v, res.point,
                                              ForcingParams.zero(), PHI1)
         assert ok, f"certificate gap {gap}"
+        # the single state rule: restart at rank p - 1 from p + 1 vectors
+        assert res.state.p_start == n - 1
         vecs = res.state.vectors
-        assert vecs.shape == (n, 16)
+        assert vecs.shape == (n, n)
         rayleigh = np.einsum("ij,ij->j", vecs, v @ vecs)
         assert np.all(np.diff(rayleigh) < 0)
 
-    def test_eigensolver_failure_carries_rank_context(self):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_phi_from_the_vectors_of_each_cache_fill(self, seed):
+        # the tied pair 0.4, 0.4 straddles the ranks at which the cache
+        # refills, and a refill may rotate it: q_i^T U q_i kept from the
+        # earlier fill would misstate ||W_p - U||^2 and so phi4
+        rng = np.random.default_rng(seed)
+        n = 60
+        spec = np.concatenate([[0.5, 0.4, 0.4, 0.3, 0.25, 0.2],
+                               rng.uniform(-1.0, 0.0, n - 6)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v = (q * spec) @ q.T
+        u = random_feasible_spectra(rng, n)
+        g = ForcingParams(0.0, 0.0, 1e-6)
+        res = inexact_project_spectrahedron(v, u, g, PHI4, p_start=1)
+        assert res.phi_value == pytest.approx(
+            1e-6 * frobenius_norm(res.point - u) ** 2, rel=1e-9)
+
+    def test_eigensolver_failure_carries_rank_context(self,
+                                                      eigsh_bad_residual):
         from ipgm.linalg import EigenSolverError
 
         rng = np.random.default_rng(44)
-        v = symmetrize(rng.standard_normal((20, 20)))
-        u = random_feasible_spectra(rng, 20)
-        with pytest.raises(EigenSolverError, match="rank p="):
+        v = symmetrize(rng.standard_normal((60, 60)))
+        u = random_feasible_spectra(rng, 60)
+        with pytest.raises(EigenSolverError, match="rank p=3") as exc:
             inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
-                                          p_start=1, max_matvecs=2)
+                                          p_start=3)
+        assert np.isfinite(exc.value.best_residual)
 
-    def test_budget_exhaustion_at_n120_keeps_rank_and_residual(self):
+    def test_failed_certificate_at_n120_keeps_rank_and_residual(
+            self, eigsh_bad_residual):
         from ipgm.linalg import EigenSolverError
 
         rng = np.random.default_rng(45)
@@ -395,7 +417,7 @@ class TestInexactProjectSpectrahedron:
         u = random_feasible_spectra(rng, 120)
         with pytest.raises(EigenSolverError, match="rank p=1") as exc:
             inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
-                                          p_start=1, max_matvecs=2)
+                                          p_start=1)
         assert np.isfinite(exc.value.best_residual)
 
 
@@ -463,6 +485,39 @@ class TestCertificateGapProperty:
         assert ok
         assert abs(res.certificate_gap - gap) <= 1e-8 * max(
             1.0, frobenius_norm(v) ** 2)
+
+
+class TestSimpleSetCertificateProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["box", "ball", "simplex"]),
+           dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           spread=st.floats(0.01, 100.0),
+           phi_kind=st.sampled_from(["phi1", "phi4"]),
+           gammas=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 0.49),
+                            st.floats(0.0, 0.49)))
+    def test_gap_agrees_with_certify(self, kind, dim, seed, spread, phi_kind,
+                                     gammas):
+        # the exact projection of a simple set carries its own certificate
+        rng = np.random.default_rng(seed)
+        if kind == "box":
+            lower = rng.uniform(-1.0, 0.0, dim)
+            c_set = Box.make(lower, lower + rng.uniform(0.0, 2.0, dim))
+        elif kind == "ball":
+            c_set = Ball.make(rng.standard_normal(dim), rng.uniform(0.1, 3.0))
+        else:
+            c_set = SimplexSet(dim)
+        v = spread * rng.standard_normal(dim)
+        u = c_set.exact_project(rng.standard_normal(dim))
+        g = ForcingParams(*gammas)
+        phi = ToleranceFn.canonical(phi_kind)
+        res = c_set.inexact_project(v, u, g, phi)
+        ok, gap = certify_inexact_projection(c_set, u, v, res.point, g, phi)
+        w = res.point
+        scale = max(1.0, *(frobenius_norm(a - b) ** 2
+                           for a, b in ((v, u), (w, v), (w, u))))
+        assert ok
+        assert abs(res.certificate_gap - gap) <= 1e-12 * scale
+        assert res.certificate_gap <= 1e-12 * scale
 
 
 class TestCertify:
