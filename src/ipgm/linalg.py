@@ -43,7 +43,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    s = m + m.T
+    s *= 0.5
+    return s
 
 
 class EigenSolverError(RuntimeError):

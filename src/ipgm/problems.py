@@ -9,6 +9,10 @@ instances generically have a nonzero residue.
 
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
+
+Both offer ``value_and_gradient``, which returns exactly ``(value(x),
+gradient(x))`` from one residual A X - B (one product Q x for the box QP),
+and pass it to the solvers through ``objective()``.
 """
 
 from __future__ import annotations
@@ -72,18 +76,31 @@ class SpectrahedronLSQ:
     def __post_init__(self):
         ata = (self.a.T @ self.a).toarray()
         self.lipschitz_L = float(np.linalg.norm(ata))
+        # A^T built once (a.T on every call costs about 0.07 ms at n=300);
+        # as CSR its products keep the accumulation order of a.T @ r
+        self._a_t = self.a.T.tocsr()
+
+    def _residual(self, x) -> np.ndarray:
+        return self.a @ np.asarray(x, dtype=float) - self.b_mat
+
+    def _gradient_from(self, r: np.ndarray) -> np.ndarray:
+        return symmetrize(self._a_t @ r)
 
     def value(self, x: np.ndarray) -> float:
-        r = self.a @ np.asarray(x, dtype=float) - self.b_mat
+        r = self._residual(x)
         return 0.5 * float(np.vdot(r, r))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        r = self.a @ np.asarray(x, dtype=float) - self.b_mat
-        g = self.a.T @ r
-        return 0.5 * (g + g.T)
+        return self._gradient_from(self._residual(x))
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(value(x), gradient(x)) from one residual A X - B."""
+        r = self._residual(x)
+        return 0.5 * float(np.vdot(r, r)), self._gradient_from(r)
 
     def objective(self) -> ObjectiveOracle:
         return ObjectiveOracle(value=self.value, gradient=self.gradient,
+                               value_and_gradient=self.value_and_gradient,
                                lipschitz_L=self.lipschitz_L, convex=True)
 
     def feasible_set(self) -> Spectrahedron:
@@ -213,9 +230,16 @@ class BoxQP:
     def gradient(self, x) -> np.ndarray:
         return self.q_mat @ np.asarray(x, dtype=float) - self.b_vec
 
+    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        """(value(x), gradient(x)) from one product Q x."""
+        x = np.asarray(x, dtype=float)
+        qx = self.q_mat @ x
+        return 0.5 * float(x @ qx) - float(self.b_vec @ x), qx - self.b_vec
+
     def objective(self) -> ObjectiveOracle:
         f_star = self.value(self.x_star) if self.x_star is not None else None
         return ObjectiveOracle(value=self.value, gradient=self.gradient,
+                               value_and_gradient=self.value_and_gradient,
                                lipschitz_L=self.lipschitz_L,
                                strong_mu=self.mu, opt_value_hint=f_star,
                                convex=True)

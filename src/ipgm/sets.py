@@ -299,7 +299,11 @@ def exact_project_spectrahedron(v) -> np.ndarray:
     """
     evals, evecs = np.linalg.eigh(symmetrize(np.asarray(v, dtype=float)))
     lam = project_simplex(evals)
-    return (evecs * lam) @ evecs.T
+    # the weights are max(evals - threshold, 0) with evals ascending, so the
+    # positive ones are a tail and only those eigenvectors contribute
+    tail = evals.size - int(np.count_nonzero(lam))
+    q = evecs[:, tail:]
+    return (q * lam[tail:]) @ q.T
 
 
 def support_point_spectrahedron(c, eig_tol: float = 1e-9) -> np.ndarray:
@@ -315,6 +319,10 @@ class SpectrahedronState:
 
     p_start: int = 1
     vectors: np.ndarray | None = None
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    return float(np.vdot(a, a))
 
 
 def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
@@ -352,10 +360,10 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     if not 1 <= p_start <= n:
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
     cache = IncrementalEigen(vs, eig_tol=eig_tol, warm_start=warm_vectors)
-    slack = 1e-12 * max(1.0, float(np.linalg.norm(vs)) ** 2)
-    norm_v_sq = float(np.vdot(vs, vs))
-    norm_u_sq = float(np.vdot(u_arr, u_arr))
-    sq_vu = float(np.vdot(vs - u_arr, vs - u_arr))
+    slack = 1e-12 * cache.scale ** 2  # cache.scale = max(1, ||V||_F)
+    norm_v_sq = _squared_norm(vs)
+    norm_u_sq = _squared_norm(u_arr)
+    sq_vu = _squared_norm(vs - u_arr)
     fill, uq = 0, np.empty(0)  # q_i^T U q_i of the current fill's vectors
     p = p_start
     while True:
@@ -387,8 +395,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
             break
         p += 1
     q_p = vecs[:, :p]
-    w_p = (q_p * lam) @ q_p.T
-    w_p = 0.5 * (w_p + w_p.T)
+    w_p = symmetrize((q_p * lam) @ q_p.T)
     state = SpectrahedronState(p_start=max(1, p - 1),
                                vectors=vecs[:, :min(p + 1, n)].copy())
     return InexactProjection(point=w_p, rank_used=p,

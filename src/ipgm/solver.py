@@ -7,6 +7,10 @@ on the forcing parameters and moves all the way to w; the Armijo rule
 projects with gamma1 = gamma2 = 0 and backtracks along the feasible
 direction w - x.
 
+An iterate's objective value and gradient come from one call of the
+oracle's optional ``value_and_gradient`` wherever both are needed at one
+point (x0, and every constant-step iterate).
+
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
 inequalities the scheme guarantees, so a finished run can be audited
@@ -81,6 +85,12 @@ class ObjectiveOracle:
     ``lipschitz_L`` is a gradient Lipschitz constant on the feasible set
     (needed by the constant-step variant), ``strong_mu`` a strong-convexity
     modulus when one holds, ``opt_value_hint`` a known optimal value.
+
+    ``value_and_gradient``, when given, returns exactly ``(value(x),
+    gradient(x))`` from work shared between the two, and the solvers call it
+    wherever they need both at one point.  It is not checked against
+    ``value`` and ``gradient``: whoever replaces one of those (as
+    ``dataclasses.replace`` does) must replace or clear it too.
     """
 
     value: Callable[[np.ndarray], float]
@@ -89,6 +99,8 @@ class ObjectiveOracle:
     strong_mu: float | None = None
     opt_value_hint: float | None = None
     convex: bool = False
+    value_and_gradient: (Callable[[np.ndarray], tuple[float, np.ndarray]]
+                         | None) = None
 
 
 def constant_alpha_from_gamma(lipschitz_L: float, gamma3_bar: float) -> float:
@@ -252,6 +264,15 @@ def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
     return x0
 
 
+def _evaluate(obj: ObjectiveOracle, x) -> tuple[float, np.ndarray | None]:
+    """(f(x), grad f(x)) from one fused call when the oracle has one, else
+    (f(x), None)."""
+    if obj.value_and_gradient is None:
+        return float(obj.value(x)), None
+    f_x, g = obj.value_and_gradient(x)
+    return float(f_x), g
+
+
 def _iterate(algorithm: str, obj: ObjectiveOracle,
              feasible_set: ConvexSetOracle, x0, cfg, step_params, move,
              track_distance_to, meta: dict) -> SolveResult:
@@ -261,7 +282,9 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
     to x under the forcing parameters gamma, then moves from x toward w.
     ``step_params(k, x, g, grad_norm)`` returns (alpha, gamma, record
     fields); ``move(x, w, g, f_x, dist)`` with dist = ||w - x|| returns
-    (x_next, f(x_next), ||x_next - x||, record fields).  Stops on a
+    (x_next, f(x_next), grad f(x_next) or None, ||x_next - x||, record
+    fields).  A gradient that ``move`` or the start evaluation does not
+    supply is taken from ``obj.gradient`` at the top of the pass.  Stops on a
     vanishing gradient, on a projection that returns x under a zero error
     budget (gamma1 = gamma2 = 0), or when the relative change stays below
     ``cfg.stop_tol`` for two consecutive iterations.  A non-finite gradient
@@ -269,7 +292,7 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
     line search raises ``SolverError`` naming the iteration.
     """
     x = _check_start(feasible_set, x0)
-    f_x = float(obj.value(x))
+    f_x, g = _evaluate(obj, x)
     if not math.isfinite(f_x):
         raise SolverError(f"starting point: objective value is {f_x}")
     f0 = f_x
@@ -281,7 +304,7 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
     iterations = 0
     for k in range(cfg.max_iter):
         t0 = time.perf_counter()
-        g = np.asarray(obj.gradient(x), dtype=float)
+        g = np.asarray(obj.gradient(x) if g is None else g, dtype=float)
         gn = _norm(g)
         if not math.isfinite(gn):
             raise SolverError(f"iteration {k}: gradient norm is {gn}")
@@ -306,7 +329,8 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
             stop_reason = STOP_FIXED_POINT
             break
         try:
-            x_next, f_next, step, move_fields = move(x, w, g, f_x, dist)
+            x_next, f_next, g_next, step, move_fields = move(x, w, g, f_x,
+                                                             dist)
         except LineSearchError as exc:
             raise LineSearchError(f"iteration {k}: {exc}") from exc
         if not math.isfinite(f_next):
@@ -326,7 +350,7 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
             dist_to_ref=(None if track_distance_to is None
                          else _norm(x - track_distance_to)),
             **params_fields, **move_fields))
-        x, f_x = x_next, f_next
+        x, f_x, g = x_next, f_next, g_next
         iterations = k + 1
         consec = consec + 1 if rel <= cfg.stop_tol else 0
         if consec >= 2:
@@ -345,7 +369,9 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
     Each iteration spends the budget a_k on the forcing parameters, takes
     z = x - alpha grad f(x) and accepts any inexact projection of z onto the
-    set relative to x as the next iterate.
+    set relative to x as the next iterate.  With ``obj.value_and_gradient``
+    each iterate, x0 included, is evaluated by one fused call whose gradient
+    the next iteration uses; otherwise by ``value`` and then ``gradient``.
     """
     if obj.lipschitz_L is not None:
         cfg.validate_against(obj.lipschitz_L)
@@ -358,7 +384,8 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
         return cfg.alpha, gamma, {"a_k": a_k, "b_k": b_k, "b_prev": b_prev}
 
     def move(x, w, g, f_x, dist):
-        return w, float(obj.value(w)), dist, {}
+        f_w, g_w = _evaluate(obj, w)
+        return w, f_w, g_w, dist, {}
 
     return _iterate("constant", obj, feasible_set, x0, cfg, step_params, move,
                     track_distance_to, meta={
@@ -426,7 +453,9 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
     The inexact projection runs with gamma1 = gamma2 = 0 and gamma3 at its
     cap, so a projection returning x itself certifies stationarity.
     Otherwise a backtracking search picks tau_k and the iterate moves to
-    x + tau_k (w - x), staying feasible by convexity.
+    x + tau_k (w - x), staying feasible by convexity.  Trial points take
+    ``obj.value`` and the accepted point ``obj.gradient``; only x0 is
+    evaluated by ``obj.value_and_gradient`` when the oracle has it.
     """
     gamma = ForcingParams(0.0, 0.0, cfg.gamma3_bar)
     prev = None  # (x, g) of the previous iteration, for the spectral step
@@ -449,7 +478,7 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
                                            cfg.max_backtracks, f_x=f_x,
                                            dir_deriv=dir_deriv)
         x_next = x + tau_k * (w - x)
-        return x_next, f_next, _norm(x_next - x), {
+        return x_next, f_next, None, _norm(x_next - x), {
             "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
             "dir_deriv": dir_deriv}
 

@@ -170,3 +170,29 @@ class TestBoxQP:
             make_boxqp(5, 0.0, 1.0)
         with pytest.raises(ValueError):
             make_boxqp(5, 2.0, 1.0)
+
+
+class TestValueAndGradient:
+    """The fused evaluation returns exactly (value(x), gradient(x))."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lsq_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(30, 60, 4, seed=seed)
+        for x in (starting_point(0.0, 30), inst.x_bar,
+                  rng.standard_normal((30, 30))):
+            f, g = inst.value_and_gradient(x)
+            assert f == inst.value(x)
+            assert g.tobytes() == inst.gradient(x).tobytes()
+            # and the bits of the textbook formula sym(A^T (A X - B))
+            at_r = inst.a.T @ (inst.a @ x - inst.b_mat)
+            assert g.tobytes() == (0.5 * (at_r + at_r.T)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boxqp_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        qp = make_boxqp(9, 0.3, 7.0, seed=seed)
+        for x in (np.zeros(9), qp.x_star, rng.standard_normal(9)):
+            f, g = qp.value_and_gradient(x)
+            assert f == qp.value(x)
+            assert g.tobytes() == qp.gradient(x).tobytes()

@@ -249,6 +249,32 @@ class TestSpectrahedronExact:
         assert not s.contains(np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
+class TestExactProjectionProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.01, 100.0), full_rank=st.booleans())
+    def test_positive_part_matches_full_product(self, n, seed, scale,
+                                                full_rank):
+        # The projector multiplies only the eigenvectors with positive
+        # simplex weight; the reference multiplies all n.  A spectrum spread
+        # by less than 1/n about its mean keeps every weight positive.
+        rng = np.random.default_rng(seed)
+        if full_rank:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            d = rng.uniform(-scale, scale) + (0.5 / n) * rng.random(n)
+            v = (q * d) @ q.T
+        else:
+            v = scale * rng.standard_normal((n, n))
+        evals, evecs = np.linalg.eigh(symmetrize(v))
+        lam = project_simplex(evals)
+        if full_rank:
+            assert np.count_nonzero(lam) == n
+        reference = (evecs * lam) @ evecs.T
+        w = exact_project_spectrahedron(v)
+        assert np.max(np.abs(w - reference)) <= 1e-13 * max(
+            1.0, frobenius_norm(v))
+
+
 class TestSupportPointSpectrahedron:
     def test_diagonal_direction(self):
         y = support_point_spectrahedron(np.diag([0.4, -0.4]))

@@ -483,112 +483,199 @@ class TestSpectrahedronSolves:
         assert monitor_complexity(res).passed
 
 
+def _small_problem(kind):
+    if kind == "boxqp":
+        qp = make_boxqp(12, 0.5, 5.0, seed=3)
+        return qp.objective(), qp.feasible_set(), np.full(12, 0.5)
+    inst = generate_instance(20, 40, 3, seed=90)
+    return inst.objective(), inst.feasible_set(), starting_point(0.5, 20)
+
+
+def _solve_rule(rule, obj, cset, x0):
+    if rule == "armijo":
+        return solve_armijo(obj, cset, x0, ArmijoConfig())
+    cfg = ConstantStepConfig(
+        alpha=constant_alpha_from_gamma(obj.lipschitz_L, 0.0),
+        schedule=SummableSchedule.logarithmic(100.0))
+    return solve_constant(obj, cset, x0, cfg)
+
+
 class TestFailuresNameTheIteration:
     """A NaN gradient or objective value, or a failed eigensolve inside the
     projection, stops the solve with a SolverError naming the iteration
-    instead of surfacing as an unrelated error further down."""
+    instead of surfacing as an unrelated error further down.
+
+    Each case runs on both evaluation paths: separate ``value`` and
+    ``gradient`` calls, and a fused ``value_and_gradient`` that goes through
+    the same faulty callables."""
+
+    PATHS = ("separate", "fused")
 
     @staticmethod
-    def _problem(kind):
-        if kind == "boxqp":
-            qp = make_boxqp(12, 0.5, 5.0, seed=3)
-            return qp.objective(), qp.feasible_set(), np.full(12, 0.5)
-        inst = generate_instance(20, 40, 3, seed=90)
-        return inst.objective(), inst.feasible_set(), starting_point(0.5, 20)
-
-    @staticmethod
-    def _solve(rule, obj, cset, x0):
-        if rule == "armijo":
-            return solve_armijo(obj, cset, x0, ArmijoConfig())
-        cfg = ConstantStepConfig(
-            alpha=constant_alpha_from_gamma(obj.lipschitz_L, 0.0),
-            schedule=SummableSchedule.logarithmic(100.0))
-        return solve_constant(obj, cset, x0, cfg)
+    def _with(obj, path, value=None, gradient=None):
+        """obj with value and/or gradient replaced; the fused callable is
+        cleared, or rebuilt on the replacements so it injects their faults."""
+        value = value or obj.value
+        gradient = gradient or obj.gradient
+        fused = None
+        if path == "fused":
+            def fused(x):
+                return value(x), gradient(x)
+        return replace(obj, value=value, gradient=gradient,
+                       value_and_gradient=fused)
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
     def test_nan_gradient(self, rule, kind):
-        obj, cset, x0 = self._problem(kind)
-        calls = []
+        obj, cset, x0 = _small_problem(kind)
+        for path in self.PATHS:
+            calls = []
 
-        def gradient(x):
-            calls.append(None)
-            g = obj.gradient(x)
-            return g * np.nan if len(calls) == 3 else g
+            def gradient(x):
+                calls.append(None)
+                g = obj.gradient(x)
+                return g * np.nan if len(calls) == 3 else g
 
-        with pytest.raises(SolverError,
-                           match="iteration 2: gradient norm is nan"):
-            self._solve(rule, replace(obj, gradient=gradient), cset, x0)
+            with pytest.raises(SolverError,
+                               match="iteration 2: gradient norm is nan"):
+                _solve_rule(rule, self._with(obj, path, gradient=gradient),
+                            cset, x0)
 
     @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
     def test_nan_value_after_the_move(self, kind):
-        obj, cset, x0 = self._problem(kind)
-        calls = []
+        obj, cset, x0 = _small_problem(kind)
+        for path in self.PATHS:
+            calls = []
 
-        def value(x):
-            # one call for the start, then one per constant-step iteration
-            calls.append(None)
-            return np.nan if len(calls) == 4 else obj.value(x)
+            def value(x):
+                # one call for the start, then one per constant-step iteration
+                calls.append(None)
+                return np.nan if len(calls) == 4 else obj.value(x)
 
-        with pytest.raises(SolverError,
-                           match="iteration 2: objective value is nan"):
-            self._solve("constant", replace(obj, value=value), cset, x0)
+            with pytest.raises(SolverError,
+                               match="iteration 2: objective value is nan"):
+                _solve_rule("constant", self._with(obj, path, value=value),
+                            cset, x0)
 
     def test_nan_value_in_line_search(self):
         # before, 60 futile backtracks ended in a LineSearchError naming
         # no iteration, after 66 value calls
-        obj, cset, x0 = self._problem("spectra")
-        calls = []
+        obj, cset, x0 = _small_problem("spectra")
+        for path in self.PATHS:
+            calls = []
 
-        def value(x):
-            calls.append(None)
-            return np.nan if len(calls) >= 6 else obj.value(x)
+            def value(x):
+                calls.append(None)
+                return np.nan if len(calls) >= 6 else obj.value(x)
 
-        with pytest.raises(LineSearchError,
-                           match="iteration 4: objective value is nan") as exc:
-            self._solve("armijo", replace(obj, value=value), cset, x0)
-        assert isinstance(exc.value.__cause__, LineSearchError)
-        assert len(calls) == 6
+            with pytest.raises(LineSearchError,
+                               match="iteration 4: objective value is nan"
+                               ) as exc:
+                _solve_rule("armijo", self._with(obj, path, value=value),
+                            cset, x0)
+            assert isinstance(exc.value.__cause__, LineSearchError)
+            assert len(calls) == 6
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     def test_nan_start_value(self, rule):
-        obj, cset, x0 = self._problem("spectra")
-        with pytest.raises(SolverError,
-                           match="starting point: objective value is nan"):
-            self._solve(rule, replace(obj, value=lambda x: np.nan), cset, x0)
+        obj, cset, x0 = _small_problem("spectra")
+        for path in self.PATHS:
+            with pytest.raises(SolverError,
+                               match="starting point: objective value is nan"):
+                _solve_rule(rule,
+                            self._with(obj, path, value=lambda x: np.nan),
+                            cset, x0)
 
     def test_armijo_evaluates_each_trial_once(self):
         # the accepted trial value is f(x_next); it is not evaluated again
-        obj, cset, x0 = self._problem("spectra")
-        calls = []
+        obj, cset, x0 = _small_problem("spectra")
+        for path in self.PATHS:
+            calls = []
 
-        def value(x):
-            calls.append(None)
-            return obj.value(x)
+            def value(x):
+                calls.append(None)
+                return obj.value(x)
 
-        res = self._solve("armijo", replace(obj, value=value), cset, x0)
-        assert res.iterations > 0
-        assert len(calls) == 1 + sum(r.backtracks + 1 for r in res.records)
+            res = _solve_rule("armijo", self._with(obj, path, value=value),
+                              cset, x0)
+            assert res.iterations > 0
+            assert len(calls) == 1 + sum(r.backtracks + 1 for r in res.records)
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     def test_eigensolver_failure_in_projection(self, rule, monkeypatch):
-        obj, cset, x0 = self._problem("spectra")
-        calls = []
-
-        def gradient(x):
-            calls.append(None)
-            return obj.gradient(x)
-
+        obj, cset, x0 = _small_problem("spectra")
         real_top = IncrementalEigen.top
+        for path in self.PATHS:
+            calls = []
 
-        def top(self, k):
-            if len(calls) == 2:
-                raise EigenSolverError("budget exhausted", best_residual=1.0)
-            return real_top(self, k)
+            def gradient(x):
+                calls.append(None)
+                return obj.gradient(x)
 
-        monkeypatch.setattr(IncrementalEigen, "top", top)
-        with pytest.raises(SolverError,
-                           match="iteration 1: projection failed") as exc:
-            self._solve(rule, replace(obj, gradient=gradient), cset, x0)
-        assert isinstance(exc.value.__cause__, EigenSolverError)
-        assert "rank p=" in str(exc.value)
+            def top(self, k):
+                if len(calls) == 2:
+                    raise EigenSolverError("budget exhausted", best_residual=1.0)
+                return real_top(self, k)
+
+            monkeypatch.setattr(IncrementalEigen, "top", top)
+            with pytest.raises(SolverError,
+                               match="iteration 1: projection failed") as exc:
+                _solve_rule(rule, self._with(obj, path, gradient=gradient),
+                            cset, x0)
+            assert isinstance(exc.value.__cause__, EigenSolverError)
+            assert "rank p=" in str(exc.value)
+
+
+class TestFusedEvaluation:
+    """``value_and_gradient`` replaces separate calls wherever both are
+    needed at one point, without changing a single bit of the solve."""
+
+    @staticmethod
+    def _counted(obj):
+        calls = {"value": 0, "gradient": 0, "fused": 0}
+
+        def counting(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        return replace(
+            obj, value=counting("value", obj.value),
+            gradient=counting("gradient", obj.gradient),
+            value_and_gradient=counting("fused", obj.value_and_gradient)
+        ), calls
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
+    def test_fused_and_separate_paths_identical(self, rule, kind):
+        obj, cset, x0 = _small_problem(kind)
+        fused = _solve_rule(rule, obj, cset, x0)
+        separate = _solve_rule(rule, replace(obj, value_and_gradient=None),
+                               cset, x0)
+        assert fused.iterations == separate.iterations > 0
+        assert fused.stop_reason == separate.stop_reason
+        assert fused.f_final == separate.f_final
+        assert fused.x_final.tobytes() == separate.x_final.tobytes()
+
+        def scalars(res):
+            return [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                    for r in res.records]
+        assert scalars(fused) == scalars(separate)
+
+    def test_constant_step_calls_only_the_fused_oracle(self):
+        obj, cset, x0 = _small_problem("spectra")
+        counted, calls = self._counted(obj)
+        res = _solve_rule("constant", counted, cset, x0)
+        assert res.iterations > 0
+        assert calls["value"] == calls["gradient"] == 0
+        assert calls["fused"] <= res.iterations + 1
+
+    def test_armijo_fuses_only_the_start(self):
+        # trial points take value, the accepted point takes gradient
+        obj, cset, x0 = _small_problem("spectra")
+        counted, calls = self._counted(obj)
+        res = _solve_rule("armijo", counted, cset, x0)
+        assert res.iterations > 0
+        assert calls["fused"] == 1
+        assert calls["value"] == sum(r.backtracks + 1 for r in res.records)
