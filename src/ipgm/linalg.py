@@ -27,7 +27,9 @@ __all__ = [
     "IncrementalEigen",
 ]
 
-DEFAULT_EIG_TOL = 1e-9
+# Residual tolerance of every returned pair, relative to max(1, ||S||_F),
+# and the tolerance on the orthonormality of the returned vectors.
+EIG_TOL = 1e-9
 
 # Products one cache may spend, per unit of n: of the order of one dense
 # eigh, and above every warm solve on the benchmark (at most 1.22 n, n=300).
@@ -86,29 +88,25 @@ class IncrementalEigen:
     beyond the cache refills it (``fills`` counts this; every cached vector
     is replaced) by ARPACK (``eigsh``) started from the cached pairs, or
     from the ``warm_start`` columns while the cache is empty.  Each pair has
-    a residual of at most ``eig_tol max(1, ||S||_F)`` and the vectors are
-    orthonormal to ``eig_tol``.  ARPACK runs only while its Krylov basis is
+    a residual of at most ``EIG_TOL max(1, ||S||_F)`` and the vectors are
+    orthonormal to ``EIG_TOL``.  ARPACK runs only while its Krylov basis is
     smaller than ``n`` and the budget of ``2 n`` products (``matvecs_used``,
     certificates included) lasts; otherwise, or when the budget runs out
     partway, one dense ``eigh`` caches every pair.  A matrix whose
     Frobenius norm is not finite raises :class:`EigenSolverError`.
     """
 
-    def __init__(self, matrix, eig_tol: float = DEFAULT_EIG_TOL,
-                 warm_start: np.ndarray | None = None):
+    def __init__(self, matrix, warm_start: np.ndarray | None = None):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not eig_tol > 0:
-            raise ValueError("eig_tol must be positive")
         norm = float(np.linalg.norm(a))
         if not np.isfinite(norm):
             raise EigenSolverError(f"matrix has Frobenius norm {norm}")
         self._a = a
         self.n = a.shape[0]
         self.scale = max(1.0, norm)
-        self.eig_tol = float(eig_tol)
-        self.tol_abs = self.eig_tol * self.scale
+        self.tol_abs = EIG_TOL * self.scale
         self._warm = (None if warm_start is None
                       else np.asarray(warm_start, dtype=float))
         self._vals = np.empty(0)
@@ -181,10 +179,10 @@ class IncrementalEigen:
                 f"tolerance {self.tol_abs:.3e}", best_residual=worst)
         # callers build scalar identities on Q, so Q^T Q = I is certified too
         drift = float(np.max(np.abs(q.T @ q - np.eye(want))))
-        if drift > self.eig_tol:
+        if drift > EIG_TOL:
             raise EigenSolverError(
                 f"ARPACK returned vectors {drift:.3e} from orthonormal, above "
-                f"the tolerance {self.eig_tol:.3e}", best_residual=worst)
+                f"the tolerance {EIG_TOL:.3e}", best_residual=worst)
         order = np.argsort(-vals, kind="stable")
         return vals[order], q[:, order]
 
@@ -193,9 +191,8 @@ class IncrementalEigen:
         return vals[::-1], vecs[:, ::-1]
 
 
-def largest_eigenpair(matrix, eig_tol: float = DEFAULT_EIG_TOL
-                      ) -> tuple[float, np.ndarray]:
+def largest_eigenpair(matrix) -> tuple[float, np.ndarray]:
     """The largest eigenvalue of a symmetric matrix and a unit eigenvector,
     under the residual certificate of ``IncrementalEigen``."""
-    vals, vecs = IncrementalEigen(matrix, eig_tol=eig_tol).top(1)
+    vals, vecs = IncrementalEigen(matrix).top(1)
     return float(vals[0]), vecs[:, 0]

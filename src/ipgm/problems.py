@@ -10,9 +10,10 @@ instances generically have a nonzero residue.
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
 
-Both offer ``value_and_gradient``, which returns exactly ``(value(x),
-gradient(x))`` from one residual A X - B (one product Q x for the box QP),
-and pass it to the solvers through ``objective()``.
+Both offer ``value_and_gradient``, which returns ``(value(x),
+gradient(x))`` bit for bit from one residual A X - B (one product Q x for
+the box QP); ``objective()`` hands it to the solvers as the only objective
+callable.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ class SpectrahedronLSQ:
         return 0.5 * float(np.vdot(r, r)), self._gradient_from(r)
 
     def objective(self) -> ObjectiveOracle:
-        return ObjectiveOracle(value=self.value, gradient=self.gradient,
-                               value_and_gradient=self.value_and_gradient,
-                               lipschitz_L=self.lipschitz_L, convex=True)
+        return ObjectiveOracle(self.value_and_gradient,
+                               lipschitz_L=self.lipschitz_L)
 
     def feasible_set(self) -> Spectrahedron:
         return Spectrahedron(self.n)
@@ -238,11 +238,9 @@ class BoxQP:
 
     def objective(self) -> ObjectiveOracle:
         f_star = self.value(self.x_star) if self.x_star is not None else None
-        return ObjectiveOracle(value=self.value, gradient=self.gradient,
-                               value_and_gradient=self.value_and_gradient,
+        return ObjectiveOracle(self.value_and_gradient,
                                lipschitz_L=self.lipschitz_L,
-                               strong_mu=self.mu, opt_value_hint=f_star,
-                               convex=True)
+                               opt_value_hint=f_star)
 
     def feasible_set(self) -> Box:
         return Box.make(self.lower, self.upper)

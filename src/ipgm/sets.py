@@ -88,10 +88,6 @@ class ConvexSetOracle:
 
     name = "convex-set"
 
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.name}
-
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         raise NotImplementedError
 
@@ -103,9 +99,6 @@ class ConvexSetOracle:
     def exact_project(self, v) -> np.ndarray:
         raise UnsupportedOracleCapability(
             f"{self.name} has no exact projection")
-
-    def initial_projection_state(self) -> Any:
-        return None
 
     def inexact_project(self, v, u, gamma: ForcingParams, phi: ToleranceFn,
                         state: Any = None) -> InexactProjection:
@@ -150,10 +143,6 @@ class SimplexSet(ConvexSetOracle):
 
     p: int
     name = "simplex"
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.name, "dim": self.p}
 
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
@@ -218,11 +207,6 @@ class Box(ConvexSetOracle):
             raise ValueError("invalid box bounds")
         return cls(lower=lo, upper=hi)
 
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.name, "lower": self.lower.tolist(),
-                "upper": self.upper.tolist()}
-
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - feas_tol)
@@ -248,11 +232,6 @@ class Ball(ConvexSetOracle):
             raise ValueError("radius must be positive")
         return cls(center=np.asarray(center, dtype=float), radius=float(radius))
 
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.name, "center": self.center.tolist(),
-                "radius": self.radius}
-
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return np.linalg.norm(x - self.center) <= self.radius + feas_tol
@@ -274,10 +253,6 @@ class LorentzCone(ConvexSetOracle):
 
     dim: int
     name = "lorentz"
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.name, "dim": self.dim}
 
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float).ravel()
@@ -306,10 +281,10 @@ def exact_project_spectrahedron(v) -> np.ndarray:
     return (q * lam[tail:]) @ q.T
 
 
-def support_point_spectrahedron(c, eig_tol: float = 1e-9) -> np.ndarray:
+def support_point_spectrahedron(c) -> np.ndarray:
     """Maximizer q q^T of <c, Y> over the spectrahedron."""
     cs = symmetrize(np.asarray(c, dtype=float))
-    _, q = largest_eigenpair(cs, eig_tol=eig_tol)
+    _, q = largest_eigenpair(cs)
     return np.outer(q, q)
 
 
@@ -327,7 +302,6 @@ def _squared_norm(a: np.ndarray) -> float:
 
 def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                                   p_start: int = 1,
-                                  eig_tol: float = 1e-9,
                                   warm_vectors: np.ndarray | None = None
                                   ) -> InexactProjection:
     """Adaptive rank-p inexact projection onto the spectrahedron.
@@ -359,7 +333,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     n = vs.shape[0]
     if not 1 <= p_start <= n:
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
-    cache = IncrementalEigen(vs, eig_tol=eig_tol, warm_start=warm_vectors)
+    cache = IncrementalEigen(vs, warm_start=warm_vectors)
     slack = 1e-12 * cache.scale ** 2  # cache.scale = max(1, ||V||_F)
     norm_v_sq = _squared_norm(vs)
     norm_u_sq = _squared_norm(u_arr)
@@ -408,12 +382,7 @@ class Spectrahedron(ConvexSetOracle):
     """Unit-trace positive semidefinite matrices in S^n."""
 
     n: int
-    eig_tol: float = 1e-9
     name = "spectrahedron"
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": self.name, "dim": self.n}
 
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
@@ -427,21 +396,18 @@ class Spectrahedron(ConvexSetOracle):
         return float(np.linalg.eigvalsh(symmetrize(x))[0]) >= -feas_tol
 
     def support_point(self, c) -> np.ndarray:
-        return support_point_spectrahedron(c, eig_tol=self.eig_tol)
+        return support_point_spectrahedron(c)
 
     def exact_project(self, v) -> np.ndarray:
         return exact_project_spectrahedron(v)
 
-    def initial_projection_state(self) -> SpectrahedronState:
-        return SpectrahedronState(p_start=1, vectors=None)
-
     def inexact_project(self, v, u, gamma: ForcingParams, phi: ToleranceFn,
                         state: SpectrahedronState | None = None) -> InexactProjection:
         if state is None:
-            state = self.initial_projection_state()
+            state = SpectrahedronState()
         return inexact_project_spectrahedron(
             v, u, gamma, phi, p_start=min(state.p_start, self.n),
-            eig_tol=self.eig_tol, warm_vectors=state.vectors)
+            warm_vectors=state.vectors)
 
 
 class ExactProjectionAdapter(ConvexSetOracle):
@@ -454,12 +420,6 @@ class ExactProjectionAdapter(ConvexSetOracle):
     def __init__(self, inner: ConvexSetOracle):
         self.inner = inner
         self.name = f"{inner.name}-exact"
-
-    @property
-    def descriptor(self) -> dict:
-        d = dict(self.inner.descriptor)
-        d["projection"] = "exact"
-        return d
 
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         return self.inner.contains(x, feas_tol)

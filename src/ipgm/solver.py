@@ -7,9 +7,9 @@ on the forcing parameters and moves all the way to w; the Armijo rule
 projects with gamma1 = gamma2 = 0 and backtracks along the feasible
 direction w - x.
 
-An iterate's objective value and gradient come from one call of the
-oracle's optional ``value_and_gradient`` wherever both are needed at one
-point (x0, and every constant-step iterate).
+The objective enters only through ``ObjectiveOracle.value_and_gradient``:
+one call per point evaluated (x0, every constant-step iterate, every
+Armijo trial point), whose gradient the next iteration uses.
 
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
@@ -82,25 +82,15 @@ class LineSearchError(SolverError):
 class ObjectiveOracle:
     """First-order oracle for the objective.
 
-    ``lipschitz_L`` is a gradient Lipschitz constant on the feasible set
-    (needed by the constant-step variant), ``strong_mu`` a strong-convexity
-    modulus when one holds, ``opt_value_hint`` a known optimal value.
-
-    ``value_and_gradient``, when given, returns exactly ``(value(x),
-    gradient(x))`` from work shared between the two, and the solvers call it
-    wherever they need both at one point.  It is not checked against
-    ``value`` and ``gradient``: whoever replaces one of those (as
-    ``dataclasses.replace`` does) must replace or clear it too.
+    ``value_and_gradient(x)`` returns ``(f(x), grad f(x))`` and is the only
+    way the solvers evaluate the objective.  ``lipschitz_L`` is a gradient
+    Lipschitz constant on the feasible set (needed by the constant-step
+    variant), ``opt_value_hint`` a known optimal value.
     """
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
     lipschitz_L: float | None = None
-    strong_mu: float | None = None
     opt_value_hint: float | None = None
-    convex: bool = False
-    value_and_gradient: (Callable[[np.ndarray], tuple[float, np.ndarray]]
-                         | None) = None
 
 
 def constant_alpha_from_gamma(lipschitz_L: float, gamma3_bar: float) -> float:
@@ -264,15 +254,6 @@ def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
     return x0
 
 
-def _evaluate(obj: ObjectiveOracle, x) -> tuple[float, np.ndarray | None]:
-    """(f(x), grad f(x)) from one fused call when the oracle has one, else
-    (f(x), None)."""
-    if obj.value_and_gradient is None:
-        return float(obj.value(x)), None
-    f_x, g = obj.value_and_gradient(x)
-    return float(f_x), g
-
-
 def _iterate(algorithm: str, obj: ObjectiveOracle,
              feasible_set: ConvexSetOracle, x0, cfg, step_params, move,
              track_distance_to, meta: dict) -> SolveResult:
@@ -282,29 +263,29 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
     to x under the forcing parameters gamma, then moves from x toward w.
     ``step_params(k, x, g, grad_norm)`` returns (alpha, gamma, record
     fields); ``move(x, w, g, f_x, dist)`` with dist = ||w - x|| returns
-    (x_next, f(x_next), grad f(x_next) or None, ||x_next - x||, record
-    fields).  A gradient that ``move`` or the start evaluation does not
-    supply is taken from ``obj.gradient`` at the top of the pass.  Stops on a
-    vanishing gradient, on a projection that returns x under a zero error
-    budget (gamma1 = gamma2 = 0), or when the relative change stays below
-    ``cfg.stop_tol`` for two consecutive iterations.  A non-finite gradient
-    or objective value, a failed eigensolve in the projection or a failed
-    line search raises ``SolverError`` naming the iteration.
+    (x_next, f(x_next), grad f(x_next), ||x_next - x||, record fields).
+    Stops on a vanishing gradient, on a projection that returns x under a
+    zero error budget (gamma1 = gamma2 = 0), or when the relative change
+    stays below ``cfg.stop_tol`` for two consecutive iterations.  A
+    non-finite gradient or objective value, a failed eigensolve in the
+    projection or a failed line search raises ``SolverError`` naming the
+    iteration.
     """
     x = _check_start(feasible_set, x0)
-    f_x, g = _evaluate(obj, x)
+    f_x, g = obj.value_and_gradient(x)
+    f_x = float(f_x)
     if not math.isfinite(f_x):
         raise SolverError(f"starting point: objective value is {f_x}")
     f0 = f_x
     grad0_scale = None
     records: list[IterationRecord] = []
-    state = feasible_set.initial_projection_state()
+    state = None
     consec = 0
     stop_reason = STOP_MAX_ITER
     iterations = 0
     for k in range(cfg.max_iter):
         t0 = time.perf_counter()
-        g = np.asarray(obj.gradient(x) if g is None else g, dtype=float)
+        g = np.asarray(g, dtype=float)
         gn = _norm(g)
         if not math.isfinite(gn):
             raise SolverError(f"iteration {k}: gradient norm is {gn}")
@@ -369,9 +350,7 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
     Each iteration spends the budget a_k on the forcing parameters, takes
     z = x - alpha grad f(x) and accepts any inexact projection of z onto the
-    set relative to x as the next iterate.  With ``obj.value_and_gradient``
-    each iterate, x0 included, is evaluated by one fused call whose gradient
-    the next iteration uses; otherwise by ``value`` and then ``gradient``.
+    set relative to x as the next iterate.
     """
     if obj.lipschitz_L is not None:
         cfg.validate_against(obj.lipschitz_L)
@@ -384,8 +363,8 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
         return cfg.alpha, gamma, {"a_k": a_k, "b_k": b_k, "b_prev": b_prev}
 
     def move(x, w, g, f_x, dist):
-        f_w, g_w = _evaluate(obj, w)
-        return w, f_w, g_w, dist, {}
+        f_w, g_w = obj.value_and_gradient(w)
+        return w, float(f_w), g_w, dist, {}
 
     return _iterate("constant", obj, feasible_set, x0, cfg, step_params, move,
                     track_distance_to, meta={
@@ -402,33 +381,30 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
 
 def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
-                  max_backtracks: int,
-                  f_x: float | None = None,
-                  dir_deriv: float | None = None) -> tuple[float, int, float]:
-    """Smallest j >= 0 with f(x + tau^j (w - x)) <= f(x) + sigma tau^j <g, w - x>.
+                  max_backtracks: int, f_x: float, dir_deriv: float
+                  ) -> tuple[float, int, float, np.ndarray]:
+    """Smallest j >= 0 with f(x + tau^j d) <= f(x) + sigma tau^j <g, d>.
 
-    Returns (tau^j, j, f(x + tau^j (w - x))).  A NaN value of f(x) or of a
-    trial point raises ``LineSearchError`` at once; a +inf trial value
-    backtracks like any other rejected one.
+    Here d = w - x, and the caller supplies ``f_x`` = f(x) and ``dir_deriv``
+    = <grad f(x), d>.  Each trial point takes one ``value_and_gradient``
+    call; returns (tau^j, j, f, grad f) at the accepted one.  A NaN value of
+    f(x) or of a trial point raises ``LineSearchError`` at once; a +inf
+    trial value backtracks like any other rejected one.
     """
     xk = np.asarray(xk, dtype=float)
-    wk = np.asarray(wk, dtype=float)
-    d = wk - xk
-    if f_x is None:
-        f_x = float(obj.value(xk))
+    d = np.asarray(wk, dtype=float) - xk
     if math.isnan(f_x):
         raise LineSearchError("objective value at the base point is nan")
-    if dir_deriv is None:
-        dir_deriv = frobenius_inner(np.asarray(obj.gradient(xk), dtype=float), d)
     step = 1.0
     for j in range(max_backtracks + 1):
-        f_trial = float(obj.value(xk + step * d))
+        f_trial, g_trial = obj.value_and_gradient(xk + step * d)
+        f_trial = float(f_trial)
         if math.isnan(f_trial):
             raise LineSearchError(
                 f"objective value is nan at trial step {step:.3e} "
                 f"(backtrack {j})")
         if f_trial <= f_x + sigma * step * dir_deriv:
-            return step, j, f_trial
+            return step, j, f_trial, g_trial
         step *= tau
     raise LineSearchError(
         f"no sufficient decrease within {max_backtracks} backtracks "
@@ -453,9 +429,8 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
     The inexact projection runs with gamma1 = gamma2 = 0 and gamma3 at its
     cap, so a projection returning x itself certifies stationarity.
     Otherwise a backtracking search picks tau_k and the iterate moves to
-    x + tau_k (w - x), staying feasible by convexity.  Trial points take
-    ``obj.value`` and the accepted point ``obj.gradient``; only x0 is
-    evaluated by ``obj.value_and_gradient`` when the oracle has it.
+    x + tau_k (w - x), staying feasible by convexity.  The line search
+    hands on the value and gradient of the accepted trial point.
     """
     gamma = ForcingParams(0.0, 0.0, cfg.gamma3_bar)
     prev = None  # (x, g) of the previous iteration, for the spectral step
@@ -474,11 +449,10 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
     def move(x, w, g, f_x, dist):
         dir_deriv = frobenius_inner(g, w - x)
-        tau_k, j_k, f_next = armijo_search(obj, x, w, cfg.sigma, cfg.tau,
-                                           cfg.max_backtracks, f_x=f_x,
-                                           dir_deriv=dir_deriv)
+        tau_k, j_k, f_next, g_next = armijo_search(
+            obj, x, w, cfg.sigma, cfg.tau, cfg.max_backtracks, f_x, dir_deriv)
         x_next = x + tau_k * (w - x)
-        return x_next, f_next, None, _norm(x_next - x), {
+        return x_next, f_next, g_next, _norm(x_next - x), {
             "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
             "dir_deriv": dir_deriv}
 

@@ -129,7 +129,7 @@ class TestLeadingEigenpairs:
     def test_residual_and_orthonormality_invariants(self):
         rng = np.random.default_rng(3)
         s = random_symmetric(rng, 20, scale=5.0)
-        vals, vecs = IncrementalEigen(s, eig_tol=1e-9).top(6)
+        vals, vecs = IncrementalEigen(s).top(6)
         tol = 1e-9 * max(1.0, np.linalg.norm(s))
         gram = vecs.T @ vecs - np.eye(6)
         assert np.max(np.abs(gram)) < 1e-10
@@ -176,12 +176,6 @@ class TestLeadingEigenpairs:
             IncrementalEigen(np.eye(3)).top(0)
         with pytest.raises(ValueError):
             IncrementalEigen(np.eye(3)).top(4)
-
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            IncrementalEigen(np.eye(3), eig_tol=0.0)
-        with pytest.raises(ValueError):
-            largest_eigenpair(np.eye(3), eig_tol=0.0)
 
     def test_failed_residual_reports_residual(self, eigsh_bad_residual):
         rng = np.random.default_rng(5)

@@ -367,8 +367,7 @@ class TestInexactProjectSpectrahedron:
         s = Spectrahedron(10)
         v = symmetrize(rng.standard_normal((10, 10)))
         u = random_feasible_spectra(rng, 10)
-        state = s.initial_projection_state()
-        res = s.inexact_project(v, u, ForcingParams.zero(), PHI1, state=state)
+        res = s.inexact_project(v, u, ForcingParams.zero(), PHI1, state=None)
         assert isinstance(res.state, SpectrahedronState)
         assert res.state.p_start == max(1, res.rank_used - 1)
         v2 = v + 1e-3 * symmetrize(rng.standard_normal((10, 10)))
@@ -637,4 +636,3 @@ class TestExactAdapter:
                                 PHI1)
         assert np.allclose(res.point, exact_project_spectrahedron(v), atol=1e-12)
         assert res.certificate_gap is None
-        assert s.descriptor["projection"] == "exact"

@@ -1,11 +1,16 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from ipgm.linalg import EigenSolverError, IncrementalEigen
-from ipgm.problems import generate_instance, make_boxqp, starting_point
-from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
+from ipgm.problems import (
+    BoxQP,
+    generate_instance,
+    make_boxqp,
+    starting_point,
+)
+from ipgm.schedules import SummableSchedule
 from ipgm.sets import Box, ExactProjectionAdapter
 from ipgm.solver import (
     ArmijoConfig,
@@ -27,9 +32,8 @@ from ipgm.solver import (
 def quad_1d():
     """f(x) = (x - 2)^2 on the box [0, 1]; constrained minimum at x = 1."""
     obj = ObjectiveOracle(
-        value=lambda x: float((x[0] - 2.0) ** 2),
-        gradient=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-        lipschitz_L=2.0, strong_mu=2.0, convex=True)
+        lambda x: (float((x[0] - 2.0) ** 2), np.array([2.0 * (x[0] - 2.0)])),
+        lipschitz_L=2.0)
     return obj, Box.make(np.zeros(1), np.ones(1))
 
 
@@ -75,60 +79,64 @@ class TestSpectralStep:
 
 class TestArmijoSearch:
     def test_linear_accepts_full_step(self):
-        obj = ObjectiveOracle(value=lambda x: float(x[0]),
-                              gradient=lambda x: np.ones(1))
-        tau, j, f_trial = armijo_search(obj, np.array([1.0]), np.array([0.0]),
-                                        sigma=0.9, tau=0.5, max_backtracks=30)
+        obj = ObjectiveOracle(lambda x: (float(x[0]), np.ones(1)))
+        tau, j, f_trial, g_trial = armijo_search(
+            obj, np.array([1.0]), np.array([0.0]), sigma=0.9, tau=0.5,
+            max_backtracks=30, f_x=1.0, dir_deriv=-1.0)
         assert (tau, j, f_trial) == (1.0, 0, 0.0)
+        assert g_trial.tolist() == [1.0]
 
     def test_hand_traced_backtracking(self):
         # f(x) = x^2 from x = 1 along direction -3 with sigma = 0.9
-        obj = ObjectiveOracle(value=lambda x: float(x[0] ** 2),
-                              gradient=lambda x: 2.0 * x)
-        tau, j, f_trial = armijo_search(obj, np.array([1.0]), np.array([-2.0]),
-                                        sigma=0.9, tau=0.5, max_backtracks=30)
+        obj = ObjectiveOracle(lambda x: (float(x[0] ** 2), 2.0 * x))
+        tau, j, f_trial, g_trial = armijo_search(
+            obj, np.array([1.0]), np.array([-2.0]), sigma=0.9, tau=0.5,
+            max_backtracks=30, f_x=1.0, dir_deriv=-6.0)
         assert j == 4
         assert tau == pytest.approx(0.0625)
         assert f_trial == (1.0 - 3.0 * tau) ** 2
+        # the gradient handed on is the accepted point's
+        assert g_trial.tolist() == [2.0 * (1.0 - 3.0 * tau)]
 
     def test_exhaustion_raises(self):
-        obj = ObjectiveOracle(value=lambda x: float(x[0] ** 2),
-                              gradient=lambda x: 2.0 * x)
+        obj = ObjectiveOracle(lambda x: (float(x[0] ** 2), 2.0 * x))
         # ascent direction: sufficient decrease never holds
         with pytest.raises(LineSearchError):
             armijo_search(obj, np.array([1.0]), np.array([5.0]),
-                          sigma=0.5, tau=0.5, max_backtracks=10)
+                          sigma=0.5, tau=0.5, max_backtracks=10,
+                          f_x=1.0, dir_deriv=8.0)
 
     @staticmethod
     def _counting(values):
-        """Objective returning ``values`` in turn, with its call list."""
+        """Objective whose values are ``values`` in turn, with its call list;
+        the gradient is -1, so the direction +1 has derivative -1."""
         calls = []
 
-        def value(x):
+        def value_and_gradient(x):
             calls.append(None)
-            return values[len(calls) - 1]
+            return values[len(calls) - 1], -np.ones(1)
 
-        return ObjectiveOracle(value=value, gradient=lambda x: -np.ones(1)), calls
+        return ObjectiveOracle(value_and_gradient), calls
 
     def test_nan_trial_raises_at_once(self):
         obj, calls = self._counting([np.inf, np.nan, -1.0])
         with pytest.raises(LineSearchError, match="nan at trial step 5.000e-01"):
             armijo_search(obj, np.zeros(1), np.ones(1), sigma=0.5, tau=0.5,
-                          max_backtracks=60, f_x=0.0)
+                          max_backtracks=60, f_x=0.0, dir_deriv=-1.0)
         assert len(calls) == 2
 
     def test_nan_base_value_raises(self):
-        obj, calls = self._counting([np.nan, -1.0])
+        obj, calls = self._counting([-1.0])
         with pytest.raises(LineSearchError, match="base point is nan"):
             armijo_search(obj, np.zeros(1), np.ones(1), sigma=0.5, tau=0.5,
-                          max_backtracks=60)
-        assert len(calls) == 1
+                          max_backtracks=60, f_x=np.nan, dir_deriv=-1.0)
+        assert len(calls) == 0
 
     def test_inf_trial_backtracks(self):
         obj, calls = self._counting([np.inf, np.inf, -1.0])
-        tau, j, f_trial = armijo_search(obj, np.zeros(1), np.ones(1),
-                                        sigma=0.5, tau=0.5, max_backtracks=60,
-                                        f_x=0.0)
+        tau, j, f_trial, _ = armijo_search(
+            obj, np.zeros(1), np.ones(1), sigma=0.5, tau=0.5,
+            max_backtracks=60, f_x=0.0, dir_deriv=-1.0)
         assert (tau, j, f_trial) == (0.25, 2, -1.0)
         assert len(calls) == 3
 
@@ -281,7 +289,7 @@ class TestRecordFields:
         cfg = ArmijoConfig(max_iter=20)
         res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(6), cfg)
         assert res.meta["tau_min"] == cfg.tau_min(qp.lipschitz_L)
-        no_lip = ObjectiveOracle(value=qp.value, gradient=qp.gradient)
+        no_lip = ObjectiveOracle(qp.value_and_gradient)
         res = solve_armijo(no_lip, qp.feasible_set(), np.zeros(6), cfg)
         assert res.meta["tau_min"] is None
         assert monitor_descent(res).passed
@@ -403,19 +411,19 @@ class TestGradientFiniteDifferences:
         inst = generate_instance(12, 24, 3, seed=seed)
         qp = make_boxqp(7, 0.4, 4.0, seed=seed)
         cases = [
-            (inst.objective(), lambda: _random_feasible_matrix(rng, 12)),
-            (qp.objective(), lambda: rng.uniform(0.0, 1.0, size=7)),
+            (inst, lambda: _random_feasible_matrix(rng, 12)),
+            (qp, lambda: rng.uniform(0.0, 1.0, size=7)),
         ]
-        for obj, sample in cases:
+        for prob, sample in cases:
             for _ in range(10):
                 x = sample()
-                g = np.asarray(obj.gradient(x))
+                g = np.asarray(prob.gradient(x))
                 d = rng.standard_normal(g.shape)
                 d /= np.linalg.norm(d)
                 if g.ndim == 2:
                     d = 0.5 * (d + d.T)
                 h = 1e-6
-                fd = (obj.value(x + h * d) - obj.value(x - h * d)) / (2 * h)
+                fd = (prob.value(x + h * d) - prob.value(x - h * d)) / (2 * h)
                 dd = float(np.vdot(g, d))
                 assert fd == pytest.approx(dd, rel=1e-5, abs=1e-8)
 
@@ -448,7 +456,6 @@ class TestSpectrahedronSolves:
 
     def test_every_iterate_feasible(self):
         # wrap the oracle so each projection output is membership-checked
-        from dataclasses import dataclass
         from ipgm.sets import Spectrahedron
 
         seen = []
@@ -500,182 +507,139 @@ def _solve_rule(rule, obj, cset, x0):
     return solve_constant(obj, cset, x0, cfg)
 
 
+def _wrapped(obj, fault=lambda n, f, g: (f, g)):
+    """obj whose n-th ``value_and_gradient`` call returns ``fault(n, f, g)``,
+    with the list of its calls."""
+    calls = []
+
+    def value_and_gradient(x):
+        calls.append(None)
+        f, g = obj.value_and_gradient(x)
+        return fault(len(calls), f, g)
+
+    return replace(obj, value_and_gradient=value_and_gradient), calls
+
+
 class TestFailuresNameTheIteration:
     """A NaN gradient or objective value, or a failed eigensolve inside the
     projection, stops the solve with a SolverError naming the iteration
     instead of surfacing as an unrelated error further down.
 
-    Each case runs on both evaluation paths: separate ``value`` and
-    ``gradient`` calls, and a fused ``value_and_gradient`` that goes through
-    the same faulty callables."""
-
-    PATHS = ("separate", "fused")
-
-    @staticmethod
-    def _with(obj, path, value=None, gradient=None):
-        """obj with value and/or gradient replaced; the fused callable is
-        cleared, or rebuilt on the replacements so it injects their faults."""
-        value = value or obj.value
-        gradient = gradient or obj.gradient
-        fused = None
-        if path == "fused":
-            def fused(x):
-                return value(x), gradient(x)
-        return replace(obj, value=value, gradient=gradient,
-                       value_and_gradient=fused)
+    Each fault is injected through a wrapped ``value_and_gradient``."""
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
     def test_nan_gradient(self, rule, kind):
         obj, cset, x0 = _small_problem(kind)
-        for path in self.PATHS:
-            calls = []
-
-            def gradient(x):
-                calls.append(None)
-                g = obj.gradient(x)
-                return g * np.nan if len(calls) == 3 else g
-
-            with pytest.raises(SolverError,
-                               match="iteration 2: gradient norm is nan"):
-                _solve_rule(rule, self._with(obj, path, gradient=gradient),
-                            cset, x0)
+        # the call that evaluates the iterate of iteration 2: the start, then
+        # one call per constant step or per Armijo trial point
+        clean = _solve_rule(rule, obj, cset, x0)
+        n_fault = 1 + sum((r.backtracks or 0) + 1 for r in clean.records[:2])
+        faulty, _ = _wrapped(
+            obj, lambda n, f, g: (f, g * np.nan if n == n_fault else g))
+        with pytest.raises(SolverError,
+                           match="iteration 2: gradient norm is nan"):
+            _solve_rule(rule, faulty, cset, x0)
 
     @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
     def test_nan_value_after_the_move(self, kind):
+        # one call for the start, then one per constant-step iteration
         obj, cset, x0 = _small_problem(kind)
-        for path in self.PATHS:
-            calls = []
-
-            def value(x):
-                # one call for the start, then one per constant-step iteration
-                calls.append(None)
-                return np.nan if len(calls) == 4 else obj.value(x)
-
-            with pytest.raises(SolverError,
-                               match="iteration 2: objective value is nan"):
-                _solve_rule("constant", self._with(obj, path, value=value),
-                            cset, x0)
+        faulty, _ = _wrapped(
+            obj, lambda n, f, g: (np.nan if n == 4 else f, g))
+        with pytest.raises(SolverError,
+                           match="iteration 2: objective value is nan"):
+            _solve_rule("constant", faulty, cset, x0)
 
     def test_nan_value_in_line_search(self):
         # before, 60 futile backtracks ended in a LineSearchError naming
         # no iteration, after 66 value calls
         obj, cset, x0 = _small_problem("spectra")
-        for path in self.PATHS:
-            calls = []
-
-            def value(x):
-                calls.append(None)
-                return np.nan if len(calls) >= 6 else obj.value(x)
-
-            with pytest.raises(LineSearchError,
-                               match="iteration 4: objective value is nan"
-                               ) as exc:
-                _solve_rule("armijo", self._with(obj, path, value=value),
-                            cset, x0)
-            assert isinstance(exc.value.__cause__, LineSearchError)
-            assert len(calls) == 6
+        faulty, calls = _wrapped(
+            obj, lambda n, f, g: (np.nan if n >= 6 else f, g))
+        with pytest.raises(LineSearchError,
+                           match="iteration 4: objective value is nan") as exc:
+            _solve_rule("armijo", faulty, cset, x0)
+        assert isinstance(exc.value.__cause__, LineSearchError)
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     def test_nan_start_value(self, rule):
         obj, cset, x0 = _small_problem("spectra")
-        for path in self.PATHS:
-            with pytest.raises(SolverError,
-                               match="starting point: objective value is nan"):
-                _solve_rule(rule,
-                            self._with(obj, path, value=lambda x: np.nan),
-                            cset, x0)
+        faulty, _ = _wrapped(obj, lambda n, f, g: (np.nan, g))
+        with pytest.raises(SolverError,
+                           match="starting point: objective value is nan"):
+            _solve_rule(rule, faulty, cset, x0)
 
     def test_armijo_evaluates_each_trial_once(self):
         # the accepted trial value is f(x_next); it is not evaluated again
         obj, cset, x0 = _small_problem("spectra")
-        for path in self.PATHS:
-            calls = []
-
-            def value(x):
-                calls.append(None)
-                return obj.value(x)
-
-            res = _solve_rule("armijo", self._with(obj, path, value=value),
-                              cset, x0)
-            assert res.iterations > 0
-            assert len(calls) == 1 + sum(r.backtracks + 1 for r in res.records)
+        counted, calls = _wrapped(obj)
+        res = _solve_rule("armijo", counted, cset, x0)
+        assert res.iterations > 0
+        assert len(calls) == 1 + sum(r.backtracks + 1 for r in res.records)
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     def test_eigensolver_failure_in_projection(self, rule, monkeypatch):
         obj, cset, x0 = _small_problem("spectra")
+        counted, calls = _wrapped(obj)
         real_top = IncrementalEigen.top
-        for path in self.PATHS:
-            calls = []
 
-            def gradient(x):
-                calls.append(None)
-                return obj.gradient(x)
+        def top(self, k):
+            if len(calls) == 2:
+                raise EigenSolverError("budget exhausted", best_residual=1.0)
+            return real_top(self, k)
 
-            def top(self, k):
-                if len(calls) == 2:
-                    raise EigenSolverError("budget exhausted", best_residual=1.0)
-                return real_top(self, k)
-
-            monkeypatch.setattr(IncrementalEigen, "top", top)
-            with pytest.raises(SolverError,
-                               match="iteration 1: projection failed") as exc:
-                _solve_rule(rule, self._with(obj, path, gradient=gradient),
-                            cset, x0)
-            assert isinstance(exc.value.__cause__, EigenSolverError)
-            assert "rank p=" in str(exc.value)
+        monkeypatch.setattr(IncrementalEigen, "top", top)
+        with pytest.raises(SolverError,
+                           match="iteration 1: projection failed") as exc:
+            _solve_rule(rule, counted, cset, x0)
+        assert isinstance(exc.value.__cause__, EigenSolverError)
+        assert "rank p=" in str(exc.value)
 
 
-class TestFusedEvaluation:
-    """``value_and_gradient`` replaces separate calls wherever both are
-    needed at one point, without changing a single bit of the solve."""
-
-    @staticmethod
-    def _counted(obj):
-        calls = {"value": 0, "gradient": 0, "fused": 0}
-
-        def counting(name, fn):
-            def wrapped(x):
-                calls[name] += 1
-                return fn(x)
-            return wrapped
-
-        return replace(
-            obj, value=counting("value", obj.value),
-            gradient=counting("gradient", obj.gradient),
-            value_and_gradient=counting("fused", obj.value_and_gradient)
-        ), calls
+class TestObjectiveCalls:
+    """The solvers evaluate the objective only through
+    ``value_and_gradient``, once per point."""
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
-    @pytest.mark.parametrize("kind", ["boxqp", "spectra"])
-    def test_fused_and_separate_paths_identical(self, rule, kind):
-        obj, cset, x0 = _small_problem(kind)
-        fused = _solve_rule(rule, obj, cset, x0)
-        separate = _solve_rule(rule, replace(obj, value_and_gradient=None),
-                               cset, x0)
-        assert fused.iterations == separate.iterations > 0
-        assert fused.stop_reason == separate.stop_reason
-        assert fused.f_final == separate.f_final
-        assert fused.x_final.tobytes() == separate.x_final.tobytes()
+    def test_solve_calls_only_value_and_gradient(self, rule, monkeypatch):
+        # the box QP backtracks, so Armijo evaluates rejected trials too
+        obj, cset, x0 = _small_problem("boxqp")
 
-        def scalars(res):
-            return [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
-                    for r in res.records]
-        assert scalars(fused) == scalars(separate)
+        def forbidden(self, x):
+            raise AssertionError("the solver called value or gradient")
 
-    def test_constant_step_calls_only_the_fused_oracle(self):
-        obj, cset, x0 = _small_problem("spectra")
-        counted, calls = self._counted(obj)
-        res = _solve_rule("constant", counted, cset, x0)
+        monkeypatch.setattr(BoxQP, "value", forbidden)
+        monkeypatch.setattr(BoxQP, "gradient", forbidden)
+        counted, calls = _wrapped(obj)
+        res = _solve_rule(rule, counted, cset, x0)
         assert res.iterations > 0
-        assert calls["value"] == calls["gradient"] == 0
-        assert calls["fused"] <= res.iterations + 1
+        if rule == "constant":
+            assert len(calls) <= res.iterations + 1
+        else:
+            # the start, then every trial point; the accepted one hands its
+            # gradient on to the next iteration
+            assert len(calls) == 1 + sum(r.backtracks + 1
+                                         for r in res.records)
 
-    def test_armijo_fuses_only_the_start(self):
-        # trial points take value, the accepted point takes gradient
-        obj, cset, x0 = _small_problem("spectra")
-        counted, calls = self._counted(obj)
-        res = _solve_rule("armijo", counted, cset, x0)
-        assert res.iterations > 0
-        assert calls["fused"] == 1
-        assert calls["value"] == sum(r.backtracks + 1 for r in res.records)
+    def test_line_search_hands_on_the_accepted_gradient(self):
+        # from the origin with mu = 0.01, L = 1 the line search backtracks;
+        # every iteration must still use the gradient at its own iterate
+        qp = make_boxqp(40, 0.01, 1.0, seed=1)
+        anchors = []
+
+        @dataclass(frozen=True)
+        class RecordingBox(Box):
+            def inexact_project(self, v, u, gamma, phi, state=None):
+                anchors.append(np.array(u))
+                return super().inexact_project(v, u, gamma, phi, state=state)
+
+        box = RecordingBox.make(qp.lower, qp.upper)
+        res = solve_armijo(qp.objective(), box, np.zeros(40),
+                           ArmijoConfig(max_iter=2000, stop_tol=1e-8))
+        assert res.stop_reason == "converged"
+        assert sum(r.backtracks for r in res.records) > 0
+        assert len(anchors) == len(res.records)
+        for x_k, r in zip(anchors, res.records):
+            assert r.grad_norm == np.linalg.norm(qp.gradient(x_k))
