@@ -92,7 +92,8 @@ class IncrementalEigen:
     orthonormal to ``EIG_TOL``.  ARPACK runs only while its Krylov basis is
     smaller than ``n`` and the budget of ``2 n`` products (``matvecs_used``,
     certificates included) lasts; otherwise, or when the budget runs out
-    partway, one dense ``eigh`` caches every pair.  A matrix whose
+    partway, one dense ``eigh`` caches every pair.  ``sq_norm`` holds
+    ``||S||_F^2`` and ``scale`` holds ``max(1, ||S||_F)``; a matrix whose
     Frobenius norm is not finite raises :class:`EigenSolverError`.
     """
 
@@ -100,7 +101,10 @@ class IncrementalEigen:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        norm = float(np.linalg.norm(a))
+        # one pass gives ||S||_F^2; np.linalg.norm takes the root of the
+        # same dot product, so the scale keeps its bits
+        self.sq_norm = float(np.vdot(a, a))
+        norm = float(np.sqrt(self.sq_norm))
         if not np.isfinite(norm):
             raise EigenSolverError(f"matrix has Frobenius norm {norm}")
         self._a = a

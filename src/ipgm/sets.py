@@ -25,11 +25,10 @@ from .linalg import (
     EigenSolverError,
     IncrementalEigen,
     frobenius_inner,
-    frobenius_norm,
     largest_eigenpair,
     symmetrize,
 )
-from .schedules import ForcingParams, ToleranceFn
+from .schedules import ForcingParams, ToleranceFn, _squares
 
 __all__ = [
     "ConvexSetOracle",
@@ -335,7 +334,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
     cache = IncrementalEigen(vs, warm_start=warm_vectors)
     slack = 1e-12 * cache.scale ** 2  # cache.scale = max(1, ||V||_F)
-    norm_v_sq = _squared_norm(vs)
+    norm_v_sq = cache.sq_norm
     norm_u_sq = _squared_norm(u_arr)
     sq_vu = _squared_norm(vs - u_arr)
     fill, uq = 0, np.empty(0)  # q_i^T U q_i of the current fill's vectors
@@ -448,11 +447,7 @@ def certify_inexact_projection(c_set: ConvexSetOracle, u, v, w,
     w = np.asarray(w, dtype=float)
     y_star = c_set.support_point(v - w)
     lhs = frobenius_inner(v - w, y_star - w)
-    phi_val = phi(g, u, v, w)
-    gap = lhs - phi_val
-    scale = max(1.0,
-                frobenius_norm(v - u) ** 2,
-                frobenius_norm(w - v) ** 2,
-                frobenius_norm(w - u) ** 2,
-                abs(lhs))
+    squares = _squares(u, v, w)
+    gap = lhs - phi.from_squares(g, *squares)
+    scale = max(1.0, *squares, abs(lhs))
     return gap <= rel_slack * scale, float(gap)

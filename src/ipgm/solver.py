@@ -13,8 +13,9 @@ Armijo trial point), whose gradient the next iteration uses.
 
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
-inequalities the scheme guarantees, so a finished run can be audited
-without re-solving.
+inequalities the scheme guarantees, with the parameters read from the
+run's ``SolveResult.config`` and ``lipschitz_L``, so a finished run can be
+audited without re-solving.
 """
 
 from __future__ import annotations
@@ -221,7 +222,10 @@ class IterationRecord:
 
 @dataclass
 class SolveResult:
-    algorithm: str
+    """A finished run: the configuration it used, the Lipschitz constant of
+    its objective (``None`` when unknown) and what it produced."""
+
+    config: ConstantStepConfig | ArmijoConfig
     x_final: np.ndarray
     f_final: float
     iterations: int
@@ -229,8 +233,14 @@ class SolveResult:
     records: list[IterationRecord]
     x0: np.ndarray
     f0: float
-    meta: dict = field(default_factory=dict)
+    lipschitz_L: float | None
     monitor_summary: dict | None = None
+
+    @property
+    def algorithm(self) -> str:
+        """``"constant"`` or ``"armijo"``, after the type of ``config``."""
+        return ("constant" if isinstance(self.config, ConstantStepConfig)
+                else "armijo")
 
     @property
     def p_mean(self) -> float | None:
@@ -254,9 +264,8 @@ def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
     return x0
 
 
-def _iterate(algorithm: str, obj: ObjectiveOracle,
-             feasible_set: ConvexSetOracle, x0, cfg, step_params, move,
-             track_distance_to, meta: dict) -> SolveResult:
+def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
+             step_params, move, track_distance_to) -> SolveResult:
     """The iteration shared by both step rules.
 
     Each pass takes an inexact projection w of x - alpha grad f(x) relative
@@ -338,9 +347,9 @@ def _iterate(algorithm: str, obj: ObjectiveOracle,
             stop_reason = STOP_CONVERGED
             break
     return SolveResult(
-        algorithm=algorithm, x_final=x, f_final=f_x, iterations=iterations,
+        config=cfg, x_final=x, f_final=f_x, iterations=iterations,
         stop_reason=stop_reason, records=records, x0=np.asarray(x0, dtype=float),
-        f0=f0, meta=meta)
+        f0=f0, lipschitz_L=obj.lipschitz_L)
 
 
 def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
@@ -366,18 +375,8 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
         f_w, g_w = obj.value_and_gradient(w)
         return w, float(f_w), g_w, dist, {}
 
-    return _iterate("constant", obj, feasible_set, x0, cfg, step_params, move,
-                    track_distance_to, meta={
-                        "alpha": cfg.alpha,
-                        "gamma2_cap": cfg.gamma2_cap,
-                        "gamma3_bar": cfg.gamma3_bar,
-                        "rho": cfg.rho,
-                        "nu": (cfg.nu(obj.lipschitz_L) if obj.lipschitz_L else None),
-                        "lipschitz_L": obj.lipschitz_L,
-                        "b_minus1": cfg.schedule.b_minus1,
-                        "schedule": cfg.schedule.name,
-                        "stop_tol": cfg.stop_tol,
-                    })
+    return _iterate(obj, feasible_set, x0, cfg, step_params, move,
+                    track_distance_to)
 
 
 def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
@@ -456,20 +455,8 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
             "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
             "dir_deriv": dir_deriv}
 
-    return _iterate("armijo", obj, feasible_set, x0, cfg, step_params, move,
-                    track_distance_to, meta={
-                        "sigma": cfg.sigma,
-                        "tau": cfg.tau,
-                        "alpha_min": cfg.alpha_min,
-                        "alpha_max": cfg.alpha_max,
-                        "gamma3_bar": cfg.gamma3_bar,
-                        "step_rule": cfg.step_rule,
-                        "xi": cfg.xi,
-                        "lipschitz_L": obj.lipschitz_L,
-                        "tau_min": (cfg.tau_min(obj.lipschitz_L)
-                                    if obj.lipschitz_L else None),
-                        "stop_tol": cfg.stop_tol,
-                    })
+    return _iterate(obj, feasible_set, x0, cfg, step_params, move,
+                    track_distance_to)
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +530,24 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
     tol = rtol * max(1.0, abs(result.f0))
     checks: list[CheckResult] = []
     recs = result.records
-    if result.algorithm == "constant":
-        nu = result.meta.get("nu")
-        rho = result.meta["rho"]
-        if nu is None:
-            checks.append(_skipped("descent-inequality", "no Lipschitz constant"))
-        else:
+    cfg, lip = result.config, result.lipschitz_L
+    if isinstance(cfg, ConstantStepConfig):
+        rho = cfg.rho
+        if lip:
+            nu = cfg.nu(lip)
             checks.append(_run_check(
                 "descent-inequality",
                 ((r.f_next,
                   r.f_x + rho * (r.gamma1 + r.gamma2) * r.grad_norm ** 2
                   - nu * r.step_norm ** 2) for r in recs),
                 tol))
+        else:
+            checks.append(_skipped("descent-inequality", "no Lipschitz constant"))
         checks.append(_run_check(
             "lyapunov-monotone",
             ((r.f_next + rho * r.b_k, r.f_x + rho * r.b_prev) for r in recs),
             tol))
-    elif result.algorithm == "armijo":
+    elif isinstance(cfg, ArmijoConfig):
         checks.append(_run_check(
             "armijo-descent", ((r.f_next, r.f_x) for r in recs), tol))
         checks.append(_run_check(
@@ -567,14 +555,14 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
             ((r.dir_deriv, (r.gamma3 - 1.0) / r.alpha * r.dir_norm ** 2)
              for r in recs),
             tol))
-        tau_min = result.meta.get("tau_min")
-        if tau_min is not None:
+        if lip:
+            tau_min = cfg.tau_min(lip)
             checks.append(_run_check(
                 "tau-lower-bound", ((tau_min, r.tau) for r in recs), 1e-12))
         else:
             checks.append(_skipped("tau-lower-bound", "no Lipschitz constant"))
     else:
-        raise ValueError(f"unknown algorithm {result.algorithm!r}")
+        raise ValueError(f"unknown configuration {type(cfg).__name__}")
     return MonitorReport(checks=checks)
 
 
@@ -595,16 +583,13 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
     if f_star is None:
         f_star = min([result.f_final] + [r.f_x for r in recs])
     n_rec = len(recs)
-    if result.algorithm == "constant":
-        nu = result.meta.get("nu")
-        rho = result.meta["rho"]
-        alpha = result.meta["alpha"]
-        b_minus1 = result.meta["b_minus1"]
+    cfg, lip = result.config, result.lipschitz_L
+    if isinstance(cfg, ConstantStepConfig):
+        rho, alpha, b_minus1 = cfg.rho, cfg.alpha, cfg.schedule.b_minus1
         eta = result.f0 - f_star + rho * b_minus1
-        if nu is None or n_rec == 0:
-            checks.append(_skipped("displacement-bound",
-                                   "no Lipschitz constant or empty run"))
-        else:
+        if lip and n_rec > 0:
+            nu = cfg.nu(lip)
+
             def displacement_pairs():
                 best = np.inf
                 for i, r in enumerate(recs):
@@ -612,6 +597,9 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
                     yield best, math.sqrt(max(eta, 0.0) / nu) / math.sqrt(i + 1)
             checks.append(_run_check("displacement-bound",
                                      displacement_pairs(), rtol * max(1.0, eta)))
+        else:
+            checks.append(_skipped("displacement-bound",
+                                   "no Lipschitz constant or empty run"))
         if (convex or mu) and x_star is not None and n_rec > 0:
             d0_sq = frobenius_norm(result.x0 - np.asarray(x_star)) ** 2
 
@@ -643,16 +631,11 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
                                          rtol))
         else:
             checks.append(_skipped("contraction", "needs mu and x_star"))
-    elif result.algorithm == "armijo":
-        tau_min = result.meta.get("tau_min")
-        sigma = result.meta["sigma"]
-        alpha_max = result.meta["alpha_max"]
-        alpha_min = result.meta["alpha_min"]
-        gamma3_bar = result.meta["gamma3_bar"]
-        xi = result.meta["xi"]
-        if tau_min is not None and n_rec > 0:
-            c = alpha_max * max(result.f0 - f_star, 0.0) / (
-                sigma * tau_min * (1.0 - gamma3_bar))
+    elif isinstance(cfg, ArmijoConfig):
+        if lip and n_rec > 0:
+            tau_min = cfg.tau_min(lip)
+            c = cfg.alpha_max * max(result.f0 - f_star, 0.0) / (
+                cfg.sigma * tau_min * (1.0 - cfg.gamma3_bar))
 
             def dir_pairs():
                 best = np.inf
@@ -668,8 +651,8 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
                     best = np.inf
                     for i, r in enumerate(recs):
                         best = min(best, r.f_x - f_star)
-                        yield best, ((d0_sq + xi * max(result.f0 - f_star, 0.0))
-                                     / (2 * alpha_min * tau_min * (i + 1)))
+                        yield best, ((d0_sq + cfg.xi * max(result.f0 - f_star, 0.0))
+                                     / (2 * cfg.alpha_min * tau_min * (i + 1)))
                 checks.append(_run_check("armijo-convex-rate",
                                          arm_convex_pairs(),
                                          rtol * max(1.0, abs(result.f0))))
@@ -680,5 +663,5 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
             checks.append(_skipped("armijo-displacement-bound",
                                    "no Lipschitz constant or empty run"))
     else:
-        raise ValueError(f"unknown algorithm {result.algorithm!r}")
+        raise ValueError(f"unknown configuration {type(cfg).__name__}")
     return MonitorReport(checks=checks)

@@ -221,6 +221,16 @@ class TestIncrementalEigen:
         vals1b, _ = cache.top(2)
         assert np.array_equal(vals1b, vals2[:2])
 
+    def test_sq_norm_keeps_the_scale_bits(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            a = random_symmetric(rng, int(rng.integers(2, 401)),
+                                 scale=10.0 ** rng.uniform(-3, 3))
+            cache = IncrementalEigen(a)
+            assert cache.sq_norm == float(np.vdot(a, a))
+            assert np.sqrt(cache.sq_norm) == np.linalg.norm(a)
+            assert cache.scale == max(1.0, float(np.linalg.norm(a)))
+
     def test_bounds(self):
         cache = IncrementalEigen(np.eye(4))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,15 +285,33 @@ class TestRecordFields:
                 assert all(getattr(r, name) is not None for name in own)
                 assert all(getattr(r, name) is None for name in other)
 
-    def test_tau_min_in_meta(self):
+    def test_result_carries_config_and_lipschitz(self):
         qp = make_boxqp(6, 0.5, 5.0, seed=14)
         cfg = ArmijoConfig(max_iter=20)
         res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(6), cfg)
-        assert res.meta["tau_min"] == cfg.tau_min(qp.lipschitz_L)
+        assert res.config is cfg
+        assert res.lipschitz_L == qp.lipschitz_L
+        checks = {c.name: c for c in monitor_descent(res).checks}
+        assert checks["tau-lower-bound"].checked == len(res.records) > 0
         no_lip = ObjectiveOracle(qp.value_and_gradient)
         res = solve_armijo(no_lip, qp.feasible_set(), np.zeros(6), cfg)
-        assert res.meta["tau_min"] is None
-        assert monitor_descent(res).passed
+        assert res.config is cfg and res.lipschitz_L is None
+        rep = monitor_descent(res)
+        assert rep.passed
+        skipped = {c.name: c for c in rep.checks}["tau-lower-bound"]
+        assert skipped.checked == 0
+        assert skipped.note == "no Lipschitz constant"
+
+    def test_algorithm_follows_config_type(self):
+        qp = make_boxqp(6, 0.5, 5.0, seed=14)
+        res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(6),
+                           ArmijoConfig(max_iter=5))
+        assert res.algorithm == "armijo"
+        const = replace(res, config=ConstantStepConfig(
+            alpha=1.0 / qp.lipschitz_L, schedule=zero_schedule()))
+        assert const.algorithm == "constant"
+        with pytest.raises(AttributeError):
+            res.algorithm = "constant"
 
 
 class TestConfigValidation:
@@ -364,6 +383,27 @@ class TestMonitors:
         assert by_name["displacement-bound"].passed
         assert by_name["displacement-bound"].checked == len(res.records)
         assert by_name["convex-rate"].passed
+
+    def test_monitors_read_the_config(self):
+        qp, res = self.run_constant()
+        f_star = qp.objective().opt_value_hint
+
+        def displacement(result):
+            rep = monitor_complexity(result, f_star=f_star)
+            return {c.name: c for c in rep.checks}["displacement-bound"]
+
+        # replay the same records under a smaller step: a larger margin nu
+        # tightens the bound sqrt(eta / nu) / sqrt(k + 1)
+        cfg = replace(res.config, alpha=0.5 * res.config.alpha)
+        nu = cfg.nu(qp.lipschitz_L)
+        eta = res.f0 - f_star + cfg.rho * cfg.schedule.b_minus1
+        steps = np.minimum.accumulate([r.step_norm for r in res.records])
+        bounds = [math.sqrt(max(eta, 0.0) / nu) / math.sqrt(i + 1)
+                  for i in range(len(steps))]
+        expected = min(b - s for b, s in zip(bounds, steps))
+        replayed = displacement(replace(res, config=cfg))
+        assert replayed.worst_slack == pytest.approx(expected, rel=1e-12)
+        assert replayed.worst_slack < displacement(res).worst_slack
 
     def test_contraction_check(self):
         qp, res = self.run_constant(track=True)
