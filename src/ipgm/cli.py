@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Subcommands: generate | sweep-gamma3 | compare | verify.  Options may come
-from a flat key=value config file (--config) and are overridable by flags of
-the same name.  Exit codes: 0 ok, 1 usage error, 2 run failure, 3 monitor
+Subcommands: sweep-gamma3 | compare | verify.  Options may come from a flat
+key=value config file (--config) and are overridable by flags of the same
+name: every ``ExperimentConfig`` field is a flag, parsed as the config file
+parses it.  Exit codes: 0 ok, 1 usage error, 2 run failure, 3 monitor
 violation in strict mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,7 +18,6 @@ from .harness import (
     ExperimentConfig,
     _coerce,
     cmd_compare,
-    cmd_generate,
     cmd_sweep_gamma3,
     cmd_verify,
     config_from_mapping,
@@ -29,6 +30,10 @@ EXIT_RUN_FAILURE = 2
 EXIT_STRICT_VIOLATION = 3
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipgm",
@@ -36,27 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "benchmark instances, sweeps and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-            ("generate", "write a seeded problem instance to disk"),
             ("sweep-gamma3", "constant-step runs across gamma3 caps (CSV)"),
             ("compare", "inexact vs exact, constant vs Armijo grid (CSV)"),
             ("verify", "replay the inequality monitors (JSON)")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--proj", choices=("inexact", "exact"))
-        p.add_argument("--n", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--omega", type=int)
-        p.add_argument("--density", type=float)
-        p.add_argument("--beta", help="comma-separated starting mixes")
-        p.add_argument("--gamma3", help="comma-separated gamma3 caps")
-        p.add_argument("--schedule", choices=("logarithmic", "harmonic", "zero"))
-        p.add_argument("--bbar", type=float)
-        p.add_argument("--phi", choices=("phi1", "phi2", "phi3", "phi4", "phi5"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--strict", action="store_const", const=True)
-        p.add_argument("--out", help="output path (base name for reports)")
+        for f in dataclasses.fields(ExperimentConfig):
+            if isinstance(f.default, bool):
+                p.add_argument(_flag(f.name), action="store_const", const=True)
+            else:
+                p.add_argument(_flag(f.name), help=f.metadata.get("help"))
     return parser
 
 
@@ -64,12 +58,14 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     mapping: dict = {}
     if args.config:
         mapping.update(load_config_file(args.config))
-    for key in ("proj", "n", "m", "omega", "density", "beta", "gamma3",
-                "schedule", "bbar", "phi", "seed", "tol", "max_iter",
-                "strict", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = _coerce(key, value)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value is None:
+            continue
+        try:
+            mapping[f.name] = _coerce(f.name, value)
+        except ValueError as exc:
+            raise ValueError(f"{_flag(f.name)}: {exc}") from None
     return config_from_mapping(mapping)
 
 
@@ -85,10 +81,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        if args.command == "generate":
-            path = cmd_generate(config)
-            print(f"wrote {path}")
-            return EXIT_OK
         if args.command in ("sweep-gamma3", "compare"):
             report = (cmd_sweep_gamma3 if args.command == "sweep-gamma3"
                       else cmd_compare)(config)

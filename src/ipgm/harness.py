@@ -20,7 +20,6 @@ from .problems import (
     default_density,
     generate_instance,
     make_boxqp,
-    save_instance,
     starting_point,
 )
 from .schedules import ForcingParams, SummableSchedule, ToleranceFn
@@ -46,7 +45,6 @@ from .solver import (
 __all__ = [
     "ExperimentConfig",
     "RunReport",
-    "cmd_generate",
     "cmd_sweep_gamma3",
     "cmd_compare",
     "cmd_verify",
@@ -67,15 +65,18 @@ class ExperimentConfig:
     omega: int = 10
     density: float | None = None
     seed: int = 0
-    beta: tuple = (0.0,)
-    gamma3: tuple = (0.0, 0.1, 0.2, 0.3, 0.4)
+    beta: tuple = field(default=(0.0,),
+                        metadata={"help": "comma-separated starting mixes"})
+    gamma3: tuple = field(default=(0.0, 0.1, 0.2, 0.3, 0.4),
+                          metadata={"help": "comma-separated gamma3 caps"})
     schedule: str = "logarithmic"
     bbar: float = 100.0
     phi: str | None = None  # default: phi1 for constant, phi4 for armijo
     tol: float = 1e-4
     max_iter: int = 20000
     strict: bool = False
-    out: str | None = None
+    out: str | None = field(
+        default=None, metadata={"help": "output path (base name for reports)"})
 
     def __post_init__(self):
         if self.proj not in ("inexact", "exact"):
@@ -219,10 +220,8 @@ def _format_cell(col: str, value) -> str:
 
 
 def _run_monitors(result: SolveResult) -> str:
-    descent = monitor_descent(result)
-    comp = monitor_complexity(result)
-    result.monitor_summary = {**descent.to_dict(), **comp.to_dict()}
-    bad = descent.violations + comp.violations
+    bad = (monitor_descent(result).violations
+           + monitor_complexity(result).violations)
     return "pass" if bad == 0 else f"fail({bad})"
 
 
@@ -250,14 +249,6 @@ def run_variant(inst: SpectrahedronLSQ, algo: str, proj: str, beta: float,
         t0 = time.perf_counter()
         result = solve_armijo(obj, feasible, x0, cfg)
     return result, time.perf_counter() - t0
-
-
-def cmd_generate(config: ExperimentConfig) -> str:
-    inst = config.make_instance()
-    path = config.out or (
-        f"instance_n{config.n}_m{config.m}_w{config.omega}_s{config.seed}.bin")
-    save_instance(inst, path)
-    return path
 
 
 def cmd_sweep_gamma3(config: ExperimentConfig) -> RunReport:

@@ -18,7 +18,6 @@ callable.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,14 +33,8 @@ __all__ = [
     "generate_instance",
     "starting_point",
     "make_boxqp",
-    "save_instance",
-    "load_instance",
     "default_density",
 ]
-
-_MAGIC = b"SLSQINS1"
-_FORMAT_VERSION = 1
-
 
 def default_density(n: int, m: int) -> float:
     """Sparse density for A: four expected nonzeros per column, floored at 1e-4.
@@ -71,7 +64,7 @@ class SpectrahedronLSQ:
     omega: int
     density: float
     seed: int
-    x_bar: np.ndarray | None = None
+    x_bar: np.ndarray
     lipschitz_L: float = field(init=False)
 
     def __post_init__(self):
@@ -105,11 +98,6 @@ class SpectrahedronLSQ:
 
     def feasible_set(self) -> Spectrahedron:
         return Spectrahedron(self.n)
-
-    @property
-    def metadata(self) -> dict:
-        return {"n": self.n, "m": self.m, "omega": self.omega,
-                "density": self.density, "seed": self.seed}
 
 
 def generate_instance(n: int, m: int, omega: int, density: float | None = None,
@@ -160,47 +148,6 @@ def starting_point(beta: float, n: int) -> np.ndarray:
     x0 = (1.0 - beta) / n * np.eye(n)
     x0[0, 0] += beta
     return x0
-
-
-# ---------------------------------------------------------------------------
-# instance container: little-endian header + COO triplets + row-major B
-
-
-def save_instance(inst: SpectrahedronLSQ, path) -> None:
-    coo = inst.a.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows = coo.row[order].astype("<i8")
-    cols = coo.col[order].astype("<i8")
-    vals = coo.data[order].astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQQ", _FORMAT_VERSION, inst.n, inst.m,
-                             inst.omega))
-        fh.write(struct.pack("<dQQ", inst.density, inst.seed, rows.size))
-        fh.write(rows.tobytes())
-        fh.write(cols.tobytes())
-        fh.write(vals.tobytes())
-        fh.write(np.ascontiguousarray(inst.b_mat, dtype="<f8").tobytes())
-
-
-def load_instance(path) -> SpectrahedronLSQ:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not an instance file (magic {magic!r})")
-        version, n, m, omega = struct.unpack("<QQQQ", fh.read(32))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        density, seed, nnz = struct.unpack("<dQQ", fh.read(24))
-        rows = np.frombuffer(fh.read(8 * nnz), dtype="<i8")
-        cols = np.frombuffer(fh.read(8 * nnz), dtype="<i8")
-        vals = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
-        b_mat = np.frombuffer(fh.read(8 * m * n), dtype="<f8").reshape(m, n)
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
-    a.sort_indices()
-    return SpectrahedronLSQ(a=a, b_mat=b_mat.copy(), n=int(n), m=int(m),
-                            omega=int(omega), density=float(density),
-                            seed=int(seed), x_bar=None)
 
 
 # ---------------------------------------------------------------------------

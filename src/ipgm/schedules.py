@@ -31,7 +31,6 @@ __all__ = [
     "SummableSchedule",
     "schedule_values",
     "forcing_for_iteration",
-    "tolerance_bound_check",
 ]
 
 
@@ -111,14 +110,6 @@ class ToleranceFn:
     def custom(cls, fn: Callable, name: str = "custom") -> "ToleranceFn":
         """Wrap ``fn(gamma, sq_vu, sq_wv, sq_wu)``; ``name`` is a label only."""
         return cls(kind=name, fn=fn)
-
-
-def tolerance_bound_check(phi: ToleranceFn, g: ForcingParams, u, v, w) -> bool:
-    """True iff phi stays below its defining three-term bound at (u, v, w)."""
-    squares = _squares(u, v, w)
-    bound = _FORMS["phi1"](g, *squares)
-    val = phi.from_squares(g, *squares)
-    return val <= bound + 1e-12 * max(1.0, bound)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ relative to an anchor ``u`` when
     <v - w, y - w>  <=  phi(gamma, u, v, w)   for all y in C,
 
 which is decidable because the left side is maximized at a support point of
-C in direction ``v - w``.  Simple sets (box, ball, simplex, Lorentz cone)
-project exactly; the spectrahedron (unit-trace PSD matrices) additionally
+C in direction ``v - w``.  Every set here has a support point, so every
+projection is certified.  Simple sets (box, ball, simplex) project
+exactly; the spectrahedron (unit-trace PSD matrices) additionally
 offers an adaptive rank-p inexact projector that raises p until the
 certificate above accepts, so low-rank partial eigendecompositions replace
 the full one whenever the tolerance allows.
@@ -33,18 +34,15 @@ from .schedules import ForcingParams, ToleranceFn, _squares
 __all__ = [
     "ConvexSetOracle",
     "InexactProjection",
-    "UnsupportedOracleCapability",
     "Box",
     "Ball",
     "SimplexSet",
-    "LorentzCone",
     "Spectrahedron",
     "SpectrahedronState",
     "ExactProjectionAdapter",
     "project_simplex",
     "exact_project_box",
     "exact_project_ball",
-    "exact_project_lorentz",
     "exact_project_spectrahedron",
     "support_point_spectrahedron",
     "inexact_project_spectrahedron",
@@ -52,10 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_FEAS_TOL = 1e-9
-
-
-class UnsupportedOracleCapability(NotImplementedError):
-    """The set oracle does not implement the requested capability."""
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,10 @@ class InexactProjection:
 class ConvexSetOracle:
     """Capabilities of a closed convex set C.
 
-    Subclasses implement ``contains`` and whichever of ``support_point`` /
-    ``exact_project`` the set admits.  ``inexact_project`` defaults to the
-    exact projection (which always satisfies the contract); sets with a
-    cheaper relaxed projection override it.
+    Subclasses implement ``contains``, ``support_point`` and
+    ``exact_project``.  ``inexact_project`` defaults to the exact projection
+    (which always satisfies the contract) with its certificate gap; sets
+    with a cheaper relaxed projection override it.
     """
 
     name = "convex-set"
@@ -92,24 +86,19 @@ class ConvexSetOracle:
 
     def support_point(self, c) -> np.ndarray:
         """A maximizer of <c, y> over y in C."""
-        raise UnsupportedOracleCapability(
-            f"{self.name} has no support-point oracle")
+        raise NotImplementedError
 
     def exact_project(self, v) -> np.ndarray:
-        raise UnsupportedOracleCapability(
-            f"{self.name} has no exact projection")
+        raise NotImplementedError
 
     def inexact_project(self, v, u, gamma: ForcingParams, phi: ToleranceFn,
                         state: Any = None) -> InexactProjection:
         w = self.exact_project(v)
-        try:
-            y = self.support_point(np.asarray(v, dtype=float) - w)
-            gap = float(frobenius_inner(np.asarray(v, dtype=float) - w, y - w))
-            phi_val = phi(gamma, u, v, w)
-            return InexactProjection(point=w, certificate_gap=gap - phi_val,
-                                     phi_value=phi_val, state=state)
-        except UnsupportedOracleCapability:
-            return InexactProjection(point=w, state=state)
+        d = np.asarray(v, dtype=float) - w
+        gap = float(frobenius_inner(d, self.support_point(d) - w))
+        phi_val = phi(gamma, u, v, w)
+        return InexactProjection(point=w, certificate_gap=gap - phi_val,
+                                 phi_value=phi_val, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +148,7 @@ class SimplexSet(ConvexSetOracle):
 
 
 # ---------------------------------------------------------------------------
-# box, ball, Lorentz cone
+# box, ball
 
 
 def exact_project_box(v, lower, upper) -> np.ndarray:
@@ -174,22 +163,6 @@ def exact_project_ball(v, center, radius: float) -> np.ndarray:
     if nd <= radius:
         return v.copy()
     return center + (radius / nd) * d
-
-
-def exact_project_lorentz(v) -> np.ndarray:
-    """Projection onto {(x, t): ||x|| <= t}, with t the last coordinate."""
-    v = np.asarray(v, dtype=float).ravel()
-    x, t = v[:-1], v[-1]
-    nx = np.linalg.norm(x)
-    if nx <= t:
-        return v.copy()
-    if nx <= -t:
-        return np.zeros_like(v)
-    coef = 0.5 * (1.0 + t / nx)
-    out = np.empty_like(v)
-    out[:-1] = coef * x
-    out[-1] = 0.5 * (nx + t)
-    return out
 
 
 @dataclass(frozen=True)
@@ -244,21 +217,6 @@ class Ball(ConvexSetOracle):
 
     def exact_project(self, v) -> np.ndarray:
         return exact_project_ball(v, self.center, self.radius)
-
-
-@dataclass(frozen=True)
-class LorentzCone(ConvexSetOracle):
-    """Second-order cone; unbounded, so it has no support-point oracle."""
-
-    dim: int
-    name = "lorentz"
-
-    def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        return x.size == self.dim and np.linalg.norm(x[:-1]) <= x[-1] + feas_tol
-
-    def exact_project(self, v) -> np.ndarray:
-        return exact_project_lorentz(v)
 
 
 # ---------------------------------------------------------------------------

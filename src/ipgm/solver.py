@@ -85,8 +85,9 @@ class ObjectiveOracle:
 
     ``value_and_gradient(x)`` returns ``(f(x), grad f(x))`` and is the only
     way the solvers evaluate the objective.  ``lipschitz_L`` is a gradient
-    Lipschitz constant on the feasible set (needed by the constant-step
-    variant), ``opt_value_hint`` a known optimal value.
+    Lipschitz constant on the feasible set: ``None`` means unknown, and 0.0
+    is a valid constant (an affine f).  ``opt_value_hint`` is a known
+    optimal value.
     """
 
     value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -131,10 +132,12 @@ class ConstantStepConfig:
             raise ValueError("stop_tol must be positive and max_iter >= 1")
 
     def validate_against(self, lipschitz_L: float) -> None:
-        cap = (1.0 - 2.0 * self.gamma3_bar) / lipschitz_L
-        if self.alpha > cap * (1.0 + 1e-12):
+        # alpha L <= 1 - 2 gamma3_bar, undivided so that L = 0 passes
+        limit = (1.0 - 2.0 * self.gamma3_bar) * (1.0 + 1e-12)
+        if self.alpha * lipschitz_L > limit:
             raise ValueError(
-                f"alpha={self.alpha} exceeds (1 - 2 gamma3_bar)/L = {cap}")
+                f"alpha={self.alpha} exceeds (1 - 2 gamma3_bar)/L with "
+                f"gamma3_bar={self.gamma3_bar}, L={lipschitz_L}")
         if self.nu(lipschitz_L) <= 0:
             raise ValueError("descent margin nu must be positive")
 
@@ -185,6 +188,10 @@ class ArmijoConfig:
         return 2.0 * self.alpha_max / self.sigma
 
     def tau_min(self, lipschitz_L: float) -> float:
+        """Floor of the accepted tau_k; 1.0 when L = 0, since an affine f
+        accepts the first trial step."""
+        if lipschitz_L == 0.0:
+            return 1.0
         return min(2.0 * self.tau * (1.0 - self.sigma) * (1.0 - self.gamma3_bar)
                    / (self.alpha_max * lipschitz_L), 1.0)
 
@@ -234,7 +241,6 @@ class SolveResult:
     x0: np.ndarray
     f0: float
     lipschitz_L: float | None
-    monitor_summary: dict | None = None
 
     @property
     def algorithm(self) -> str:
@@ -533,7 +539,7 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
     cfg, lip = result.config, result.lipschitz_L
     if isinstance(cfg, ConstantStepConfig):
         rho = cfg.rho
-        if lip:
+        if lip is not None:
             nu = cfg.nu(lip)
             checks.append(_run_check(
                 "descent-inequality",
@@ -555,7 +561,7 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
             ((r.dir_deriv, (r.gamma3 - 1.0) / r.alpha * r.dir_norm ** 2)
              for r in recs),
             tol))
-        if lip:
+        if lip is not None:
             tau_min = cfg.tau_min(lip)
             checks.append(_run_check(
                 "tau-lower-bound", ((tau_min, r.tau) for r in recs), 1e-12))
@@ -587,7 +593,7 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
     if isinstance(cfg, ConstantStepConfig):
         rho, alpha, b_minus1 = cfg.rho, cfg.alpha, cfg.schedule.b_minus1
         eta = result.f0 - f_star + rho * b_minus1
-        if lip and n_rec > 0:
+        if lip is not None and n_rec > 0:
             nu = cfg.nu(lip)
 
             def displacement_pairs():
@@ -632,7 +638,7 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
         else:
             checks.append(_skipped("contraction", "needs mu and x_star"))
     elif isinstance(cfg, ArmijoConfig):
-        if lip and n_rec > 0:
+        if lip is not None and n_rec > 0:
             tau_min = cfg.tau_min(lip)
             c = cfg.alpha_max * max(result.f0 - f_star, 0.0) / (
                 cfg.sigma * tau_min * (1.0 - cfg.gamma3_bar))

@@ -1,21 +1,19 @@
+import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 import ipgm.harness
-from ipgm.cli import main
+from ipgm.cli import _assemble_config, _build_parser, main
 from ipgm.harness import (
     ExperimentConfig,
     cmd_compare,
-    cmd_generate,
     cmd_sweep_gamma3,
     cmd_verify,
     config_from_mapping,
     load_config_file,
 )
 from ipgm.linalg import EigenSolverError, IncrementalEigen
-from ipgm.problems import load_instance, starting_point
 from ipgm.solver import constant_alpha_from_gamma
 
 
@@ -74,20 +72,6 @@ class TestConfig:
         path.write_text("this is not a pair\n")
         with pytest.raises(ValueError):
             load_config_file(path)
-
-
-class TestGenerate:
-    def test_deterministic_files(self, tmp_path):
-        cfg1 = small_cfg(out=str(tmp_path / "a.bin"))
-        cfg2 = small_cfg(out=str(tmp_path / "b.bin"))
-        p1, p2 = cmd_generate(cfg1), cmd_generate(cfg2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-
-    def test_loadable_and_finite(self, tmp_path):
-        cfg = small_cfg(out=str(tmp_path / "i.bin"))
-        inst = load_instance(cmd_generate(cfg))
-        x0 = starting_point(0.0, inst.n)
-        assert np.isfinite(inst.value(x0))
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -165,6 +149,15 @@ class TestVerify:
         assert checks["projection.contract"]["checked"] > 0
 
 
+# a non-default value per config field, as a flag or config file spells it
+FIELD_VALUES = {
+    "proj": "exact", "n": "24", "m": "500", "omega": "4", "density": "0.2",
+    "seed": "3", "beta": "0.0,0.5", "gamma3": "0.1", "schedule": "harmonic",
+    "bbar": "50", "phi": "phi2", "tol": "1e-3", "max_iter": "7",
+    "strict": "true", "out": "report",
+}
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["sweep-gamma3", "--algo", "bogus"]) == 1
@@ -189,11 +182,7 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[0].startswith("gamma3,f,it,time_s,alpha")
 
-    def test_generate_and_reports(self, tmp_path, capsys):
-        out = tmp_path / "inst.bin"
-        assert main(["generate", "--n", "24", "--m", "48", "--omega", "4",
-                     "--seed", "11", "--out", str(out)]) == 0
-        assert out.exists()
+    def test_compare_reports(self, tmp_path, capsys):
         base = tmp_path / "report"
         assert main(["compare", "--n", "24", "--m", "48", "--omega", "4",
                      "--seed", "11", "--beta", "0.0",
@@ -209,6 +198,20 @@ class TestCli:
         assert code == 0
         checks = json.loads(out.read_text())
         assert all(v["passed"] for v in checks.values())
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_config_field_is_a_flag(self, name, tmp_path):
+        raw = FIELD_VALUES[name]
+        argv = ["sweep-gamma3", "--" + name.replace("_", "-")]
+        if name != "strict":  # the one flag without a value
+            argv.append(raw)
+        from_flag = _assemble_config(_build_parser().parse_args(argv))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{name} = {raw}\n")
+        from_file = config_from_mapping(load_config_file(cfgfile))
+        assert getattr(from_flag, name) == getattr(from_file, name)
+        assert getattr(from_flag, name) != getattr(ExperimentConfig(), name)
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

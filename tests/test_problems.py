@@ -6,9 +6,7 @@ from ipgm.problems import (
     BoxQP,
     default_density,
     generate_instance,
-    load_instance,
     make_boxqp,
-    save_instance,
     starting_point,
 )
 
@@ -104,31 +102,6 @@ class TestStartingPoint:
             starting_point(-0.1, 4)
         with pytest.raises(ValueError):
             starting_point(1.1, 4)
-
-
-class TestInstanceFile:
-    def test_bit_exact_roundtrip(self, tmp_path):
-        inst = generate_instance(20, 40, 4, seed=99)
-        path = tmp_path / "inst.bin"
-        save_instance(inst, path)
-        again = load_instance(path)
-        assert (inst.a != again.a).nnz == 0
-        assert inst.a.tocoo().data.tobytes() == again.a.tocoo().data.tobytes()
-        assert inst.b_mat.tobytes() == again.b_mat.tobytes()
-        assert again.metadata == inst.metadata
-        assert again.lipschitz_L == inst.lipschitz_L
-
-    def test_same_instance_same_bytes(self, tmp_path):
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_instance(generate_instance(20, 40, 4, seed=5), p1)
-        save_instance(generate_instance(20, 40, 4, seed=5), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-        with pytest.raises(ValueError):
-            load_instance(path)
 
 
 class TestBoxQP:

@@ -11,8 +11,15 @@ from ipgm.schedules import (
     ToleranceFn,
     forcing_for_iteration,
     schedule_values,
-    tolerance_bound_check,
 )
+
+PHI1 = ToleranceFn.canonical("phi1")
+
+
+def tolerance_bound_check(phi: ToleranceFn, g: ForcingParams, u, v, w) -> bool:
+    """True iff phi stays below its defining three-term bound at (u, v, w)."""
+    bound = PHI1(g, u, v, w)
+    return phi(g, u, v, w) <= bound + 1e-12 * max(1.0, bound)
 
 
 class TestForcingParams:

@@ -11,15 +11,12 @@ from ipgm.sets import (
     Ball,
     Box,
     ExactProjectionAdapter,
-    LorentzCone,
     SimplexSet,
     Spectrahedron,
     SpectrahedronState,
-    UnsupportedOracleCapability,
     certify_inexact_projection,
     exact_project_ball,
     exact_project_box,
-    exact_project_lorentz,
     exact_project_spectrahedron,
     inexact_project_spectrahedron,
     project_simplex,
@@ -160,32 +157,6 @@ class TestSimpleSets:
         assert np.allclose(exact_project_ball([3.0, 4.0], [0.0, 0.0], 1.0),
                            [0.6, 0.8])
 
-    def test_lorentz_polar_point(self):
-        assert np.allclose(exact_project_lorentz([0.0, -1.0]), [0.0, 0.0])
-
-    def test_lorentz_interior(self):
-        v = np.array([0.3, 1.0])
-        assert np.allclose(exact_project_lorentz(v), v)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_lorentz_matches_qp_oracle(self, seed):
-        # penalized least squares over a fine feasibility check, via scipy
-        from scipy.optimize import minimize
-
-        rng = np.random.default_rng(200 + seed)
-        d = int(rng.integers(2, 5))
-        v = rng.uniform(-2, 2, size=d)
-        proj = exact_project_lorentz(v)
-
-        def obj(z):
-            return 0.5 * np.sum((z - v) ** 2)
-
-        cons = {"type": "ineq",
-                "fun": lambda z: z[-1] - np.linalg.norm(z[:-1])}
-        ref = minimize(obj, np.zeros(d), constraints=[cons], method="SLSQP",
-                       options={"maxiter": 200, "ftol": 1e-14}).x
-        assert np.allclose(proj, ref, atol=1e-6)
-
     def test_oracle_objects_roundtrip(self):
         box = Box.make(np.zeros(2), np.ones(2))
         assert box.contains([0.5, 0.5])
@@ -194,10 +165,6 @@ class TestSimpleSets:
         ball = Ball.make(np.zeros(2), 1.0)
         assert ball.contains([0.6, 0.8])
         assert np.allclose(ball.support_point([2.0, 0.0]), [1.0, 0.0])
-        cone = LorentzCone(dim=3)
-        assert cone.contains([0.1, 0.1, 1.0])
-        with pytest.raises(UnsupportedOracleCapability):
-            cone.support_point([0.0, 0.0, 1.0])
 
     def test_support_point_variational_inequality(self):
         # exact projection satisfies <v - Pv, y - Pv> <= 0 at support points
@@ -332,6 +299,18 @@ class TestInexactProjectSpectrahedron:
                                                 PHI1, p_start=1)
             ref = exact_project_spectrahedron(v)
             assert frobenius_norm(res.point - ref) < 1e-7
+
+    @pytest.mark.parametrize("p_start", [1, 2, 5, 12])
+    def test_symmetrizes_a_nonsymmetric_input(self, p_start):
+        # solver inputs are symmetric; a caller's V need not be
+        rng = np.random.default_rng(23)
+        v = rng.standard_normal((12, 12))
+        assert np.max(np.abs(v - v.T)) > 1.0
+        u = random_feasible_spectra(rng, 12)
+        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+                                            p_start=p_start)
+        ref = exact_project_spectrahedron(symmetrize(v))
+        assert np.max(np.abs(res.point - ref)) <= 1e-10
 
     def test_certificates_always_pass(self):
         rng = np.random.default_rng(78)
@@ -575,12 +554,6 @@ class TestCertify:
                                              PHI1)
         assert ok
         assert gap == pytest.approx(0.0, abs=1e-10)
-
-    def test_missing_support_oracle(self):
-        cone = LorentzCone(dim=3)
-        with pytest.raises(UnsupportedOracleCapability):
-            certify_inexact_projection(cone, np.zeros(3), np.ones(3),
-                                       np.zeros(3), ForcingParams.zero(), PHI1)
 
 
 class TestProjectionContractBounds:

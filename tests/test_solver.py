@@ -302,6 +302,31 @@ class TestRecordFields:
         assert skipped.checked == 0
         assert skipped.note == "no Lipschitz constant"
 
+    def test_zero_lipschitz_constant_is_known(self):
+        # f(x) = x on [0, 1] is affine, so L = 0 is its Lipschitz constant
+        obj = ObjectiveOracle(lambda x: (float(x[0]), np.ones(1)),
+                              lipschitz_L=0.0)
+        box = Box.make(np.zeros(1), np.ones(1))
+        runs = (
+            solve_constant(obj, box, np.ones(1),
+                           ConstantStepConfig(alpha=0.25,
+                                              schedule=zero_schedule(),
+                                              gamma2_cap=0.0),
+                           track_distance_to=np.zeros(1)),
+            solve_armijo(obj, box, np.ones(1), ArmijoConfig(),
+                         track_distance_to=np.zeros(1)),
+        )
+        for res in runs:
+            assert res.lipschitz_L == 0.0
+            assert res.x_final[0] == 0.0 and res.records
+            checks = (monitor_descent(res).checks + monitor_complexity(
+                res, f_star=0.0, x_star=np.zeros(1), convex=True).checks)
+            for c in checks:
+                assert c.passed, c
+                # contraction needs mu > 0, which an affine f lacks
+                assert c.checked > 0 or c.name == "contraction", c
+        assert [r.tau for r in runs[1].records] == [1.0]
+
     def test_algorithm_follows_config_type(self):
         qp = make_boxqp(6, 0.5, 5.0, seed=14)
         res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(6),
