@@ -11,6 +11,7 @@ import json
 import platform
 import sys
 import time
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -122,15 +123,27 @@ class ExperimentConfig:
         return d
 
 
+def _plain_type(hint):
+    """``X | None`` -> X; any other annotation stays as it is."""
+    args = [t for t in typing.get_args(hint) if t is not type(None)]
+    return args[0] if args else hint
+
+
+_FIELD_TYPES = {name: _plain_type(hint) for name, hint
+                in typing.get_type_hints(ExperimentConfig).items()}
+
+
 def _coerce(key: str, raw: str):
-    if key in ("n", "m", "omega", "seed", "max-iter", "max_iter"):
-        return int(raw)
-    if key in ("density", "bbar", "tol"):
-        return float(raw)
-    if key in ("beta", "gamma3"):
-        return tuple(float(t) for t in str(raw).split(",") if t != "")
-    if key == "strict":
+    """Parse a config value after its field's annotation in ExperimentConfig:
+    bool is a truthy word, tuple comma-separated floats, int and float that
+    type, and anything else (unknown keys too) stays as given."""
+    kind = _FIELD_TYPES.get(key.replace("-", "_"))
+    if kind is bool:
         return str(raw).lower() in ("1", "true", "yes", "on")
+    if kind is tuple:
+        return tuple(float(t) for t in str(raw).split(",") if t != "")
+    if kind in (int, float):
+        return kind(raw)
     return raw
 
 

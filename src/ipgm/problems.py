@@ -5,7 +5,9 @@ over unit-trace PSD matrices: A is sparse (m x n, m >= n) with uniform
 entries, the planted matrix Xbar is a sum of omega rank-one terms
 g g^T with g carrying a (cos, sin) pair at two random positions, and
 B = A Xbar.  Since tr(Xbar) = omega > 1, Xbar is infeasible and the
-instances generically have a nonzero residue.
+instances generically have a nonzero residue.  Xbar has at most 4 omega
+nonzeros, so B is kept as CSR and generation costs O(nnz(A) + omega),
+apart from the n x n A^T A behind ``lipschitz_L``.
 
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
@@ -55,10 +57,13 @@ class SpectrahedronLSQ:
 
     RNG streams (PCG64 children of the seed, in order): A's support and
     values; positions of the planted vectors g_i; their angles theta_i.
+    ``b_mat`` is CSR, since B = A Xbar is almost empty, and the residual
+    subtracts only its nonzeros.  Generation costs O(nnz(A) + omega) apart
+    from the n x n A^T A behind ``lipschitz_L``.
     """
 
     a: sp.csr_matrix
-    b_mat: np.ndarray
+    b_mat: sp.csr_matrix
     n: int
     m: int
     omega: int
@@ -73,9 +78,15 @@ class SpectrahedronLSQ:
         # A^T built once (a.T on every call costs about 0.07 ms at n=300);
         # as CSR its products keep the accumulation order of a.T @ r
         self._a_t = self.a.T.tocsr()
+        # B's nonzeros as (row, col, value); CSR holds no duplicates and the
+        # other entries are +0.0, so subtracting these gives A X - B exactly
+        b = self.b_mat.tocoo()
+        self._b_rows, self._b_cols, self._b_vals = b.row, b.col, b.data
 
     def _residual(self, x) -> np.ndarray:
-        return self.a @ np.asarray(x, dtype=float) - self.b_mat
+        r = self.a @ np.asarray(x, dtype=float)
+        r[self._b_rows, self._b_cols] -= self._b_vals
+        return r
 
     def _gradient_from(self, r: np.ndarray) -> np.ndarray:
         return symmetrize(self._a_t @ r)
@@ -127,15 +138,22 @@ def generate_instance(n: int, m: int, omega: int, density: float | None = None,
     if a.count_nonzero() == 0:
         raise ValueError("generated A is identically zero; raise the density")
 
+    # each g g^T touches only its 2 x 2 block; the rest of Xbar stays +0.0
     x_bar = np.zeros((n, n))
-    for _ in range(omega):
+    planted = np.empty((omega, 2), dtype=np.intp)
+    for i in range(omega):
         pos = rng_pos.choice(n, size=2, replace=False)
         theta = rng_theta.uniform(0.0, 2.0 * np.pi)
-        g = np.zeros(n)
-        g[pos[0]] = np.cos(theta)
-        g[pos[1]] = np.sin(theta)
-        x_bar += np.outer(g, g)
-    b_mat = a @ x_bar
+        g = np.array([np.cos(theta), np.sin(theta)])
+        x_bar[np.ix_(pos, pos)] += np.outer(g, g)
+        planted[i] = pos
+    # Xbar read as CSR on the union of those blocks, without a scan of all
+    # n^2 entries.  The sparse product adds each entry's nonzero terms in the
+    # order the dense a @ x_bar does and stores no entry that sums to zero,
+    # so B holds the dense product's bits.
+    rows, cols = np.divmod(
+        np.unique(planted[:, :, None] * n + planted[:, None, :]), n)
+    b_mat = a @ sp.csr_matrix((x_bar[rows, cols], (rows, cols)), shape=(n, n))
     return SpectrahedronLSQ(a=a, b_mat=b_mat, n=int(n), m=int(m),
                             omega=int(omega), density=float(density),
                             seed=int(seed), x_bar=x_bar)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import typing
 
 import pytest
 
@@ -209,9 +210,14 @@ class TestCli:
         from_flag = _assemble_config(_build_parser().parse_args(argv))
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"{name} = {raw}\n")
-        from_file = config_from_mapping(load_config_file(cfgfile))
+        parsed = load_config_file(cfgfile)
+        from_file = config_from_mapping(parsed)
         assert getattr(from_flag, name) == getattr(from_file, name)
         assert getattr(from_flag, name) != getattr(ExperimentConfig(), name)
+        # parsed from either source, the value has the field's annotated type
+        hint = typing.get_type_hints(ExperimentConfig)[name]
+        assert isinstance(parsed[name], hint)
+        assert isinstance(getattr(from_flag, name), hint)
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

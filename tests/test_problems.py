@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ipgm.linalg import frobenius_norm
 from ipgm.problems import (
@@ -9,6 +10,23 @@ from ipgm.problems import (
     make_boxqp,
     starting_point,
 )
+
+
+def _dense_reference(n, m, omega, seed):
+    """The dense construction: omega n x n outer products, then A Xbar."""
+    a = generate_instance(n, m, omega, seed=seed).a
+    _, ss_pos, ss_theta = np.random.SeedSequence(seed).spawn(3)
+    rng_pos = np.random.default_rng(ss_pos)
+    rng_theta = np.random.default_rng(ss_theta)
+    x_bar = np.zeros((n, n))
+    for _ in range(omega):
+        pos = rng_pos.choice(n, size=2, replace=False)
+        theta = rng_theta.uniform(0.0, 2.0 * np.pi)
+        g = np.zeros(n)
+        g[pos[0]] = np.cos(theta)
+        g[pos[1]] = np.sin(theta)
+        x_bar += np.outer(g, g)
+    return x_bar, a @ x_bar, float(np.linalg.norm((a.T @ a).toarray()))
 
 
 class TestGenerateInstance:
@@ -30,7 +48,7 @@ class TestGenerateInstance:
         a = generate_instance(25, 50, 4, seed=33)
         b = generate_instance(25, 50, 4, seed=33)
         assert (a.a != b.a).nnz == 0
-        assert np.array_equal(a.b_mat, b.b_mat)
+        assert (a.b_mat != b.b_mat).nnz == 0
         assert np.array_equal(a.x_bar, b.x_bar)
 
     def test_different_seeds_differ(self):
@@ -53,6 +71,22 @@ class TestGenerateInstance:
         vals = inst.a.tocoo().data
         assert np.all(np.abs(vals) < 1.0)
         assert vals.size == round(0.05 * 50 * 100)
+
+    @pytest.mark.parametrize("n, m, omega, seed", [
+        (6, 12, 30, 0),      # planted positions repeat: accumulation order
+        (6, 12, 30, 5),
+        (25, 50, 4, 33),
+        (40, 80, 10, 1),
+        (60, 200, 20, 9),
+    ])
+    def test_matches_dense_construction(self, n, m, omega, seed):
+        inst = generate_instance(n, m, omega, seed=seed)
+        x_bar, b_mat, lip = _dense_reference(n, m, omega, seed)
+        assert inst.x_bar.tobytes() == x_bar.tobytes()
+        assert inst.b_mat.toarray().tobytes() == b_mat.tobytes()
+        assert repr(inst.lipschitz_L) == repr(lip)
+        assert sp.isspmatrix_csr(inst.b_mat)
+        assert np.count_nonzero(inst.x_bar) <= 4 * omega
 
     def test_default_density(self):
         assert default_density(2000, 40000) == pytest.approx(1e-4)
@@ -158,7 +192,7 @@ class TestValueAndGradient:
             assert f == inst.value(x)
             assert g.tobytes() == inst.gradient(x).tobytes()
             # and the bits of the textbook formula sym(A^T (A X - B))
-            at_r = inst.a.T @ (inst.a @ x - inst.b_mat)
+            at_r = inst.a.T @ (inst.a @ x - inst.b_mat.toarray())
             assert g.tobytes() == (0.5 * (at_r + at_r.T)).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
