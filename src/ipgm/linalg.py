@@ -11,6 +11,15 @@ orthonormal.  Each cache spends at most ``2 n`` matrix-vector products;
 when they run out, or when ARPACK's Krylov basis would span the whole
 space, one dense ``eigh`` fills the cache instead.
 ``largest_eigenpair`` is the single-pair call the support point makes.
+
+Iterates of the spectrahedron solvers are low rank, and three types keep
+them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
+``FactoredGradient`` is the gradient sym(P Y^T) - S of a quadratic at such
+a point (P = H Y, S sparse), and ``StepOperator`` is the projection input
+V = X - alpha G, which ``IncrementalEigen`` applies through its factors.
+Scalars (norms, inner products, distances) come from r x r matrices; each
+type forms its dense n x n matrix only through ``dense()`` (also reached by
+``np.asarray``).
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ __all__ = [
     "symmetrize",
     "largest_eigenpair",
     "IncrementalEigen",
+    "LowRank",
+    "FactoredGradient",
+    "StepOperator",
 ]
 
 # Residual tolerance of every returned pair, relative to max(1, ||S||_F),
@@ -76,6 +88,180 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
+class _DenseArithmetic(np.lib.mixins.NDArrayOperatorsMixin):
+    """``np.asarray`` and numpy arithmetic (``w - x``, ``g * c``, ``w @ v``)
+    act on the dense matrix that ``dense()`` forms."""
+
+    def dense(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(a.dense() if isinstance(a, _DenseArithmetic) else a
+                       for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _stacked_core(a: "LowRank", b: "LowRank", with_q: bool = False):
+    """(Q, R_a, R_b, M) with [Y_a, Y_b] = Q [R_a, R_b] and
+    M = R_a R_a^T - R_b R_b^T, so that A - B = Q M Q^T with Q orthonormal.
+
+    M is formed from the triangular factor, so its entries carry rounding of
+    the order of eps ||A|| rather than the eps ||A||^2 / ||A - B|| a Gram
+    expansion ||A||^2 - 2 <A, B> + ||B||^2 leaves in ||A - B||^2.
+    """
+    k = a.factor.shape[1]
+    stacked = np.hstack([a.factor, b.factor])
+    if with_q:
+        q, r = np.linalg.qr(stacked)
+    else:
+        q, r = None, np.linalg.qr(stacked, mode="r")
+    r_a, r_b = r[:, :k], r[:, k:]
+    return q, r_a, r_b, r_a @ r_a.T - r_b @ r_b.T
+
+
+class LowRank(_DenseArithmetic):
+    """The symmetric positive semidefinite X = Y Y^T, kept as its n x r
+    factor Y.
+
+    ``gram`` is Y^T Y and ``sq_norm`` is ||X||_F^2 = ||Y^T Y||_F^2.
+    ``dense()`` forms Y Y^T as one symmetric rank-r update (numpy calls
+    ``syrk`` for ``y @ y.T``), so the matrix is exactly symmetric.
+    """
+
+    def __init__(self, factor):
+        y = np.ascontiguousarray(factor, dtype=float)
+        if y.ndim != 2:
+            raise ValueError(f"expected an n x r factor, got shape {y.shape}")
+        self.factor = y
+        self.gram = y.T @ y
+        self.sq_norm = float(np.vdot(self.gram, self.gram))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.factor.shape[0]
+        return (n, n)
+
+    @property
+    def rank(self) -> int:
+        """Columns of the factor (an upper bound on the rank of X)."""
+        return self.factor.shape[1]
+
+    def sq_distance(self, other: "LowRank") -> float:
+        """||X - Z||_F^2 for another factored Z, from the stacked factors."""
+        m = _stacked_core(self, other)[3]
+        return float(np.vdot(m, m))
+
+    def dense(self) -> np.ndarray:
+        return self.factor @ self.factor.T
+
+
+class FactoredGradient(_DenseArithmetic):
+    """G = sym(P Y^T) - S at the factored point X = Y Y^T, S sparse symmetric.
+
+    This is the gradient of a quadratic 1/2 <X, H X> - <S, X> + c (H
+    symmetric) at X, with P = H Y.  ``sq_norm`` (||G||_F^2), ``inner(W)``
+    (<G, W> for a factored W) and ``secant`` come from r x r products, and
+    ``step(alpha)`` is the projection input X - alpha G as an operator.
+    ``s_sq_norm`` is ||S||_F^2 and ``sy`` is S Y when the caller has them.
+    """
+
+    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy=None):
+        y = point.factor
+        self.point = point
+        self.p = np.asarray(p, dtype=float)
+        self.s = s
+        if sy is None:
+            sy = s @ y
+        yp = y.T @ self.p  # Y^T H Y
+        # ||sym(P Y^T)||^2 = (<P^T P, Y^T Y> + tr((Y^T P)^2)) / 2 and
+        # <sym(P Y^T), S> = <P, S Y>
+        self.sq_norm = max(0.0, 0.5 * (float(np.vdot(self.p.T @ self.p,
+                                                      point.gram))
+                                       + float(np.vdot(yp, yp.T)))
+                           - 2.0 * float(np.vdot(self.p, sy)) + s_sq_norm)
+        # <G, X> = <Y^T Y, P^T Y> - <Y, S Y>
+        self._inner_point = (float(np.vdot(point.gram, yp.T))
+                             - float(np.vdot(y, sy)))
+
+    def inner(self, w: LowRank) -> float:
+        """<G, W> = <Y^T Z, P^T Z> - <Z, S Z> for W = Z Z^T."""
+        if w is self.point:
+            return self._inner_point
+        z = w.factor
+        return (float(np.vdot(self.point.factor.T @ z, self.p.T @ z))
+                - float(np.vdot(z, self.s @ z)))
+
+    def step(self, alpha: float) -> "StepOperator":
+        """V = X - alpha G, with ||V||^2 and ||V - X||^2 = alpha^2 ||G||^2."""
+        half = (0.5 * alpha) * self.p
+        x = self.point
+        sq_norm = max(0.0, x.sq_norm - 2.0 * alpha * self._inner_point
+                      + alpha * alpha * self.sq_norm)
+        return StepOperator(x, x.factor - half, half, alpha * self.s,
+                            sq_norm=sq_norm,
+                            sq_dist=alpha * alpha * self.sq_norm)
+
+    def secant(self, prev: "FactoredGradient") -> tuple[float, float]:
+        """(<s, s>, <s, y>) for s = X - X_prev and y = G - G_prev.
+
+        With s = Q M Q^T from the stacked factors, <s, sym(P Y^T)> =
+        <M, (Q^T P) R^T>, so neither product cancels the way a Gram
+        expansion of four inner products would when s is small.
+        """
+        q, r_a, r_b, m = _stacked_core(self.point, prev.point, with_q=True)
+        t = (q.T @ self.p) @ r_a.T - (q.T @ prev.p) @ r_b.T
+        if self.s is not prev.s:
+            t -= q.T @ (self.s @ q) - q.T @ (prev.s @ q)
+        return float(np.vdot(m, m)), float(np.vdot(m, t))
+
+    def dense(self) -> np.ndarray:
+        return symmetrize(self.p @ self.point.factor.T) - self.s.toarray()
+
+
+class StepOperator(_DenseArithmetic):
+    """The projection input V = X - alpha G at a factored point X, applied
+    through its factors.
+
+    V = Z+ Z+^T - Z- Z-^T + S_alpha with Z+ = Y - (alpha/2) P,
+    Z- = (alpha/2) P and S_alpha = alpha S sparse, so ``V @ x`` costs
+    O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
+    alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
+    exactly symmetric from S_alpha and two rank-r updates.
+    """
+
+    def __init__(self, anchor: LowRank, z_plus, z_minus, s, sq_norm: float,
+                 sq_dist: float):
+        self.anchor = anchor
+        self._r = z_plus.shape[1]
+        self._z = np.hstack([z_plus, z_minus])
+        self._s = s
+        self.sq_norm = sq_norm
+        self.sq_dist = sq_dist
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.anchor.shape
+
+    def __matmul__(self, x):
+        t = self._z.T @ x
+        t[self._r:] *= -1.0
+        out = self._z @ t
+        out += self._s @ x
+        return out
+
+    def dense(self) -> np.ndarray:
+        z_plus = np.ascontiguousarray(self._z[:, :self._r])
+        z_minus = np.ascontiguousarray(self._z[:, self._r:])
+        v = self._s.toarray()
+        v += z_plus @ z_plus.T
+        v -= z_minus @ z_minus.T
+        return v
+
+
 class _BudgetExhausted(Exception):
     """Raised from inside ARPACK's reverse-communication loop."""
 
@@ -87,23 +273,31 @@ class IncrementalEigen:
     non-increasing order, and their eigenvectors as columns.  A request
     beyond the cache refills it (``fills`` counts this; every cached vector
     is replaced) by ARPACK (``eigsh``) started from the cached pairs, or
-    from the ``warm_start`` columns while the cache is empty.  Each pair has
-    a residual of at most ``EIG_TOL max(1, ||S||_F)`` and the vectors are
-    orthonormal to ``EIG_TOL``.  ARPACK runs only while its Krylov basis is
-    smaller than ``n`` and the budget of ``2 n`` products (``matvecs_used``,
-    certificates included) lasts; otherwise, or when the budget runs out
-    partway, one dense ``eigh`` caches every pair.  ``sq_norm`` holds
-    ``||S||_F^2`` and ``scale`` holds ``max(1, ||S||_F)``; a matrix whose
-    Frobenius norm is not finite raises :class:`EigenSolverError`.
+    from the ``warm_start`` columns while the cache is empty.  ``matrix`` is
+    a dense symmetric array or a ``StepOperator``, which ARPACK applies
+    through its factors and which is formed densely only for a dense fill.
+    Each pair has a residual of at most ``EIG_TOL max(1, ||S||_F)`` and the
+    vectors are orthonormal to ``EIG_TOL``.  ARPACK runs only while its
+    Krylov basis is smaller than ``n`` and the budget of ``2 n`` products
+    (``matvecs_used``, certificates included) lasts; otherwise, or when the
+    budget runs out partway, one dense ``eigh`` caches every pair and sets
+    ``dense_fill``.  ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds
+    ``max(1, ||S||_F)``; a matrix whose Frobenius norm is not finite
+    raises :class:`EigenSolverError`.
     """
 
     def __init__(self, matrix, warm_start: np.ndarray | None = None):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        # one pass gives ||S||_F^2; np.linalg.norm takes the root of the
-        # same dot product, so the scale keeps its bits
-        self.sq_norm = float(np.vdot(a, a))
+        if isinstance(matrix, StepOperator):
+            a = matrix
+            self.sq_norm = matrix.sq_norm
+        else:
+            a = np.asarray(matrix, dtype=float)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValueError(
+                    f"expected a square matrix, got shape {a.shape}")
+            # one pass gives ||S||_F^2; np.linalg.norm takes the root of the
+            # same dot product, so the scale keeps its bits
+            self.sq_norm = float(np.vdot(a, a))
         norm = float(np.sqrt(self.sq_norm))
         if not np.isfinite(norm):
             raise EigenSolverError(f"matrix has Frobenius norm {norm}")
@@ -117,6 +311,7 @@ class IncrementalEigen:
         self._vecs = np.empty((self.n, 0))
         self.matvecs_used = 0
         self.fills = 0
+        self.dense_fill = False
         self._rng = np.random.default_rng(0x5EED1E55)
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +386,9 @@ class IncrementalEigen:
         return vals[order], q[:, order]
 
     def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self._a)
+        self.dense_fill = True
+        a = self._a.dense() if isinstance(self._a, StepOperator) else self._a
+        vals, vecs = np.linalg.eigh(a)
         return vals[::-1], vecs[:, ::-1]
 
 

@@ -12,20 +12,29 @@ apart from the n x n A^T A behind ``lipschitz_L``.
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
 
-Both offer ``value_and_gradient``, which returns ``(value(x),
-gradient(x))`` bit for bit from one residual A X - B (one product Q x for
-the box QP); ``objective()`` hands it to the solvers as the only objective
-callable.
+Both offer ``value_and_gradient``, which at a dense point returns
+``(value(x), gradient(x))`` bit for bit from one residual A X - B (one
+product Q x for the box QP); ``objective()`` hands it to the solvers as the
+only objective callable.  At a factored point X = Y Y^T (a ``LowRank``,
+which the spectrahedron projections return) ``SpectrahedronLSQ`` evaluates
+without an n x n pass.  With H = A^T A and S = sym(A^T B), both sparse,
+and P = H Y,
+
+    f = 1/2 <Y^T P, Y^T Y> - <Y, S Y> + 1/2 ||B||^2,
+    grad f = sym(P Y^T) - S   (a ``FactoredGradient``).
+
+A dense point takes the residual path above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import symmetrize
+from .linalg import FactoredGradient, LowRank, symmetrize
 from .sets import Box, Spectrahedron
 from .solver import ObjectiveOracle
 
@@ -46,9 +55,10 @@ def default_density(n: int, m: int) -> float:
     zeroed inside the feasible set (trivial instances), and low-rank iterates
     can drift into directions A is blind to, stalling the relative-change
     stopping rule.  Keeping density * m around 4 avoids both at desk scale
-    while staying extremely sparse.
+    while staying extremely sparse.  With fewer than four rows the default is
+    a dense A (density 1).
     """
-    return max(1e-4, 4.0 / m)
+    return min(1.0, max(1e-4, 4.0 / m))
 
 
 @dataclass
@@ -59,7 +69,13 @@ class SpectrahedronLSQ:
     values; positions of the planted vectors g_i; their angles theta_i.
     ``b_mat`` is CSR, since B = A Xbar is almost empty, and the residual
     subtracts only its nonzeros.  Generation costs O(nnz(A) + omega) apart
-    from the n x n A^T A behind ``lipschitz_L``.
+    from the n x n A^T A behind ``lipschitz_L``; H = A^T A is kept in its
+    sparse form for the factored evaluation.
+
+    ``value_and_gradient`` takes a dense X through the residual A X - B and
+    a ``LowRank`` X = Y Y^T through P = H Y (see the module docstring), at
+    O(nnz(H) r + n r^2) for a rank-r factor.  S = sym(A^T B) and ||B||^2
+    are formed on the first factored evaluation.
     """
 
     a: sp.csr_matrix
@@ -73,8 +89,9 @@ class SpectrahedronLSQ:
     lipschitz_L: float = field(init=False)
 
     def __post_init__(self):
-        ata = (self.a.T @ self.a).toarray()
-        self.lipschitz_L = float(np.linalg.norm(ata))
+        ata = self.a.T @ self.a
+        self.lipschitz_L = float(np.linalg.norm(ata.toarray()))
+        self._h = ata.tocsr()
         # A^T built once (a.T on every call costs about 0.07 ms at n=300);
         # as CSR its products keep the accumulation order of a.T @ r
         self._a_t = self.a.T.tocsr()
@@ -82,6 +99,25 @@ class SpectrahedronLSQ:
         # other entries are +0.0, so subtracting these gives A X - B exactly
         b = self.b_mat.tocoo()
         self._b_rows, self._b_cols, self._b_vals = b.row, b.col, b.data
+
+    @cached_property
+    def _linear_term(self) -> tuple[sp.csr_matrix, float, float]:
+        """(S, ||S||_F^2, ||B||_F^2 / 2) with S = sym(A^T B), exactly
+        symmetric: entry (i, j) and (j, i) both hold (D_ij + D_ji) / 2."""
+        d = self._a_t @ self.b_mat
+        s = ((d + d.T) * 0.5).tocsr()
+        return (s, float(np.vdot(s.data, s.data)),
+                0.5 * float(np.vdot(self._b_vals, self._b_vals)))
+
+    def _factored_value_and_gradient(self, x: LowRank
+                                     ) -> tuple[float, FactoredGradient]:
+        s, s_sq_norm, half_b_sq = self._linear_term
+        y = x.factor
+        p = self._h @ y
+        sy = s @ y
+        value = (0.5 * float(np.vdot(y.T @ p, x.gram))
+                 - float(np.vdot(y, sy)) + half_b_sq)
+        return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy)
 
     def _residual(self, x) -> np.ndarray:
         r = self.a @ np.asarray(x, dtype=float)
@@ -98,8 +134,12 @@ class SpectrahedronLSQ:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._gradient_from(self._residual(x))
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(value(x), gradient(x)) from one residual A X - B."""
+    def value_and_gradient(self, x
+                           ) -> tuple[float, np.ndarray | FactoredGradient]:
+        """(value(x), gradient(x)) from one residual A X - B; a ``LowRank``
+        x is evaluated from its factor and gets a ``FactoredGradient``."""
+        if isinstance(x, LowRank):
+            return self._factored_value_and_gradient(x)
         r = self._residual(x)
         return 0.5 * float(np.vdot(r, r)), self._gradient_from(r)
 

@@ -13,6 +13,16 @@ exactly; the spectrahedron (unit-trace PSD matrices) additionally
 offers an adaptive rank-p inexact projector that raises p until the
 certificate above accepts, so low-rank partial eigendecompositions replace
 the full one whenever the tolerance allows.
+
+Both spectrahedron projections return their point factored, as a
+``LowRank`` W = Y Y^T with Y = Q sqrt(lam) from the eigenpairs they used;
+``np.asarray`` forms the dense matrix for a caller that needs it.  The
+rank-p projector also takes a factored input: a ``StepOperator`` V (the
+solvers' X - alpha grad f(X)), which ARPACK applies through its factors,
+and a ``LowRank`` anchor U, whose ||U||^2 and q^T U q come from its factor.
+Dense n x n work remains only where an input is dense: a dense V is
+symmetrized, the exact projection and the dense fill of the eigensolver
+decompose V as a matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ import numpy as np
 from .linalg import (
     EigenSolverError,
     IncrementalEigen,
+    LowRank,
+    StepOperator,
     frobenius_inner,
     largest_eigenpair,
     symmetrize,
@@ -61,13 +73,20 @@ class InexactProjection:
     satisfies the inexact-projection contract.  ``None`` marks projections
     produced by an exact oracle, which qualify without a certificate.
     ``state`` carries warm-start data for the next call on a nearby input.
+    ``point`` is a ``LowRank`` for the spectrahedron projections and an
+    array otherwise.  The rank-p projector also records the eigensolver's
+    work: ``matvecs`` (products the cache spent), ``fills`` (cache fills)
+    and ``dense_fill`` (whether a dense ``eigh`` filled it).
     """
 
-    point: np.ndarray
+    point: np.ndarray | LowRank
     rank_used: int | None = None
     certificate_gap: float | None = None
     phi_value: float | None = None
     state: Any = None
+    matvecs: int | None = None
+    fills: int | None = None
+    dense_fill: bool | None = None
 
 
 class ConvexSetOracle:
@@ -223,19 +242,28 @@ class Ball(ConvexSetOracle):
 # spectrahedron
 
 
-def exact_project_spectrahedron(v) -> np.ndarray:
+def _positive_factor(vals: np.ndarray, vecs: np.ndarray,
+                     lam: np.ndarray) -> LowRank:
+    """Q sqrt(lam) over the pairs with a positive simplex weight.
+
+    The weights are max(vals - threshold, 0) in the order of ``vals``, so
+    the positive ones are a run and only those eigenvectors contribute.
+    """
+    keep = lam > 0.0
+    return LowRank(vecs[:, keep] * np.sqrt(lam[keep]))
+
+
+def exact_project_spectrahedron(v) -> LowRank:
     """Exact projection onto {W symmetric PSD, tr W = 1}.
 
-    Full eigendecomposition of the symmetric part, then projection of the
-    eigenvalues onto the simplex.
+    Full eigendecomposition of the symmetric part (a ``StepOperator`` is
+    symmetric and is formed as it is), then projection of the eigenvalues
+    onto the simplex; the result is factored over the positive weights.
     """
-    evals, evecs = np.linalg.eigh(symmetrize(np.asarray(v, dtype=float)))
-    lam = project_simplex(evals)
-    # the weights are max(evals - threshold, 0) with evals ascending, so the
-    # positive ones are a tail and only those eigenvectors contribute
-    tail = evals.size - int(np.count_nonzero(lam))
-    q = evecs[:, tail:]
-    return (q * lam[tail:]) @ q.T
+    vs = (v.dense() if isinstance(v, StepOperator)
+          else symmetrize(np.asarray(v, dtype=float)))
+    evals, evecs = np.linalg.eigh(vs)
+    return _positive_factor(evals, evecs, project_simplex(evals))
 
 
 def support_point_spectrahedron(c) -> np.ndarray:
@@ -280,21 +308,44 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     phi, custom forms included, is evaluated from the squared distances
     ||V - U||^2, ||W_p - V||^2 and ||W_p - U||^2 taken from the same pairs.
 
+    A dense V is symmetrized first.  A ``StepOperator`` V is symmetric by
+    construction and is applied through its factors; when U is its anchor,
+    ||V - U||^2 is the operator's ``sq_dist``.  A ``LowRank`` U gives
+    ||U||^2 and q^T U q from its factor.  The accepted W_p is returned as
+    the ``LowRank`` factor Q_p sqrt(lam).
+
     The pairs come from one ``IncrementalEigen`` per call, whose product
     budget bounds the cost: once it is spent, a dense eigendecomposition
     serves every later rank.  The returned state restarts the next call at
     rank p - 1 from the first p + 1 vectors.
     """
-    vs = symmetrize(np.asarray(v, dtype=float))
-    u_arr = np.asarray(u, dtype=float)
+    if isinstance(v, StepOperator):
+        vs = v
+    else:
+        vs = symmetrize(np.asarray(v, dtype=float))
     n = vs.shape[0]
     if not 1 <= p_start <= n:
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
     cache = IncrementalEigen(vs, warm_start=warm_vectors)
     slack = 1e-12 * cache.scale ** 2  # cache.scale = max(1, ||V||_F)
     norm_v_sq = cache.sq_norm
-    norm_u_sq = _squared_norm(u_arr)
-    sq_vu = _squared_norm(vs - u_arr)
+    if isinstance(u, LowRank):
+        norm_u_sq = u.sq_norm
+        u_factor_t = u.factor.T
+
+        def u_diag(q):  # q_i^T U q_i = ||Y^T q_i||^2
+            t = u_factor_t @ q
+            return np.einsum("ij,ij->j", t, t)
+    else:
+        u_arr = np.asarray(u, dtype=float)
+        norm_u_sq = _squared_norm(u_arr)
+
+        def u_diag(q):
+            return np.einsum("ij,ij->j", q, u_arr @ q)
+    if isinstance(v, StepOperator) and u is v.anchor:
+        sq_vu = v.sq_dist
+    else:
+        sq_vu = _squared_norm(np.asarray(vs) - np.asarray(u, dtype=float))
     fill, uq = 0, np.empty(0)  # q_i^T U q_i of the current fill's vectors
     p = p_start
     while True:
@@ -306,10 +357,9 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                 best_residual=exc.best_residual) from exc
         if cache.fills != fill:  # a refill replaces every cached vector
             fill, uq = cache.fills, np.empty(0)
-        q_new = vecs[:, uq.size:p]
-        uq = np.append(uq, np.einsum("ij,ij->j", q_new, u_arr @ q_new))
+        uq = np.append(uq, u_diag(vecs[:, uq.size:p]))
         lam = project_simplex(vals[:p])
-        # scalar identities on the eigenbasis; W_p is only formed on accept
+        # scalar identities on the eigenbasis; W_p is kept factored
         w_norm_sq = float(lam @ lam)
         inner_vw = float(lam @ vals[:p])
         inner_uw = float(lam @ uq)
@@ -325,13 +375,14 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         if lhs >= -phi_val - slack or p == n:
             break
         p += 1
-    q_p = vecs[:, :p]
-    w_p = symmetrize((q_p * lam) @ q_p.T)
     state = SpectrahedronState(p_start=max(1, p - 1),
                                vectors=vecs[:, :min(p + 1, n)].copy())
-    return InexactProjection(point=w_p, rank_used=p,
+    point = _positive_factor(vals[:p], vecs[:, :p], lam)
+    return InexactProjection(point=point, rank_used=p,
                              certificate_gap=float(-lhs - phi_val),
-                             phi_value=phi_val, state=state)
+                             phi_value=phi_val, state=state,
+                             matvecs=cache.matvecs_used, fills=cache.fills,
+                             dense_fill=cache.dense_fill)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ The objective enters only through ``ObjectiveOracle.value_and_gradient``:
 one call per point evaluated (x0, every constant-step iterate, every
 Armijo trial point), whose gradient the next iteration uses.
 
+Iterates keep the form the projection gives them.  When it returns a
+factored ``LowRank`` point (the spectrahedron projections do), the
+iterate stays factored: the oracle sees the ``LowRank`` and may answer
+with a ``FactoredGradient``, whose step X - alpha G goes to the next
+projection as a ``StepOperator``; the gradient norm, ||x||, the step and
+the Armijo slope come from r x r products, and an Armijo trial point
+(1 - t) X + t W stays factored as [sqrt(1 - t) Y_x, sqrt(t) Y_w].  Any
+dense operand (the start x0, a plain array gradient) puts that operation
+on the dense path, and ``x_final`` is formed once, at the end.
+
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
 inequalities the scheme guarantees, with the parameters read from the
@@ -27,7 +37,13 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import EigenSolverError, frobenius_inner, frobenius_norm
+from .linalg import (
+    EigenSolverError,
+    FactoredGradient,
+    LowRank,
+    frobenius_inner,
+    frobenius_norm,
+)
 from .schedules import (
     ForcingParams,
     SummableSchedule,
@@ -259,8 +275,58 @@ class SolveResult:
         return int(max(ps)) if ps else None
 
 
+def _dense(a) -> np.ndarray:
+    return np.asarray(a, dtype=float)
+
+
 def _norm(x) -> float:
-    return frobenius_norm(np.asarray(x, dtype=float))
+    if isinstance(x, (LowRank, FactoredGradient)):
+        return math.sqrt(x.sq_norm)
+    return frobenius_norm(_dense(x))
+
+
+def _distance(a, b) -> float:
+    """||a - b||, from the stacked factors when both are factored."""
+    if isinstance(a, LowRank) and isinstance(b, LowRank):
+        return math.sqrt(a.sq_distance(b))
+    return _norm(_dense(a) - _dense(b))
+
+
+def _gradient_step(x, g, alpha: float):
+    """The projection input x - alpha g (an operator for a factored g)."""
+    if isinstance(g, FactoredGradient):
+        return g.step(alpha)
+    return _dense(x) - alpha * g
+
+
+def _slope(g, x, w) -> float:
+    """<g, w - x>, the derivative of f along w - x."""
+    if isinstance(g, FactoredGradient) and isinstance(w, LowRank):
+        return g.inner(w) - g.inner(g.point)
+    return frobenius_inner(_dense(g), _dense(w) - _dense(x))
+
+
+def _factored_or_dense(x):
+    """A factored point while its factor has fewer than n/4 columns, else
+    its dense matrix.  A ``StepOperator`` product with a rank-r iterate
+    costs about 4 n r operations against n^2 for a dense one, so n/4 is
+    where the factor stops paying."""
+    if isinstance(x, LowRank) and 4 * x.rank < x.shape[0]:
+        return x
+    return _dense(x)
+
+
+def _toward(x, w, t: float):
+    """x + t (w - x).  For factored points the convex combination stays
+    factored, (1 - t) X + t W = [sqrt(1 - t) Y_x, sqrt(t) Y_w] [...]^T,
+    within the rank bound of ``_factored_or_dense``."""
+    if isinstance(w, LowRank) and t == 1.0:
+        return w
+    if isinstance(x, LowRank) and isinstance(w, LowRank):
+        return _factored_or_dense(LowRank(np.hstack(
+            [math.sqrt(1.0 - t) * x.factor, math.sqrt(t) * w.factor])))
+    x = _dense(x)
+    return x + t * (_dense(w) - x)
 
 
 def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
@@ -300,7 +366,8 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
     iterations = 0
     for k in range(cfg.max_iter):
         t0 = time.perf_counter()
-        g = np.asarray(g, dtype=float)
+        if not isinstance(g, FactoredGradient):
+            g = _dense(g)
         gn = _norm(g)
         if not math.isfinite(gn):
             raise SolverError(f"iteration {k}: gradient norm is {gn}")
@@ -311,13 +378,13 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             break
         alpha, gamma, params_fields = step_params(k, x, g, gn)
         try:
-            proj = feasible_set.inexact_project(x - alpha * g, x, gamma,
-                                                cfg.phi, state=state)
+            proj = feasible_set.inexact_project(_gradient_step(x, g, alpha), x,
+                                                gamma, cfg.phi, state=state)
         except EigenSolverError as exc:
             raise SolverError(f"iteration {k}: projection failed: {exc}") from exc
-        w = np.asarray(proj.point, dtype=float)
+        w = _factored_or_dense(proj.point)
         state = proj.state
-        dist = _norm(w - x)
+        dist = _distance(w, x)
         if (gamma.gamma1 + gamma.gamma2 == 0.0
                 and dist <= FIXED_POINT_REL * max(1.0, _norm(x))):
             # with a zero budget the projection returning x certifies
@@ -344,7 +411,7 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             p_used=proj.rank_used, certificate_gap=proj.certificate_gap,
             phi_value=proj.phi_value,
             dist_to_ref=(None if track_distance_to is None
-                         else _norm(x - track_distance_to)),
+                         else _norm(_dense(x) - track_distance_to)),
             **params_fields, **move_fields))
         x, f_x, g = x_next, f_next, g_next
         iterations = k + 1
@@ -353,7 +420,7 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             stop_reason = STOP_CONVERGED
             break
     return SolveResult(
-        config=cfg, x_final=x, f_final=f_x, iterations=iterations,
+        config=cfg, x_final=_dense(x), f_final=f_x, iterations=iterations,
         stop_reason=stop_reason, records=records, x0=np.asarray(x0, dtype=float),
         f0=f0, lipschitz_L=obj.lipschitz_L)
 
@@ -394,15 +461,14 @@ def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
     = <grad f(x), d>.  Each trial point takes one ``value_and_gradient``
     call; returns (tau^j, j, f, grad f) at the accepted one.  A NaN value of
     f(x) or of a trial point raises ``LineSearchError`` at once; a +inf
-    trial value backtracks like any other rejected one.
+    trial value backtracks like any other rejected one.  Factored x and w
+    give factored trial points.
     """
-    xk = np.asarray(xk, dtype=float)
-    d = np.asarray(wk, dtype=float) - xk
     if math.isnan(f_x):
         raise LineSearchError("objective value at the base point is nan")
     step = 1.0
     for j in range(max_backtracks + 1):
-        f_trial, g_trial = obj.value_and_gradient(xk + step * d)
+        f_trial, g_trial = obj.value_and_gradient(_toward(xk, wk, step))
         f_trial = float(f_trial)
         if math.isnan(f_trial):
             raise LineSearchError(
@@ -420,9 +486,14 @@ def spectral_step(s_k, y_k, alpha_min: float, alpha_max: float) -> float:
     """Barzilai-Borwein step <S,S>/<S,Y> clamped to [alpha_min, alpha_max]."""
     s_k = np.asarray(s_k, dtype=float)
     y_k = np.asarray(y_k, dtype=float)
-    sy = frobenius_inner(s_k, y_k)
+    return _clamped_ratio(frobenius_inner(s_k, s_k), frobenius_inner(s_k, y_k),
+                          alpha_min, alpha_max)
+
+
+def _clamped_ratio(ss: float, sy: float, alpha_min: float,
+                   alpha_max: float) -> float:
     if sy > 0:
-        return min(alpha_max, max(alpha_min, frobenius_inner(s_k, s_k) / sy))
+        return min(alpha_max, max(alpha_min, ss / sy))
     return alpha_max
 
 
@@ -446,18 +517,25 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
             alpha_k = cfg.fixed_alpha if cfg.fixed_alpha is not None else cfg.alpha_max
         elif prev is None:
             alpha_k = cfg.alpha_max
+        elif (isinstance(g, FactoredGradient)
+              and isinstance(prev[1], FactoredGradient)):
+            alpha_k = _clamped_ratio(*g.secant(prev[1]), cfg.alpha_min,
+                                     cfg.alpha_max)
         else:
-            alpha_k = spectral_step(x - prev[0], g - prev[1], cfg.alpha_min,
-                                    cfg.alpha_max)
+            alpha_k = spectral_step(_dense(x) - _dense(prev[0]),
+                                    _dense(g) - _dense(prev[1]),
+                                    cfg.alpha_min, cfg.alpha_max)
         prev = (x, g)
         return alpha_k, gamma, {}
 
     def move(x, w, g, f_x, dist):
-        dir_deriv = frobenius_inner(g, w - x)
+        dir_deriv = _slope(g, x, w)
         tau_k, j_k, f_next, g_next = armijo_search(
             obj, x, w, cfg.sigma, cfg.tau, cfg.max_backtracks, f_x, dir_deriv)
-        x_next = x + tau_k * (w - x)
-        return x_next, f_next, g_next, _norm(x_next - x), {
+        # the accepted trial point; a factored gradient carries it
+        x_next = (g_next.point if isinstance(g_next, FactoredGradient)
+                  else _toward(x, w, tau_k))
+        return x_next, f_next, g_next, _distance(x_next, x), {
             "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
             "dir_deriv": dir_deriv}
 

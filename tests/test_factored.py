@@ -1,0 +1,234 @@
+"""The factored path of the spectrahedron solves.
+
+Points X = Y Y^T, gradients sym(P Y^T) - S and projection inputs
+X - alpha G are kept as factors.  Each is checked against the dense matrix
+it stands for, and whole solves are checked against the same solves run
+densely from start to end.
+"""
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+
+from ipgm.linalg import FactoredGradient, LowRank, StepOperator
+from ipgm.problems import generate_instance, starting_point
+from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
+from ipgm.sets import (
+    ExactProjectionAdapter,
+    Spectrahedron,
+    exact_project_spectrahedron,
+    inexact_project_spectrahedron,
+)
+from ipgm.solver import (
+    ArmijoConfig,
+    ConstantStepConfig,
+    ObjectiveOracle,
+    constant_alpha_from_gamma,
+    monitor_complexity,
+    monitor_descent,
+    solve_armijo,
+    solve_constant,
+)
+
+
+def _unit_trace_point(rng, n, r) -> LowRank:
+    y = rng.standard_normal((n, r))
+    return LowRank(y / np.linalg.norm(y))
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+class TestFactoredAlgebra:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_objective_matches_the_dense_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(40, 80, 5, seed=seed)
+        x = _unit_trace_point(rng, 40, 4)
+        f, g = inst.value_and_gradient(x)
+        f_ref, g_ref = inst.value_and_gradient(x.dense())
+        assert isinstance(g, FactoredGradient) and g.point is x
+        assert f == pytest.approx(f_ref, rel=1e-13)
+        assert _max_abs(g.dense() - g_ref) <= 1e-13 * _max_abs(g_ref)
+        assert g.sq_norm == pytest.approx(np.vdot(g_ref, g_ref), rel=1e-12)
+        w = _unit_trace_point(rng, 40, 3)
+        assert g.inner(w) == pytest.approx(np.vdot(g_ref, w.dense()),
+                                           rel=1e-12)
+        assert g.inner(x) == pytest.approx(np.vdot(g_ref, x.dense()),
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_operator_is_x_minus_alpha_g(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        inst = generate_instance(40, 80, 5, seed=seed)
+        x = _unit_trace_point(rng, 40, 5)
+        _, g = inst.value_and_gradient(x)
+        alpha = constant_alpha_from_gamma(inst.lipschitz_L, 0.0)
+        op = g.step(alpha)
+        ref = x.dense() - alpha * g.dense()
+        v = op.dense()
+        assert np.array_equal(v, v.T)
+        assert _max_abs(v - ref) <= 1e-14 * _max_abs(ref)
+        vec = rng.standard_normal(40)
+        block = rng.standard_normal((40, 3))
+        assert _max_abs(op @ vec - ref @ vec) <= 1e-13 * _max_abs(ref @ vec)
+        assert _max_abs(op @ block - ref @ block) <= 1e-13 * _max_abs(
+            ref @ block)
+        assert op.anchor is x and op.shape == (40, 40)
+        assert op.sq_norm == pytest.approx(np.vdot(ref, ref), rel=1e-12)
+        assert op.sq_dist == pytest.approx(
+            np.vdot(ref - x.dense(), ref - x.dense()), rel=1e-12)
+
+    def test_distance_does_not_cancel(self):
+        rng = np.random.default_rng(3)
+        x = _unit_trace_point(rng, 50, 5)
+        rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        # another factor of the same matrix
+        assert x.sq_distance(LowRank(x.factor @ rotation)) <= 1e-28
+        # a small difference keeps its relative accuracy, where the Gram
+        # expansion ||X||^2 - 2 <X, Z> + ||Z||^2 would lose half the digits
+        z = LowRank(x.factor @ rotation
+                    + 1e-6 * rng.standard_normal((50, 5)))
+        ref = np.vdot(x.dense() - z.dense(), x.dense() - z.dense())
+        assert x.sq_distance(z) == pytest.approx(ref, rel=1e-8)
+
+    def test_secant_products_match_dense(self):
+        rng = np.random.default_rng(4)
+        inst = generate_instance(40, 80, 5, seed=4)
+        x = _unit_trace_point(rng, 40, 4)
+        x_prev = _unit_trace_point(rng, 40, 3)
+        _, g = inst.value_and_gradient(x)
+        _, g_prev = inst.value_and_gradient(x_prev)
+        ss, sy = g.secant(g_prev)
+        s = x.dense() - x_prev.dense()
+        y = g.dense() - g_prev.dense()
+        assert ss == pytest.approx(np.vdot(s, s), rel=1e-12)
+        assert sy == pytest.approx(np.vdot(s, y), rel=1e-10)
+
+    def test_dense_arithmetic(self):
+        rng = np.random.default_rng(5)
+        x, w = _unit_trace_point(rng, 6, 2), _unit_trace_point(rng, 6, 3)
+        assert np.array_equal(w - x, w.dense() - x.dense())
+        assert np.array_equal(np.asarray(x), x.dense())
+        assert np.trace(x) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestFactoredProjection:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_operator_input_matches_its_dense_matrix(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        inst = generate_instance(60, 120, 6, seed=seed)
+        x = _unit_trace_point(rng, 60, 4)
+        _, g = inst.value_and_gradient(x)
+        op = g.step(constant_alpha_from_gamma(inst.lipschitz_L, 0.0))
+        gamma = ForcingParams(0.5, 0.2, 0.0)
+        phi = ToleranceFn.canonical("phi1")
+        fact = inexact_project_spectrahedron(op, x, gamma, phi)
+        dense = inexact_project_spectrahedron(op.dense(), x.dense(), gamma,
+                                              phi)
+        assert isinstance(fact.point, LowRank)
+        assert fact.rank_used == dense.rank_used
+        assert fact.phi_value == pytest.approx(dense.phi_value, rel=1e-9)
+        assert fact.certificate_gap == pytest.approx(dense.certificate_gap,
+                                                     rel=1e-6, abs=1e-12)
+        assert _max_abs(fact.point - dense.point) <= 1e-9
+
+
+@dataclass(frozen=True)
+class DenseSpectrahedron(Spectrahedron):
+    """Hands every projection back as a dense array, so that a solve runs
+    the dense path from start to end."""
+
+    def inexact_project(self, v, u, gamma, phi, state=None):
+        assert not isinstance(v, StepOperator)
+        res = super().inexact_project(v, u, gamma, phi, state=state)
+        return replace(res, point=np.asarray(res.point))
+
+    def exact_project(self, v):
+        assert not isinstance(v, StepOperator)
+        return np.asarray(super().exact_project(v))
+
+
+def _solve(obj, cset, inst, rule, proj, beta, **armijo):
+    if proj == "exact":
+        cset = ExactProjectionAdapter(cset)
+    x0 = starting_point(beta, inst.n)
+    if rule == "constant":
+        cfg = ConstantStepConfig(
+            alpha=constant_alpha_from_gamma(inst.lipschitz_L, 0.0),
+            schedule=SummableSchedule.logarithmic(100.0), max_iter=5000)
+        return solve_constant(obj, cset, x0, cfg)
+    return solve_armijo(obj, cset, x0, ArmijoConfig(max_iter=2000, **armijo))
+
+
+def _factored_against_dense(inst, rule, proj, beta, **armijo):
+    """Solve on both paths, check they agree, and return the factored run
+    with the points its objective calls received."""
+    seen = []
+
+    def value_and_gradient(x):
+        seen.append(x)
+        return inst.value_and_gradient(x)
+
+    obj = replace(inst.objective(), value_and_gradient=value_and_gradient)
+    fact = _solve(obj, inst.feasible_set(), inst, rule, proj, beta, **armijo)
+    dense = _solve(inst.objective(), DenseSpectrahedron(inst.n), inst, rule,
+                   proj, beta, **armijo)
+    # the start is dense; the factored path takes over once projections
+    # return factors of rank below n/4 (a cold exact projection, or an
+    # Armijo trial from the start, can still be dense)
+    assert not isinstance(seen[0], LowRank)
+    assert 2 * sum(isinstance(x, LowRank) for x in seen) > len(seen)
+    assert fact.iterations == dense.iterations > 0
+    assert fact.stop_reason == dense.stop_reason
+    assert abs(fact.f_final - dense.f_final) <= 1e-12 * abs(dense.f_final)
+    assert np.linalg.norm(fact.x_final - dense.x_final) <= (
+        1e-10 * np.linalg.norm(dense.x_final))
+    for res in (fact, dense):
+        assert monitor_descent(res).passed and monitor_complexity(res).passed
+    return fact, seen
+
+
+class TestFactoredSolvesMatchDense:
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    @pytest.mark.parametrize("proj", ["inexact", "exact"])
+    def test_same_run(self, seed, beta, rule, proj):
+        inst = generate_instance(40, 80, 5, seed=seed)
+        _, seen = _factored_against_dense(inst, rule, proj, beta)
+        assert isinstance(seen[-1], LowRank)
+
+    def test_backtracking_armijo_keeps_trials_factored(self):
+        # sigma = 0.9 rejects trial points, so the trials at tau < 1 are the
+        # combinations [sqrt(1 - tau) Y_x, sqrt(tau) Y_w] of two factors
+        inst = generate_instance(60, 120, 6, seed=34)
+        fact, seen = _factored_against_dense(inst, "armijo", "inexact", 0.0,
+                                             sigma=0.9)
+        assert sum(r.backtracks for r in fact.records) > 0
+        widest = max(x.rank for x in seen if isinstance(x, LowRank))
+        assert widest > max(r.p_used for r in fact.records)
+
+
+def test_custom_objective_reads_factored_points_densely():
+    # f(X) = 1/2 ||X - C||^2 is minimized over the spectrahedron at the
+    # projection of C; the oracle does plain numpy arithmetic on X
+    rng = np.random.default_rng(35)
+    n = 30
+    c = rng.standard_normal((n, n))
+    c = (c + c.T) / 4.0
+    seen = []
+
+    def value_and_gradient(x):
+        seen.append(isinstance(x, LowRank))
+        d = x - c
+        return 0.5 * float(np.vdot(d, d)), d
+
+    obj = ObjectiveOracle(value_and_gradient, lipschitz_L=1.0)
+    res = solve_armijo(obj, Spectrahedron(n), starting_point(0.0, n),
+                       ArmijoConfig(stop_tol=1e-10))
+    assert any(seen)
+    ref = np.asarray(exact_project_spectrahedron(c))
+    assert np.linalg.norm(res.x_final - ref) <= 1e-6

@@ -30,6 +30,11 @@ class TestConfig:
         assert cfg.m == 2 * cfg.n
         assert cfg.resolved_density() > 0
 
+    def test_smallest_instance_takes_its_default_density(self):
+        cfg = ExperimentConfig(n=2, m=3)
+        assert cfg.resolved_density() == 1.0
+        assert cfg.make_instance().a.shape == (3, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=10, m=5)

@@ -92,6 +92,13 @@ class TestGenerateInstance:
         assert default_density(2000, 40000) == pytest.approx(1e-4)
         assert default_density(200, 400) == pytest.approx(0.01)
 
+    def test_default_density_is_capped_for_few_rows(self):
+        # 4 / m exceeds 1 below four rows; the default is then a dense A
+        assert default_density(3, 3) == 1.0
+        inst = generate_instance(3, 3, 2)
+        assert inst.density == 1.0
+        assert inst.a.count_nonzero() == 9
+
     def test_lipschitz_is_frobenius_of_gram(self):
         inst = generate_instance(20, 40, 3, seed=5)
         ata = (inst.a.T @ inst.a).toarray()

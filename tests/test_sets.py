@@ -355,6 +355,30 @@ class TestInexactProjectSpectrahedron:
         ref2 = exact_project_spectrahedron(v2)
         assert frobenius_norm(res2.point - ref2) < 1e-7
 
+    def test_records_a_dense_fill_below_full_rank(self):
+        # n <= 20 makes ARPACK's Krylov basis span the whole space, so the
+        # dense eigh fills the cache although the accepted rank is small
+        n = 15
+        rng = np.random.default_rng(83)
+        v = symmetrize(rng.standard_normal((n, n)))
+        res = inexact_project_spectrahedron(v, random_feasible_spectra(rng, n),
+                                            ForcingParams(1.0, 0.4, 0.4),
+                                            PHI1, p_start=1)
+        assert res.rank_used < n
+        assert res.dense_fill is True
+        assert (res.fills, res.matvecs) == (1, 0)
+
+    def test_records_arpack_products(self):
+        n = 120
+        rng = np.random.default_rng(84)
+        v = symmetrize(rng.standard_normal((n, n)))
+        res = inexact_project_spectrahedron(v, np.eye(n) / n,
+                                            ForcingParams(1.0, 0.4, 0.4),
+                                            PHI1, p_start=1)
+        assert res.dense_fill is False
+        assert res.fills >= 1
+        assert 0 < res.matvecs <= 2 * n
+
     def test_p_start_bounds(self):
         with pytest.raises(ValueError):
             inexact_project_spectrahedron(np.eye(3), np.eye(3) / 3,
