@@ -19,12 +19,14 @@ a point (P = H Y, S sparse), and ``StepOperator`` is the projection input
 V = X - alpha G, which ``IncrementalEigen`` applies through its factors.
 Scalars (norms, inner products, distances) come from r x r matrices; each
 type forms its dense n x n matrix only through ``dense()`` (also reached by
-``np.asarray``).
+``np.asarray``), and a ``StepOperator`` also through ``lower_fortran()``,
+the one triangle a LAPACK eigensolver reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
@@ -260,6 +262,20 @@ class StepOperator(_DenseArithmetic):
         v += z_plus @ z_plus.T
         v -= z_minus @ z_minus.T
         return v
+
+    def lower_fortran(self) -> np.ndarray:
+        """V's lower triangle in a new Fortran-ordered array, for a LAPACK
+        routine that reads one triangle and may overwrite its input.
+
+        S_alpha fills the array and two ``dsyrk`` updates add Z+ Z+^T and
+        -Z- Z-^T to its lower triangle in place, so no other n x n array is
+        made; the upper triangle holds S_alpha alone.
+        """
+        out = self._s.toarray(order="F")
+        for sign, z in ((1.0, self._z[:, :self._r]),
+                        (-1.0, self._z[:, self._r:])):
+            out = dsyrk(sign, z, beta=1.0, c=out, lower=1, overwrite_c=1)
+        return out
 
 
 class _BudgetExhausted(Exception):

@@ -20,17 +20,21 @@ Both spectrahedron projections return their point factored, as a
 rank-p projector also takes a factored input: a ``StepOperator`` V (the
 solvers' X - alpha grad f(X)), which ARPACK applies through its factors,
 and a ``LowRank`` anchor U, whose ||U||^2 and q^T U q come from its factor.
-Dense n x n work remains only where an input is dense: a dense V is
-symmetrized, the exact projection and the dense fill of the eigensolver
-decompose V as a matrix.
+The exact projection of a ``StepOperator`` forms V once, as the lower
+triangle LAPACK reads, and computes only the eigenpairs above a Ky Fan lower
+bound on the simplex threshold, taken from the anchor's factor.  A dense V
+is symmetrized and fully decomposed, and the dense fill of the eigensolver
+decomposes V as a matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import (
     EigenSolverError,
@@ -253,16 +257,46 @@ def _positive_factor(vals: np.ndarray, vecs: np.ndarray,
     return LowRank(vecs[:, keep] * np.sqrt(lam[keep]))
 
 
+# Lowers the Ky Fan bound of ``_pairs_above_threshold`` by this much times
+# max(1, ||V||_F), well above the rounding of the trace and of the
+# eigenvalues LAPACK selects against it.
+_THRESHOLD_MARGIN = 1e-9
+
+
+def _pairs_above_threshold(v: StepOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of V = X - alpha G that include every one whose
+    eigenvalue exceeds the simplex threshold of V's spectrum.
+
+    The threshold is theta = max_j (lam_1 + ... + lam_j - 1)/j, and for any
+    orthonormal Q with k columns lam_1 + ... + lam_k >= tr(Q^T V Q) (Ky Fan),
+    so theta >= lo = (tr(Q^T V Q) - 1)/k.  Q is the Householder Q factor of
+    the anchor's factor Y, orthonormal even when Y is rank deficient (an
+    Armijo trial stacks two factors), and near a solution it spans V's top
+    eigenvectors, so lo is close to theta.  LAPACK's MRRR driver (``evr``)
+    computes only the pairs above lo, from V's lower triangle, which
+    ``lower_fortran`` forms in one array that LAPACK may overwrite.
+    """
+    q = np.linalg.qr(v.anchor.factor)[0]
+    margin = _THRESHOLD_MARGIN * max(1.0, math.sqrt(v.sq_norm))
+    lo = (float(np.vdot(q, v @ q)) - 1.0) / q.shape[1] - margin
+    return scipy.linalg.eigh(v.lower_fortran(), lower=True, overwrite_a=True,
+                             subset_by_value=(lo, np.inf), driver="evr")
+
+
 def exact_project_spectrahedron(v) -> LowRank:
     """Exact projection onto {W symmetric PSD, tr W = 1}.
 
-    Full eigendecomposition of the symmetric part (a ``StepOperator`` is
-    symmetric and is formed as it is), then projection of the eigenvalues
-    onto the simplex; the result is factored over the positive weights.
+    The eigenvalues of the symmetric part of V are projected onto the
+    simplex, and the result is factored over the positive weights.  A dense
+    V is symmetrized and fully decomposed.  For a ``StepOperator`` only the
+    eigenpairs above a lower bound on the simplex threshold are computed
+    (see ``_pairs_above_threshold``); every pair with a positive weight is
+    among them, so the threshold and W are those of the full decomposition.
     """
-    vs = (v.dense() if isinstance(v, StepOperator)
-          else symmetrize(np.asarray(v, dtype=float)))
-    evals, evecs = np.linalg.eigh(vs)
+    if isinstance(v, StepOperator):
+        evals, evecs = _pairs_above_threshold(v)
+    else:
+        evals, evecs = np.linalg.eigh(symmetrize(np.asarray(v, dtype=float)))
     return _positive_factor(evals, evecs, project_simplex(evals))
 
 

@@ -214,7 +214,13 @@ class ArmijoConfig:
 
 @dataclass
 class IterationRecord:
-    """Scalar telemetry for one outer iteration."""
+    """Scalar telemetry for one outer iteration.
+
+    ``p_used``, ``certificate_gap``, ``phi_value`` and the eigensolver work
+    ``matvecs``, ``fills`` and ``dense_fill`` are copied from the
+    projection; they are ``None`` where it does not report them (an exact
+    projection reports none of them).
+    """
 
     k: int
     f_x: float
@@ -237,6 +243,9 @@ class IterationRecord:
     p_used: int | None = None
     certificate_gap: float | None = None
     phi_value: float | None = None
+    matvecs: int | None = None
+    fills: int | None = None
+    dense_fill: bool | None = None
     dist_to_ref: float | None = None
 
     def to_dict(self) -> dict:
@@ -409,7 +418,8 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             step_norm=step, rel_change=rel,
             wall_time=time.perf_counter() - t0,
             p_used=proj.rank_used, certificate_gap=proj.certificate_gap,
-            phi_value=proj.phi_value,
+            phi_value=proj.phi_value, matvecs=proj.matvecs,
+            fills=proj.fills, dense_fill=proj.dense_fill,
             dist_to_ref=(None if track_distance_to is None
                          else _norm(_dense(x) - track_distance_to)),
             **params_fields, **move_fields))

@@ -17,6 +17,7 @@ from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
 from ipgm.sets import (
     ExactProjectionAdapter,
     Spectrahedron,
+    _pairs_above_threshold,
     exact_project_spectrahedron,
     inexact_project_spectrahedron,
 )
@@ -134,6 +135,87 @@ class TestFactoredProjection:
         assert fact.certificate_gap == pytest.approx(dense.certificate_gap,
                                                      rel=1e-6, abs=1e-12)
         assert _max_abs(fact.point - dense.point) <= 1e-9
+
+
+def _reanchored(g: FactoredGradient, alpha: float, anchor: LowRank
+                ) -> StepOperator:
+    """g.step(alpha), the same matrix V, with ``anchor`` as its anchor."""
+    half = (0.5 * alpha) * g.p
+    op = g.step(alpha)
+    return StepOperator(anchor, g.point.factor - half, half, alpha * g.s,
+                        sq_norm=op.sq_norm, sq_dist=op.sq_dist)
+
+
+def _check_exact_projection(op: StepOperator) -> None:
+    """The projection of the operator is that of its dense matrix under a
+    full eigendecomposition."""
+    w = exact_project_spectrahedron(op)
+    ref = exact_project_spectrahedron(op.dense())
+    assert isinstance(w, LowRank)
+    assert w.rank == ref.rank
+    assert _max_abs(w.dense() - ref.dense()) <= 1e-12
+    assert np.trace(w.dense()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExactProjectionOfOperator:
+    """The exact projection of a ``StepOperator`` computes only the pairs
+    above (tr(Q^T V Q) - 1)/k, Q the Q factor of the anchor's factor."""
+
+    def _step(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        inst = generate_instance(60, 120, 6, seed=seed)
+        x = _unit_trace_point(rng, 60, 4)
+        _, g = inst.value_and_gradient(x)
+        return g, constant_alpha_from_gamma(inst.lipschitz_L, 0.0)
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_solver_iterates(self, rule):
+        ops = []
+
+        @dataclass(frozen=True)
+        class Recording(Spectrahedron):
+            def exact_project(self, v):
+                if isinstance(v, StepOperator):
+                    ops.append(v)
+                return super().exact_project(v)
+
+        inst = generate_instance(40, 80, 5, seed=36)
+        _solve(inst.objective(), Recording(inst.n), inst, rule, "exact", 0.0)
+        assert len(ops) > 5
+        for op in ops:
+            _check_exact_projection(op)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_anchor_spanning_the_top_eigenvectors(self, seed):
+        # Q spans the eigenvectors with positive weights, so the bound is
+        # the threshold itself, less its margin, and only they are computed
+        g, alpha = self._step(seed)
+        vecs = np.linalg.eigh(g.step(alpha).dense())[1]
+        k = exact_project_spectrahedron(g.step(alpha)).rank
+        op = _reanchored(g, alpha, LowRank(vecs[:, -k:] / np.sqrt(k)))
+        assert _pairs_above_threshold(op)[0].size == k
+        _check_exact_projection(op)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_anchor_orthogonal_to_the_top_eigenvectors(self, seed):
+        # Q spans the bottom of the spectrum: the bound is loose and many
+        # more pairs than the positive weights are computed
+        g, alpha = self._step(seed)
+        vecs = np.linalg.eigh(g.step(alpha).dense())[1]
+        k = exact_project_spectrahedron(g.step(alpha)).rank
+        op = _reanchored(g, alpha, LowRank(vecs[:, :k] / np.sqrt(k)))
+        assert _pairs_above_threshold(op)[0].size > 5 * k
+        _check_exact_projection(op)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_factor_with_duplicated_columns(self, seed):
+        # an Armijo trial [sqrt(1 - t) Y, sqrt(t) Y] of a point with itself
+        # has a rank-deficient factor; its Householder Q is orthonormal
+        g, alpha = self._step(seed)
+        y = g.point.factor
+        stacked = LowRank(np.hstack([np.sqrt(0.7) * y, np.sqrt(0.3) * y]))
+        assert np.linalg.matrix_rank(stacked.factor) < stacked.rank
+        _check_exact_projection(_reanchored(g, alpha, stacked))
 
 
 @dataclass(frozen=True)

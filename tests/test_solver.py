@@ -327,6 +327,36 @@ class TestRecordFields:
                 assert c.checked > 0 or c.name == "contraction", c
         assert [r.tau for r in runs[1].records] == [1.0]
 
+    @pytest.mark.parametrize("proj", ["inexact", "exact"])
+    def test_projection_work_is_copied_from_the_projection(self, proj):
+        from ipgm.sets import Spectrahedron
+
+        results = []
+
+        @dataclass(frozen=True)
+        class RecordingSpectrahedron(Spectrahedron):
+            def inexact_project(self, v, u, gamma, phi, state=None):
+                res = super().inexact_project(v, u, gamma, phi, state=state)
+                results.append(res)
+                return res
+
+        inst = generate_instance(20, 40, 3, seed=91)
+        cset = RecordingSpectrahedron(20)
+        if proj == "exact":
+            cset = ExactProjectionAdapter(cset)
+        res = solve_armijo(inst.objective(), cset, starting_point(0.0, 20),
+                           ArmijoConfig(max_iter=30))
+        assert res.records
+        work = [(r.matvecs, r.fills, r.dense_fill) for r in res.records]
+        if proj == "exact":
+            assert not results
+            assert all(w == (None, None, None) for w in work)
+        else:
+            assert work == [(p.matvecs, p.fills, p.dense_fill)
+                            for p in results[:len(work)]]
+            assert all(fills >= 1 and isinstance(dense, bool)
+                       for _, fills, dense in work)
+
     def test_algorithm_follows_config_type(self):
         qp = make_boxqp(6, 0.5, 5.0, seed=14)
         res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(6),
