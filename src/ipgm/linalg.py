@@ -1,22 +1,28 @@
 """Dense symmetric-matrix algebra and a partial eigensolver.
 
 The projection oracles in this package repeatedly ask for a handful of
-algebraically largest eigenpairs of dense symmetric matrices that change
-slowly between calls.  ``IncrementalEigen`` is the one way to get them: a
-cache over a fixed matrix, filled by ARPACK's implicitly restarted Lanczos
-(``scipy.sparse.linalg.eigsh``) on the shifted matrix ``S + 2 max(1,
-||S||_F) I``, warm-started from earlier eigenvectors, with every returned
-pair certified by its residual and the returned vectors certified
-orthonormal.  Each cache spends at most ``2 n`` matrix-vector products;
-when they run out, or when ARPACK's Krylov basis would span the whole
-space, one dense ``eigh`` fills the cache instead.
-``largest_eigenpair`` is the single-pair call the support point makes.
+algebraically largest eigenpairs of symmetric matrices that change slowly
+between calls.  ``IncrementalEigen`` is the one way to get them: a cache
+over a fixed matrix, with every returned pair certified by its residual and
+the returned vectors certified orthonormal.  It is filled in one of three
+ways.  A ``StepOperator`` whose range has a known basis of at most n/4
+columns gets a range fill: one ``eigh`` of V restricted to that basis gives
+V's whole nonzero spectrum.  Otherwise ARPACK's implicitly restarted
+Lanczos (``scipy.sparse.linalg.eigsh``) runs on the shifted matrix ``S + 2
+max(1, ||S||_F) I``, warm-started from earlier eigenvectors, within a budget
+of ``2 n`` matrix-vector products; when they run out, or when ARPACK's
+Krylov basis would span the whole space, one dense ``eigh`` fills the cache
+instead.  ``largest_eigenpair`` is the single-pair call the support point
+makes.
 
 Iterates of the spectrahedron solvers are low rank, and three types keep
 them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
 ``FactoredGradient`` is the gradient sym(P Y^T) - S of a quadratic at such
 a point (P = H Y, S sparse), and ``StepOperator`` is the projection input
 V = X - alpha G, which ``IncrementalEigen`` applies through its factors.
+With X = Y Y^T the step is V = Z+ Z+^T - Z- Z-^T + alpha S, so range(V) lies
+in the span of S's range (a basis the objective supplies) and the 2 r
+columns of Z+ and Z-.
 Scalars (norms, inner products, distances) come from r x r matrices; each
 type forms its dense n x n matrix only through ``dense()`` (also reached by
 ``np.asarray``), and a ``StepOperator`` also through ``lower_fortran()``,
@@ -24,6 +30,8 @@ the one triangle a LAPACK eigensolver reads.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
@@ -39,6 +47,7 @@ __all__ = [
     "LowRank",
     "FactoredGradient",
     "StepOperator",
+    "range_fill_fits",
 ]
 
 # Residual tolerance of every returned pair, relative to max(1, ||S||_F),
@@ -52,6 +61,24 @@ _PRODUCTS_PER_N = 2
 # Norm of the random part of an ARPACK start vector whose warm part has unit
 # norm: enough for every eigenvector to get a share above rounding.
 _START_NOISE = 1e-2
+
+# A range fill runs while the basis of V's range has at most this share of n
+# columns.  Whole inexact solves (constant step and Armijo, one instance per
+# omega, best of two, 2-core VM, OpenBLAS 1 thread) took this share of the
+# ARPACK time with the range fill, at k/n = (rank S + 2 r)/n:
+#   n=200: 0.70 at 0.14, 0.83 at 0.32, 0.96 at 0.56, 1.14 at 0.65;
+#   n=300: 0.76 at 0.17, 0.78 at 0.23, 1.03 at 0.26, 1.41 at 0.43;
+#   n=800: 0.39 at 0.07, 0.61 at 0.15, 0.77 at 0.27.
+_RANGE_SHARE = 0.25
+
+# A column of Q_Z with a component above this along Q_S is projected again.
+_PAD_TOL = 1e-12
+
+
+def range_fill_fits(k: int, n: int) -> bool:
+    """Whether a range basis of k columns in dimension n takes the range
+    fill of ``IncrementalEigen`` rather than ARPACK."""
+    return k <= _RANGE_SHARE * n
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -169,13 +196,18 @@ class FactoredGradient(_DenseArithmetic):
     (<G, W> for a factored W) and ``secant`` come from r x r products, and
     ``step(alpha)`` is the projection input X - alpha G as an operator.
     ``s_sq_norm`` is ||S||_F^2 and ``sy`` is S Y when the caller has them.
+    ``s_range``, when given, is a callable that returns S's range as
+    (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal, or ``None``; it
+    is handed to the step operator and called only by a range fill.
     """
 
-    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy=None):
+    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy=None,
+                 s_range=None):
         y = point.factor
         self.point = point
         self.p = np.asarray(p, dtype=float)
         self.s = s
+        self.s_range = s_range
         if sy is None:
             sy = s @ y
         yp = y.T @ self.p  # Y^T H Y
@@ -203,9 +235,12 @@ class FactoredGradient(_DenseArithmetic):
         x = self.point
         sq_norm = max(0.0, x.sq_norm - 2.0 * alpha * self._inner_point
                       + alpha * alpha * self.sq_norm)
+        s_range = (None if self.s_range is None
+                   else functools.partial(_scaled_range, self.s_range, alpha))
         return StepOperator(x, x.factor - half, half, alpha * self.s,
                             sq_norm=sq_norm,
-                            sq_dist=alpha * alpha * self.sq_norm)
+                            sq_dist=alpha * alpha * self.sq_norm,
+                            s_range=s_range)
 
     def secant(self, prev: "FactoredGradient") -> tuple[float, float]:
         """(<s, s>, <s, y>) for s = X - X_prev and y = G - G_prev.
@@ -224,6 +259,12 @@ class FactoredGradient(_DenseArithmetic):
         return symmetrize(self.p @ self.point.factor.T) - self.s.toarray()
 
 
+def _scaled_range(s_range, alpha: float):
+    """The range of alpha S from that of S."""
+    basis = s_range()
+    return None if basis is None else (basis[0], alpha * basis[1])
+
+
 class StepOperator(_DenseArithmetic):
     """The projection input V = X - alpha G at a factored point X, applied
     through its factors.
@@ -232,15 +273,18 @@ class StepOperator(_DenseArithmetic):
     Z- = (alpha/2) P and S_alpha = alpha S sparse, so ``V @ x`` costs
     O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
     alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
-    exactly symmetric from S_alpha and two rank-r updates.
+    exactly symmetric from S_alpha and two rank-r updates.  ``s_range``,
+    when given, is a callable that returns S_alpha's range as (Q_S, mu) or
+    ``None``; ``range_ritz()`` then takes V's spectrum from its range.
     """
 
     def __init__(self, anchor: LowRank, z_plus, z_minus, s, sq_norm: float,
-                 sq_dist: float):
+                 sq_dist: float, s_range=None):
         self.anchor = anchor
         self._r = z_plus.shape[1]
         self._z = np.hstack([z_plus, z_minus])
         self._s = s
+        self._s_range = s_range
         self.sq_norm = sq_norm
         self.sq_dist = sq_dist
 
@@ -277,6 +321,47 @@ class StepOperator(_DenseArithmetic):
             out = dsyrk(sign, z, beta=1.0, c=out, lower=1, overwrite_c=1)
         return out
 
+    def range_ritz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """V's nonzero spectrum from an orthonormal basis Q of its range.
+
+        range(V) lies in span(Q_S, Z) with Z = [Z+, Z-], so with
+        Q = [Q_S, Q_Z] orthonormal, Q_Z spanning Z's part outside Q_S, V =
+        Q T Q^T for the k x k T = (Q^T Z) diag(+1, -1) (Q^T Z)^T +
+        diag(mu, 0), k = rank S + 2 r.  Returns (vals, Q, U) with
+        T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V are
+        (vals, Q U) together with n - k zeros.  ``None`` when S_alpha's range
+        is unknown or k is over the range-fill bound.
+        """
+        basis = None if self._s_range is None else self._s_range()
+        if basis is None:
+            return None
+        q_s, mu = basis
+        z, r = self._z, self._r
+        if not range_fill_fits(q_s.shape[1] + z.shape[1], z.shape[0]):
+            return None
+        # Z's part outside range(S); the second pass removes what rounding
+        # leaves of the first
+        rest = z - q_s @ (q_s.T @ z)
+        rest -= q_s @ (q_s.T @ rest)
+        q_z = np.linalg.qr(rest)[0]
+        # a rank-deficient Z (an Armijo trial stacks two factors) gets pad
+        # columns from the Householder reflectors, which may lean on Q_S, and
+        # so may the columns after them; their projection still spans Z's
+        # part outside Q_S
+        c = q_s.T @ q_z
+        pad = np.max(np.abs(c), axis=0, initial=0.0) > _PAD_TOL
+        if pad.any():
+            q_z = np.linalg.qr(np.hstack(
+                [q_z[:, ~pad], q_z[:, pad] - q_s @ c[:, pad]]))[0]
+        q = np.hstack([q_s, q_z])
+        w = q.T @ z
+        t = w[:, :r] @ w[:, :r].T
+        t -= w[:, r:] @ w[:, r:].T
+        rank_s = mu.size
+        t[np.arange(rank_s), np.arange(rank_s)] += mu
+        vals, u = np.linalg.eigh(t)
+        return vals[::-1], q, u[:, ::-1]
+
 
 class _BudgetExhausted(Exception):
     """Raised from inside ARPACK's reverse-communication loop."""
@@ -286,20 +371,31 @@ class IncrementalEigen:
     """Top-of-spectrum eigenpairs of a fixed matrix, computed on demand.
 
     ``top(k)`` returns the ``k`` algebraically largest eigenvalues, in
-    non-increasing order, and their eigenvectors as columns.  A request
-    beyond the cache refills it (``fills`` counts this; every cached vector
-    is replaced) by ARPACK (``eigsh``) started from the cached pairs, or
-    from the ``warm_start`` columns while the cache is empty.  ``matrix`` is
-    a dense symmetric array or a ``StepOperator``, which ARPACK applies
-    through its factors and which is formed densely only for a dense fill.
-    Each pair has a residual of at most ``EIG_TOL max(1, ||S||_F)`` and the
-    vectors are orthonormal to ``EIG_TOL``.  ARPACK runs only while its
-    Krylov basis is smaller than ``n`` and the budget of ``2 n`` products
-    (``matvecs_used``, certificates included) lasts; otherwise, or when the
-    budget runs out partway, one dense ``eigh`` caches every pair and sets
+    non-increasing order, and their eigenvectors as columns.  ``matrix`` is
+    a dense symmetric array or a ``StepOperator``, which is applied through
+    its factors and formed densely only for a dense fill.  Each pair has a
+    residual of at most ``EIG_TOL max(1, ||S||_F)`` and the vectors are
+    orthonormal to ``EIG_TOL``; ``matvecs_used`` counts the products spent,
+    certificates included.
+
+    A ``StepOperator`` whose ``range_ritz()`` gives a basis of at most n/4
+    columns is served by a range fill: one ``eigh`` of the matrix V takes
+    on that basis, counted as one fill, whose vectors each request
+    certifies as it adds them.  ``range_dim`` is then the basis' width.  It
+    serves ``top(k)`` only while the k-th largest value is above the
+    residual tolerance, since V's other eigenvalues are zeros; the first
+    request it does not serve ends it, and ``range_dim`` returns to
+    ``None``.
+
+    Any other request beyond the cache refills it (``fills`` counts this;
+    every cached vector is replaced) by ARPACK (``eigsh``) started from the
+    cached pairs, or from the ``warm_start`` columns while the cache is
+    empty.  ARPACK runs only while its Krylov basis is smaller than ``n``
+    and the budget of ``2 n`` products lasts; otherwise, or when the budget
+    runs out partway, one dense ``eigh`` caches every pair and sets
     ``dense_fill``.  ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds
-    ``max(1, ||S||_F)``; a matrix whose Frobenius norm is not finite
-    raises :class:`EigenSolverError`.
+    ``max(1, ||S||_F)``; a matrix whose Frobenius norm is not finite raises
+    :class:`EigenSolverError`.
     """
 
     def __init__(self, matrix, warm_start: np.ndarray | None = None):
@@ -328,12 +424,15 @@ class IncrementalEigen:
         self.matvecs_used = 0
         self.fills = 0
         self.dense_fill = False
+        self.range_dim = None
+        # (vals, Q, U) of the range fill while it serves
+        self._ritz = a.range_ritz() if isinstance(a, StepOperator) else None
         self._rng = np.random.default_rng(0x5EED1E55)
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= k <= self.n:
             raise ValueError(f"need 1 <= k <= {self.n}, got {k}")
-        if k > self._vals.size:
+        if k > self._vals.size and not self._from_range(k):
             # Callers that need several pairs (the rank-p projector asks for
             # p+1, then p+2, ...) get one pair ahead, so the next request is
             # served from the cache.  A single largest pair gets none: the
@@ -343,6 +442,60 @@ class IncrementalEigen:
             self._vals, self._vecs = self._solve(want)
             self.fills += 1
         return self._vals[:k], self._vecs[:, :k]
+
+    def _from_range(self, k: int) -> bool:
+        """Extend the cache to ``k`` pairs from the range fill, or return
+        False when it does not serve them.
+
+        The fill is the one ``eigh`` of ``StepOperator.range_ritz``; each
+        request certifies only the vectors it adds.  It serves only while
+        the k-th value is above ``tol_abs``: V's eigenvalues outside the
+        basis are zeros that T does not hold, so a value of T at or below
+        zero need not be among V's largest.  A request it does not serve
+        ends the range fill for this cache.
+        """
+        if self._ritz is None:
+            return False
+        vals, q, u = self._ritz
+        if k > vals.size or vals[k - 1] <= self.tol_abs:
+            self._ritz, self.range_dim = None, None
+            return False
+        done = self._vals.size
+        if done == 0:
+            self.fills += 1
+            self.range_dim = q.shape[1]
+        new = q @ u[:, done:k]
+        self._certify(new, vals[done:k], "the range fill")
+        self._vals = vals[:k]
+        self._vecs = np.hstack([self._vecs, new])
+        return True
+
+    def _certify(self, q: np.ndarray, vals: np.ndarray | None, source: str
+                 ) -> np.ndarray:
+        """Certify the new cached vectors ``q`` and return their values.
+
+        One block product gives every residual, and the Rayleigh quotients
+        when ``vals`` is None; ``q`` must be orthonormal and orthogonal to
+        the vectors already cached.
+        """
+        aq = self._a @ q
+        self.matvecs_used += q.shape[1]
+        if vals is None:
+            vals = np.einsum("ij,ij->j", q, aq)
+        worst = float(np.max(np.linalg.norm(aq - q * vals, axis=0)))
+        if worst > self.tol_abs:
+            raise EigenSolverError(
+                f"{source} returned a pair with residual {worst:.3e} above "
+                f"the tolerance {self.tol_abs:.3e}", best_residual=worst)
+        # callers build scalar identities on Q, so Q^T Q = I is certified too
+        gram = (np.hstack([self._vecs, q]) if self._vecs.size else q).T @ q
+        gram[self._vecs.shape[1]:] -= np.eye(q.shape[1])
+        drift = float(np.max(np.abs(gram)))
+        if drift > EIG_TOL:
+            raise EigenSolverError(
+                f"{source} returned vectors {drift:.3e} from orthonormal, "
+                f"above the tolerance {EIG_TOL:.3e}", best_residual=worst)
+        return vals
 
     def _solve(self, want: int) -> tuple[np.ndarray, np.ndarray]:
         a, n = self._a, self.n
@@ -383,21 +536,9 @@ class IncrementalEigen:
                          maxiter=stop, rng=self._rng)
         except _BudgetExhausted:
             return self._dense()
-        # certify: one block product gives every Rayleigh quotient and residual
-        aq = a @ q
-        self.matvecs_used += want
-        vals = np.einsum("ij,ij->j", q, aq)
-        worst = float(np.max(np.linalg.norm(aq - q * vals, axis=0)))
-        if worst > self.tol_abs:
-            raise EigenSolverError(
-                f"ARPACK returned a pair with residual {worst:.3e} above the "
-                f"tolerance {self.tol_abs:.3e}", best_residual=worst)
-        # callers build scalar identities on Q, so Q^T Q = I is certified too
-        drift = float(np.max(np.abs(q.T @ q - np.eye(want))))
-        if drift > EIG_TOL:
-            raise EigenSolverError(
-                f"ARPACK returned vectors {drift:.3e} from orthonormal, above "
-                f"the tolerance {EIG_TOL:.3e}", best_residual=worst)
+        # a refill replaces every cached vector
+        self._vals, self._vecs = np.empty(0), np.empty((n, 0))
+        vals = self._certify(q, None, "ARPACK")
         order = np.argsort(-vals, kind="stable")
         return vals[order], q[:, order]
 

@@ -18,8 +18,9 @@ Both spectrahedron projections return their point factored, as a
 ``LowRank`` W = Y Y^T with Y = Q sqrt(lam) from the eigenpairs they used;
 ``np.asarray`` forms the dense matrix for a caller that needs it.  The
 rank-p projector also takes a factored input: a ``StepOperator`` V (the
-solvers' X - alpha grad f(X)), which ARPACK applies through its factors,
-and a ``LowRank`` anchor U, whose ||U||^2 and q^T U q come from its factor.
+solvers' X - alpha grad f(X)), whose top eigenpairs come from a basis of its
+range or from ARPACK applying it through its factors, and a ``LowRank``
+anchor U, whose ||U||^2 and q^T U q come from its factor.
 The exact projection of a ``StepOperator`` forms V once, as the lower
 triangle LAPACK reads, and computes only the eigenpairs above a Ky Fan lower
 bound on the simplex threshold, taken from the anchor's factor.  A dense V
@@ -79,8 +80,10 @@ class InexactProjection:
     ``state`` carries warm-start data for the next call on a nearby input.
     ``point`` is a ``LowRank`` for the spectrahedron projections and an
     array otherwise.  The rank-p projector also records the eigensolver's
-    work: ``matvecs`` (products the cache spent), ``fills`` (cache fills)
-    and ``dense_fill`` (whether a dense ``eigh`` filled it).
+    work: ``matvecs`` (products the cache spent), ``fills`` (cache fills),
+    ``dense_fill`` (whether a dense ``eigh`` filled it), ``ranks_tried``
+    (p_used - p_start + 1) and ``range_dim`` (the dimension k of the range
+    fill that served the pairs, ``None`` when ARPACK or the dense fill did).
     """
 
     point: np.ndarray | LowRank
@@ -91,6 +94,8 @@ class InexactProjection:
     matvecs: int | None = None
     fills: int | None = None
     dense_fill: bool | None = None
+    ranks_tried: int | None = None
+    range_dim: int | None = None
 
 
 class ConvexSetOracle:
@@ -348,10 +353,14 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     ||U||^2 and q^T U q from its factor.  The accepted W_p is returned as
     the ``LowRank`` factor Q_p sqrt(lam).
 
-    The pairs come from one ``IncrementalEigen`` per call, whose product
-    budget bounds the cost: once it is spent, a dense eigendecomposition
-    serves every later rank.  The returned state restarts the next call at
-    rank p - 1 from the first p + 1 vectors.
+    The pairs come from one ``IncrementalEigen`` per call.  For a
+    ``StepOperator`` with a known range basis of k <= n/4 columns one
+    ``eigh`` of a k x k matrix serves every rank whose pairs have positive
+    eigenvalues (``range_dim`` records k); otherwise ARPACK serves them
+    within a product budget, and once that is spent a dense
+    eigendecomposition serves every later rank.  The returned state
+    restarts the next call at rank p - 1 from the first p + 1 vectors, and
+    ``ranks_tried`` is p - p_start + 1.
     """
     if isinstance(v, StepOperator):
         vs = v
@@ -416,7 +425,9 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
                              certificate_gap=float(-lhs - phi_val),
                              phi_value=phi_val, state=state,
                              matvecs=cache.matvecs_used, fills=cache.fills,
-                             dense_fill=cache.dense_fill)
+                             dense_fill=cache.dense_fill,
+                             ranks_tried=p - p_start + 1,
+                             range_dim=cache.range_dim)
 
 
 @dataclass(frozen=True)

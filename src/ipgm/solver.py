@@ -217,9 +217,9 @@ class IterationRecord:
     """Scalar telemetry for one outer iteration.
 
     ``p_used``, ``certificate_gap``, ``phi_value`` and the eigensolver work
-    ``matvecs``, ``fills`` and ``dense_fill`` are copied from the
-    projection; they are ``None`` where it does not report them (an exact
-    projection reports none of them).
+    ``matvecs``, ``fills``, ``dense_fill``, ``ranks_tried`` and
+    ``range_dim`` are copied from the projection; they are ``None`` where it
+    does not report them (an exact projection reports none of them).
     """
 
     k: int
@@ -246,6 +246,8 @@ class IterationRecord:
     matvecs: int | None = None
     fills: int | None = None
     dense_fill: bool | None = None
+    ranks_tried: int | None = None
+    range_dim: int | None = None
     dist_to_ref: float | None = None
 
     def to_dict(self) -> dict:
@@ -420,6 +422,7 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             p_used=proj.rank_used, certificate_gap=proj.certificate_gap,
             phi_value=proj.phi_value, matvecs=proj.matvecs,
             fills=proj.fills, dense_fill=proj.dense_fill,
+            ranks_tried=proj.ranks_tried, range_dim=proj.range_dim,
             dist_to_ref=(None if track_distance_to is None
                          else _norm(_dense(x) - track_distance_to)),
             **params_fields, **move_fields))

@@ -11,13 +11,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from ipgm.linalg import FactoredGradient, LowRank, StepOperator
+import scipy.sparse as sp
+
+from ipgm.linalg import (
+    EigenSolverError,
+    FactoredGradient,
+    IncrementalEigen,
+    LowRank,
+    StepOperator,
+)
 from ipgm.problems import generate_instance, starting_point
 from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
 from ipgm.sets import (
     ExactProjectionAdapter,
     Spectrahedron,
     _pairs_above_threshold,
+    certify_inexact_projection,
     exact_project_spectrahedron,
     inexact_project_spectrahedron,
 )
@@ -216,6 +225,162 @@ class TestExactProjectionOfOperator:
         stacked = LowRank(np.hstack([np.sqrt(0.7) * y, np.sqrt(0.3) * y]))
         assert np.linalg.matrix_rank(stacked.factor) < stacked.rank
         _check_exact_projection(_reanchored(g, alpha, stacked))
+
+
+def _check_against_eigh(cache: IncrementalEigen, op: StepOperator,
+                        k: int) -> None:
+    """``top(k)`` agrees with a dense ``eigh`` of the operator's matrix
+    within the residual tolerance, and its pairs pass the certificate."""
+    vals, vecs = cache.top(k)
+    dense = op.dense()
+    ref = np.linalg.eigvalsh(dense)[::-1][:k]
+    assert _max_abs(vals - ref) <= cache.tol_abs
+    assert np.all(np.diff(vals) <= 0.0)
+    residual = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
+    assert np.max(residual) <= cache.tol_abs
+    assert _max_abs(vecs.T @ vecs - np.eye(k)) <= 1e-12
+
+
+def _lsq_step(seed: int, factor: np.ndarray):
+    """An instance with a range basis (n=120, omega 5) and the step
+    operator at the point with the given factor."""
+    inst = generate_instance(120, 240, 5, seed=seed)
+    _, g = inst.value_and_gradient(LowRank(factor))
+    return inst, g.step(constant_alpha_from_gamma(inst.lipschitz_L, 0.0))
+
+
+class TestRangeFill:
+    """Top eigenpairs of V = Z+ Z+^T - Z- Z-^T + alpha S from an orthonormal
+    basis [Q_S, Q_Z] of its range, k = rank S + 2 r columns."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_factored_points(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        x = _unit_trace_point(rng, 120, 4)
+        inst, op = _lsq_step(seed, x.factor)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 3)
+        _check_against_eigh(cache, op, 7)  # extends the same fill
+        rank_s = inst.s_range()[0].shape[1]
+        assert cache.range_dim == rank_s + 2 * 4
+        assert cache.fills == 1 and cache.matvecs_used == 7
+        assert not cache.dense_fill
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_rank_deficient_factors(self, seed):
+        # an Armijo trial [sqrt(1 - t) Y, sqrt(t) Y] of a point with itself:
+        # Z has duplicated directions and its QR pads with columns that lean
+        # on Q_S until they are projected again
+        y = _unit_trace_point(np.random.default_rng(70 + seed), 120, 3).factor
+        stacked = np.hstack([np.sqrt(0.7) * y, np.sqrt(0.3) * y])
+        assert np.linalg.matrix_rank(stacked) < stacked.shape[1]
+        inst, op = _lsq_step(seed, stacked)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 6)
+        assert cache.range_dim == inst.s_range()[0].shape[1] + 2 * 6
+
+    def test_fewer_positive_eigenvalues_than_requested(self):
+        # V = Z+ Z+^T - Z- Z-^T - E_J E_J^T has two positive eigenvalues,
+        # n - 13 zeros and the rest negative; T holds no zero, so its third
+        # value is negative and must not be reported
+        n, rng = 60, np.random.default_rng(80)
+        cols = np.arange(10)
+        q_s, mu = np.eye(n)[:, cols], -np.ones(cols.size)
+        s = sp.csr_matrix((mu, (cols, cols)), shape=(n, n))
+        z_plus = rng.standard_normal((n, 2))
+        z_minus = rng.standard_normal((n, 1))
+        dense = s.toarray() + z_plus @ z_plus.T - z_minus @ z_minus.T
+
+        def operator():
+            return StepOperator(LowRank(z_plus), z_plus, z_minus, s,
+                                sq_norm=float(np.vdot(dense, dense)),
+                                sq_dist=0.0, s_range=lambda: (q_s, mu))
+
+        vals_t = operator().range_ritz()[0]
+        assert vals_t.size == 13 and vals_t[2] < -0.5
+        served = IncrementalEigen(operator())
+        _check_against_eigh(served, operator(), 2)
+        assert served.range_dim == 13
+        cache = IncrementalEigen(operator())
+        _check_against_eigh(cache, operator(), 4)
+        assert cache.range_dim is None
+        assert np.all(cache.top(4)[0][2:] > -cache.tol_abs)
+
+    def test_a_basis_without_s_fails_the_certificate(self):
+        # a range fill that drops Q_S misses alpha S: its pairs are wrong,
+        # and the residual certificate refuses them
+        x = _unit_trace_point(np.random.default_rng(90), 120, 4)
+        _, op = _lsq_step(0, x.factor)
+        n = op.shape[0]
+        op._s_range = lambda: (np.empty((n, 0)), np.empty(0))
+        with pytest.raises(EigenSolverError, match="range fill") as exc:
+            IncrementalEigen(op).top(3)
+        assert exc.value.best_residual > 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_basis_reproduces_s(self, seed):
+        inst = generate_instance(120, 240, 5, seed=seed)
+        q_s, mu = inst.s_range()
+        s = inst._linear_term[0].toarray()
+        assert _max_abs(q_s.T @ q_s - np.eye(mu.size)) <= 1e-13
+        assert np.linalg.norm((q_s * mu) @ q_s.T - s) <= (
+            1e-13 * np.linalg.norm(s))
+        assert inst.s_range() is inst.s_range()  # built once
+
+
+class TestRangeFillFallback:
+    """Inputs the range fill does not take keep ARPACK or the dense fill
+    and still certify."""
+
+    GAMMA = ForcingParams(0.5, 0.2, 0.0)
+    PHI = ToleranceFn.canonical("phi1")
+
+    def _project(self, v, x):
+        res = inexact_project_spectrahedron(v, x, self.GAMMA, self.PHI)
+        ok, _ = certify_inexact_projection(Spectrahedron(x.shape[0]),
+                                           np.asarray(x), np.asarray(v),
+                                           np.asarray(res.point), self.GAMMA,
+                                           self.PHI)
+        assert ok
+        return res
+
+    def test_wide_b_gets_no_basis(self):
+        # omega 20 at n=120: B has about 40 nonzero columns, over n/4
+        inst = generate_instance(120, 240, 20, seed=3)
+        assert inst.s_range() is None
+        x = _unit_trace_point(np.random.default_rng(91), 120, 4)
+        _, g = inst.value_and_gradient(x)
+        res = self._project(g.step(constant_alpha_from_gamma(
+            inst.lipschitz_L, 0.0)), x)
+        assert res.range_dim is None and res.matvecs > 0
+
+    def test_wide_factor_falls_back(self):
+        # rank S + 2 r over n/4 with a basis at hand
+        x = _unit_trace_point(np.random.default_rng(92), 120, 12)
+        inst, op = _lsq_step(1, x.factor)
+        assert inst.s_range() is not None
+        assert op.range_ritz() is None
+        res = self._project(op, x)
+        assert res.range_dim is None
+
+    def test_dense_input(self):
+        x = _unit_trace_point(np.random.default_rng(93), 120, 2)
+        _, op = _lsq_step(2, x.factor)
+        fact = self._project(op, x)
+        dense = self._project(op.dense(), x.dense())
+        assert fact.range_dim is not None and dense.range_dim is None
+        assert fact.rank_used == dense.rank_used
+        assert _max_abs(fact.point - dense.point) <= 1e-9
+
+    def test_exact_solves_never_build_the_basis(self):
+        inst = generate_instance(120, 240, 5, seed=4)
+        _solve(inst.objective(), inst.feasible_set(), inst, "armijo",
+               "exact", 0.0)
+        assert "_s_range" not in vars(inst)
+        res = _solve(inst.objective(), inst.feasible_set(), inst, "armijo",
+                     "inexact", 0.0)
+        assert "_s_range" in vars(inst)
+        assert any(r.range_dim is not None for r in res.records)
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,27 @@ class TestInexactProjectSpectrahedron:
         assert res.dense_fill is False
         assert res.fills >= 1
         assert 0 < res.matvecs <= 2 * n
+        assert res.range_dim is None  # a dense input has no range basis
+
+    @pytest.mark.parametrize("p_start", [1, 3])
+    def test_records_the_ranks_tried(self, p_start):
+        # eight equal top eigenvalues: a zero budget accepts only rank 8
+        n = 60
+        q, _ = np.linalg.qr(np.random.default_rng(85).standard_normal((n, n)))
+        d = np.concatenate([np.full(8, 0.2), np.linspace(-1.0, 0.0, n - 8)])
+        res = inexact_project_spectrahedron(symmetrize((q * d) @ q.T),
+                                            np.eye(n) / n,
+                                            ForcingParams.zero(), PHI1,
+                                            p_start=p_start)
+        assert res.rank_used == 8
+        assert res.ranks_tried == 8 - p_start + 1
+
+    def test_exact_adapter_records_no_eigensolver_work(self):
+        n = 10
+        v = symmetrize(np.random.default_rng(86).standard_normal((n, n)))
+        res = ExactProjectionAdapter(Spectrahedron(n)).inexact_project(
+            v, np.eye(n) / n, ForcingParams.zero(), PHI1)
+        assert (res.ranks_tried, res.range_dim, res.matvecs) == (None,) * 3
 
     def test_p_start_bounds(self):
         with pytest.raises(ValueError):

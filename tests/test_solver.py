@@ -347,15 +347,16 @@ class TestRecordFields:
         res = solve_armijo(inst.objective(), cset, starting_point(0.0, 20),
                            ArmijoConfig(max_iter=30))
         assert res.records
-        work = [(r.matvecs, r.fills, r.dense_fill) for r in res.records]
+        work = [(r.matvecs, r.fills, r.dense_fill, r.ranks_tried,
+                 r.range_dim) for r in res.records]
         if proj == "exact":
             assert not results
-            assert all(w == (None, None, None) for w in work)
+            assert all(w == (None,) * 5 for w in work)
         else:
-            assert work == [(p.matvecs, p.fills, p.dense_fill)
-                            for p in results[:len(work)]]
-            assert all(fills >= 1 and isinstance(dense, bool)
-                       for _, fills, dense in work)
+            assert work == [(p.matvecs, p.fills, p.dense_fill, p.ranks_tried,
+                             p.range_dim) for p in results[:len(work)]]
+            assert all(fills >= 1 and isinstance(dense, bool) and tried >= 1
+                       for _, fills, dense, tried, _ in work)
 
     def test_algorithm_follows_config_type(self):
         qp = make_boxqp(6, 0.5, 5.0, seed=14)
