@@ -1,19 +1,17 @@
 """Dense symmetric-matrix algebra and a partial eigensolver.
 
 The projection oracles in this package repeatedly ask for a handful of
-algebraically largest eigenpairs of symmetric matrices that change slowly
-between calls.  ``IncrementalEigen`` is the one way to get them: a cache
-over a fixed matrix, with every returned pair certified by its residual and
-the returned vectors certified orthonormal.  It is filled in one of three
-ways.  A ``StepOperator`` whose range has a known basis of at most n/4
-columns gets a range fill: one ``eigh`` of V restricted to that basis gives
-V's whole nonzero spectrum.  Otherwise ARPACK's implicitly restarted
-Lanczos (``scipy.sparse.linalg.eigsh``) runs on the shifted matrix ``S + 2
-max(1, ||S||_F) I``, warm-started from earlier eigenvectors, within a budget
-of ``2 n`` matrix-vector products; when they run out, or when ARPACK's
-Krylov basis would span the whole space, one dense ``eigh`` fills the cache
-instead.  ``largest_eigenpair`` is the single-pair call the support point
-makes.
+algebraically largest eigenpairs of symmetric matrices.
+``IncrementalEigen`` is the one way to get them: a cache over a fixed
+matrix, with every returned pair certified by its residual and the returned
+vectors certified orthonormal.  It is filled in one of two ways.  A
+``StepOperator`` whose range has a known basis of fewer than n columns gets
+a range fill: one ``eigh`` of V restricted to that basis gives V's whole
+nonzero spectrum.  Every other request gets a LAPACK fill:
+``subset_eigh`` computes the top m pairs of the dense matrix with LAPACK's
+MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails), m doubling on
+each refill.  ``largest_eigenpair`` is the single-pair call the support
+point makes.
 
 Iterates of the spectrahedron solvers are low rank, and three types keep
 them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
@@ -34,8 +32,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import dsyrk
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "EigenSolverError",
@@ -47,38 +45,18 @@ __all__ = [
     "LowRank",
     "FactoredGradient",
     "StepOperator",
-    "range_fill_fits",
+    "subset_eigh",
 ]
 
 # Residual tolerance of every returned pair, relative to max(1, ||S||_F),
 # and the tolerance on the orthonormality of the returned vectors.
 EIG_TOL = 1e-9
 
-# Products one cache may spend, per unit of n: of the order of one dense
-# eigh, and above every warm solve on the benchmark (at most 1.22 n, n=300).
-_PRODUCTS_PER_N = 2
-
-# Norm of the random part of an ARPACK start vector whose warm part has unit
-# norm: enough for every eigenvector to get a share above rounding.
-_START_NOISE = 1e-2
-
-# A range fill runs while the basis of V's range has at most this share of n
-# columns.  Whole inexact solves (constant step and Armijo, one instance per
-# omega, best of two, 2-core VM, OpenBLAS 1 thread) took this share of the
-# ARPACK time with the range fill, at k/n = (rank S + 2 r)/n:
-#   n=200: 0.70 at 0.14, 0.83 at 0.32, 0.96 at 0.56, 1.14 at 0.65;
-#   n=300: 0.76 at 0.17, 0.78 at 0.23, 1.03 at 0.26, 1.41 at 0.43;
-#   n=800: 0.39 at 0.07, 0.61 at 0.15, 0.77 at 0.27.
-_RANGE_SHARE = 0.25
+# Pairs the first LAPACK fill of a cache computes, at least.
+_FIRST_FILL = 16
 
 # A column of Q_Z with a component above this along Q_S is projected again.
 _PAD_TOL = 1e-12
-
-
-def range_fill_fits(k: int, n: int) -> bool:
-    """Whether a range basis of k columns in dimension n takes the range
-    fill of ``IncrementalEigen`` rather than ARPACK."""
-    return k <= _RANGE_SHARE * n
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -92,8 +70,8 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 class EigenSolverError(RuntimeError):
-    """The matrix is not finite, or ARPACK returned pairs that fail their
-    residual or orthonormality certificate.
+    """The matrix is not finite, or a fill of ``IncrementalEigen`` returned
+    pairs that fail their residual or orthonormality certificate.
 
     ``best_residual`` is the largest residual of the returned pairs, or
     ``None`` when no pair was computed.
@@ -330,14 +308,14 @@ class StepOperator(_DenseArithmetic):
         diag(mu, 0), k = rank S + 2 r.  Returns (vals, Q, U) with
         T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V are
         (vals, Q U) together with n - k zeros.  ``None`` when S_alpha's range
-        is unknown or k is over the range-fill bound.
+        is unknown or k >= n, where Q could not be orthonormal.
         """
         basis = None if self._s_range is None else self._s_range()
         if basis is None:
             return None
         q_s, mu = basis
         z, r = self._z, self._r
-        if not range_fill_fits(q_s.shape[1] + z.shape[1], z.shape[0]):
+        if q_s.shape[1] + z.shape[1] >= z.shape[0]:
             return None
         # Z's part outside range(S); the second pass removes what rounding
         # leaves of the first
@@ -363,8 +341,32 @@ class StepOperator(_DenseArithmetic):
         return vals[::-1], q, u[:, ::-1]
 
 
-class _BudgetExhausted(Exception):
-    """Raised from inside ARPACK's reverse-communication loop."""
+def subset_eigh(a, **subset) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric ``a`` (an array or a ``StepOperator``) in
+    ascending order, from LAPACK's MRRR driver ``evr`` restricted by
+    ``scipy.linalg.eigh``'s ``subset_by_index`` or ``subset_by_value``.
+
+    ``evr`` reads the lower triangle of a new Fortran-ordered copy
+    (``lower_fortran()`` for an operator), which it may overwrite.  On some
+    inputs with a large eigenvalue cluster it raises ``LinAlgError`` (an
+    n=400 cold start whose cluster sits at 0.01/n, for bounds inside the
+    cluster) or returns fewer pairs than an index subset asks for (none, for
+    the top pair of a 20-fold top cluster).  One full ``np.linalg.eigh`` of
+    a second copy then returns every pair, which includes the subset.
+    """
+    def lower():
+        return (a.lower_fortran() if isinstance(a, StepOperator)
+                else a.copy(order="F"))
+
+    index = subset.get("subset_by_index")
+    try:
+        vals, vecs = scipy.linalg.eigh(lower(), lower=True, overwrite_a=True,
+                                       driver="evr", **subset)
+        if index is None or vals.size == index[1] - index[0] + 1:
+            return vals, vecs
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.eigh(lower(), UPLO="L")
 
 
 class IncrementalEigen:
@@ -372,33 +374,30 @@ class IncrementalEigen:
 
     ``top(k)`` returns the ``k`` algebraically largest eigenvalues, in
     non-increasing order, and their eigenvectors as columns.  ``matrix`` is
-    a dense symmetric array or a ``StepOperator``, which is applied through
-    its factors and formed densely only for a dense fill.  Each pair has a
+    a dense symmetric array or a ``StepOperator``.  Each pair has a
     residual of at most ``EIG_TOL max(1, ||S||_F)`` and the vectors are
-    orthonormal to ``EIG_TOL``; ``matvecs_used`` counts the products spent,
-    certificates included.
+    orthonormal to ``EIG_TOL``; ``matvecs_used`` counts the products these
+    certificates spend.
 
-    A ``StepOperator`` whose ``range_ritz()`` gives a basis of at most n/4
+    The pairs come from one of two fills, each one decomposition whose
+    vectors every request certifies as it adds them; ``fills`` counts them.
+    A ``StepOperator`` whose ``range_ritz()`` gives a basis of fewer than n
     columns is served by a range fill: one ``eigh`` of the matrix V takes
-    on that basis, counted as one fill, whose vectors each request
-    certifies as it adds them.  ``range_dim`` is then the basis' width.  It
-    serves ``top(k)`` only while the k-th largest value is above the
-    residual tolerance, since V's other eigenvalues are zeros; the first
-    request it does not serve ends it, and ``range_dim`` returns to
-    ``None``.
+    on that basis.  ``range_dim`` is then the basis' width.  It serves
+    ``top(k)`` only while the k-th largest value is above the residual
+    tolerance, since V's other eigenvalues are zeros; the first request it
+    does not serve ends it, and ``range_dim`` returns to ``None``.
 
-    Any other request beyond the cache refills it (``fills`` counts this;
-    every cached vector is replaced) by ARPACK (``eigsh``) started from the
-    cached pairs, or from the ``warm_start`` columns while the cache is
-    empty.  ARPACK runs only while its Krylov basis is smaller than ``n``
-    and the budget of ``2 n`` products lasts; otherwise, or when the budget
-    runs out partway, one dense ``eigh`` caches every pair and sets
-    ``dense_fill``.  ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds
+    Every other request refills the cache (every cached vector is replaced)
+    by a LAPACK fill, which sets ``dense_fill``: ``subset_eigh`` computes the
+    top m pairs of the dense matrix, m = max(k, 16) on the first LAPACK fill
+    (m = 1 when it is for one pair) and at least twice the last m on each
+    refill, at most n.  ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds
     ``max(1, ||S||_F)``; a matrix whose Frobenius norm is not finite raises
     :class:`EigenSolverError`.
     """
 
-    def __init__(self, matrix, warm_start: np.ndarray | None = None):
+    def __init__(self, matrix):
         if isinstance(matrix, StepOperator):
             a = matrix
             self.sq_norm = matrix.sq_norm
@@ -417,140 +416,87 @@ class IncrementalEigen:
         self.n = a.shape[0]
         self.scale = max(1.0, norm)
         self.tol_abs = EIG_TOL * self.scale
-        self._warm = (None if warm_start is None
-                      else np.asarray(warm_start, dtype=float))
         self._vals = np.empty(0)
         self._vecs = np.empty((self.n, 0))
         self.matvecs_used = 0
         self.fills = 0
         self.dense_fill = False
         self.range_dim = None
-        # (vals, Q, U) of the range fill while it serves
-        self._ritz = a.range_ritz() if isinstance(a, StepOperator) else None
-        self._rng = np.random.default_rng(0x5EED1E55)
+        # the fill that serves the cache: its values (non-increasing), its
+        # vectors i:j as a function, the value the k-th one must exceed to
+        # serve top(k), and its name for the certificate's errors
+        self._fill = (np.empty(0), None, np.inf, "")
+        self._pairs = 0  # pairs of the last LAPACK fill
+        ritz = a.range_ritz() if isinstance(a, StepOperator) else None
+        if ritz is not None:
+            vals, q, u = ritz
+            self._fill = (vals, lambda i, j: q @ u[:, i:j], self.tol_abs,
+                          "the range fill")
+            self.fills, self.range_dim = 1, q.shape[1]
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= k <= self.n:
             raise ValueError(f"need 1 <= k <= {self.n}, got {k}")
-        if k > self._vals.size and not self._from_range(k):
-            # Callers that need several pairs (the rank-p projector asks for
-            # p+1, then p+2, ...) get one pair ahead, so the next request is
-            # served from the cache.  A single largest pair gets none: the
-            # extra pair could sit inside a degenerate top cluster, where
-            # Lanczos converges a second copy only through rounding.
-            want = k if k == 1 else min(k + 1, self.n)
-            self._vals, self._vecs = self._solve(want)
-            self.fills += 1
+        done = self._vals.size
+        if k > done:
+            vals, vectors, bound, source = self._fill
+            if k > vals.size or vals[k - 1] <= bound:
+                self._lapack_fill(k)
+                (vals, vectors, bound, source), done = self._fill, 0
+            new = vectors(done, k)
+            self._certify(new, vals[done:k], source)
+            self._vals = vals[:k]
+            self._vecs = np.hstack([self._vecs, new])
         return self._vals[:k], self._vecs[:, :k]
 
-    def _from_range(self, k: int) -> bool:
-        """Extend the cache to ``k`` pairs from the range fill, or return
-        False when it does not serve them.
+    def _lapack_fill(self, k: int) -> None:
+        """Replace the fill, and every cached vector, by the top m pairs
+        of the dense matrix.
 
-        The fill is the one ``eigh`` of ``StepOperator.range_ritz``; each
-        request certifies only the vectors it adds.  It serves only while
-        the k-th value is above ``tol_abs``: V's eigenvalues outside the
-        basis are zeros that T does not hold, so a value of T at or below
-        zero need not be among V's largest.  A request it does not serve
-        ends the range fill for this cache.
+        The floor of 16 pairs lets the rank-p projector, which asks for
+        p + 1 pairs, then p + 2, ..., take its first ranks from one fill
+        (an instance's two first projections at n=300, summed, 2-core VM,
+        OpenBLAS 1 thread: floors of 0, 8, 16 and 32 pairs took 22.4, 17.8,
+        14.7 and 18.8 ms).  A request for one pair, the support point's,
+        computes only that pair.
         """
-        if self._ritz is None:
-            return False
-        vals, q, u = self._ritz
-        if k > vals.size or vals[k - 1] <= self.tol_abs:
-            self._ritz, self.range_dim = None, None
-            return False
-        done = self._vals.size
-        if done == 0:
-            self.fills += 1
-            self.range_dim = q.shape[1]
-        new = q @ u[:, done:k]
-        self._certify(new, vals[done:k], "the range fill")
-        self._vals = vals[:k]
-        self._vecs = np.hstack([self._vecs, new])
-        return True
+        n = self.n
+        m = min(n, max(k, 2 * self._pairs, _FIRST_FILL if k > 1 else 1))
+        vals, vecs = subset_eigh(self._a, subset_by_index=(n - m, n - 1))
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        self._fill = (vals, lambda i, j: vecs[:, i:j], -np.inf, "LAPACK")
+        self._pairs = vals.size
+        self._vals, self._vecs = np.empty(0), np.empty((n, 0))
+        self.fills += 1
+        self.dense_fill = True
+        self.range_dim = None
 
-    def _certify(self, q: np.ndarray, vals: np.ndarray | None, source: str
-                 ) -> np.ndarray:
-        """Certify the new cached vectors ``q`` and return their values.
+    def _certify(self, q: np.ndarray, vals: np.ndarray, source: str) -> None:
+        """Certify the new cached vectors ``q`` and their values.
 
-        One block product gives every residual, and the Rayleigh quotients
-        when ``vals`` is None; ``q`` must be orthonormal and orthogonal to
-        the vectors already cached.
+        One block product gives every residual; ``q`` must be orthonormal
+        and orthogonal to the vectors already cached.
         """
         aq = self._a @ q
         self.matvecs_used += q.shape[1]
-        if vals is None:
-            vals = np.einsum("ij,ij->j", q, aq)
         worst = float(np.max(np.linalg.norm(aq - q * vals, axis=0)))
         if worst > self.tol_abs:
             raise EigenSolverError(
                 f"{source} returned a pair with residual {worst:.3e} above "
                 f"the tolerance {self.tol_abs:.3e}", best_residual=worst)
         # callers build scalar identities on Q, so Q^T Q = I is certified too
-        gram = (np.hstack([self._vecs, q]) if self._vecs.size else q).T @ q
+        gram = np.hstack([self._vecs, q]).T @ q
         gram[self._vecs.shape[1]:] -= np.eye(q.shape[1])
         drift = float(np.max(np.abs(gram)))
         if drift > EIG_TOL:
             raise EigenSolverError(
                 f"{source} returned vectors {drift:.3e} from orthonormal, "
                 f"above the tolerance {EIG_TOL:.3e}", best_residual=worst)
-        return vals
-
-    def _solve(self, want: int) -> tuple[np.ndarray, np.ndarray]:
-        a, n = self._a, self.n
-        ncv = min(n, max(2 * want + 1, 20))
-        # the last `want` products certify; Lanczos needs ncv to start
-        stop = _PRODUCTS_PER_N * n - want
-        if ncv >= n or stop - self.matvecs_used < ncv:
-            return self._dense()
-        # ARPACK stops on a residual relative to the Ritz value, which cannot
-        # certify eigenvalues near zero; the shift maps the spectrum into
-        # [scale, 3 scale], so tol * 3 scale = tol_abs / 10 is absolute.
-        sigma = 2.0 * self.scale
-
-        def shifted(x):
-            if self.matvecs_used >= stop:
-                raise _BudgetExhausted
-            self.matvecs_used += 1
-            return a @ x + sigma * x
-
-        # The start mixes every cached (or warm) direction with a random
-        # component, so each eigenvector has a nonzero share of it and a
-        # misleading warm start cannot hide a larger eigenvalue.  All
-        # randomness, ARPACK's restarts after a breakdown included, comes
-        # from the seeded generator, so repeated calls are bit-identical.
-        v0 = self._rng.standard_normal(n)
-        v0 *= _START_NOISE / np.linalg.norm(v0)
-        start = self._vecs if self._vecs.size else self._warm
-        if start is not None and start.shape[1]:
-            guess = start.sum(axis=1)
-            norm = float(np.linalg.norm(guess))
-            if norm > 0.0:
-                v0 += guess / norm
-        op = LinearOperator((n, n), matvec=shifted, dtype=float)
-        # maxiter never binds before the product budget does
-        try:
-            _, q = eigsh(op, k=want, which="LA", v0=v0, ncv=ncv,
-                         tol=self.tol_abs / (30.0 * self.scale),
-                         maxiter=stop, rng=self._rng)
-        except _BudgetExhausted:
-            return self._dense()
-        # a refill replaces every cached vector
-        self._vals, self._vecs = np.empty(0), np.empty((n, 0))
-        vals = self._certify(q, None, "ARPACK")
-        order = np.argsort(-vals, kind="stable")
-        return vals[order], q[:, order]
-
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        self.dense_fill = True
-        a = self._a.dense() if isinstance(self._a, StepOperator) else self._a
-        vals, vecs = np.linalg.eigh(a)
-        return vals[::-1], vecs[:, ::-1]
 
 
 def largest_eigenpair(matrix) -> tuple[float, np.ndarray]:
     """The largest eigenvalue of a symmetric matrix and a unit eigenvector,
-    under the residual certificate of ``IncrementalEigen``."""
+    from a one-pair LAPACK fill under the residual certificate of
+    ``IncrementalEigen``."""
     vals, vecs = IncrementalEigen(matrix).top(1)
     return float(vals[0]), vecs[:, 0]

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import FactoredGradient, LowRank, range_fill_fits, symmetrize
+from .linalg import FactoredGradient, LowRank, symmetrize
 from .sets import Box, Spectrahedron
 from .solver import ObjectiveOracle
 
@@ -110,27 +110,24 @@ class SpectrahedronLSQ:
         return (s, float(np.vdot(s.data, s.data)),
                 0.5 * float(np.vdot(self._b_vals, self._b_vals)))
 
-    def s_range(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def s_range(self) -> tuple[np.ndarray, np.ndarray]:
         """S = sym(A^T B) as (Q_S, mu): S = Q_S diag(mu) Q_S^T, Q_S
         orthonormal (n x rank S), built on the first call.
 
         Only the columns J of B that hold nonzeros reach D = A^T B, so
         S = (D_J E_J^T + E_J D_J^T)/2 with D_J = D[:, J] and E_J = I[:, J].
-        With [D_J, E_J] = Q R (Householder), S = Q C Q^T for the 2|J| x 2|J|
-        core C, whose eigenpairs give Q_S and mu; eigenvalues at rounding
-        level (|mu| <= 1e-13 max |mu|) are dropped.  ``None`` when |J| is
-        over the range-fill bound: rank S is then as a rule too large for a
-        range fill to take (on the benchmark instances it is 38-40, against
-        |J| of 31-39).
+        With [D_J, E_J] = Q R (Householder), S = Q C Q^T for the square
+        core C of order min(n, 2|J|), whose eigenpairs give Q_S and mu;
+        eigenvalues at rounding level (|mu| <= 1e-13 max |mu|) are dropped.
+        rank S is at most 2|J| (38-40 on the benchmark instances, against
+        |J| of 31-39); a range fill takes the basis while rank S + 2r < n.
         """
         return self._s_range
 
     @cached_property
-    def _s_range(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _s_range(self) -> tuple[np.ndarray, np.ndarray]:
         cols = np.unique(self._b_cols)
         j = cols.size
-        if not range_fill_fits(j, self.n):
-            return None
         d_j = (self._a_t @ self.b_mat)[:, cols].toarray()
         e_j = np.zeros((self.n, j))
         e_j[cols, np.arange(j)] = 1.0

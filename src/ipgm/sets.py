@@ -19,13 +19,15 @@ Both spectrahedron projections return their point factored, as a
 ``np.asarray`` forms the dense matrix for a caller that needs it.  The
 rank-p projector also takes a factored input: a ``StepOperator`` V (the
 solvers' X - alpha grad f(X)), whose top eigenpairs come from a basis of its
-range or from ARPACK applying it through its factors, and a ``LowRank``
-anchor U, whose ||U||^2 and q^T U q come from its factor.
+range (the eigensolver's range fill) or, when the basis is unknown or has n
+columns, from LAPACK on V's lower triangle (its LAPACK fill), and a
+``LowRank`` anchor U, whose ||U||^2 and q^T U q come from its factor.  A
+dense V takes the LAPACK fill.
 The exact projection of a ``StepOperator`` forms V once, as the lower
 triangle LAPACK reads, and computes only the eigenpairs above a Ky Fan lower
 bound on the simplex threshold, taken from the anchor's factor.  A dense V
-is symmetrized and fully decomposed, and the dense fill of the eigensolver
-decomposes V as a matrix.
+is symmetrized and fully decomposed.  Both LAPACK subset calls go through
+``subset_eigh``, which falls back to a full ``eigh`` when LAPACK fails.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     EigenSolverError,
@@ -44,6 +45,7 @@ from .linalg import (
     StepOperator,
     frobenius_inner,
     largest_eigenpair,
+    subset_eigh,
     symmetrize,
 )
 from .schedules import ForcingParams, ToleranceFn, _squares
@@ -77,13 +79,14 @@ class InexactProjection:
     support point y* used in the acceptance test; nonpositive means ``w``
     satisfies the inexact-projection contract.  ``None`` marks projections
     produced by an exact oracle, which qualify without a certificate.
-    ``state`` carries warm-start data for the next call on a nearby input.
-    ``point`` is a ``LowRank`` for the spectrahedron projections and an
-    array otherwise.  The rank-p projector also records the eigensolver's
-    work: ``matvecs`` (products the cache spent), ``fills`` (cache fills),
-    ``dense_fill`` (whether a dense ``eigh`` filled it), ``ranks_tried``
-    (p_used - p_start + 1) and ``range_dim`` (the dimension k of the range
-    fill that served the pairs, ``None`` when ARPACK or the dense fill did).
+    ``state`` carries the rank the next call on a nearby input starts
+    from.  ``point`` is a ``LowRank`` for the spectrahedron projections and
+    an array otherwise.  The rank-p projector also records the eigensolver's
+    work: ``matvecs`` (the products its certificates spent), ``fills``
+    (cache fills), ``dense_fill`` (whether a LAPACK fill of the dense
+    matrix served it), ``ranks_tried`` (p_used - p_start + 1) and
+    ``range_dim`` (the dimension k of the range fill that served the pairs,
+    ``None`` when a LAPACK fill did).
     """
 
     point: np.ndarray | LowRank
@@ -279,13 +282,13 @@ def _pairs_above_threshold(v: StepOperator) -> tuple[np.ndarray, np.ndarray]:
     Armijo trial stacks two factors), and near a solution it spans V's top
     eigenvectors, so lo is close to theta.  LAPACK's MRRR driver (``evr``)
     computes only the pairs above lo, from V's lower triangle, which
-    ``lower_fortran`` forms in one array that LAPACK may overwrite.
+    ``lower_fortran`` forms in one array that LAPACK may overwrite; when it
+    fails, ``subset_eigh`` returns every pair instead.
     """
     q = np.linalg.qr(v.anchor.factor)[0]
     margin = _THRESHOLD_MARGIN * max(1.0, math.sqrt(v.sq_norm))
     lo = (float(np.vdot(q, v @ q)) - 1.0) / q.shape[1] - margin
-    return scipy.linalg.eigh(v.lower_fortran(), lower=True, overwrite_a=True,
-                             subset_by_value=(lo, np.inf), driver="evr")
+    return subset_eigh(v, subset_by_value=(lo, np.inf))
 
 
 def exact_project_spectrahedron(v) -> LowRank:
@@ -314,10 +317,9 @@ def support_point_spectrahedron(c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrahedronState:
-    """Warm-start data carried between successive inexact projections."""
+    """The rank the next of successive inexact projections starts from."""
 
     p_start: int = 1
-    vectors: np.ndarray | None = None
 
 
 def _squared_norm(a: np.ndarray) -> float:
@@ -325,9 +327,7 @@ def _squared_norm(a: np.ndarray) -> float:
 
 
 def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
-                                  p_start: int = 1,
-                                  warm_vectors: np.ndarray | None = None
-                                  ) -> InexactProjection:
+                                  p_start: int = 1) -> InexactProjection:
     """Adaptive rank-p inexact projection onto the spectrahedron.
 
     For p = p_start, p_start + 1, ... the rank-p candidate
@@ -354,12 +354,11 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     the ``LowRank`` factor Q_p sqrt(lam).
 
     The pairs come from one ``IncrementalEigen`` per call.  For a
-    ``StepOperator`` with a known range basis of k <= n/4 columns one
-    ``eigh`` of a k x k matrix serves every rank whose pairs have positive
-    eigenvalues (``range_dim`` records k); otherwise ARPACK serves them
-    within a product budget, and once that is spent a dense
-    eigendecomposition serves every later rank.  The returned state
-    restarts the next call at rank p - 1 from the first p + 1 vectors, and
+    ``StepOperator`` with a known range basis of k < n columns one ``eigh``
+    of a k x k matrix serves every rank whose pairs have positive
+    eigenvalues (``range_dim`` records k); otherwise LAPACK computes the top
+    pairs of the dense V, at least 16 and twice as many on each refill.
+    The returned state restarts the next call at rank p - 1, and
     ``ranks_tried`` is p - p_start + 1.
     """
     if isinstance(v, StepOperator):
@@ -369,7 +368,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     n = vs.shape[0]
     if not 1 <= p_start <= n:
         raise ValueError(f"need 1 <= p_start <= {n}, got {p_start}")
-    cache = IncrementalEigen(vs, warm_start=warm_vectors)
+    cache = IncrementalEigen(vs)
     slack = 1e-12 * cache.scale ** 2  # cache.scale = max(1, ||V||_F)
     norm_v_sq = cache.sq_norm
     if isinstance(u, LowRank):
@@ -418,12 +417,11 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         if lhs >= -phi_val - slack or p == n:
             break
         p += 1
-    state = SpectrahedronState(p_start=max(1, p - 1),
-                               vectors=vecs[:, :min(p + 1, n)].copy())
     point = _positive_factor(vals[:p], vecs[:, :p], lam)
     return InexactProjection(point=point, rank_used=p,
                              certificate_gap=float(-lhs - phi_val),
-                             phi_value=phi_val, state=state,
+                             phi_value=phi_val,
+                             state=SpectrahedronState(p_start=max(1, p - 1)),
                              matvecs=cache.matvecs_used, fills=cache.fills,
                              dense_fill=cache.dense_fill,
                              ranks_tried=p - p_start + 1,
@@ -459,8 +457,7 @@ class Spectrahedron(ConvexSetOracle):
         if state is None:
             state = SpectrahedronState()
         return inexact_project_spectrahedron(
-            v, u, gamma, phi, p_start=min(state.p_start, self.n),
-            warm_vectors=state.vectors)
+            v, u, gamma, phi, p_start=min(state.p_start, self.n))
 
 
 class ExactProjectionAdapter(ConvexSetOracle):

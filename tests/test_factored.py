@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+import scipy.linalg
 import scipy.sparse as sp
 
 from ipgm.linalg import (
@@ -301,9 +302,10 @@ class TestRangeFill:
         served = IncrementalEigen(operator())
         _check_against_eigh(served, operator(), 2)
         assert served.range_dim == 13
+        # the request reaches V's zero eigenvalues: a LAPACK fill serves it
         cache = IncrementalEigen(operator())
         _check_against_eigh(cache, operator(), 4)
-        assert cache.range_dim is None
+        assert cache.range_dim is None and cache.dense_fill
         assert np.all(cache.top(4)[0][2:] > -cache.tol_abs)
 
     def test_a_basis_without_s_fails_the_certificate(self):
@@ -329,8 +331,9 @@ class TestRangeFill:
 
 
 class TestRangeFillFallback:
-    """Inputs the range fill does not take keep ARPACK or the dense fill
-    and still certify."""
+    """The range fill takes every basis of fewer than n columns, however
+    wide; inputs it does not take (a basis of n or more columns, no basis,
+    a dense input) get a LAPACK fill.  Both certify."""
 
     GAMMA = ForcingParams(0.5, 0.2, 0.0)
     PHI = ToleranceFn.canonical("phi1")
@@ -344,24 +347,57 @@ class TestRangeFillFallback:
         assert ok
         return res
 
-    def test_wide_b_gets_no_basis(self):
+    def test_wide_b_gets_a_basis(self):
         # omega 20 at n=120: B has about 40 nonzero columns, over n/4
         inst = generate_instance(120, 240, 20, seed=3)
-        assert inst.s_range() is None
+        rank_s = inst.s_range()[0].shape[1]
+        assert rank_s > 120 // 4
         x = _unit_trace_point(np.random.default_rng(91), 120, 4)
         _, g = inst.value_and_gradient(x)
         res = self._project(g.step(constant_alpha_from_gamma(
             inst.lipschitz_L, 0.0)), x)
-        assert res.range_dim is None and res.matvecs > 0
+        assert res.range_dim == rank_s + 2 * 4 and not res.dense_fill
 
-    def test_wide_factor_falls_back(self):
+    def test_wide_factor_takes_the_range_fill(self):
         # rank S + 2 r over n/4 with a basis at hand
         x = _unit_trace_point(np.random.default_rng(92), 120, 12)
         inst, op = _lsq_step(1, x.factor)
-        assert inst.s_range() is not None
-        assert op.range_ritz() is None
+        rank_s = inst.s_range()[0].shape[1]
+        assert rank_s + 2 * 12 > 120 // 4
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 6)
+        assert cache.range_dim == rank_s + 2 * 12 and not cache.dense_fill
         res = self._project(op, x)
-        assert res.range_dim is None
+        assert res.range_dim == rank_s + 2 * 12 and not res.dense_fill
+
+    @pytest.mark.parametrize("extra", [-1, 0, 2])
+    def test_a_basis_of_n_columns_gets_a_lapack_fill(self, extra):
+        # k = rank S + 2 r = n - 1 takes the range fill; k >= n cannot be an
+        # orthonormal basis, so LAPACK serves
+        n, r = 30, 2
+        rng = np.random.default_rng(94)
+        rank_s = min(n, n - 2 * r + extra)
+        q_s = np.linalg.qr(rng.standard_normal((n, rank_s)))[0]
+        mu = rng.uniform(-1.0, 1.0, rank_s)
+        s = sp.csr_matrix((q_s * mu) @ q_s.T)
+        x = _unit_trace_point(rng, n, r)
+        z_plus = x.factor + 0.1 * rng.standard_normal((n, r))
+        z_minus = 0.1 * rng.standard_normal((n, r))
+
+        def operator():
+            dense = s.toarray() + z_plus @ z_plus.T - z_minus @ z_minus.T
+            return StepOperator(x, z_plus, z_minus, s,
+                                sq_norm=float(np.vdot(dense, dense)),
+                                sq_dist=float(np.sum((dense - x.dense())**2)),
+                                s_range=lambda: (q_s, mu))
+
+        cache = IncrementalEigen(operator())
+        _check_against_eigh(cache, operator(), 5)
+        if extra < 0:
+            assert cache.range_dim == n - 1 and not cache.dense_fill
+        else:
+            assert cache.range_dim is None and cache.dense_fill
+        self._project(operator(), x)
 
     def test_dense_input(self):
         x = _unit_trace_point(np.random.default_rng(93), 120, 2)
@@ -371,6 +407,28 @@ class TestRangeFillFallback:
         assert fact.range_dim is not None and dense.range_dim is None
         assert fact.rank_used == dense.rank_used
         assert _max_abs(fact.point - dense.point) <= 1e-9
+
+    def test_exact_solve_survives_a_lapack_failure(self, monkeypatch):
+        # the exact projection's subset call raises; the full eigh that
+        # serves instead gives the same run
+        inst = generate_instance(120, 240, 5, seed=5)
+        ref = _solve(inst.objective(), inst.feasible_set(), inst, "armijo",
+                     "exact", 0.0)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        res = _solve(inst.objective(), inst.feasible_set(), inst, "armijo",
+                     "exact", 0.0)
+        # every projection but the dense start's takes the subset call
+        assert len(calls) >= res.iterations - 1 > 0
+        assert (res.iterations, res.stop_reason) == (ref.iterations,
+                                                     ref.stop_reason)
+        assert abs(res.f_final - ref.f_final) <= 1e-12 * abs(ref.f_final)
+        assert monitor_descent(res).passed and monitor_complexity(res).passed
 
     def test_exact_solves_never_build_the_basis(self):
         inst = generate_instance(120, 240, 5, seed=4)

@@ -252,7 +252,7 @@ class TestFailureRows:
 
     def test_eigensolver_failure_is_an_error_row(self, monkeypatch, capsys):
         def failing(self, k):
-            raise EigenSolverError("budget exhausted", best_residual=1.0)
+            raise EigenSolverError("injected failure", best_residual=1.0)
 
         monkeypatch.setattr(IncrementalEigen, "top", failing)
         report = cmd_compare(small_cfg(beta=(0.0,)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ipgm.linalg
 from ipgm.linalg import (
@@ -8,8 +9,11 @@ from ipgm.linalg import (
     frobenius_inner,
     frobenius_norm,
     largest_eigenpair,
+    subset_eigh,
     symmetrize,
 )
+from ipgm.problems import generate_instance, starting_point
+from ipgm.solver import constant_alpha_from_gamma
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -153,31 +157,13 @@ class TestLeadingEigenpairs:
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert np.allclose(vals, oracle, atol=1e-8)
 
-    def test_warm_start_previous_vectors(self):
-        rng = np.random.default_rng(12)
-        s = random_symmetric(rng, 25)
-        _, warm = IncrementalEigen(s).top(3)
-        s2 = s + 1e-3 * random_symmetric(rng, 25)
-        warm_vals, _ = IncrementalEigen(s2, warm_start=warm).top(3)
-        oracle = np.sort(np.linalg.eigvalsh(s2))[::-1]
-        assert np.allclose(warm_vals, oracle[:3], atol=1e-8)
-
-    def test_misleading_warm_start_not_trusted(self):
-        # e2 is an eigenvector of the non-dominant eigenvalue; a naive
-        # breakdown would lock it as the "largest"
-        s = np.diag([3.0, 2.0, 1.0])
-        warm = np.zeros((3, 1))
-        warm[1, 0] = 1.0
-        vals, _ = IncrementalEigen(s, warm_start=warm).top(1)
-        assert vals[0] == pytest.approx(3.0, abs=1e-10)
-
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             IncrementalEigen(np.eye(3)).top(0)
         with pytest.raises(ValueError):
             IncrementalEigen(np.eye(3)).top(4)
 
-    def test_failed_residual_reports_residual(self, eigsh_bad_residual):
+    def test_failed_residual_reports_residual(self, lapack_bad_residual):
         rng = np.random.default_rng(5)
         s = random_symmetric(rng, 60)
         cache = IncrementalEigen(s)
@@ -188,7 +174,7 @@ class TestLeadingEigenpairs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [5, 120])
     def test_non_finite_matrix_rejected(self, n, bad):
-        # n=5 is served by the dense eigh, n=120 by ARPACK
+        # rejected before any fill, whatever the size
         s = random_symmetric(np.random.default_rng(8), n)
         s[1, 2] = s[2, 1] = bad
         with pytest.raises(EigenSolverError, match="Frobenius norm"):
@@ -245,12 +231,12 @@ def rotated(rng, eigenvalues):
     return (q * np.asarray(eigenvalues)) @ q.T, q
 
 
-class TestArpackPath:
-    """Sizes where the requested pairs go through ARPACK, not dense eigh."""
+class TestLapackFill:
+    """Dense inputs, served by LAPACK's top pairs."""
 
     def test_top_eigenvalues_near_zero(self):
-        # ARPACK's stop test is relative to the Ritz value: inside a cluster
-        # of values near 0 only the shifted operator meets an absolute target
+        # the residual tolerance is absolute, so pairs inside a cluster of
+        # values near 0 must meet it as well as the top ones
         rng = np.random.default_rng(301)
         n = 120
         spec = np.concatenate([[3e-12, 2e-12, 1e-12],
@@ -264,30 +250,16 @@ class TestArpackPath:
         for val, vec in zip(vals, vecs.T):
             assert np.linalg.norm(s @ vec - val * vec) <= tol
 
-    def test_misleading_warm_start_n200(self):
-        # warm start: the exact eigenvectors of 6, 5 and 4, below the top 3
-        rng = np.random.default_rng(302)
-        n = 200
-        spec = np.concatenate([[9.0, 8.0, 7.0, 6.0, 5.0, 4.0],
-                               rng.uniform(-3.0, 3.0, n - 6)])
-        s, q = rotated(rng, spec)
-        vals, _ = IncrementalEigen(s, warm_start=q[:, 3:6]).top(3)
-        oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
-        assert np.allclose(vals, oracle[:3],
-                           atol=1e-9 * np.linalg.norm(s))
-
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(303)
         s = random_symmetric(rng, 150)
-        warm = np.linalg.qr(rng.standard_normal((150, 4)))[0]
-        for kwargs in ({}, {"warm_start": warm}):
-            a_vals, a_vecs = IncrementalEigen(s, **kwargs).top(4)
-            b_vals, b_vecs = IncrementalEigen(s, **kwargs).top(4)
-            assert np.array_equal(a_vals, b_vals)
-            assert np.array_equal(a_vecs, b_vecs)
+        a_vals, a_vecs = IncrementalEigen(s).top(4)
+        b_vals, b_vecs = IncrementalEigen(s).top(4)
+        assert np.array_equal(a_vals, b_vals)
+        assert np.array_equal(a_vecs, b_vecs)
 
     @pytest.mark.parametrize("shape", ["multiplicity-20", "cold-certificate"])
-    def test_degenerate_top_cluster_within_default_budget(self, shape):
+    def test_degenerate_top_cluster(self, shape):
         # Both are V - W_p shapes where vals[:p] - lam is equal on the whole
         # support: a top value of multiplicity 20 with the next 6.5e-7 below,
         # and the spectrum of a cold n=400 certificate (8 equal top values,
@@ -309,49 +281,159 @@ class TestArpackPath:
         tol = 1e-9 * max(1.0, np.linalg.norm(s))
         assert value == pytest.approx(top, abs=tol)
         assert np.linalg.norm(s @ vector - value * vector) <= tol
+        vals, vecs = IncrementalEigen(s).top(21)
+        assert np.allclose(vals, np.sort(spec)[::-1][:21], atol=tol)
+        assert np.max(np.linalg.norm(s @ vecs - vecs * vals, axis=0)) <= tol
 
     def test_failed_residual_certificate_finite_residual(
-            self, eigsh_bad_residual):
+            self, lapack_bad_residual):
         rng = np.random.default_rng(305)
         s = random_symmetric(rng, 120)
-        with pytest.raises(EigenSolverError, match="residual") as exc:
+        with pytest.raises(EigenSolverError, match="LAPACK.*residual") as exc:
             IncrementalEigen(s).top(5)
         assert np.isfinite(exc.value.best_residual)
         assert exc.value.best_residual > 0.0
 
-    def test_budget_runs_out_into_dense_fill(self):
+    def test_refills_double_the_pairs(self, monkeypatch):
         # 20 distinct top values above a 60-fold cluster and a tail graded
-        # from 1e-7 below it, the shape of V at a cold start: top(21) and its
-        # lookahead pair sit in the cluster, where ARPACK does not converge
-        # within 2e5 products; eigh takes over when the budget runs out
+        # from 1e-7 below it, the shape of V at a cold start
         rng = np.random.default_rng(307)
         n = 200
         s, _ = rotated(rng, np.concatenate([
             np.linspace(2.0, 1.0, 20), np.full(60, 0.1),
             0.1 - np.geomspace(1e-7, 1e-1, n - 80)]))
+        pairs = _spy_on_subsets(monkeypatch)
         cache = IncrementalEigen(s)
-        vals, vecs = cache.top(21)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
-        assert np.allclose(vals, oracle[:21], atol=1e-9 * np.linalg.norm(s))
-        assert np.linalg.norm(s @ vecs - vecs * vals) < 1e-9
-        assert cache.matvecs_used <= 2 * n
-        # the dense fill cached every pair
-        cache.top(n)
-        assert cache.fills == 1
+        tol = 1e-9 * np.linalg.norm(s)
+        used = cached = 0
+        # one pair, then the floor of 16, then at least twice the last fill
+        for k, fills, m in ((1, 1, 1), (2, 2, 16), (16, 2, 16), (21, 3, 32),
+                            (33, 4, 64), (100, 5, 128), (n, 6, n)):
+            before = cache.fills
+            vals, vecs = cache.top(k)
+            assert (cache.fills, pairs[-1]) == (fills, m)
+            # a refill certifies every returned vector, a served request
+            # only the vectors it adds
+            used += k if cache.fills > before else k - cached
+            cached = k
+            assert cache.matvecs_used == used
+            assert np.allclose(vals, oracle[:k], atol=tol)
+            assert np.max(np.linalg.norm(s @ vecs - vecs * vals,
+                                         axis=0)) <= tol
+        assert cache.dense_fill and cache.range_dim is None
 
     def test_duplicated_vector_fails_orthonormality(self, monkeypatch):
         # two copies of one eigenvector both have a small residual; only the
         # orthonormality check sees that they do not span two dimensions
-        real_eigsh = ipgm.linalg.eigsh
+        real = ipgm.linalg.subset_eigh
 
         def duplicating(*args, **kwargs):
-            vals, q = real_eigsh(*args, **kwargs)
+            vals, q = real(*args, **kwargs)
             q = q.copy()
-            q[:, 0] = q[:, 1]
+            q[:, -1] = q[:, -2]
+            vals = vals.copy()
+            vals[-1] = vals[-2]
             return vals, q
 
-        monkeypatch.setattr(ipgm.linalg, "eigsh", duplicating)
+        monkeypatch.setattr(ipgm.linalg, "subset_eigh", duplicating)
         rng = np.random.default_rng(306)
         cache = IncrementalEigen(random_symmetric(rng, 120))
         with pytest.raises(EigenSolverError, match="orthonormal"):
             cache.top(3)
+
+
+def _spy_on_subsets(monkeypatch) -> list:
+    """The number of pairs each ``subset_eigh`` call of the eigensolver
+    asks for, in call order."""
+    pairs = []
+    real = ipgm.linalg.subset_eigh
+
+    def spy(a, subset_by_index):
+        pairs.append(subset_by_index[1] - subset_by_index[0] + 1)
+        return real(a, subset_by_index=subset_by_index)
+
+    monkeypatch.setattr(ipgm.linalg, "subset_eigh", spy)
+    return pairs
+
+
+def _cold_start_input():
+    """V = X0 - alpha grad f(X0) at the cold start X0(0.99) of an n=400
+    instance: 20 pairs above an eigenvalue cluster at 0.01/n, inside which
+    LAPACK's evr raises LinAlgError for some subset bounds."""
+    inst = generate_instance(400, 800, 20, seed=628688073)
+    x0 = starting_point(0.99, 400)
+    return x0 - constant_alpha_from_gamma(inst.lipschitz_L, 0.0) * (
+        inst.gradient(x0))
+
+
+class TestSubsetEigh:
+    """LAPACK's subset driver, with a full ``eigh`` when it fails."""
+
+    @pytest.mark.parametrize("subset", [
+        {"subset_by_index": (400 - 16, 399)},
+        {"subset_by_index": (400 - 32, 399)},
+        {"subset_by_index": (400 - 64, 399)},
+        {"subset_by_value": (0.0, np.inf)},
+        {"subset_by_value": (0.01 / 400 * (1.0 - 1e-6), np.inf)}])
+    def test_cluster_input_matches_full_eigh(self, subset):
+        # whether or not the local LAPACK raises on these bounds, the
+        # returned pairs are the ones a full eigh gives
+        v = _cold_start_input()
+        before = v.copy()
+        vals, vecs = subset_eigh(v, **subset)
+        assert np.array_equal(v, before)  # the input is not overwritten
+        full = np.linalg.eigvalsh(v)
+        if "subset_by_index" in subset:
+            m = subset["subset_by_index"][1] - subset["subset_by_index"][0] + 1
+            vals, vecs = vals[-m:], vecs[:, -m:]
+            ref = full[-m:]
+        else:
+            lo = subset["subset_by_value"][0]
+            ref = full[full > lo]
+            keep = vals > lo  # a full eigh returns every pair
+            vals, vecs = vals[keep], vecs[:, keep]
+        tol = 1e-12 * np.linalg.norm(v)
+        assert vals.shape == ref.shape
+        assert np.allclose(vals, ref, rtol=0.0, atol=tol)
+        assert np.max(np.linalg.norm(v @ vecs - vecs * vals, axis=0)) <= tol
+        assert np.allclose(vecs.T @ vecs, np.eye(vals.size), atol=1e-12)
+
+    def test_a_lapack_failure_falls_back_to_full_eigh(self, monkeypatch):
+        rng = np.random.default_rng(308)
+        s = random_symmetric(rng, 40)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        vals, vecs = subset_eigh(s, subset_by_index=(38, 39))
+        ref_vals, ref_vecs = np.linalg.eigh(s)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(np.abs(vecs), np.abs(ref_vecs))
+        # the eigensolver keeps every pair of the full decomposition
+        cache = IncrementalEigen(s)
+        assert np.allclose(cache.top(2)[0], ref_vals[::-1][:2], atol=1e-12)
+        assert np.allclose(cache.top(40)[0], ref_vals[::-1], atol=1e-12)
+        assert cache.fills == 1
+
+    def test_a_short_subset_falls_back_to_full_eigh(self, monkeypatch):
+        # evr may return fewer pairs than an index subset asks for
+        s = random_symmetric(np.random.default_rng(310), 30)
+        real = scipy.linalg.eigh
+
+        def short(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", short)
+        vals, _ = subset_eigh(s, subset_by_index=(25, 29))
+        assert vals.size == 30
+        assert np.allclose(vals, np.linalg.eigvalsh(s), atol=1e-12)
+
+    def test_one_pair_for_the_support_point(self, monkeypatch):
+        pairs = _spy_on_subsets(monkeypatch)
+        s = random_symmetric(np.random.default_rng(309), 60)
+        value, _ = largest_eigenpair(s)
+        assert pairs == [1]
+        assert value == pytest.approx(np.linalg.eigvalsh(s)[-1], abs=1e-9)

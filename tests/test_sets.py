@@ -356,8 +356,8 @@ class TestInexactProjectSpectrahedron:
         assert frobenius_norm(res2.point - ref2) < 1e-7
 
     def test_records_a_dense_fill_below_full_rank(self):
-        # n <= 20 makes ARPACK's Krylov basis span the whole space, so the
-        # dense eigh fills the cache although the accepted rank is small
+        # n <= 16: the first LAPACK fill computes every pair, although the
+        # accepted rank is small
         n = 15
         rng = np.random.default_rng(83)
         v = symmetrize(rng.standard_normal((n, n)))
@@ -366,18 +366,19 @@ class TestInexactProjectSpectrahedron:
                                             PHI1, p_start=1)
         assert res.rank_used < n
         assert res.dense_fill is True
-        assert (res.fills, res.matvecs) == (1, 0)
+        # the certificates of the rank_used + 1 pairs the loop read
+        assert (res.fills, res.matvecs) == (1, res.rank_used + 1)
 
-    def test_records_arpack_products(self):
+    def test_records_lapack_products(self):
         n = 120
         rng = np.random.default_rng(84)
         v = symmetrize(rng.standard_normal((n, n)))
         res = inexact_project_spectrahedron(v, np.eye(n) / n,
                                             ForcingParams(1.0, 0.4, 0.4),
                                             PHI1, p_start=1)
-        assert res.dense_fill is False
-        assert res.fills >= 1
-        assert 0 < res.matvecs <= 2 * n
+        assert res.dense_fill is True
+        assert res.rank_used < 16 and res.fills == 1
+        assert res.matvecs == res.rank_used + 1
         assert res.range_dim is None  # a dense input has no range basis
 
     @pytest.mark.parametrize("p_start", [1, 3])
@@ -421,12 +422,8 @@ class TestInexactProjectSpectrahedron:
         ok, gap = certify_inexact_projection(Spectrahedron(n), u, v, res.point,
                                              ForcingParams.zero(), PHI1)
         assert ok, f"certificate gap {gap}"
-        # the single state rule: restart at rank p - 1 from p + 1 vectors
-        assert res.state.p_start == n - 1
-        vecs = res.state.vectors
-        assert vecs.shape == (n, n)
-        rayleigh = np.einsum("ij,ij->j", vecs, v @ vecs)
-        assert np.all(np.diff(rayleigh) < 0)
+        # the single state rule: restart at rank p - 1
+        assert res.state == SpectrahedronState(p_start=n - 1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_phi_from_the_vectors_of_each_cache_fill(self, seed):
@@ -446,26 +443,31 @@ class TestInexactProjectSpectrahedron:
             1e-6 * frobenius_norm(res.point - u) ** 2, rel=1e-9)
 
     def test_eigensolver_failure_carries_rank_context(self,
-                                                      eigsh_bad_residual):
+                                                      lapack_bad_residual):
         from ipgm.linalg import EigenSolverError
 
         rng = np.random.default_rng(44)
         v = symmetrize(rng.standard_normal((60, 60)))
         u = random_feasible_spectra(rng, 60)
-        with pytest.raises(EigenSolverError, match="rank p=3") as exc:
+        with pytest.raises(EigenSolverError,
+                           match="rank p=3: LAPACK .* residual") as exc:
             inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
                                           p_start=3)
         assert np.isfinite(exc.value.best_residual)
 
     def test_failed_certificate_at_n120_keeps_rank_and_residual(
-            self, eigsh_bad_residual):
-        from ipgm.linalg import EigenSolverError
+            self, range_fill_bad_residual):
+        from ipgm.linalg import EigenSolverError, LowRank
+        from ipgm.problems import generate_instance
 
         rng = np.random.default_rng(45)
-        v = symmetrize(rng.standard_normal((120, 120)))
-        u = random_feasible_spectra(rng, 120)
-        with pytest.raises(EigenSolverError, match="rank p=1") as exc:
-            inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+        y = rng.standard_normal((120, 3))
+        x = LowRank(y / np.linalg.norm(y))
+        inst = generate_instance(120, 240, 5, seed=45)
+        v = inst.value_and_gradient(x)[1].step(1.0 / inst.lipschitz_L)
+        with pytest.raises(EigenSolverError, match=(
+                "rank p=1: the range fill .* residual")) as exc:
+            inexact_project_spectrahedron(v, x, ForcingParams.zero(), PHI1,
                                           p_start=1)
         assert np.isfinite(exc.value.best_residual)
 

@@ -683,7 +683,7 @@ class TestFailuresNameTheIteration:
 
         def top(self, k):
             if len(calls) == 2:
-                raise EigenSolverError("budget exhausted", best_residual=1.0)
+                raise EigenSolverError("injected failure", best_residual=1.0)
             return real_top(self, k)
 
         monkeypatch.setattr(IncrementalEigen, "top", top)
@@ -692,6 +692,18 @@ class TestFailuresNameTheIteration:
             _solve_rule(rule, counted, cset, x0)
         assert isinstance(exc.value.__cause__, EigenSolverError)
         assert "rank p=" in str(exc.value)
+
+    @pytest.mark.parametrize("fill, k", [("lapack", 0), ("range_fill", 1)])
+    def test_failed_certificate_names_the_iteration(self, fill, k, request):
+        # the dense start takes a LAPACK fill and the factored iterates
+        # after it the range fill; each gets a bad top vector
+        request.getfixturevalue(f"{fill}_bad_residual")
+        obj, cset, x0 = _small_problem("spectra")
+        with pytest.raises(SolverError, match=(
+                f"iteration {k}: projection failed: partial eigen"
+                r"decomposition failed at rank p=\d+: .* residual")) as exc:
+            _solve_rule("constant", obj, cset, x0)
+        assert exc.value.__cause__.best_residual > 1e-9
 
 
 class TestObjectiveCalls:
