@@ -9,9 +9,11 @@ vectors certified orthonormal.  It is filled in one of two ways.  A
 a range fill: one ``eigh`` of V restricted to that basis gives V's whole
 nonzero spectrum.  Every other request gets a LAPACK fill:
 ``subset_eigh`` computes the top m pairs of the dense matrix with LAPACK's
-MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails), m doubling on
-each refill.  ``largest_eigenpair`` is the single-pair call the support
-point makes.
+MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails or returns fewer
+than m), m doubling on each refill.  ``subset_eigh`` takes only a count,
+so every LAPACK subset call, the exact spectrahedron projection's too, can
+check what it gets.  ``largest_eigenpair`` is the single-pair call the
+support point makes.
 
 Iterates of the spectrahedron solvers are low rank, and three types keep
 them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
@@ -28,8 +30,6 @@ the one triangle a LAPACK eigensolver reads.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import scipy.linalg
@@ -174,9 +174,9 @@ class FactoredGradient(_DenseArithmetic):
     (<G, W> for a factored W) and ``secant`` come from r x r products, and
     ``step(alpha)`` is the projection input X - alpha G as an operator.
     ``s_sq_norm`` is ||S||_F^2 and ``sy`` is S Y when the caller has them.
-    ``s_range``, when given, is a callable that returns S's range as
-    (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal, or ``None``; it
-    is handed to the step operator and called only by a range fill.
+    ``s_range``, when given, is S's range as (Q_S, mu), S = Q_S diag(mu)
+    Q_S^T with Q_S orthonormal; ``step(alpha)`` hands the step operator
+    (Q_S, alpha mu).
     """
 
     def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy=None,
@@ -214,7 +214,7 @@ class FactoredGradient(_DenseArithmetic):
         sq_norm = max(0.0, x.sq_norm - 2.0 * alpha * self._inner_point
                       + alpha * alpha * self.sq_norm)
         s_range = (None if self.s_range is None
-                   else functools.partial(_scaled_range, self.s_range, alpha))
+                   else (self.s_range[0], alpha * self.s_range[1]))
         return StepOperator(x, x.factor - half, half, alpha * self.s,
                             sq_norm=sq_norm,
                             sq_dist=alpha * alpha * self.sq_norm,
@@ -237,12 +237,6 @@ class FactoredGradient(_DenseArithmetic):
         return symmetrize(self.p @ self.point.factor.T) - self.s.toarray()
 
 
-def _scaled_range(s_range, alpha: float):
-    """The range of alpha S from that of S."""
-    basis = s_range()
-    return None if basis is None else (basis[0], alpha * basis[1])
-
-
 class StepOperator(_DenseArithmetic):
     """The projection input V = X - alpha G at a factored point X, applied
     through its factors.
@@ -252,8 +246,8 @@ class StepOperator(_DenseArithmetic):
     O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
     alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
     exactly symmetric from S_alpha and two rank-r updates.  ``s_range``,
-    when given, is a callable that returns S_alpha's range as (Q_S, mu) or
-    ``None``; ``range_ritz()`` then takes V's spectrum from its range.
+    when given, is S_alpha's range as (Q_S, mu), S_alpha = Q_S diag(mu)
+    Q_S^T; ``range_ritz()`` then takes V's spectrum from V's range.
     """
 
     def __init__(self, anchor: LowRank, z_plus, z_minus, s, sq_norm: float,
@@ -262,7 +256,7 @@ class StepOperator(_DenseArithmetic):
         self._r = z_plus.shape[1]
         self._z = np.hstack([z_plus, z_minus])
         self._s = s
-        self._s_range = s_range
+        self.s_range = s_range
         self.sq_norm = sq_norm
         self.sq_dist = sq_dist
 
@@ -310,10 +304,9 @@ class StepOperator(_DenseArithmetic):
         (vals, Q U) together with n - k zeros.  ``None`` when S_alpha's range
         is unknown or k >= n, where Q could not be orthonormal.
         """
-        basis = None if self._s_range is None else self._s_range()
-        if basis is None:
+        if self.s_range is None:
             return None
-        q_s, mu = basis
+        q_s, mu = self.s_range
         z, r = self._z, self._r
         if q_s.shape[1] + z.shape[1] >= z.shape[0]:
             return None
@@ -341,32 +334,33 @@ class StepOperator(_DenseArithmetic):
         return vals[::-1], q, u[:, ::-1]
 
 
-def subset_eigh(a, **subset) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetric ``a`` (an array or a ``StepOperator``) in
-    ascending order, from LAPACK's MRRR driver ``evr`` restricted by
-    ``scipy.linalg.eigh``'s ``subset_by_index`` or ``subset_by_value``.
+def subset_eigh(a, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """At least the top ``m`` eigenpairs of the symmetric ``a`` (an array or
+    a ``StepOperator``), values non-increasing and vectors as columns.
 
-    ``evr`` reads the lower triangle of a new Fortran-ordered copy
-    (``lower_fortran()`` for an operator), which it may overwrite.  On some
-    inputs with a large eigenvalue cluster it raises ``LinAlgError`` (an
-    n=400 cold start whose cluster sits at 0.01/n, for bounds inside the
-    cluster) or returns fewer pairs than an index subset asks for (none, for
-    the top pair of a 20-fold top cluster).  One full ``np.linalg.eigh`` of
-    a second copy then returns every pair, which includes the subset.
+    LAPACK's MRRR driver ``evr`` (``scipy.linalg.eigh`` with
+    ``subset_by_index``) computes exactly the top m pairs from the lower
+    triangle of a new Fortran-ordered copy (``lower_fortran()`` for an
+    operator), which it may overwrite.  On some inputs with a large
+    eigenvalue cluster it raises ``LinAlgError`` (an n=400 cold start whose
+    cluster sits at 0.01/n) or returns fewer pairs than it was asked for
+    (none, for the top pair of a 20-fold top cluster).  One full
+    ``np.linalg.eigh`` of a second copy then returns all n pairs.
     """
     def lower():
         return (a.lower_fortran() if isinstance(a, StepOperator)
                 else a.copy(order="F"))
 
-    index = subset.get("subset_by_index")
+    n = a.shape[0]
     try:
         vals, vecs = scipy.linalg.eigh(lower(), lower=True, overwrite_a=True,
-                                       driver="evr", **subset)
-        if index is None or vals.size == index[1] - index[0] + 1:
-            return vals, vecs
+                                       driver="evr",
+                                       subset_by_index=(n - m, n - 1))
     except np.linalg.LinAlgError:
-        pass
-    return np.linalg.eigh(lower(), UPLO="L")
+        vals = None
+    if vals is None or vals.size != m:
+        vals, vecs = np.linalg.eigh(lower(), UPLO="L")
+    return vals[::-1], vecs[:, ::-1]
 
 
 class IncrementalEigen:
@@ -462,8 +456,7 @@ class IncrementalEigen:
         """
         n = self.n
         m = min(n, max(k, 2 * self._pairs, _FIRST_FILL if k > 1 else 1))
-        vals, vecs = subset_eigh(self._a, subset_by_index=(n - m, n - 1))
-        vals, vecs = vals[::-1], vecs[:, ::-1]
+        vals, vecs = subset_eigh(self._a, m)
         self._fill = (vals, lambda i, j: vecs[:, i:j], -np.inf, "LAPACK")
         self._pairs = vals.size
         self._vals, self._vecs = np.empty(0), np.empty((n, 0))

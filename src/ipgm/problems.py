@@ -74,9 +74,9 @@ class SpectrahedronLSQ:
 
     ``value_and_gradient`` takes a dense X through the residual A X - B and
     a ``LowRank`` X = Y Y^T through P = H Y (see the module docstring), at
-    O(nnz(H) r + n r^2) for a rank-r factor.  S = sym(A^T B) and ||B||^2
-    are formed on the first factored evaluation, and S's range (``s_range``)
-    on the first range fill of a projection.
+    O(nnz(H) r + n r^2) for a rank-r factor.  S = sym(A^T B), ||B||^2 and
+    an orthonormal basis of S's range are formed on the first factored
+    evaluation.
     """
 
     a: sp.csr_matrix
@@ -102,51 +102,46 @@ class SpectrahedronLSQ:
         self._b_rows, self._b_cols, self._b_vals = b.row, b.col, b.data
 
     @cached_property
-    def _linear_term(self) -> tuple[sp.csr_matrix, float, float]:
-        """(S, ||S||_F^2, ||B||_F^2 / 2) with S = sym(A^T B), exactly
-        symmetric: entry (i, j) and (j, i) both hold (D_ij + D_ji) / 2."""
+    def _linear_term(self) -> tuple[sp.csr_matrix, float, float,
+                                    tuple[np.ndarray, np.ndarray]]:
+        """(S, ||S||_F^2, ||B||_F^2 / 2, (Q_S, mu)) with S = sym(A^T B),
+        exactly symmetric: entry (i, j) and (j, i) both hold
+        (D_ij + D_ji) / 2 for D = A^T B.
+
+        (Q_S, mu) is S's range: S = Q_S diag(mu) Q_S^T, Q_S orthonormal
+        (n x rank S).  Only the columns J of B that hold nonzeros reach D,
+        so S = (D_J E_J^T + E_J D_J^T)/2 with D_J = D[:, J] and
+        E_J = I[:, J].  With [D_J, E_J] = Q R (Householder), S = Q C Q^T
+        for the square core C of order min(n, 2|J|), whose eigenpairs give
+        Q_S and mu; eigenvalues at rounding level (|mu| <= 1e-13 max |mu|)
+        are dropped.  rank S is at most 2|J| (38-40 on the benchmark
+        instances, against |J| of 31-39); a range fill takes the basis
+        while rank S + 2r < n.
+        """
         d = self._a_t @ self.b_mat
         s = ((d + d.T) * 0.5).tocsr()
-        return (s, float(np.vdot(s.data, s.data)),
-                0.5 * float(np.vdot(self._b_vals, self._b_vals)))
-
-    def s_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """S = sym(A^T B) as (Q_S, mu): S = Q_S diag(mu) Q_S^T, Q_S
-        orthonormal (n x rank S), built on the first call.
-
-        Only the columns J of B that hold nonzeros reach D = A^T B, so
-        S = (D_J E_J^T + E_J D_J^T)/2 with D_J = D[:, J] and E_J = I[:, J].
-        With [D_J, E_J] = Q R (Householder), S = Q C Q^T for the square
-        core C of order min(n, 2|J|), whose eigenpairs give Q_S and mu;
-        eigenvalues at rounding level (|mu| <= 1e-13 max |mu|) are dropped.
-        rank S is at most 2|J| (38-40 on the benchmark instances, against
-        |J| of 31-39); a range fill takes the basis while rank S + 2r < n.
-        """
-        return self._s_range
-
-    @cached_property
-    def _s_range(self) -> tuple[np.ndarray, np.ndarray]:
         cols = np.unique(self._b_cols)
         j = cols.size
-        d_j = (self._a_t @ self.b_mat)[:, cols].toarray()
         e_j = np.zeros((self.n, j))
         e_j[cols, np.arange(j)] = 1.0
-        q, r = np.linalg.qr(np.hstack([d_j, e_j]))
+        q, r = np.linalg.qr(np.hstack([d[:, cols].toarray(), e_j]))
         c = r[:, :j] @ r[:, j:].T
         mu, w = np.linalg.eigh(0.5 * (c + c.T))
         keep = np.abs(mu) > 1e-13 * np.max(np.abs(mu), initial=0.0)
-        return q @ w[:, keep], mu[keep]
+        return (s, float(np.vdot(s.data, s.data)),
+                0.5 * float(np.vdot(self._b_vals, self._b_vals)),
+                (q @ w[:, keep], mu[keep]))
 
     def _factored_value_and_gradient(self, x: LowRank
                                      ) -> tuple[float, FactoredGradient]:
-        s, s_sq_norm, half_b_sq = self._linear_term
+        s, s_sq_norm, half_b_sq, s_range = self._linear_term
         y = x.factor
         p = self._h @ y
         sy = s @ y
         value = (0.5 * float(np.vdot(y.T @ p, x.gram))
                  - float(np.vdot(y, sy)) + half_b_sq)
         return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy,
-                                       s_range=self.s_range)
+                                       s_range=s_range)
 
     def _residual(self, x) -> np.ndarray:
         r = self.a @ np.asarray(x, dtype=float)

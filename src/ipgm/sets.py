@@ -23,16 +23,15 @@ range (the eigensolver's range fill) or, when the basis is unknown or has n
 columns, from LAPACK on V's lower triangle (its LAPACK fill), and a
 ``LowRank`` anchor U, whose ||U||^2 and q^T U q come from its factor.  A
 dense V takes the LAPACK fill.
-The exact projection of a ``StepOperator`` forms V once, as the lower
-triangle LAPACK reads, and computes only the eigenpairs above a Ky Fan lower
-bound on the simplex threshold, taken from the anchor's factor.  A dense V
-is symmetrized and fully decomposed.  Both LAPACK subset calls go through
-``subset_eigh``, which falls back to a full ``eigh`` when LAPACK fails.
+The exact projection of a ``StepOperator`` asks LAPACK for V's top m
+pairs, m one more than the anchor's rank and doubled until the m-th pair
+gets no simplex weight.  A dense V is symmetrized and fully decomposed.
+Both projections take their LAPACK pairs from ``subset_eigh``, which falls
+back to a full ``eigh`` when LAPACK fails or returns too few pairs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -265,47 +264,34 @@ def _positive_factor(vals: np.ndarray, vecs: np.ndarray,
     return LowRank(vecs[:, keep] * np.sqrt(lam[keep]))
 
 
-# Lowers the Ky Fan bound of ``_pairs_above_threshold`` by this much times
-# max(1, ||V||_F), well above the rounding of the trace and of the
-# eigenvalues LAPACK selects against it.
-_THRESHOLD_MARGIN = 1e-9
-
-
-def _pairs_above_threshold(v: StepOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of V = X - alpha G that include every one whose
-    eigenvalue exceeds the simplex threshold of V's spectrum.
-
-    The threshold is theta = max_j (lam_1 + ... + lam_j - 1)/j, and for any
-    orthonormal Q with k columns lam_1 + ... + lam_k >= tr(Q^T V Q) (Ky Fan),
-    so theta >= lo = (tr(Q^T V Q) - 1)/k.  Q is the Householder Q factor of
-    the anchor's factor Y, orthonormal even when Y is rank deficient (an
-    Armijo trial stacks two factors), and near a solution it spans V's top
-    eigenvectors, so lo is close to theta.  LAPACK's MRRR driver (``evr``)
-    computes only the pairs above lo, from V's lower triangle, which
-    ``lower_fortran`` forms in one array that LAPACK may overwrite; when it
-    fails, ``subset_eigh`` returns every pair instead.
-    """
-    q = np.linalg.qr(v.anchor.factor)[0]
-    margin = _THRESHOLD_MARGIN * max(1.0, math.sqrt(v.sq_norm))
-    lo = (float(np.vdot(q, v @ q)) - 1.0) / q.shape[1] - margin
-    return subset_eigh(v, subset_by_value=(lo, np.inf))
-
-
 def exact_project_spectrahedron(v) -> LowRank:
     """Exact projection onto {W symmetric PSD, tr W = 1}.
 
     The eigenvalues of the symmetric part of V are projected onto the
     simplex, and the result is factored over the positive weights.  A dense
     V is symmetrized and fully decomposed.  For a ``StepOperator`` only the
-    eigenpairs above a lower bound on the simplex threshold are computed
-    (see ``_pairs_above_threshold``); every pair with a positive weight is
-    among them, so the threshold and W are those of the full decomposition.
+    top m pairs are computed, m = (rank of the anchor) + 1 and doubled until
+    the m-th pair gets weight 0 or m = n.  The simplex threshold is
+    max_j (lam_1 + ... + lam_j - 1)/j and the weights are positive on a
+    prefix of the sorted eigenvalues (Condat, Math. Prog. 2016), so a zero
+    m-th weight means every positive weight is among the m pairs, and the
+    threshold and W are those of the full decomposition.  On the exact
+    solvers' path the anchor is the last projection, factored over its
+    positive weights, so one LAPACK call usually suffices.
     """
     if isinstance(v, StepOperator):
-        evals, evecs = _pairs_above_threshold(v)
+        n = v.shape[0]
+        m = min(n, v.anchor.rank + 1)
+        while True:
+            evals, evecs = subset_eigh(v, m)
+            lam = project_simplex(evals)
+            if lam[-1] == 0.0 or evals.size == n:
+                break
+            m = min(n, 2 * m)
     else:
         evals, evecs = np.linalg.eigh(symmetrize(np.asarray(v, dtype=float)))
-    return _positive_factor(evals, evecs, project_simplex(evals))
+        lam = project_simplex(evals)
+    return _positive_factor(evals, evecs, lam)
 
 
 def support_point_spectrahedron(c) -> np.ndarray:

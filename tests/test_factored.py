@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import ipgm.sets
 from ipgm.linalg import (
     EigenSolverError,
     FactoredGradient,
@@ -26,7 +27,6 @@ from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
 from ipgm.sets import (
     ExactProjectionAdapter,
     Spectrahedron,
-    _pairs_above_threshold,
     certify_inexact_projection,
     exact_project_spectrahedron,
     inexact_project_spectrahedron,
@@ -168,8 +168,10 @@ def _check_exact_projection(op: StepOperator) -> None:
 
 
 class TestExactProjectionOfOperator:
-    """The exact projection of a ``StepOperator`` computes only the pairs
-    above (tr(Q^T V Q) - 1)/k, Q the Q factor of the anchor's factor."""
+    """The exact projection of a ``StepOperator`` computes V's top m pairs,
+    m one more than the anchor's rank and doubled until the m-th pair gets
+    no simplex weight; W is the one a full decomposition gives whatever the
+    anchor."""
 
     def _step(self, seed):
         rng = np.random.default_rng(40 + seed)
@@ -197,30 +199,71 @@ class TestExactProjectionOfOperator:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_anchor_spanning_the_top_eigenvectors(self, seed):
-        # Q spans the eigenvectors with positive weights, so the bound is
-        # the threshold itself, less its margin, and only they are computed
+        # the anchor has W's rank k, so the first k + 1 pairs hold every
+        # positive weight
         g, alpha = self._step(seed)
         vecs = np.linalg.eigh(g.step(alpha).dense())[1]
         k = exact_project_spectrahedron(g.step(alpha)).rank
         op = _reanchored(g, alpha, LowRank(vecs[:, -k:] / np.sqrt(k)))
-        assert _pairs_above_threshold(op)[0].size == k
         _check_exact_projection(op)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_anchor_orthogonal_to_the_top_eigenvectors(self, seed):
-        # Q spans the bottom of the spectrum: the bound is loose and many
-        # more pairs than the positive weights are computed
+        # the anchor spans the bottom of the spectrum; only its rank sets
+        # the first request
         g, alpha = self._step(seed)
         vecs = np.linalg.eigh(g.step(alpha).dense())[1]
         k = exact_project_spectrahedron(g.step(alpha)).rank
         op = _reanchored(g, alpha, LowRank(vecs[:, :k] / np.sqrt(k)))
-        assert _pairs_above_threshold(op)[0].size > 5 * k
         _check_exact_projection(op)
+
+    def test_a_low_rank_anchor_doubles_the_request(self, monkeypatch):
+        # a rank-1 anchor asks for 2 pairs; W has a support of at least 4,
+        # so the request doubles until its last pair gets weight 0
+        g, alpha = self._step(0)
+        ref = exact_project_spectrahedron(g.step(alpha).dense())
+        assert ref.rank >= 4
+        op = _reanchored(g, alpha, LowRank(g.point.factor[:, :1]))
+        sizes = []
+        real = ipgm.sets.subset_eigh
+
+        def spy(a, m):
+            sizes.append(m)
+            return real(a, m)
+
+        monkeypatch.setattr(ipgm.sets, "subset_eigh", spy)
+        w = exact_project_spectrahedron(op)
+        assert sizes == [2, 4, 8, 16, 32, 60][:len(sizes)]
+        assert len(sizes) >= 3 and sizes[-1] > ref.rank
+        assert w.rank == ref.rank
+        assert _max_abs(w.dense() - ref.dense()) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_short_lapack_return_falls_back_to_full_eigh(self, seed,
+                                                           monkeypatch):
+        # LAPACK's evr may return fewer pairs than asked without raising;
+        # here it drops the top pair of every subset it computes
+        g, alpha = self._step(seed)
+        op = g.step(alpha)
+        ref = exact_project_spectrahedron(op.dense())
+        real = scipy.linalg.eigh
+        dropped = []
+
+        def short(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            dropped.append(vals[-1])
+            return vals[:-1], vecs[:, :-1]  # ascending: the top pair
+
+        monkeypatch.setattr(scipy.linalg, "eigh", short)
+        w = exact_project_spectrahedron(op)
+        assert dropped
+        assert w.rank == ref.rank
+        assert _max_abs(w.dense() - ref.dense()) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_factor_with_duplicated_columns(self, seed):
         # an Armijo trial [sqrt(1 - t) Y, sqrt(t) Y] of a point with itself
-        # has a rank-deficient factor; its Householder Q is orthonormal
+        # has a rank-deficient factor and twice the columns of W's rank
         g, alpha = self._step(seed)
         y = g.point.factor
         stacked = LowRank(np.hstack([np.sqrt(0.7) * y, np.sqrt(0.3) * y]))
@@ -240,6 +283,11 @@ def _check_against_eigh(cache: IncrementalEigen, op: StepOperator,
     residual = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
     assert np.max(residual) <= cache.tol_abs
     assert _max_abs(vecs.T @ vecs - np.eye(k)) <= 1e-12
+
+
+def _rank_s(inst) -> int:
+    """Columns of the instance's basis of S's range."""
+    return inst._linear_term[3][0].shape[1]
 
 
 def _lsq_step(seed: int, factor: np.ndarray):
@@ -262,7 +310,7 @@ class TestRangeFill:
         cache = IncrementalEigen(op)
         _check_against_eigh(cache, op, 3)
         _check_against_eigh(cache, op, 7)  # extends the same fill
-        rank_s = inst.s_range()[0].shape[1]
+        rank_s = _rank_s(inst)
         assert cache.range_dim == rank_s + 2 * 4
         assert cache.fills == 1 and cache.matvecs_used == 7
         assert not cache.dense_fill
@@ -278,7 +326,7 @@ class TestRangeFill:
         inst, op = _lsq_step(seed, stacked)
         cache = IncrementalEigen(op)
         _check_against_eigh(cache, op, 6)
-        assert cache.range_dim == inst.s_range()[0].shape[1] + 2 * 6
+        assert cache.range_dim == _rank_s(inst) + 2 * 6
 
     def test_fewer_positive_eigenvalues_than_requested(self):
         # V = Z+ Z+^T - Z- Z-^T - E_J E_J^T has two positive eigenvalues,
@@ -295,7 +343,7 @@ class TestRangeFill:
         def operator():
             return StepOperator(LowRank(z_plus), z_plus, z_minus, s,
                                 sq_norm=float(np.vdot(dense, dense)),
-                                sq_dist=0.0, s_range=lambda: (q_s, mu))
+                                sq_dist=0.0, s_range=(q_s, mu))
 
         vals_t = operator().range_ritz()[0]
         assert vals_t.size == 13 and vals_t[2] < -0.5
@@ -314,7 +362,7 @@ class TestRangeFill:
         x = _unit_trace_point(np.random.default_rng(90), 120, 4)
         _, op = _lsq_step(0, x.factor)
         n = op.shape[0]
-        op._s_range = lambda: (np.empty((n, 0)), np.empty(0))
+        op.s_range = (np.empty((n, 0)), np.empty(0))
         with pytest.raises(EigenSolverError, match="range fill") as exc:
             IncrementalEigen(op).top(3)
         assert exc.value.best_residual > 1e-9
@@ -322,12 +370,11 @@ class TestRangeFill:
     @pytest.mark.parametrize("seed", range(3))
     def test_basis_reproduces_s(self, seed):
         inst = generate_instance(120, 240, 5, seed=seed)
-        q_s, mu = inst.s_range()
-        s = inst._linear_term[0].toarray()
+        s, _, _, (q_s, mu) = inst._linear_term
+        s = s.toarray()
         assert _max_abs(q_s.T @ q_s - np.eye(mu.size)) <= 1e-13
         assert np.linalg.norm((q_s * mu) @ q_s.T - s) <= (
             1e-13 * np.linalg.norm(s))
-        assert inst.s_range() is inst.s_range()  # built once
 
 
 class TestRangeFillFallback:
@@ -350,7 +397,7 @@ class TestRangeFillFallback:
     def test_wide_b_gets_a_basis(self):
         # omega 20 at n=120: B has about 40 nonzero columns, over n/4
         inst = generate_instance(120, 240, 20, seed=3)
-        rank_s = inst.s_range()[0].shape[1]
+        rank_s = _rank_s(inst)
         assert rank_s > 120 // 4
         x = _unit_trace_point(np.random.default_rng(91), 120, 4)
         _, g = inst.value_and_gradient(x)
@@ -362,7 +409,7 @@ class TestRangeFillFallback:
         # rank S + 2 r over n/4 with a basis at hand
         x = _unit_trace_point(np.random.default_rng(92), 120, 12)
         inst, op = _lsq_step(1, x.factor)
-        rank_s = inst.s_range()[0].shape[1]
+        rank_s = _rank_s(inst)
         assert rank_s + 2 * 12 > 120 // 4
         cache = IncrementalEigen(op)
         _check_against_eigh(cache, op, 6)
@@ -389,7 +436,7 @@ class TestRangeFillFallback:
             return StepOperator(x, z_plus, z_minus, s,
                                 sq_norm=float(np.vdot(dense, dense)),
                                 sq_dist=float(np.sum((dense - x.dense())**2)),
-                                s_range=lambda: (q_s, mu))
+                                s_range=(q_s, mu))
 
         cache = IncrementalEigen(operator())
         _check_against_eigh(cache, operator(), 5)
@@ -429,16 +476,6 @@ class TestRangeFillFallback:
                                                      ref.stop_reason)
         assert abs(res.f_final - ref.f_final) <= 1e-12 * abs(ref.f_final)
         assert monitor_descent(res).passed and monitor_complexity(res).passed
-
-    def test_exact_solves_never_build_the_basis(self):
-        inst = generate_instance(120, 240, 5, seed=4)
-        _solve(inst.objective(), inst.feasible_set(), inst, "armijo",
-               "exact", 0.0)
-        assert "_s_range" not in vars(inst)
-        res = _solve(inst.objective(), inst.feasible_set(), inst, "armijo",
-                     "inexact", 0.0)
-        assert "_s_range" in vars(inst)
-        assert any(r.range_dim is not None for r in res.records)
 
 
 @dataclass(frozen=True)

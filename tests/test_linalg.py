@@ -331,9 +331,9 @@ class TestLapackFill:
         def duplicating(*args, **kwargs):
             vals, q = real(*args, **kwargs)
             q = q.copy()
-            q[:, -1] = q[:, -2]
+            q[:, 0] = q[:, 1]
             vals = vals.copy()
-            vals[-1] = vals[-2]
+            vals[0] = vals[1]
             return vals, q
 
         monkeypatch.setattr(ipgm.linalg, "subset_eigh", duplicating)
@@ -349,9 +349,9 @@ def _spy_on_subsets(monkeypatch) -> list:
     pairs = []
     real = ipgm.linalg.subset_eigh
 
-    def spy(a, subset_by_index):
-        pairs.append(subset_by_index[1] - subset_by_index[0] + 1)
-        return real(a, subset_by_index=subset_by_index)
+    def spy(a, m):
+        pairs.append(m)
+        return real(a, m)
 
     monkeypatch.setattr(ipgm.linalg, "subset_eigh", spy)
     return pairs
@@ -368,36 +368,27 @@ def _cold_start_input():
 
 
 class TestSubsetEigh:
-    """LAPACK's subset driver, with a full ``eigh`` when it fails."""
+    """LAPACK's subset driver asked for the top m pairs, with a full
+    ``eigh`` when it fails."""
 
-    @pytest.mark.parametrize("subset", [
-        {"subset_by_index": (400 - 16, 399)},
-        {"subset_by_index": (400 - 32, 399)},
-        {"subset_by_index": (400 - 64, 399)},
-        {"subset_by_value": (0.0, np.inf)},
-        {"subset_by_value": (0.01 / 400 * (1.0 - 1e-6), np.inf)}])
-    def test_cluster_input_matches_full_eigh(self, subset):
-        # whether or not the local LAPACK raises on these bounds, the
-        # returned pairs are the ones a full eigh gives
+    @pytest.mark.parametrize("m", [16, 32, 64],
+                             ids=["subset0", "subset1", "subset2"])
+    def test_cluster_input_matches_full_eigh(self, m):
+        # 32 and 64 pairs reach into the cluster; whether or not the local
+        # LAPACK raises there, the returned pairs are the ones a full eigh
+        # gives
         v = _cold_start_input()
         before = v.copy()
-        vals, vecs = subset_eigh(v, **subset)
+        vals, vecs = subset_eigh(v, m)
         assert np.array_equal(v, before)  # the input is not overwritten
-        full = np.linalg.eigvalsh(v)
-        if "subset_by_index" in subset:
-            m = subset["subset_by_index"][1] - subset["subset_by_index"][0] + 1
-            vals, vecs = vals[-m:], vecs[:, -m:]
-            ref = full[-m:]
-        else:
-            lo = subset["subset_by_value"][0]
-            ref = full[full > lo]
-            keep = vals > lo  # a full eigh returns every pair
-            vals, vecs = vals[keep], vecs[:, keep]
+        assert vals.size in (m, 400)  # a full eigh returns every pair
+        assert np.all(np.diff(vals) <= 0.0)
+        vals, vecs = vals[:m], vecs[:, :m]
+        ref = np.linalg.eigvalsh(v)[::-1][:m]
         tol = 1e-12 * np.linalg.norm(v)
-        assert vals.shape == ref.shape
         assert np.allclose(vals, ref, rtol=0.0, atol=tol)
         assert np.max(np.linalg.norm(v @ vecs - vecs * vals, axis=0)) <= tol
-        assert np.allclose(vecs.T @ vecs, np.eye(vals.size), atol=1e-12)
+        assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-12)
 
     def test_a_lapack_failure_falls_back_to_full_eigh(self, monkeypatch):
         rng = np.random.default_rng(308)
@@ -407,10 +398,10 @@ class TestSubsetEigh:
             raise np.linalg.LinAlgError("Internal Error.")
 
         monkeypatch.setattr(scipy.linalg, "eigh", failing)
-        vals, vecs = subset_eigh(s, subset_by_index=(38, 39))
+        vals, vecs = subset_eigh(s, 2)
         ref_vals, ref_vecs = np.linalg.eigh(s)
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(np.abs(vecs), np.abs(ref_vecs))
+        assert np.array_equal(vals, ref_vals[::-1])
+        assert np.array_equal(np.abs(vecs), np.abs(ref_vecs[:, ::-1]))
         # the eigensolver keeps every pair of the full decomposition
         cache = IncrementalEigen(s)
         assert np.allclose(cache.top(2)[0], ref_vals[::-1][:2], atol=1e-12)
@@ -427,9 +418,9 @@ class TestSubsetEigh:
             return vals[1:], vecs[:, 1:]
 
         monkeypatch.setattr(scipy.linalg, "eigh", short)
-        vals, _ = subset_eigh(s, subset_by_index=(25, 29))
+        vals, _ = subset_eigh(s, 5)
         assert vals.size == 30
-        assert np.allclose(vals, np.linalg.eigvalsh(s), atol=1e-12)
+        assert np.allclose(vals, np.linalg.eigvalsh(s)[::-1], atol=1e-12)
 
     def test_one_pair_for_the_support_point(self, monkeypatch):
         pairs = _spy_on_subsets(monkeypatch)
