@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .linalg import (
     EigenSolverError,
@@ -425,12 +426,21 @@ class Spectrahedron(ConvexSetOracle):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.n):
             return False
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if float(np.linalg.norm(x - x.T)) > feas_tol * scale:
+        norm = float(np.linalg.norm(x))
+        if not np.isfinite(norm):
+            return False
+        if float(np.linalg.norm(x - x.T)) > feas_tol * max(1.0, norm):
             return False
         if abs(float(np.trace(x)) - 1.0) > feas_tol:
             return False
-        return float(np.linalg.eigvalsh(symmetrize(x))[0]) >= -feas_tol
+        # lambda_min(sym x) >= -feas_tol iff sym x + feas_tol I is positive
+        # semidefinite, which a Cholesky factorization decides (up to
+        # rounding at the boundary) in a quarter of the time of eigvalsh.
+        # The shifted matrix is exactly symmetric, so its transpose is the
+        # Fortran-ordered array LAPACK factors in place
+        shifted = symmetrize(x)
+        shifted.flat[::self.n + 1] += feas_tol
+        return dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)[1] == 0
 
     def support_point(self, c) -> np.ndarray:
         return support_point_spectrahedron(c)

@@ -220,6 +220,11 @@ class IterationRecord:
     ``matvecs``, ``fills``, ``dense_fill``, ``ranks_tried`` and
     ``range_dim`` are copied from the projection; they are ``None`` where it
     does not report them (an exact projection reports none of them).
+    ``wall_time`` is the pass's wall time in seconds; ``t_proj`` is the part
+    spent forming the projection input x - alpha grad f(x) and projecting
+    it, and ``t_eval`` the part spent moving to the next iterate, which
+    evaluates the objective there (at every trial point of an Armijo
+    search).
     """
 
     k: int
@@ -233,6 +238,8 @@ class IterationRecord:
     step_norm: float
     rel_change: float
     wall_time: float
+    t_proj: float
+    t_eval: float
     a_k: float | None = None
     b_k: float | None = None
     b_prev: float | None = None
@@ -388,11 +395,13 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             stop_reason = STOP_STATIONARY
             break
         alpha, gamma, params_fields = step_params(k, x, g, gn)
+        t1 = time.perf_counter()
         try:
             proj = feasible_set.inexact_project(_gradient_step(x, g, alpha), x,
                                                 gamma, cfg.phi, state=state)
         except EigenSolverError as exc:
             raise SolverError(f"iteration {k}: projection failed: {exc}") from exc
+        t_proj = time.perf_counter() - t1
         w = _factored_or_dense(proj.point)
         state = proj.state
         dist = _distance(w, x)
@@ -402,11 +411,13 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             # stationarity; with a positive budget it does not
             stop_reason = STOP_FIXED_POINT
             break
+        t1 = time.perf_counter()
         try:
             x_next, f_next, g_next, step, move_fields = move(x, w, g, f_x,
                                                              dist)
         except LineSearchError as exc:
             raise LineSearchError(f"iteration {k}: {exc}") from exc
+        t_eval = time.perf_counter() - t1
         if not math.isfinite(f_next):
             raise SolverError(f"iteration {k}: objective value is {f_next}")
         norm_x = _norm(x)
@@ -418,7 +429,7 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             k=k, f_x=f_x, f_next=f_next, grad_norm=gn, alpha=alpha,
             gamma1=gamma.gamma1, gamma2=gamma.gamma2, gamma3=gamma.gamma3,
             step_norm=step, rel_change=rel,
-            wall_time=time.perf_counter() - t0,
+            wall_time=time.perf_counter() - t0, t_proj=t_proj, t_eval=t_eval,
             p_used=proj.rank_used, certificate_gap=proj.certificate_gap,
             phi_value=proj.phi_value, matvecs=proj.matvecs,
             fills=proj.fills, dense_fill=proj.dense_fill,

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import ipgm.linalg
 import ipgm.sets
 from ipgm.linalg import (
     EigenSolverError,
@@ -92,6 +93,36 @@ class TestFactoredAlgebra:
         assert op.sq_dist == pytest.approx(
             np.vdot(ref - x.dense(), ref - x.dense()), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_operator_keeps_s_unscaled(self, seed):
+        # a step hands the operator S itself and alpha; the dense forms scale
+        # S's entries after they are laid out, with the bits of alpha * S
+        rng = np.random.default_rng(30 + seed)
+        inst = generate_instance(40, 80, 5, seed=seed)
+        x = _unit_trace_point(rng, 40, 3)
+        _, g = inst.value_and_gradient(x)
+        alpha = constant_alpha_from_gamma(inst.lipschitz_L, 0.0)
+        op = g.step(alpha)
+        assert op._s is g.s
+        s_alpha = alpha * g.s
+        z_plus = np.ascontiguousarray(op._z[:, :3])
+        z_minus = np.ascontiguousarray(op._z[:, 3:])
+        ref = s_alpha.toarray()
+        ref += z_plus @ z_plus.T
+        ref -= z_minus @ z_minus.T
+        assert op.dense().tobytes() == ref.tobytes()
+        lower = s_alpha.toarray(order="F")
+        for sign, z in ((1.0, z_plus), (-1.0, z_minus)):
+            lower = scipy.linalg.blas.dsyrk(sign, z, beta=1.0, c=lower,
+                                            lower=1, overwrite_c=1)
+        out = op.lower_fortran()
+        assert out.flags.f_contiguous
+        assert out.tobytes(order="F") == lower.tobytes(order="F")
+        dense = op.dense()
+        for x_in in (rng.standard_normal(40), rng.standard_normal((40, 4))):
+            ref_x = dense @ x_in
+            assert _max_abs(op @ x_in - ref_x) <= 1e-13 * _max_abs(ref_x)
+
     def test_distance_does_not_cancel(self):
         rng = np.random.default_rng(3)
         x = _unit_trace_point(rng, 50, 5)
@@ -152,7 +183,7 @@ def _reanchored(g: FactoredGradient, alpha: float, anchor: LowRank
     """g.step(alpha), the same matrix V, with ``anchor`` as its anchor."""
     half = (0.5 * alpha) * g.p
     op = g.step(alpha)
-    return StepOperator(anchor, g.point.factor - half, half, alpha * g.s,
+    return StepOperator(anchor, g.point.factor - half, half, g.s, alpha,
                         sq_norm=op.sq_norm, sq_dist=op.sq_dist)
 
 
@@ -312,8 +343,43 @@ class TestRangeFill:
         _check_against_eigh(cache, op, 7)  # extends the same fill
         rank_s = _rank_s(inst)
         assert cache.range_dim == rank_s + 2 * 4
-        assert cache.fills == 1 and cache.matvecs_used == 7
+        # top(3) certifies pairs 1-4 and top(7) pairs 5-8: one pair ahead
+        assert cache.fills == 1 and cache.matvecs_used == 8
         assert not cache.dense_fill
+
+    def test_constant_step_inputs_through_the_pad_branch(self, monkeypatch):
+        # Z's part outside range(S) is numerically rank-deficient on many
+        # constant-step inputs, so the range fill projects columns of its
+        # first QR again (a second QR); those fills must match eigh too
+        ops = []
+
+        @dataclass(frozen=True)
+        class Recording(Spectrahedron):
+            def inexact_project(self, v, u, gamma, phi, state=None):
+                if isinstance(v, StepOperator):
+                    ops.append(v)
+                return super().inexact_project(v, u, gamma, phi, state)
+
+        inst = generate_instance(60, 120, 6, seed=2)
+        _solve(inst.objective(), Recording(inst.n), inst, "constant",
+               "inexact", 0.0)
+        qrs = []
+        real = ipgm.linalg._qr
+
+        def spy(a, **kwargs):
+            qrs.append(a.shape)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(ipgm.linalg, "_qr", spy)
+        padded = 0
+        for op in ops:
+            qrs.clear()
+            cache = IncrementalEigen(op)
+            if len(qrs) == 2:
+                padded += 1
+                _check_against_eigh(cache, op, 4)
+                assert cache.range_dim is not None and not cache.dense_fill
+        assert padded >= 10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_rank_deficient_factors(self, seed):
@@ -341,7 +407,7 @@ class TestRangeFill:
         dense = s.toarray() + z_plus @ z_plus.T - z_minus @ z_minus.T
 
         def operator():
-            return StepOperator(LowRank(z_plus), z_plus, z_minus, s,
+            return StepOperator(LowRank(z_plus), z_plus, z_minus, s, 1.0,
                                 sq_norm=float(np.vdot(dense, dense)),
                                 sq_dist=0.0, s_range=(q_s, mu))
 
@@ -349,7 +415,8 @@ class TestRangeFill:
         assert vals_t.size == 13 and vals_t[2] < -0.5
         served = IncrementalEigen(operator())
         _check_against_eigh(served, operator(), 2)
-        assert served.range_dim == 13
+        # the third value does not serve, so no pair ahead is certified
+        assert served.range_dim == 13 and served.matvecs_used == 2
         # the request reaches V's zero eigenvalues: a LAPACK fill serves it
         cache = IncrementalEigen(operator())
         _check_against_eigh(cache, operator(), 4)
@@ -433,7 +500,7 @@ class TestRangeFillFallback:
 
         def operator():
             dense = s.toarray() + z_plus @ z_plus.T - z_minus @ z_minus.T
-            return StepOperator(x, z_plus, z_minus, s,
+            return StepOperator(x, z_plus, z_minus, s, 1.0,
                                 sq_norm=float(np.vdot(dense, dense)),
                                 sq_dist=float(np.sum((dense - x.dense())**2)),
                                 s_range=(q_s, mu))

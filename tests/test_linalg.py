@@ -207,6 +207,21 @@ class TestIncrementalEigen:
         vals1b, _ = cache.top(2)
         assert np.array_equal(vals1b, vals2[:2])
 
+    def test_certifies_one_pair_ahead(self, monkeypatch):
+        # the rank-p projector asks for p + 1 pairs, then p + 2: the second
+        # request is served by the first one's certificate
+        certified = _spy_on_certificates(monkeypatch)
+        s = random_symmetric(np.random.default_rng(23), 60)
+        oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
+        cache = IncrementalEigen(s)
+        for k in (2, 3, 4, 5):
+            vals, vecs = cache.top(k)
+            assert vals.size == vecs.shape[1] == k
+            assert np.allclose(vals, oracle[:k], atol=1e-8)
+        # one fill of 16 pairs: top(2) certifies pairs 1-3, top(4) 4-5
+        assert certified == [3, 2]
+        assert cache.fills == 1 and cache.matvecs_used == 5
+
     def test_sq_norm_keeps_the_scale_bits(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
@@ -306,17 +321,16 @@ class TestLapackFill:
         cache = IncrementalEigen(s)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
         tol = 1e-9 * np.linalg.norm(s)
-        used = cached = 0
-        # one pair, then the floor of 16, then at least twice the last fill
-        for k, fills, m in ((1, 1, 1), (2, 2, 16), (16, 2, 16), (21, 3, 32),
-                            (33, 4, 64), (100, 5, 128), (n, 6, n)):
-            before = cache.fills
+        # one pair, then the floor of 16, then at least twice the last fill.
+        # A refill certifies every returned vector and a served request only
+        # the vectors it adds, each with pair k + 1 when the fill holds it:
+        # 1, then 1 + 3, + 13 (pairs 4-16), + 22, + 34, + 101, + 200
+        for k, fills, m, used in ((1, 1, 1, 1), (2, 2, 16, 4),
+                                  (16, 2, 16, 17), (21, 3, 32, 39),
+                                  (33, 4, 64, 73), (100, 5, 128, 174),
+                                  (n, 6, n, 374)):
             vals, vecs = cache.top(k)
             assert (cache.fills, pairs[-1]) == (fills, m)
-            # a refill certifies every returned vector, a served request
-            # only the vectors it adds
-            used += k if cache.fills > before else k - cached
-            cached = k
             assert cache.matvecs_used == used
             assert np.allclose(vals, oracle[:k], atol=tol)
             assert np.max(np.linalg.norm(s @ vecs - vecs * vals,
@@ -355,6 +369,20 @@ def _spy_on_subsets(monkeypatch) -> list:
 
     monkeypatch.setattr(ipgm.linalg, "subset_eigh", spy)
     return pairs
+
+
+def _spy_on_certificates(monkeypatch) -> list:
+    """The number of pairs each certificate call of the eigensolver
+    checks, in call order."""
+    widths = []
+    real = IncrementalEigen._certify
+
+    def spy(self, q, vals, source):
+        widths.append(q.shape[1])
+        return real(self, q, vals, source)
+
+    monkeypatch.setattr(IncrementalEigen, "_certify", spy)
+    return widths
 
 
 def _cold_start_input():
@@ -424,7 +452,9 @@ class TestSubsetEigh:
 
     def test_one_pair_for_the_support_point(self, monkeypatch):
         pairs = _spy_on_subsets(monkeypatch)
+        certified = _spy_on_certificates(monkeypatch)
         s = random_symmetric(np.random.default_rng(309), 60)
         value, _ = largest_eigenpair(s)
-        assert pairs == [1]
+        # a one-pair fill holds no pair ahead to certify
+        assert pairs == [1] and certified == [1]
         assert value == pytest.approx(np.linalg.eigvalsh(s)[-1], abs=1e-9)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ipgm.linalg import frobenius_inner, frobenius_norm, symmetrize
@@ -71,6 +71,15 @@ def simplex_oracle_exhaustive(d):
             if dist < best_dist - 1e-15:
                 best, best_dist = x, dist
     return best
+
+
+def _unit_trace_with_lambda_min(rng, n, lam_min):
+    """An exactly symmetric matrix of trace 1 whose smallest eigenvalue is
+    ``lam_min`` (to rounding), in a random eigenbasis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.concatenate([[lam_min],
+                        (1.0 - lam_min) * rng.dirichlet(np.ones(n - 1))])
+    return symmetrize((q * d) @ q.T)
 
 
 def random_feasible_spectra(rng, n):
@@ -214,6 +223,42 @@ class TestSpectrahedronExact:
         assert s.contains(np.eye(4) / 4)
         assert not s.contains(np.eye(4))
         assert not s.contains(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("feas_tol", [1e-9, 1e-6])
+    def test_spectrahedron_contains_near_the_psd_boundary(self, feas_tol):
+        n = 8
+        rng = np.random.default_rng(310)
+        s = Spectrahedron(n)
+
+        def with_lambda_min(lam):
+            return _unit_trace_with_lambda_min(rng, n, lam)
+
+        assert s.contains(with_lambda_min(-0.5 * feas_tol), feas_tol)
+        assert not s.contains(with_lambda_min(-2.0 * feas_tol), feas_tol)
+        x = with_lambda_min(0.0)
+        assert s.contains(x, feas_tol)
+        skew = rng.standard_normal((n, n))
+        assert not s.contains(x + 10.0 * feas_tol * (skew - skew.T), feas_tol)
+        assert not s.contains(x * (1.0 + 10.0 * feas_tol), feas_tol)
+        assert not s.contains(x[:-1, :-1], feas_tol)
+        for i, j in ((0, 0), (1, 2)):
+            bad = x.copy()
+            bad[i, j] = bad[j, i] = np.nan
+            assert not s.contains(bad, feas_tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           feas_tol=st.sampled_from([1e-9, 1e-8, 1e-6]),
+           offset=st.floats(-3.0, 3.0))
+    def test_spectrahedron_contains_agrees_with_eigvalsh(self, n, seed,
+                                                         feas_tol, offset):
+        # the Cholesky test decides lambda_min >= -feas_tol as eigvalsh does,
+        # away from rounding at the boundary
+        x = _unit_trace_with_lambda_min(np.random.default_rng(seed), n,
+                                        -feas_tol * (1.0 + offset))
+        lam_min = float(np.linalg.eigvalsh(x)[0])
+        assume(abs(lam_min + feas_tol) > 1e-12)
+        assert Spectrahedron(n).contains(x, feas_tol) == (lam_min >= -feas_tol)
 
 
 class TestExactProjectionProperty:
@@ -364,10 +409,10 @@ class TestInexactProjectSpectrahedron:
         res = inexact_project_spectrahedron(v, random_feasible_spectra(rng, n),
                                             ForcingParams(1.0, 0.4, 0.4),
                                             PHI1, p_start=1)
-        assert res.rank_used < n
         assert res.dense_fill is True
-        # the certificates of the rank_used + 1 pairs the loop read
-        assert (res.fills, res.matvecs) == (1, res.rank_used + 1)
+        # top(2) certifies the two pairs the loop reads at rank 1 and the
+        # third one ahead
+        assert (res.rank_used, res.fills, res.matvecs) == (1, 1, 3)
 
     def test_records_lapack_products(self):
         n = 120
@@ -377,8 +422,8 @@ class TestInexactProjectSpectrahedron:
                                             ForcingParams(1.0, 0.4, 0.4),
                                             PHI1, p_start=1)
         assert res.dense_fill is True
-        assert res.rank_used < 16 and res.fills == 1
-        assert res.matvecs == res.rank_used + 1
+        # one fill of 16 pairs; top(2) certifies pairs 1-3
+        assert (res.rank_used, res.fills, res.matvecs) == (1, 1, 3)
         assert res.range_dim is None  # a dense input has no range basis
 
     @pytest.mark.parametrize("p_start", [1, 3])

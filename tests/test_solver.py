@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -357,6 +358,43 @@ class TestRecordFields:
                              p.range_dim) for p in results[:len(work)]]
             assert all(fills >= 1 and isinstance(dense, bool) and tried >= 1
                        for _, fills, dense, tried, _ in work)
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_records_split_the_pass_time(self, rule):
+        # each projection and each objective evaluation sleeps 5 ms, so the
+        # phase timings have a floor the clock cannot miss
+        nap = 0.005
+
+        @dataclass(frozen=True)
+        class SlowBox(Box):
+            def inexact_project(self, *args, **kwargs):
+                time.sleep(nap)
+                return super().inexact_project(*args, **kwargs)
+
+        qp = make_boxqp(6, 0.5, 5.0, seed=15)
+        box = qp.feasible_set()
+        fast = qp.objective()
+
+        def value_and_gradient(x):
+            time.sleep(nap)
+            return fast.value_and_gradient(x)
+
+        obj = replace(fast, value_and_gradient=value_and_gradient)
+        cset = SlowBox(box.lower, box.upper)
+        if rule == "constant":
+            res = solve_constant(obj, cset, np.zeros(6), ConstantStepConfig(
+                alpha=1.0 / qp.lipschitz_L, schedule=zero_schedule(),
+                max_iter=5))
+        else:
+            res = solve_armijo(obj, cset, np.zeros(6),
+                               ArmijoConfig(max_iter=5, sigma=0.9))
+        assert res.records
+        for r in res.records:
+            evaluations = 1 + (r.backtracks or 0)
+            assert r.t_proj >= nap and r.t_eval >= evaluations * nap
+            assert r.t_proj + r.t_eval <= r.wall_time
+        if rule == "armijo":
+            assert any(r.backtracks for r in res.records)
 
     def test_algorithm_follows_config_type(self):
         qp = make_boxqp(6, 0.5, 5.0, seed=14)
