@@ -168,15 +168,18 @@ class ConstantStepConfig:
 
 @dataclass(frozen=True)
 class ArmijoConfig:
-    """Configuration of the Armijo feasible-direction variant."""
+    """Configuration of the Armijo feasible-direction variant.
+
+    Each iteration's step alpha_k is the spectral (Barzilai-Borwein) step
+    clamped to [alpha_min, alpha_max], and alpha_max on the first one;
+    equal bounds give a fixed step.
+    """
 
     sigma: float = 1e-4
     tau: float = 0.5
     alpha_min: float = 1e-10
     alpha_max: float = 1e10
     gamma3_bar: float = 0.49995
-    step_rule: str = "spectral"  # or "fixed"
-    fixed_alpha: float | None = None
     phi: ToleranceFn = field(default_factory=lambda: ToleranceFn.canonical("phi4"))
     max_backtracks: int = 60
     max_iter: int = 1000
@@ -191,11 +194,6 @@ class ArmijoConfig:
             raise ValueError("need 0 < alpha_min <= alpha_max")
         if not 0.0 <= self.gamma3_bar < 0.5:
             raise ValueError("gamma3_bar must lie in [0, 1/2)")
-        if self.step_rule not in ("spectral", "fixed"):
-            raise ValueError("step_rule must be 'spectral' or 'fixed'")
-        if self.fixed_alpha is not None and not (
-                self.alpha_min <= self.fixed_alpha <= self.alpha_max):
-            raise ValueError("fixed_alpha must lie in [alpha_min, alpha_max]")
         if self.stop_tol <= 0 or self.max_iter < 1 or self.max_backtracks < 1:
             raise ValueError("invalid iteration limits")
 
@@ -335,10 +333,10 @@ def _factored_or_dense(x):
 
 
 def _toward(x, w, t: float):
-    """x + t (w - x).  For factored points the convex combination stays
-    factored, (1 - t) X + t W = [sqrt(1 - t) Y_x, sqrt(t) Y_w] [...]^T,
-    within the rank bound of ``_factored_or_dense``."""
-    if isinstance(w, LowRank) and t == 1.0:
+    """x + t (w - x), and w itself at t = 1.  For factored points the convex
+    combination stays factored, (1 - t) X + t W = [sqrt(1 - t) Y_x,
+    sqrt(t) Y_w] [...]^T, within the rank bound of ``_factored_or_dense``."""
+    if t == 1.0:
         return w
     if isinstance(x, LowRank) and isinstance(w, LowRank):
         return _factored_or_dense(LowRank(np.hstack(
@@ -478,28 +476,31 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
 def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
                   max_backtracks: int, f_x: float, dir_deriv: float
-                  ) -> tuple[float, int, float, np.ndarray]:
+                  ) -> tuple[float, int, np.ndarray | LowRank, float,
+                             np.ndarray | FactoredGradient]:
     """Smallest j >= 0 with f(x + tau^j d) <= f(x) + sigma tau^j <g, d>.
 
     Here d = w - x, and the caller supplies ``f_x`` = f(x) and ``dir_deriv``
     = <grad f(x), d>.  Each trial point takes one ``value_and_gradient``
-    call; returns (tau^j, j, f, grad f) at the accepted one.  A NaN value of
-    f(x) or of a trial point raises ``LineSearchError`` at once; a +inf
-    trial value backtracks like any other rejected one.  Factored x and w
-    give factored trial points.
+    call; returns (tau^j, j, x_trial, f, grad f) at the accepted one, where
+    ``x_trial`` is the object the oracle saw: w itself for a full step,
+    factored when x and w are (within ``_toward``'s rank bound).  A NaN
+    value of f(x) or of a trial point raises ``LineSearchError`` at once; a
+    +inf trial value backtracks like any other rejected one.
     """
     if math.isnan(f_x):
         raise LineSearchError("objective value at the base point is nan")
     step = 1.0
     for j in range(max_backtracks + 1):
-        f_trial, g_trial = obj.value_and_gradient(_toward(xk, wk, step))
+        x_trial = _toward(xk, wk, step)
+        f_trial, g_trial = obj.value_and_gradient(x_trial)
         f_trial = float(f_trial)
         if math.isnan(f_trial):
             raise LineSearchError(
                 f"objective value is nan at trial step {step:.3e} "
                 f"(backtrack {j})")
         if f_trial <= f_x + sigma * step * dir_deriv:
-            return step, j, f_trial, g_trial
+            return step, j, x_trial, f_trial, g_trial
         step *= tau
     raise LineSearchError(
         f"no sufficient decrease within {max_backtracks} backtracks "
@@ -530,16 +531,15 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
     cap, so a projection returning x itself certifies stationarity.
     Otherwise a backtracking search picks tau_k and the iterate moves to
     x + tau_k (w - x), staying feasible by convexity.  The line search
-    hands on the value and gradient of the accepted trial point.
+    hands on the accepted trial point with its value and gradient, and the
+    step length is tau_k ||w - x||.
     """
     gamma = ForcingParams(0.0, 0.0, cfg.gamma3_bar)
     prev = None  # (x, g) of the previous iteration, for the spectral step
 
     def step_params(k, x, g, gn):
         nonlocal prev
-        if cfg.step_rule == "fixed":
-            alpha_k = cfg.fixed_alpha if cfg.fixed_alpha is not None else cfg.alpha_max
-        elif prev is None:
+        if prev is None or cfg.alpha_min == cfg.alpha_max:
             alpha_k = cfg.alpha_max
         elif (isinstance(g, FactoredGradient)
               and isinstance(prev[1], FactoredGradient)):
@@ -554,12 +554,9 @@ def solve_armijo(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
 
     def move(x, w, g, f_x, dist):
         dir_deriv = _slope(g, x, w)
-        tau_k, j_k, f_next, g_next = armijo_search(
+        tau_k, j_k, x_next, f_next, g_next = armijo_search(
             obj, x, w, cfg.sigma, cfg.tau, cfg.max_backtracks, f_x, dir_deriv)
-        # the accepted trial point; a factored gradient carries it
-        x_next = (g_next.point if isinstance(g_next, FactoredGradient)
-                  else _toward(x, w, tau_k))
-        return x_next, f_next, g_next, _distance(x_next, x), {
+        return x_next, f_next, g_next, tau_k * dist, {
             "tau": tau_k, "backtracks": j_k, "dir_norm": dist,
             "dir_deriv": dir_deriv}
 
@@ -620,6 +617,15 @@ def _run_check(name, pairs, tol) -> CheckResult:
             violations += 1
     return CheckResult(name=name, passed=violations == 0, checked=checked,
                        worst_slack=worst, violations=violations)
+
+
+def _running_min(values, bound_at):
+    """(min of values[:i + 1], bound_at(i)) for each i: a bound asserted on
+    the best value of every prefix of a run."""
+    best = np.inf
+    for i, value in enumerate(values):
+        best = min(best, value)
+        yield best, bound_at(i)
 
 
 def _skipped(name, note) -> CheckResult:
@@ -697,27 +703,20 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
         eta = result.f0 - f_star + rho * b_minus1
         if lip is not None and n_rec > 0:
             nu = cfg.nu(lip)
-
-            def displacement_pairs():
-                best = np.inf
-                for i, r in enumerate(recs):
-                    best = min(best, r.step_norm)
-                    yield best, math.sqrt(max(eta, 0.0) / nu) / math.sqrt(i + 1)
-            checks.append(_run_check("displacement-bound",
-                                     displacement_pairs(), rtol * max(1.0, eta)))
+            checks.append(_run_check("displacement-bound", _running_min(
+                [r.step_norm for r in recs],
+                lambda i: math.sqrt(max(eta, 0.0) / nu) / math.sqrt(i + 1)),
+                rtol * max(1.0, eta)))
         else:
             checks.append(_skipped("displacement-bound",
                                    "no Lipschitz constant or empty run"))
         if (convex or mu) and x_star is not None and n_rec > 0:
             d0_sq = frobenius_norm(result.x0 - np.asarray(x_star)) ** 2
-
-            def convex_pairs():
-                best = np.inf
-                for i, r in enumerate(recs):
-                    best = min(best, r.f_next - f_star)
-                    yield best, (d0_sq + 2 * alpha * rho * b_minus1) / (2 * alpha * (i + 1))
-            checks.append(_run_check("convex-rate", convex_pairs(),
-                                     rtol * max(1.0, abs(result.f0))))
+            checks.append(_run_check("convex-rate", _running_min(
+                [r.f_next - f_star for r in recs],
+                lambda i: ((d0_sq + 2 * alpha * rho * b_minus1)
+                           / (2 * alpha * (i + 1)))),
+                rtol * max(1.0, abs(result.f0))))
         else:
             checks.append(_skipped("convex-rate", "needs convexity and x_star"))
         if mu and x_star is not None and n_rec > 0:
@@ -744,26 +743,17 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
             tau_min = cfg.tau_min(lip)
             c = cfg.alpha_max * max(result.f0 - f_star, 0.0) / (
                 cfg.sigma * tau_min * (1.0 - cfg.gamma3_bar))
-
-            def dir_pairs():
-                best = np.inf
-                for i, r in enumerate(recs):
-                    best = min(best, r.dir_norm)
-                    yield best, math.sqrt(c) / math.sqrt(i + 1)
-            checks.append(_run_check("armijo-displacement-bound", dir_pairs(),
-                                     rtol * max(1.0, abs(result.f0))))
+            checks.append(_run_check("armijo-displacement-bound", _running_min(
+                [r.dir_norm for r in recs],
+                lambda i: math.sqrt(c) / math.sqrt(i + 1)),
+                rtol * max(1.0, abs(result.f0))))
             if convex and x_star is not None:
                 d0_sq = frobenius_norm(result.x0 - np.asarray(x_star)) ** 2
-
-                def arm_convex_pairs():
-                    best = np.inf
-                    for i, r in enumerate(recs):
-                        best = min(best, r.f_x - f_star)
-                        yield best, ((d0_sq + cfg.xi * max(result.f0 - f_star, 0.0))
-                                     / (2 * cfg.alpha_min * tau_min * (i + 1)))
-                checks.append(_run_check("armijo-convex-rate",
-                                         arm_convex_pairs(),
-                                         rtol * max(1.0, abs(result.f0))))
+                checks.append(_run_check("armijo-convex-rate", _running_min(
+                    [r.f_x - f_star for r in recs],
+                    lambda i: ((d0_sq + cfg.xi * max(result.f0 - f_star, 0.0))
+                               / (2 * cfg.alpha_min * tau_min * (i + 1)))),
+                    rtol * max(1.0, abs(result.f0))))
             else:
                 checks.append(_skipped("armijo-convex-rate",
                                        "needs convexity and x_star"))

@@ -5,7 +5,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from ipgm.linalg import EigenSolverError, IncrementalEigen
+import ipgm.solver
+from ipgm.linalg import (
+    EigenSolverError,
+    FactoredGradient,
+    IncrementalEigen,
+    LowRank,
+    frobenius_inner,
+)
 from ipgm.problems import (
     BoxQP,
     generate_instance,
@@ -82,20 +89,21 @@ class TestSpectralStep:
 class TestArmijoSearch:
     def test_linear_accepts_full_step(self):
         obj = ObjectiveOracle(lambda x: (float(x[0]), np.ones(1)))
-        tau, j, f_trial, g_trial = armijo_search(
+        tau, j, x_trial, f_trial, g_trial = armijo_search(
             obj, np.array([1.0]), np.array([0.0]), sigma=0.9, tau=0.5,
             max_backtracks=30, f_x=1.0, dir_deriv=-1.0)
-        assert (tau, j, f_trial) == (1.0, 0, 0.0)
+        assert (tau, j, x_trial.tolist(), f_trial) == (1.0, 0, [0.0], 0.0)
         assert g_trial.tolist() == [1.0]
 
     def test_hand_traced_backtracking(self):
         # f(x) = x^2 from x = 1 along direction -3 with sigma = 0.9
         obj = ObjectiveOracle(lambda x: (float(x[0] ** 2), 2.0 * x))
-        tau, j, f_trial, g_trial = armijo_search(
+        tau, j, x_trial, f_trial, g_trial = armijo_search(
             obj, np.array([1.0]), np.array([-2.0]), sigma=0.9, tau=0.5,
             max_backtracks=30, f_x=1.0, dir_deriv=-6.0)
         assert j == 4
         assert tau == pytest.approx(0.0625)
+        assert x_trial.tolist() == [1.0 - 3.0 * tau]
         assert f_trial == (1.0 - 3.0 * tau) ** 2
         # the gradient handed on is the accepted point's
         assert g_trial.tolist() == [2.0 * (1.0 - 3.0 * tau)]
@@ -136,11 +144,72 @@ class TestArmijoSearch:
 
     def test_inf_trial_backtracks(self):
         obj, calls = self._counting([np.inf, np.inf, -1.0])
-        tau, j, f_trial, _ = armijo_search(
+        tau, j, x_trial, f_trial, _ = armijo_search(
             obj, np.zeros(1), np.ones(1), sigma=0.5, tau=0.5,
             max_backtracks=60, f_x=0.0, dir_deriv=-1.0)
-        assert (tau, j, f_trial) == (0.25, 2, -1.0)
+        assert (tau, j, x_trial.tolist(), f_trial) == (0.25, 2, [0.25], -1.0)
         assert len(calls) == 3
+
+
+class TestArmijoSearchPoint:
+    """The search returns the very point its last oracle call evaluated."""
+
+    @staticmethod
+    def _recording(obj):
+        seen = []
+
+        def value_and_gradient(x):
+            seen.append(x)
+            return obj.value_and_gradient(x)
+
+        return replace(obj, value_and_gradient=value_and_gradient), seen
+
+    def test_dense_backtracked(self):
+        obj, seen = self._recording(
+            ObjectiveOracle(lambda x: (float(x[0] ** 2), 2.0 * x)))
+        tau, j, x_trial, f_trial, _ = armijo_search(
+            obj, np.array([1.0]), np.array([-2.0]), sigma=0.9, tau=0.5,
+            max_backtracks=30, f_x=1.0, dir_deriv=-6.0)
+        assert j == 4 and len(seen) == 5
+        assert x_trial is seen[-1]
+        assert f_trial == float(x_trial[0] ** 2)
+
+    def test_factored_backtracked(self):
+        inst = generate_instance(40, 80, 5, seed=3)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((40, 2))
+        x = LowRank(y / np.linalg.norm(y))
+        _, g = inst.value_and_gradient(x)
+        # a long step: the full move to w overshoots and is rejected
+        w = inst.feasible_set().exact_project(
+            g.step(100.0 / inst.lipschitz_L))
+        assert isinstance(w, LowRank) and 4 * (x.rank + w.rank) < 40
+        obj, seen = self._recording(inst.objective())
+        f_x = inst.value_and_gradient(x)[0]
+        tau, j, x_trial, f_trial, g_trial = armijo_search(
+            obj, x, w, sigma=0.9, tau=0.5, max_backtracks=60, f_x=f_x,
+            dir_deriv=frobenius_inner(g.dense(), w.dense() - x.dense()))
+        assert j >= 1 and len(seen) == j + 1
+        assert isinstance(x_trial, LowRank) and x_trial is seen[-1]
+        assert g_trial.point is x_trial
+        ref = x.dense() + tau * (w.dense() - x.dense())
+        assert np.max(np.abs(x_trial.dense() - ref)) <= 1e-15
+        assert f_trial == pytest.approx(inst.value(ref), rel=1e-12)
+
+    def test_full_step_on_a_box_is_the_projection(self):
+        # x + (w - x) is 0.9000000000000001 here, outside the box
+        box = Box.make(np.zeros(1), np.array([0.9]))
+        x = np.array([0.3])
+        assert (x + (np.array([0.9]) - x))[0] > 0.9
+        w = box.exact_project(x + 1.0)
+        obj, seen = self._recording(
+            ObjectiveOracle(lambda x: (-float(x[0]), -np.ones(1))))
+        tau, j, x_trial, _, _ = armijo_search(
+            obj, x, w, sigma=0.5, tau=0.5, max_backtracks=10,
+            f_x=-0.3, dir_deriv=-float(w[0] - x[0]))
+        assert (tau, j) == (1.0, 0)
+        assert x_trial is w and seen == [w]
+        assert box.contains(x_trial, feas_tol=0.0)
 
 
 class TestSolveConstant1D:
@@ -219,9 +288,8 @@ class TestStartAtOrigin:
 class TestSolveArmijo:
     def test_1d_box(self):
         obj, box = quad_1d()
-        cfg = ArmijoConfig(sigma=0.5, step_rule="fixed", fixed_alpha=0.4,
-                           alpha_min=1e-10, alpha_max=10.0, gamma3_bar=0.0,
-                           stop_tol=1e-10, max_iter=200)
+        cfg = ArmijoConfig(sigma=0.5, alpha_min=0.4, alpha_max=0.4,
+                           gamma3_bar=0.0, stop_tol=1e-10, max_iter=200)
         res = solve_armijo(obj, box, np.zeros(1), cfg)
         assert res.x_final[0] == pytest.approx(1.0, abs=1e-8)
         # w0 = min(1, alpha*4) = 1; full step accepted on the quadratic
@@ -260,6 +328,48 @@ class TestSolveArmijo:
         assert res.records[0].alpha == cfg.alpha_max
         if res.iterations > 1:
             assert res.records[1].alpha < cfg.alpha_max
+
+
+class TestFixedStep:
+    """Equal bounds alpha_min = alpha_max are the fixed step: every record
+    takes it, and no spectral step or secant is formed."""
+
+    @pytest.fixture(autouse=True)
+    def no_secant(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed step formed a secant")
+
+        monkeypatch.setattr(FactoredGradient, "secant", refuse)
+        monkeypatch.setattr(ipgm.solver, "spectral_step", refuse)
+
+    def test_box_qp(self):
+        qp = make_boxqp(8, 0.2, 4.0, seed=12)
+        a = 1.0 / qp.lipschitz_L
+        res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(8),
+                           ArmijoConfig(alpha_min=a, alpha_max=a,
+                                        max_iter=500))
+        assert res.stop_reason == "converged" and res.iterations > 2
+        assert all(r.alpha == a for r in res.records)
+
+    def test_factored_spectrahedron(self):
+        inst = generate_instance(40, 80, 5, seed=36)
+        grads = []
+
+        def value_and_gradient(x):
+            f, g = inst.value_and_gradient(x)
+            grads.append(g)
+            return f, g
+
+        obj = replace(inst.objective(), value_and_gradient=value_and_gradient)
+        a = 1.0 / inst.lipschitz_L
+        res = solve_armijo(obj, inst.feasible_set(), starting_point(0.0, 40),
+                           ArmijoConfig(alpha_min=a, alpha_max=a,
+                                        max_iter=2000))
+        assert res.stop_reason == "converged" and res.iterations > 2
+        assert all(r.alpha == a for r in res.records)
+        # consecutive factored gradients, where a spectral step would take
+        # the factored secant
+        assert sum(isinstance(g, FactoredGradient) for g in grads) > 2
 
 
 class TestRecordFields:
@@ -433,10 +543,6 @@ class TestConfigValidation:
             ArmijoConfig(tau=0.0)
         with pytest.raises(ValueError):
             ArmijoConfig(alpha_min=1.0, alpha_max=0.5)
-        with pytest.raises(ValueError):
-            ArmijoConfig(step_rule="newton")
-        with pytest.raises(ValueError):
-            ArmijoConfig(fixed_alpha=1e12)
         cfg = ArmijoConfig(sigma=0.5, alpha_max=2.0)
         assert cfg.xi == pytest.approx(8.0)
         assert cfg.tau_min(4.0) == pytest.approx(
