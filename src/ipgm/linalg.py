@@ -5,8 +5,8 @@ algebraically largest eigenpairs of symmetric matrices.
 ``IncrementalEigen`` is the one way to get them: a cache over a fixed
 matrix, with every returned pair certified by its residual and the returned
 vectors certified orthonormal.  It is filled in one of two ways.  A
-``StepOperator`` whose range has a known basis of fewer than n columns gets
-a range fill: one ``eigh`` of V restricted to that basis gives V's whole
+``StepOperator`` whose range basis has fewer than n columns gets a range
+fill: one ``eigh`` of V restricted to that basis gives V's whole
 nonzero spectrum.  Every other request gets a LAPACK fill:
 ``subset_eigh`` computes the top m pairs of the dense matrix with LAPACK's
 MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails or returns fewer
@@ -55,9 +55,6 @@ EIG_TOL = 1e-9
 
 # Pairs the first LAPACK fill of a cache computes, at least.
 _FIRST_FILL = 16
-
-# A column of Q_Z with a component above this along Q_S is projected again.
-_PAD_TOL = 1e-12
 
 
 def _qr(a: np.ndarray, want_q: bool = True, want_r: bool = True):
@@ -194,21 +191,18 @@ class FactoredGradient(_DenseArithmetic):
     symmetric) at X, with P = H Y.  ``sq_norm`` (||G||_F^2), ``inner(W)``
     (<G, W> for a factored W) and ``secant`` come from r x r products, and
     ``step(alpha)`` is the projection input X - alpha G as an operator.
-    ``s_sq_norm`` is ||S||_F^2 and ``sy`` is S Y when the caller has them.
-    ``s_range``, when given, is S's range as (Q_S, mu), S = Q_S diag(mu)
-    Q_S^T with Q_S orthonormal; ``step(alpha)`` hands it, S itself and
-    alpha to the step operator, so a step copies no sparse matrix.
+    ``s_sq_norm`` is ||S||_F^2, ``sy`` is S Y and ``s_range`` is S's range
+    as (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal;
+    ``step(alpha)`` hands the range, S itself and alpha to the step
+    operator, so a step copies no sparse matrix.
     """
 
-    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy=None,
-                 s_range=None):
+    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy, s_range):
         y = point.factor
         self.point = point
         self.p = np.asarray(p, dtype=float)
         self.s = s
         self.s_range = s_range
-        if sy is None:
-            sy = s @ y
         yp = y.T @ self.p  # Y^T H Y
         # ||sym(P Y^T)||^2 = (<P^T P, Y^T Y> + tr((Y^T P)^2)) / 2 and
         # <sym(P Y^T), S> = <P, S Y>
@@ -264,13 +258,13 @@ class StepOperator(_DenseArithmetic):
     Z- = (alpha/2) P, S sparse and kept unscaled, so ``V @ x`` costs
     O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
     alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
-    exactly symmetric from alpha S and two rank-r updates.  ``s_range``,
-    when given, is S's range as (Q_S, mu), S = Q_S diag(mu) Q_S^T;
-    ``range_ritz()`` then takes V's spectrum from V's range.
+    exactly symmetric from alpha S and two rank-r updates.  ``s_range`` is
+    S's range as (Q_S, mu), S = Q_S diag(mu) Q_S^T, from which
+    ``range_ritz()`` takes V's spectrum.
     """
 
     def __init__(self, anchor: LowRank, z_plus, z_minus, s, alpha: float,
-                 sq_norm: float, sq_dist: float, s_range=None):
+                 sq_norm: float, sq_dist: float, s_range):
         self.anchor = anchor
         self._r = z_plus.shape[1]
         self._z = np.hstack([z_plus, z_minus])
@@ -330,33 +324,21 @@ class StepOperator(_DenseArithmetic):
         Q T Q^T for the k x k T = (Q^T Z) diag(+1, -1) (Q^T Z)^T +
         diag(mu, 0), k = rank S + 2 r.  Returns (vals, Q, U) with
         T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V are
-        (vals, Q U) together with n - k zeros.  ``None`` when S's range is
-        unknown or k >= n, where Q could not be orthonormal.
+        (vals, Q U) together with n - k zeros.  ``None`` when k >= n, where
+        Q could not be orthonormal.
         """
-        if self.s_range is None:
-            return None
         q_s, mu = self.s_range
         z, r = self._z, self._r
         if q_s.shape[1] + z.shape[1] >= z.shape[0]:
             return None
-        # Z's part outside range(S); the second pass removes what rounding
-        # leaves of the first
-        rest = z - q_s @ (q_s.T @ z)
-        rest -= q_s @ (q_s.T @ rest)
-        q_z = _qr(rest, want_r=False)[0]
-        # where Z's part outside Q_S is numerically rank-deficient, a column
-        # of Q_Z with a tiny |R_ii| is mostly rounding, which may lean on Q_S,
-        # and so may the columns after it.  This is common, not an edge case:
-        # an Armijo trial stacks two factors, and on the constant-step inputs
-        # of an n=300 bench pass the median min/max |R_ii| is 1e-5 (about 370
-        # of the pass's 634 range fills take this branch).  The projection of
-        # those columns still spans Z's part outside Q_S
-        c = q_s.T @ q_z
-        pad = np.max(np.abs(c), axis=0, initial=0.0) > _PAD_TOL
-        if pad.any():
-            q_z = _qr(np.hstack([q_z[:, ~pad],
-                                 q_z[:, pad] - q_s @ c[:, pad]]),
-                      want_r=False)[0]
+        # Q_Z from Z's part outside range(S), orthogonalized twice ("twice is
+        # enough", Parlett 1980).  Where that part is numerically
+        # rank-deficient (common: an Armijo trial stacks two factors, and
+        # most constant-step inputs of an n=300 bench pass are close), the
+        # first QR pads with columns that may lean on Q_S; the second pass
+        # takes them off it
+        q_z = _qr(z - q_s @ (q_s.T @ z), want_r=False)[0]
+        q_z = _qr(q_z - q_s @ (q_s.T @ q_z), want_r=False)[0]
         q = np.hstack([q_s, q_z])
         w = q.T @ z
         t = w[:, :r] @ w[:, :r].T

@@ -19,10 +19,10 @@ Both spectrahedron projections return their point factored, as a
 ``np.asarray`` forms the dense matrix for a caller that needs it.  The
 rank-p projector also takes a factored input: a ``StepOperator`` V (the
 solvers' X - alpha grad f(X)), whose top eigenpairs come from a basis of its
-range (the eigensolver's range fill) or, when the basis is unknown or has n
-columns, from LAPACK on V's lower triangle (its LAPACK fill), and a
-``LowRank`` anchor U, whose ||U||^2 and q^T U q come from its factor.  A
-dense V takes the LAPACK fill.
+range (the eigensolver's range fill) or, when the basis has n columns, from
+LAPACK on V's lower triangle (its LAPACK fill), and a ``LowRank`` anchor U,
+whose ||U||^2 and q^T U q come from its factor.  A dense V takes the LAPACK
+fill.
 The exact projection of a ``StepOperator`` asks LAPACK for V's top m
 pairs, m one more than the anchor's rank and doubled until the m-th pair
 gets no simplex weight.  A dense V is symmetrized and fully decomposed.
@@ -57,7 +57,6 @@ __all__ = [
     "Ball",
     "SimplexSet",
     "Spectrahedron",
-    "SpectrahedronState",
     "ExactProjectionAdapter",
     "project_simplex",
     "exact_project_box",
@@ -302,13 +301,6 @@ def support_point_spectrahedron(c) -> np.ndarray:
     return np.outer(q, q)
 
 
-@dataclass(frozen=True)
-class SpectrahedronState:
-    """The rank the next of successive inexact projections starts from."""
-
-    p_start: int = 1
-
-
 def _squared_norm(a: np.ndarray) -> float:
     return float(np.vdot(a, a))
 
@@ -341,12 +333,12 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     the ``LowRank`` factor Q_p sqrt(lam).
 
     The pairs come from one ``IncrementalEigen`` per call.  For a
-    ``StepOperator`` with a known range basis of k < n columns one ``eigh``
+    ``StepOperator`` whose range basis has k < n columns one ``eigh``
     of a k x k matrix serves every rank whose pairs have positive
     eigenvalues (``range_dim`` records k); otherwise LAPACK computes the top
     pairs of the dense V, at least 16 and twice as many on each refill.
-    The returned state restarts the next call at rank p - 1, and
-    ``ranks_tried`` is p - p_start + 1.
+    The returned state is the rank the next call starts from, p - 1 (at
+    least 1), and ``ranks_tried`` is p - p_start + 1.
     """
     if isinstance(v, StepOperator):
         vs = v
@@ -375,7 +367,6 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         sq_vu = v.sq_dist
     else:
         sq_vu = _squared_norm(np.asarray(vs) - np.asarray(u, dtype=float))
-    fill, uq = 0, np.empty(0)  # q_i^T U q_i of the current fill's vectors
     p = p_start
     while True:
         try:
@@ -384,9 +375,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
             raise EigenSolverError(
                 f"partial eigendecomposition failed at rank p={p}: {exc}",
                 best_residual=exc.best_residual) from exc
-        if cache.fills != fill:  # a refill replaces every cached vector
-            fill, uq = cache.fills, np.empty(0)
-        uq = np.append(uq, u_diag(vecs[:, uq.size:p]))
+        uq = u_diag(vecs[:, :p])  # q_i^T U q_i
         lam = project_simplex(vals[:p])
         # scalar identities on the eigenbasis; W_p is kept factored
         w_norm_sq = float(lam @ lam)
@@ -408,7 +397,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     return InexactProjection(point=point, rank_used=p,
                              certificate_gap=float(-lhs - phi_val),
                              phi_value=phi_val,
-                             state=SpectrahedronState(p_start=max(1, p - 1)),
+                             state=max(1, p - 1),
                              matvecs=cache.matvecs_used, fills=cache.fills,
                              dense_fill=cache.dense_fill,
                              ranks_tried=p - p_start + 1,
@@ -449,11 +438,9 @@ class Spectrahedron(ConvexSetOracle):
         return exact_project_spectrahedron(v)
 
     def inexact_project(self, v, u, gamma: ForcingParams, phi: ToleranceFn,
-                        state: SpectrahedronState | None = None) -> InexactProjection:
-        if state is None:
-            state = SpectrahedronState()
-        return inexact_project_spectrahedron(
-            v, u, gamma, phi, p_start=min(state.p_start, self.n))
+                        state: int | None = None) -> InexactProjection:
+        p_start = 1 if state is None else min(state, self.n)
+        return inexact_project_spectrahedron(v, u, gamma, phi, p_start=p_start)
 
 
 class ExactProjectionAdapter(ConvexSetOracle):

@@ -14,7 +14,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import ipgm.linalg
 import ipgm.sets
 from ipgm.linalg import (
     EigenSolverError,
@@ -184,7 +183,8 @@ def _reanchored(g: FactoredGradient, alpha: float, anchor: LowRank
     half = (0.5 * alpha) * g.p
     op = g.step(alpha)
     return StepOperator(anchor, g.point.factor - half, half, g.s, alpha,
-                        sq_norm=op.sq_norm, sq_dist=op.sq_dist)
+                        sq_norm=op.sq_norm, sq_dist=op.sq_dist,
+                        s_range=g.s_range)
 
 
 def _check_exact_projection(op: StepOperator) -> None:
@@ -347,10 +347,11 @@ class TestRangeFill:
         assert cache.fills == 1 and cache.matvecs_used == 8
         assert not cache.dense_fill
 
-    def test_constant_step_inputs_through_the_pad_branch(self, monkeypatch):
+    def test_basis_is_orthonormal_on_constant_step_inputs(self):
         # Z's part outside range(S) is numerically rank-deficient on many
-        # constant-step inputs, so the range fill projects columns of its
-        # first QR again (a second QR); those fills must match eigh too
+        # constant-step inputs, so the first QR pads with columns that lean
+        # on Q_S; after the second pass [Q_S, Q_Z] is orthonormal to
+        # rounding and every fill matches eigh
         ops = []
 
         @dataclass(frozen=True)
@@ -363,23 +364,13 @@ class TestRangeFill:
         inst = generate_instance(60, 120, 6, seed=2)
         _solve(inst.objective(), Recording(inst.n), inst, "constant",
                "inexact", 0.0)
-        qrs = []
-        real = ipgm.linalg._qr
-
-        def spy(a, **kwargs):
-            qrs.append(a.shape)
-            return real(a, **kwargs)
-
-        monkeypatch.setattr(ipgm.linalg, "_qr", spy)
-        padded = 0
+        assert len(ops) > 10
         for op in ops:
-            qrs.clear()
+            q = op.range_ritz()[1]
+            assert _max_abs(q.T @ q - np.eye(q.shape[1])) <= 1e-13
             cache = IncrementalEigen(op)
-            if len(qrs) == 2:
-                padded += 1
-                _check_against_eigh(cache, op, 4)
-                assert cache.range_dim is not None and not cache.dense_fill
-        assert padded >= 10
+            _check_against_eigh(cache, op, 4)
+            assert cache.range_dim == q.shape[1] and not cache.dense_fill
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_rank_deficient_factors(self, seed):
@@ -446,8 +437,8 @@ class TestRangeFill:
 
 class TestRangeFillFallback:
     """The range fill takes every basis of fewer than n columns, however
-    wide; inputs it does not take (a basis of n or more columns, no basis,
-    a dense input) get a LAPACK fill.  Both certify."""
+    wide; inputs it does not take (a basis of n or more columns, a dense
+    input) get a LAPACK fill.  Both certify."""
 
     GAMMA = ForcingParams(0.5, 0.2, 0.0)
     PHI = ToleranceFn.canonical("phi1")

@@ -4,6 +4,7 @@ import typing
 
 import pytest
 
+import ipgm.cli
 import ipgm.harness
 from ipgm.cli import _assemble_config, _build_parser, main
 from ipgm.harness import (
@@ -260,3 +261,54 @@ class TestFailureRows:
         assert report.rows[0]["con_exact_it"] > 0
         assert main(["compare", "--n", "24", "--m", "48", "--omega", "4",
                      "--seed", "11", "--beta", "0.0"]) == 2
+
+
+SMALL = ["--n", "24", "--m", "48", "--omega", "4", "--seed", "11"]
+
+
+class TestExitCodes:
+    """``main`` returns 2 on a run failure and 3 on a monitor violation
+    under ``--strict``; without it a violation is reported but exits 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-gamma3", "--gamma3", "0.0"],
+        ["compare", "--beta", "0.0"],
+    ])
+    def test_monitor_failure_is_strict_only(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(ipgm.harness, "_run_monitors",
+                            lambda result: "fail(1)")
+        assert main(argv + SMALL + ["--strict"]) == 3
+        assert main(argv + SMALL) == 0
+        assert "fail(1)" in capsys.readouterr().out
+
+    def test_verify_failed_check(self, monkeypatch, capsys):
+        checks = {"constant.descent-inequality": {"passed": True},
+                  "projection.contract": {"passed": False}}
+        monkeypatch.setattr(ipgm.cli, "cmd_verify", lambda config: checks)
+        assert main(["verify"] + SMALL + ["--strict"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "failed checks: projection.contract\n"
+        assert main(["verify"] + SMALL) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == checks
+        assert captured.err == "failed checks: projection.contract\n"
+
+    def test_sweep_solver_error_is_an_error_row(self, monkeypatch, capsys):
+        def failing(self, k):
+            raise EigenSolverError("injected failure", best_residual=1.0)
+
+        monkeypatch.setattr(IncrementalEigen, "top", failing)
+        report = cmd_sweep_gamma3(small_cfg(gamma3=(0.0,)))
+        assert report.rows[0]["monitors"] == "error:SolverError"
+        assert report.monitor_failures == 1
+        assert main(["sweep-gamma3", "--gamma3", "0.0"] + SMALL) == 2
+        assert "error:SolverError" in capsys.readouterr().out
+
+    def test_unexpected_exception_is_a_run_failure(self, monkeypatch,
+                                                   capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("broken solver call")
+
+        monkeypatch.setattr(ipgm.harness, "solve_constant", broken)
+        assert main(["sweep-gamma3", "--gamma3", "0.0"] + SMALL) == 2
+        assert capsys.readouterr().err == "run failed: broken solver call\n"

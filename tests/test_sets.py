@@ -13,7 +13,6 @@ from ipgm.sets import (
     ExactProjectionAdapter,
     SimplexSet,
     Spectrahedron,
-    SpectrahedronState,
     certify_inexact_projection,
     exact_project_ball,
     exact_project_box,
@@ -392,8 +391,7 @@ class TestInexactProjectSpectrahedron:
         v = symmetrize(rng.standard_normal((10, 10)))
         u = random_feasible_spectra(rng, 10)
         res = s.inexact_project(v, u, ForcingParams.zero(), PHI1, state=None)
-        assert isinstance(res.state, SpectrahedronState)
-        assert res.state.p_start == max(1, res.rank_used - 1)
+        assert res.state == max(1, res.rank_used - 1)
         v2 = v + 1e-3 * symmetrize(rng.standard_normal((10, 10)))
         res2 = s.inexact_project(v2, res.point, ForcingParams.zero(), PHI1,
                                  state=res.state)
@@ -468,7 +466,7 @@ class TestInexactProjectSpectrahedron:
                                              ForcingParams.zero(), PHI1)
         assert ok, f"certificate gap {gap}"
         # the single state rule: restart at rank p - 1
-        assert res.state == SpectrahedronState(p_start=n - 1)
+        assert res.state == n - 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_phi_from_the_vectors_of_each_cache_fill(self, seed):

@@ -643,6 +643,63 @@ class TestMonitors:
         assert len(res.records) == 0
         assert monitor_descent(res).passed
 
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_empty_run_passes_both_monitors(self, rule):
+        # started at the interior minimizer, the run stops on its first
+        # gradient; every check is vacuous or skipped
+        qp = make_boxqp(5, 0.5, 5.0, seed=24)
+        if rule == "constant":
+            res = solve_constant(qp.objective(), qp.feasible_set(), qp.x_star,
+                                 ConstantStepConfig(alpha=1.0 / qp.lipschitz_L,
+                                                    schedule=zero_schedule()))
+            skipped = "displacement-bound"
+        else:
+            res = solve_armijo(qp.objective(), qp.feasible_set(), qp.x_star,
+                               ArmijoConfig())
+            skipped = "armijo-displacement-bound"
+        assert (res.stop_reason, res.records) == ("stationary-gradient", [])
+        assert monitor_descent(res).passed
+        comp = monitor_complexity(res)
+        assert comp.passed
+        check = {c.name: c for c in comp.checks}[skipped]
+        assert (check.checked, check.note) == (
+            0, "no Lipschitz constant or empty run")
+
+    def test_constant_run_without_lipschitz_skips_its_bounds(self):
+        qp = make_boxqp(10, 0.5, 5.0, seed=21)
+        cfg = ConstantStepConfig(alpha=1.0 / qp.lipschitz_L,
+                                 schedule=zero_schedule(), max_iter=400,
+                                 stop_tol=1e-9)
+        res = solve_constant(replace(qp.objective(), lipschitz_L=None),
+                             qp.feasible_set(), np.zeros(10), cfg)
+        assert res.lipschitz_L is None and len(res.records) > 5
+        descent = monitor_descent(res)
+        by_name = {c.name: c for c in descent.checks}
+        assert (by_name["descent-inequality"].checked,
+                by_name["descent-inequality"].note) == (
+            0, "no Lipschitz constant")
+        assert by_name["lyapunov-monotone"].checked == len(res.records)
+        assert descent.passed
+        comp = {c.name: c for c in monitor_complexity(res).checks}
+        assert (comp["displacement-bound"].checked,
+                comp["displacement-bound"].note) == (
+            0, "no Lipschitz constant or empty run")
+
+    def test_armijo_run_without_lipschitz_skips_its_bound(self):
+        qp = make_boxqp(10, 0.5, 5.0, seed=22)
+        res = solve_armijo(replace(qp.objective(), lipschitz_L=None),
+                           qp.feasible_set(), np.zeros(10),
+                           ArmijoConfig(max_iter=300, stop_tol=1e-9))
+        assert res.lipschitz_L is None and len(res.records) > 5
+        descent = {c.name: c for c in monitor_descent(res).checks}
+        assert descent["tau-lower-bound"].checked == 0
+        assert descent["armijo-descent"].checked == len(res.records)
+        comp = monitor_complexity(res)
+        assert [(c.name, c.checked, c.note) for c in comp.checks] == [
+            ("armijo-displacement-bound", 0,
+             "no Lipschitz constant or empty run")]
+        assert comp.passed
+
 
 class TestGradientFiniteDifferences:
     @pytest.mark.parametrize("seed", range(3))
