@@ -6,7 +6,7 @@ plus the adaptive rank-p spectrahedron projection oracle, benchmark problem
 generators and an experiment harness.
 """
 
-from .problems import generate_instance, starting_point
+from .problems import generate_instance, starting_point, structured_start
 from .schedules import SummableSchedule
 from .solver import ConstantStepConfig, constant_alpha_from_gamma, solve_constant
 

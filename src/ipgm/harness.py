@@ -21,7 +21,7 @@ from .problems import (
     default_density,
     generate_instance,
     make_boxqp,
-    starting_point,
+    structured_start,
 )
 from .schedules import ForcingParams, SummableSchedule, ToleranceFn
 from .sets import (
@@ -241,12 +241,16 @@ def _run_monitors(result: SolveResult) -> str:
 def run_variant(inst: SpectrahedronLSQ, algo: str, proj: str, beta: float,
                 gamma3_bar: float, schedule: SummableSchedule, tol: float,
                 max_iter: int, phi: str | None = None) -> tuple[SolveResult, float]:
-    """Solve one (algorithm, projection) cell; returns (result, wall seconds)."""
+    """Solve one (algorithm, projection) cell; returns (result, wall seconds).
+
+    The solve starts from ``structured_start(beta, n)``, which it evaluates
+    and first projects without n x n arrays (an exact projection still
+    decomposes the dense first step)."""
     obj = inst.objective()
     feasible = inst.feasible_set()
     if proj == "exact":
         feasible = ExactProjectionAdapter(feasible)
-    x0 = starting_point(beta, inst.n)
+    x0 = structured_start(beta, inst.n)
     if algo == "constant":
         cfg = ConstantStepConfig(
             alpha=constant_alpha_from_gamma(inst.lipschitz_L, gamma3_bar),

@@ -4,25 +4,31 @@ The projection oracles in this package repeatedly ask for a handful of
 algebraically largest eigenpairs of symmetric matrices.
 ``IncrementalEigen`` is the one way to get them: a cache over a fixed
 matrix, with every returned pair certified by its residual and the returned
-vectors certified orthonormal.  It is filled in one of two ways.  A
+vectors certified orthonormal.  It is filled in one of three ways.  A
 ``StepOperator`` whose range basis has fewer than n columns gets a range
 fill: one ``eigh`` of V restricted to that basis gives V's whole
-nonzero spectrum.  Every other request gets a LAPACK fill:
-``subset_eigh`` computes the top m pairs of the dense matrix with LAPACK's
-MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails or returns fewer
-than m), m doubling on each refill.  ``subset_eigh`` takes only a count,
-so every LAPACK subset call, the exact spectrahedron projection's too, can
-check what it gets.  ``largest_eigenpair`` is the single-pair call the
-support point makes.
+nonzero spectrum.  A ``StepOperator`` with no range basis (the first
+projection input of a solve, at a shifted start) gets a Krylov fill:
+``scipy.sparse.linalg.eigsh`` computes its top m pairs from products with
+the operator, under a product budget.  Every other request, and every
+Krylov miss, gets a LAPACK fill: ``subset_eigh`` computes the top m pairs
+of the dense matrix with LAPACK's MRRR driver ``evr`` (a full ``eigh``
+when ``evr`` fails or returns fewer than m), m doubling on each refill.
+``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
+spectrahedron projection's too, can check what it gets.
+``largest_eigenpair`` is the single-pair call the support point makes.
 
-Iterates of the spectrahedron solvers are low rank, and three types keep
+Iterates of the spectrahedron solvers are low rank, and four types keep
 them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
-``FactoredGradient`` is the gradient sym(P Y^T) - S of a quadratic at such
-a point (P = H Y, S sparse), and ``StepOperator`` is the projection input
-V = X - alpha G, which ``IncrementalEigen`` applies through its factors.
+``ShiftedLowRank`` is X = c I + Y Y^T (a solve's start X0 = (1 - beta)/n I
++ beta e1 e1^T), ``FactoredGradient`` is the gradient sym(P Y^T) - S of a
+quadratic at such a point (P = H Y, S sparse; at a shifted point S also
+carries -c H), and ``StepOperator`` is the projection input V = X - alpha
+G, which ``IncrementalEigen`` applies through its factors.
 With X = Y Y^T the step is V = Z+ Z+^T - Z- Z-^T + alpha S, so range(V) lies
 in the span of S's range (a basis the objective supplies) and the 2 r
-columns of Z+ and Z-.
+columns of Z+ and Z-.  At a shifted point the sparse part is
+alpha S + c I, which has no such basis.
 Scalars (norms, inner products, distances) come from r x r matrices; each
 type forms its dense n x n matrix only through ``dense()`` (also reached by
 ``np.asarray``), and a ``StepOperator`` also through ``lower_fortran()``,
@@ -31,8 +37,11 @@ the one triangle a LAPACK eigensolver reads.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
@@ -44,6 +53,7 @@ __all__ = [
     "largest_eigenpair",
     "IncrementalEigen",
     "LowRank",
+    "ShiftedLowRank",
     "FactoredGradient",
     "StepOperator",
     "subset_eigh",
@@ -53,8 +63,14 @@ __all__ = [
 # and the tolerance on the orthonormality of the returned vectors.
 EIG_TOL = 1e-9
 
-# Pairs the first LAPACK fill of a cache computes, at least.
+# Pairs the first LAPACK or Krylov fill of a cache computes, at least.
 _FIRST_FILL = 16
+
+# Products a Krylov fill may spend per pair it asks for, and the seed of its
+# start vector (and of ARPACK's restarts), so that repeated fills agree bit
+# for bit.
+_KRYLOV_PRODUCTS = 8
+_KRYLOV_SEED = 0
 
 
 def _qr(a: np.ndarray, want_q: bool = True, want_r: bool = True):
@@ -133,9 +149,11 @@ class _DenseArithmetic(np.lib.mixins.NDArrayOperatorsMixin):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def _stacked_core(a: "LowRank", b: "LowRank", with_q: bool = False):
+def _stacked_core(a: "ShiftedLowRank", b: "ShiftedLowRank",
+                  with_q: bool = False):
     """(Q, R_a, R_b, M) with [Y_a, Y_b] = Q [R_a, R_b] and
-    M = R_a R_a^T - R_b R_b^T, so that A - B = Q M Q^T with Q orthonormal.
+    M = R_a R_a^T - R_b R_b^T, so that Y_a Y_a^T - Y_b Y_b^T = Q M Q^T with
+    Q orthonormal (n x k, k = min(n, r_a + r_b)).
 
     M is formed from the triangular factor, so its entries carry rounding of
     the order of eps ||A|| rather than the eps ||A||^2 / ||A - B|| a Gram
@@ -148,22 +166,42 @@ def _stacked_core(a: "LowRank", b: "LowRank", with_q: bool = False):
     return q, r_a, r_b, r_a @ r_a.T - r_b @ r_b.T
 
 
-class LowRank(_DenseArithmetic):
-    """The symmetric positive semidefinite X = Y Y^T, kept as its n x r
-    factor Y.
+def _shifted_sq_norm(m: np.ndarray, d: float, n: int) -> float:
+    """||Q M Q^T + d I||_F^2 for an n x k orthonormal Q: the parts on
+    range(Q) and on its complement are orthogonal, so it is
+    ||M + d I_k||^2 + d^2 (n - k), a sum of squares that cancels nothing.
+    ``m`` is overwritten."""
+    if d == 0.0:
+        return float(np.vdot(m, m))
+    k = m.shape[0]
+    m[np.diag_indices(k)] += d
+    return float(np.vdot(m, m)) + d * d * (n - k)
 
-    ``gram`` is Y^T Y and ``sq_norm`` is ||X||_F^2 = ||Y^T Y||_F^2.
-    ``dense()`` forms Y Y^T as one symmetric rank-r update (numpy calls
-    ``syrk`` for ``y @ y.T``), so the matrix is exactly symmetric.
+
+class ShiftedLowRank(_DenseArithmetic):
+    """The symmetric X = c I + Y Y^T, kept as its shift c and its n x r
+    factor Y; positive semidefinite for c >= 0.
+
+    A solve's start X0(beta) = (1 - beta)/n I + beta e1 e1^T has this form
+    (c = (1 - beta)/n, Y = sqrt(beta) e1, no column at beta = 0), and
+    ``LowRank`` is the case c = 0.  ``gram`` is Y^T Y, ``trace`` is
+    c n + tr(Y^T Y) and ``sq_norm`` is ||X||_F^2 = c^2 n + 2 c tr(Y^T Y) +
+    ||Y^T Y||_F^2.  ``dense()`` forms Y Y^T as one symmetric rank-r update
+    (numpy calls ``syrk`` for ``y @ y.T``) and adds c to its diagonal, so the
+    matrix is exactly symmetric.
     """
 
-    def __init__(self, factor):
+    def __init__(self, shift: float, factor):
         y = np.ascontiguousarray(factor, dtype=float)
         if y.ndim != 2:
             raise ValueError(f"expected an n x r factor, got shape {y.shape}")
+        self.shift = float(shift)
         self.factor = y
         self.gram = y.T @ y
         self.sq_norm = float(np.vdot(self.gram, self.gram))
+        if self.shift:
+            self.sq_norm += self.shift * (self.shift * y.shape[0]
+                                          + 2.0 * float(np.trace(self.gram)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -172,32 +210,87 @@ class LowRank(_DenseArithmetic):
 
     @property
     def rank(self) -> int:
-        """Columns of the factor (an upper bound on the rank of X)."""
+        """Columns of the factor (an upper bound on the rank of Y Y^T)."""
         return self.factor.shape[1]
 
-    def sq_distance(self, other: "LowRank") -> float:
-        """||X - Z||_F^2 for another factored Z, from the stacked factors."""
-        m = _stacked_core(self, other)[3]
-        return float(np.vdot(m, m))
+    @property
+    def trace(self) -> float:
+        return self.shift * self.shape[0] + float(np.trace(self.gram))
+
+    def sq_distance(self, other: "ShiftedLowRank") -> float:
+        """||X - Z||_F^2 for another factored Z, from the stacked factors:
+        X - Z = Q M Q^T + (c_X - c_Z) I."""
+        return _shifted_sq_norm(_stacked_core(self, other)[3],
+                                self.shift - other.shift, self.shape[0])
+
+    def quad_diag(self, q: np.ndarray) -> np.ndarray:
+        """q_i^T X q_i for the columns q_i of ``q``: ||Y^T q_i||^2 plus
+        c ||q_i||^2."""
+        t = self.factor.T @ q
+        out = np.einsum("ij,ij->j", t, t)
+        if self.shift:
+            out += self.shift * np.einsum("ij,ij->j", q, q)
+        return out
 
     def dense(self) -> np.ndarray:
-        return self.factor @ self.factor.T
+        out = self.factor @ self.factor.T
+        if self.shift:
+            out.flat[::out.shape[0] + 1] += self.shift
+        return out
+
+
+class LowRank(ShiftedLowRank):
+    """The symmetric positive semidefinite X = Y Y^T, kept as its n x r
+    factor Y: a ``ShiftedLowRank`` with shift 0.
+
+    ``gram`` is Y^T Y and ``sq_norm`` is ||X||_F^2 = ||Y^T Y||_F^2.
+    """
+
+    def __init__(self, factor):
+        super().__init__(0.0, factor)
+
+
+def _signed_factors(y: np.ndarray, p: np.ndarray, alpha: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(Z+, Z-) with Z+ Z+^T - Z- Z-^T = Y Y^T - (alpha/2)(P Y^T + Y P^T).
+
+    With [Y, P] = Q R the matrix is Q C Q^T for a 2r x 2r core C, and Z+-
+    are Q times C's eigenvectors, scaled by the roots of |eigenvalue|.
+    C has no term in alpha^2, so a large alpha (the Armijo rule's first
+    step is 1e10) cancels nothing, where Y - (alpha/2) P and (alpha/2) P
+    would each carry alpha^2 ||P||^2 / 4 into a difference of order
+    alpha ||P|| ||Y||.
+    """
+    r = y.shape[1]
+    if r == 0:
+        return y, y
+    q, rr = _qr(np.hstack([y, p]))
+    r_y, r_p = rr[:, :r], rr[:, r:]
+    cross = r_p @ r_y.T
+    core = r_y @ r_y.T - (0.5 * alpha) * (cross + cross.T)
+    lam, u = np.linalg.eigh(core)
+    z = q @ (u * np.sqrt(np.abs(lam)))
+    return z[:, lam > 0.0], z[:, lam < 0.0]
 
 
 class FactoredGradient(_DenseArithmetic):
-    """G = sym(P Y^T) - S at the factored point X = Y Y^T, S sparse symmetric.
+    """G = sym(P Y^T) - S at the factored point X = c I + Y Y^T, S sparse
+    symmetric.
 
-    This is the gradient of a quadratic 1/2 <X, H X> - <S, X> + c (H
-    symmetric) at X, with P = H Y.  ``sq_norm`` (||G||_F^2), ``inner(W)``
+    This is the gradient of a quadratic 1/2 <X, H X> - <S0, X> + const (H
+    symmetric) at X, with P = H Y and S = S0 - c H (S0 itself at a
+    ``LowRank`` point, c = 0).  ``sq_norm`` (||G||_F^2), ``inner(W)``
     (<G, W> for a factored W) and ``secant`` come from r x r products, and
     ``step(alpha)`` is the projection input X - alpha G as an operator.
     ``s_sq_norm`` is ||S||_F^2, ``sy`` is S Y and ``s_range`` is S's range
-    as (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal;
+    as (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal, or ``None``
+    at a shifted point, where S - the c H in it - has no low-rank range;
     ``step(alpha)`` hands the range, S itself and alpha to the step
     operator, so a step copies no sparse matrix.
     """
 
-    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy, s_range):
+    def __init__(self, point: ShiftedLowRank, p, s, s_sq_norm: float, sy,
+                 s_range):
         y = point.factor
         self.point = point
         self.p = np.asarray(p, dtype=float)
@@ -210,9 +303,17 @@ class FactoredGradient(_DenseArithmetic):
                                                       point.gram))
                                        + float(np.vdot(yp, yp.T)))
                            - 2.0 * float(np.vdot(self.p, sy)) + s_sq_norm)
-        # <G, X> = <Y^T Y, P^T Y> - <Y, S Y>
+        # <G, X> = <Y^T Y, P^T Y> - <Y, S Y> + c tr G
         self._inner_point = (float(np.vdot(point.gram, yp.T))
                              - float(np.vdot(y, sy)))
+        if point.shift:
+            self._inner_point += point.shift * self.trace
+
+    @cached_property
+    def trace(self) -> float:
+        """tr G = <P, Y> - tr S."""
+        return (float(np.vdot(self.p, self.point.factor))
+                - float(self.s.diagonal().sum()))
 
     def inner(self, w: LowRank) -> float:
         """<G, W> = <Y^T Z, P^T Z> - <Z, S Z> for W = Z Z^T."""
@@ -223,28 +324,43 @@ class FactoredGradient(_DenseArithmetic):
                 - float(np.vdot(z, self.s @ z)))
 
     def step(self, alpha: float) -> "StepOperator":
-        """V = X - alpha G, with ||V||^2 and ||V - X||^2 = alpha^2 ||G||^2."""
-        half = (0.5 * alpha) * self.p
+        """V = X - alpha G, with ||V||^2 and ||V - X||^2 = alpha^2 ||G||^2.
+
+        At a shifted point V's sparse part alpha S + c I is formed (O(nnz
+        S)) and handed on with alpha 1 and no range, and its factors come
+        from ``_signed_factors``.
+        """
         x = self.point
         sq_norm = max(0.0, x.sq_norm - 2.0 * alpha * self._inner_point
                       + alpha * alpha * self.sq_norm)
+        sq_dist = alpha * alpha * self.sq_norm
+        if x.shift:
+            s = (alpha * self.s + x.shift * sp.identity(x.shape[0])).tocsr()
+            z_plus, z_minus = _signed_factors(x.factor, self.p, alpha)
+            return StepOperator(x, z_plus, z_minus, s, 1.0, sq_norm=sq_norm,
+                                sq_dist=sq_dist, s_range=None)
+        half = (0.5 * alpha) * self.p
         return StepOperator(x, x.factor - half, half, self.s, alpha,
-                            sq_norm=sq_norm,
-                            sq_dist=alpha * alpha * self.sq_norm,
+                            sq_norm=sq_norm, sq_dist=sq_dist,
                             s_range=self.s_range)
 
     def secant(self, prev: "FactoredGradient") -> tuple[float, float]:
         """(<s, s>, <s, y>) for s = X - X_prev and y = G - G_prev.
 
-        With s = Q M Q^T from the stacked factors, <s, sym(P Y^T)> =
-        <M, (Q^T P) R^T>, so neither product cancels the way a Gram
-        expansion of four inner products would when s is small.
+        With s = Q M Q^T + d I from the stacked factors (d the difference
+        of the shifts), <Q M Q^T, sym(P Y^T)> = <M, (Q^T P) R^T>, so neither
+        product cancels the way a Gram expansion of four inner products
+        would when s is small; the shifts add d (tr G - tr G_prev).
         """
         q, r_a, r_b, m = _stacked_core(self.point, prev.point, with_q=True)
         t = (q.T @ self.p) @ r_a.T - (q.T @ prev.p) @ r_b.T
         if self.s is not prev.s:
             t -= q.T @ (self.s @ q) - q.T @ (prev.s @ q)
-        return float(np.vdot(m, m)), float(np.vdot(m, t))
+        sy = float(np.vdot(m, t))
+        d = self.point.shift - prev.point.shift
+        if d:
+            sy += d * (self.trace - prev.trace)
+        return _shifted_sq_norm(m, d, self.point.shape[0]), sy
 
     def dense(self) -> np.ndarray:
         return symmetrize(self.p @ self.point.factor.T) - self.s.toarray()
@@ -260,7 +376,10 @@ class StepOperator(_DenseArithmetic):
     alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
     exactly symmetric from alpha S and two rank-r updates.  ``s_range`` is
     S's range as (Q_S, mu), S = Q_S diag(mu) Q_S^T, from which
-    ``range_ritz()`` takes V's spectrum.
+    ``range_ritz()`` takes V's spectrum.  At a shifted anchor X = c I +
+    Y Y^T the sparse part is alpha S + c I, handed over with alpha 1, and
+    ``s_range`` is ``None``: such an operator has no range basis, and
+    ``IncrementalEigen`` gives it a Krylov fill.
     """
 
     def __init__(self, anchor: LowRank, z_plus, z_minus, s, alpha: float,
@@ -325,8 +444,10 @@ class StepOperator(_DenseArithmetic):
         diag(mu, 0), k = rank S + 2 r.  Returns (vals, Q, U) with
         T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V are
         (vals, Q U) together with n - k zeros.  ``None`` when k >= n, where
-        Q could not be orthonormal.
+        Q could not be orthonormal, or when there is no range basis.
         """
+        if self.s_range is None:
+            return None
         q_s, mu = self.s_range
         z, r = self._z, self._r
         if q_s.shape[1] + z.shape[1] >= z.shape[0]:
@@ -378,6 +499,13 @@ def subset_eigh(a, m: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
+class _BudgetExhausted(Exception):
+    """A Krylov fill spent its product budget."""
+
+
+_KRYLOV = "the Krylov fill"
+
+
 class IncrementalEigen:
     """Top-of-spectrum eigenpairs of a fixed matrix, computed on demand.
 
@@ -386,12 +514,13 @@ class IncrementalEigen:
     a dense symmetric array or a ``StepOperator``.  Each pair has a
     residual of at most ``EIG_TOL max(1, ||S||_F)`` and the vectors are
     orthonormal to ``EIG_TOL``; ``matvecs_used`` counts the products these
-    certificates spend.  A request that adds pairs also certifies and caches
-    pair k + 1 when the fill serves it, so ``top(k)`` then ``top(k + 1)``
-    makes one certificate call.
+    certificates spend, and those of Krylov fills.  A request that adds
+    pairs also certifies and caches pair k + 1 when the fill serves it, so
+    ``top(k)`` then ``top(k + 1)`` makes one certificate call.
 
-    The pairs come from one of two fills, each one decomposition whose
-    vectors every request certifies as it adds them; ``fills`` counts them.
+    The pairs come from one of three fills, each one decomposition whose
+    vectors every request certifies as it adds them; ``fills`` counts them,
+    a Krylov fill that missed included.
     A ``StepOperator`` whose ``range_ritz()`` gives a basis of fewer than n
     columns is served by a range fill: one ``eigh`` of the matrix V takes
     on that basis.  ``range_dim`` is then the basis' width.  It serves
@@ -399,12 +528,33 @@ class IncrementalEigen:
     tolerance, since V's other eigenvalues are zeros; the first request it
     does not serve ends it, and ``range_dim`` returns to ``None``.
 
+    A ``StepOperator`` with no range basis (``s_range`` is ``None``: the
+    step from a shifted start X0 = c I + Y Y^T) takes one Krylov fill:
+    ``eigsh(which="LA")`` computes the top m = max(k, 16) pairs from
+    products with the operator, from a fixed seeded start vector.  It
+    serves ``top(k)`` only while the k-th value is above c plus the
+    residual tolerance: V0 = c (I - alpha H) + (alpha S0 +
+    the factor terms) with H positive semidefinite has at most as many
+    eigenvalues above c as the second term has positive ones, and at c
+    itself sits a multiple eigenvalue (directions that H, S0 and Y all
+    miss), which Lanczos from one start vector cannot resolve.
+    That the pairs above c are the top ones rests on Lanczos from a random
+    start (Saad, Numerical Methods for Large Eigenvalue Problems, 2011);
+    their residuals and orthonormality are certified like any other.  A
+    miss (ARPACK fails, the budget of 8 products per pair asked for runs
+    out, a certificate fails, or the fill's k-th value is not above c), and
+    every request the fill does not serve, goes to a LAPACK fill.  Given
+    products enough, ARPACK does return pairs below c, certified yet with
+    values off by 5e-6 at n=200 (too few copies of c): hence the bound.
+
     Every other request refills the cache (every cached vector is replaced)
     by a LAPACK fill, which sets ``dense_fill``: ``subset_eigh`` computes the
-    top m pairs of the dense matrix, m = max(k, 16) on the first LAPACK fill
-    (m = 1 when it is for one pair) and at least twice the last m on each
-    refill, at most n.  ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds
-    ``max(1, ||S||_F)``; a matrix whose Frobenius norm is not finite raises
+    top m pairs of the dense matrix, m = max(k, 16) on the first fill
+    (m = 1 when it is for one pair) and at least twice the last fill's m
+    (a Krylov fill's too) on each refill, at most n.  ``range_dim`` set means a range fill served the
+    pairs, ``dense_fill`` a LAPACK fill, and neither a Krylov fill.
+    ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds ``max(1,
+    ||S||_F)``; a matrix whose Frobenius norm is not finite raises
     :class:`EigenSolverError`.
     """
 
@@ -437,7 +587,8 @@ class IncrementalEigen:
         # vectors i:j as a function, the value the k-th one must exceed to
         # serve top(k), and its name for the certificate's errors
         self._fill = (np.empty(0), None, np.inf, "")
-        self._pairs = 0  # pairs of the last LAPACK fill
+        self._pairs = 0  # pairs of the last LAPACK or Krylov fill
+        self._krylov = isinstance(a, StepOperator) and a.s_range is None
         ritz = a.range_ritz() if isinstance(a, StepOperator) else None
         if ritz is not None:
             vals, q, u = ritz
@@ -452,38 +603,116 @@ class IncrementalEigen:
         if k > done:
             vals, vectors, bound, source = self._fill
             if k > vals.size or vals[k - 1] <= bound:
-                self._lapack_fill(k)
+                self._refill(k)
                 (vals, vectors, bound, source), done = self._fill, 0
             # one pair ahead when the fill serves it: the rank-p projector
             # asks for p + 1 pairs, then p + 2, so every second request is
             # served from the cache with no certificate call of its own
             end = k + 1 if k < vals.size and vals[k] > bound else k
             new = vectors(done, end)
-            self._certify(new, vals[done:end], source)
+            try:
+                self._certify(new, vals[done:end], source)
+            except EigenSolverError:
+                if source != _KRYLOV:
+                    raise
+                self._lapack_fill(k)  # a Krylov miss
+                return self.top(k)
             self._vals = vals[:end]
             self._vecs = np.hstack([self._vecs, new])
         return self._vals[:k], self._vecs[:, :k]
+
+    def _refill(self, k: int) -> None:
+        """The operator's one Krylov fill when it takes one and has not had
+        it, else a LAPACK fill."""
+        if self._krylov:
+            self._krylov = False
+            if self._krylov_fill(k):
+                return
+        self._lapack_fill(k)
+
+    def _set_fill(self, vals, vecs, bound: float, source: str) -> None:
+        self._fill = (vals, lambda i, j: vecs[:, i:j], bound, source)
+        self._pairs = vals.size
+        self._vals, self._vecs = np.empty(0), np.empty((self.n, 0))
+        self.range_dim = None
+
+    def _krylov_fill(self, k: int) -> bool:
+        """Replace the fill, and every cached vector, by the top m pairs
+        that ``eigsh`` finds from products with the operator; False, with
+        the cache untouched, on a miss, or when the k-th value is not
+        above the anchor's shift c.
+
+        m is max(k, 16), below n - 1 (ARPACK's limit).  The products go
+        through a counter that stops the fill after 8 m of them;
+        ``matvecs_used`` adds the ones spent.  On the 16 first projections
+        of the n=300 bench solves (8 instances, both step rules; medians of
+        5 rounds, 2-core VM, OpenBLAS 1 thread) first counts of 16 and 32
+        took 1.9 and 15.8 ms a projection: 32 pairs reach the multiple
+        eigenvalue at c, spend the budget and end in a LAPACK fill.  Below
+        16, ARPACK keeps 20 Lanczos vectors for fewer pairs and converges
+        slower: 8 took 3.4 ms (some misses) and k itself 8.6 ms.  A cache
+        takes one Krylov fill: the n=800 constant-step first projections of
+        3 bench-like instances need 20 pairs and have 20 values above c,
+        and a second Krylov fill of 32 pairs ran into c, spending its whole
+        budget (17-22 ms each) before the LAPACK fill that served anyway.
+        """
+        # imported here, not with the module: scipy.sparse.linalg adds about
+        # 2 MB of resident memory, which a run that takes no Krylov fill
+        # (exact projections, dense inputs) need not pay
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+        n = self.n
+        m = max(k, _FIRST_FILL)
+        if m >= n - 1:
+            return False
+        self.fills += 1
+        budget = _KRYLOV_PRODUCTS * m
+        used = 0
+
+        def matvec(x):
+            nonlocal used
+            if used == budget:
+                raise _BudgetExhausted
+            used += 1
+            return self._a @ x
+
+        rng = np.random.default_rng(_KRYLOV_SEED)
+        try:
+            vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec,
+                                              dtype=float),
+                               k=m, which="LA", v0=rng.standard_normal(n),
+                               rng=rng)
+        except (ArpackError, _BudgetExhausted):
+            return False
+        finally:
+            self.matvecs_used += used
+        order = np.argsort(vals)[::-1]
+        bound = self._a.anchor.shift + self.tol_abs
+        if vals[order[k - 1]] <= bound:
+            return False
+        self._set_fill(vals[order], vecs[:, order], bound, _KRYLOV)
+        return True
 
     def _lapack_fill(self, k: int) -> None:
         """Replace the fill, and every cached vector, by the top m pairs
         of the dense matrix.
 
         The floor of 16 pairs lets the rank-p projector, which asks for
-        p + 1 pairs, then p + 2, ..., take its first ranks from one fill
-        (an instance's two first projections at n=300, summed, 2-core VM,
-        OpenBLAS 1 thread: floors of 0, 8, 16 and 32 pairs took 22.4, 17.8,
-        14.7 and 18.8 ms).  A request for one pair, the support point's,
-        computes only that pair.
+        p + 1 pairs, then p + 2, ..., take its first ranks from one fill.
+        The solvers' starts take the Krylov fill, so this fill's cold
+        callers are dense inputs; on the 24 dense cold projections of
+        ``project-cold`` (4 instances at n=400, beta 0, 0.5 and 0.99, both
+        step rules' forcing parameters, ranks 2-18; medians of 5 rounds,
+        2-core VM, OpenBLAS 1 thread) floors of 0, 8, 16 and 32 pairs took
+        27.3, 15.7, 11.8 and 11.7 ms a projection.  A request for one pair,
+        the support point's, computes only that pair.
         """
         n = self.n
         m = min(n, max(k, 2 * self._pairs, _FIRST_FILL if k > 1 else 1))
         vals, vecs = subset_eigh(self._a, m)
-        self._fill = (vals, lambda i, j: vecs[:, i:j], -np.inf, "LAPACK")
-        self._pairs = vals.size
-        self._vals, self._vecs = np.empty(0), np.empty((n, 0))
         self.fills += 1
+        self._set_fill(vals, vecs, -np.inf, "LAPACK")
         self.dense_fill = True
-        self.range_dim = None
 
     def _certify(self, q: np.ndarray, vals: np.ndarray, source: str) -> None:
         """Certify the new cached vectors ``q`` and their values.

@@ -23,7 +23,16 @@ and P = H Y,
     f = 1/2 <Y^T P, Y^T Y> - <Y, S Y> + 1/2 ||B||^2,
     grad f = sym(P Y^T) - S   (a ``FactoredGradient``).
 
-A dense point takes the residual path above.
+A solve's start X0(beta) = (1 - beta)/n I + beta e1 e1^T is also held
+factored, as the ``ShiftedLowRank`` c I + Y Y^T that ``structured_start``
+returns (c = (1 - beta)/n, Y = sqrt(beta) e1).  With tr H = ||A||_F^2,
+
+    f = 1/2 (c^2 tr H + 2 c <Y, P> + <Y^T P, Y^T Y>) - c tr S - <Y, S Y>
+        + 1/2 ||B||^2,
+    grad f = sym(P Y^T) - (S - c H),
+
+which stays sparse plus factored.  A dense point takes the residual path
+above; ``starting_point`` returns the dense X0.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import FactoredGradient, LowRank, symmetrize
+from .linalg import FactoredGradient, LowRank, ShiftedLowRank, symmetrize
 from .sets import Box, Spectrahedron
 from .solver import ObjectiveOracle
 
@@ -43,6 +52,7 @@ __all__ = [
     "BoxQP",
     "generate_instance",
     "starting_point",
+    "structured_start",
     "make_boxqp",
     "default_density",
 ]
@@ -73,8 +83,9 @@ class SpectrahedronLSQ:
     sparse form for the factored evaluation.
 
     ``value_and_gradient`` takes a dense X through the residual A X - B and
-    a ``LowRank`` X = Y Y^T through P = H Y (see the module docstring), at
-    O(nnz(H) r + n r^2) for a rank-r factor.  S = sym(A^T B), ||B||^2 and
+    a ``LowRank`` X = Y Y^T or a ``ShiftedLowRank`` X = c I + Y Y^T through
+    P = H Y (see the module docstring), at O(nnz(H) r + n r^2) for a rank-r
+    factor.  S = sym(A^T B), ||B||^2 and
     an orthonormal basis of S's range are formed on the first factored
     evaluation.
     """
@@ -93,6 +104,7 @@ class SpectrahedronLSQ:
         ata = self.a.T @ self.a
         self.lipschitz_L = float(np.linalg.norm(ata.toarray()))
         self._h = ata.tocsr()
+        self._trace_h = float(np.vdot(self.a.data, self.a.data))
         # A^T built once (a.T on every call costs about 0.07 ms at n=300);
         # as CSR its products keep the accumulation order of a.T @ r
         self._a_t = self.a.T.tocsr()
@@ -143,6 +155,24 @@ class SpectrahedronLSQ:
         return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy,
                                        s_range=s_range)
 
+    def _shifted_value_and_gradient(self, x: ShiftedLowRank
+                                    ) -> tuple[float, FactoredGradient]:
+        """f and grad f at X = c I + Y Y^T with no n x n array: the
+        gradient's sparse part S - c H costs O(nnz H)."""
+        s, _, half_b_sq, _ = self._linear_term
+        c, y = x.shift, x.factor
+        s_c = (s - c * self._h).tocsr()
+        p = self._h @ y
+        sy = s @ y
+        value = (0.5 * (c * c * self._trace_h
+                        + 2.0 * c * float(np.vdot(y, p))
+                        + float(np.vdot(y.T @ p, x.gram)))
+                 - c * float(s.diagonal().sum()) - float(np.vdot(y, sy))
+                 + half_b_sq)
+        return value, FactoredGradient(
+            x, p, s_c, float(np.vdot(s_c.data, s_c.data)),
+            sy=sy - c * p, s_range=None)
+
     def _residual(self, x) -> np.ndarray:
         r = self.a @ np.asarray(x, dtype=float)
         r[self._b_rows, self._b_cols] -= self._b_vals
@@ -161,9 +191,12 @@ class SpectrahedronLSQ:
     def value_and_gradient(self, x
                            ) -> tuple[float, np.ndarray | FactoredGradient]:
         """(value(x), gradient(x)) from one residual A X - B; a ``LowRank``
-        x is evaluated from its factor and gets a ``FactoredGradient``."""
+        or ``ShiftedLowRank`` x is evaluated from its factor and gets a
+        ``FactoredGradient``."""
         if isinstance(x, LowRank):
             return self._factored_value_and_gradient(x)
+        if isinstance(x, ShiftedLowRank):
+            return self._shifted_value_and_gradient(x)
         r = self._residual(x)
         return 0.5 * float(np.vdot(r, r)), self._gradient_from(r)
 
@@ -223,13 +256,30 @@ def generate_instance(n: int, m: int, omega: int, density: float | None = None,
                             seed=int(seed), x_bar=x_bar)
 
 
-def starting_point(beta: float, n: int) -> np.ndarray:
-    """Feasible start (1 - beta) (1/n) I + beta e1 e1^T."""
+def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
+
+
+def starting_point(beta: float, n: int) -> np.ndarray:
+    """Feasible start (1 - beta) (1/n) I + beta e1 e1^T."""
+    _check_beta(beta)
     x0 = (1.0 - beta) / n * np.eye(n)
     x0[0, 0] += beta
     return x0
+
+
+def structured_start(beta: float, n: int) -> ShiftedLowRank:
+    """The start of ``starting_point`` held as c I + Y Y^T with
+    c = (1 - beta)/n and Y = sqrt(beta) e1 (no column at beta = 0), so the
+    solvers evaluate it and take its first projection without n x n
+    arrays.  Its dense matrix differs from ``starting_point``'s at most in
+    the last bit of entry (0, 0), where sqrt(beta)^2 stands for beta."""
+    _check_beta(beta)
+    y = np.zeros((n, 1 if beta > 0.0 else 0))
+    if beta > 0.0:
+        y[0, 0] = np.sqrt(beta)
+    return ShiftedLowRank((1.0 - beta) / n, y)
 
 
 # ---------------------------------------------------------------------------

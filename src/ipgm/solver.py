@@ -17,9 +17,16 @@ iterate stays factored: the oracle sees the ``LowRank`` and may answer
 with a ``FactoredGradient``, whose step X - alpha G goes to the next
 projection as a ``StepOperator``; the gradient norm, ||x||, the step and
 the Armijo slope come from r x r products, and an Armijo trial point
-(1 - t) X + t W stays factored as [sqrt(1 - t) Y_x, sqrt(t) Y_w].  Any
-dense operand (the start x0, a plain array gradient) puts that operation
-on the dense path, and ``x_final`` is formed once, at the end.
+(1 - t) X + t W stays factored as [sqrt(1 - t) Y_x, sqrt(t) Y_w].  A start
+given as a ``ShiftedLowRank`` c I + Y Y^T (the harness passes
+``structured_start``) stays factored the same way: the start check, f, the
+gradient, the first step (an operator whose eigenpairs come from a Krylov
+fill), ||x||, the distance to the first projection and, under the Armijo
+rule, the slope and the first secant pair all come from its shift and
+factor; only an Armijo trial strictly between it and the first projection
+is formed densely.  Any dense operand (a dense x0, a plain array gradient)
+puts that operation on the dense path, and ``x_final`` is formed once, at
+the end; ``SolveResult.x0`` is the start's dense matrix.
 
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
@@ -41,6 +48,7 @@ from .linalg import (
     EigenSolverError,
     FactoredGradient,
     LowRank,
+    ShiftedLowRank,
     frobenius_inner,
     frobenius_norm,
 )
@@ -217,7 +225,12 @@ class IterationRecord:
     ``p_used``, ``certificate_gap``, ``phi_value`` and the eigensolver work
     ``matvecs``, ``fills``, ``dense_fill``, ``ranks_tried`` and
     ``range_dim`` are copied from the projection; they are ``None`` where it
-    does not report them (an exact projection reports none of them).
+    does not report them (an exact projection reports none of them).  They
+    tell the eigensolver's fills apart: ``range_dim`` set means the range
+    fill served the pairs, ``dense_fill`` true a LAPACK fill (``fills`` is
+    2 after a Krylov miss, or once the rank outgrew the Krylov fill), and
+    neither the Krylov fill of a step from a shifted start.  ``matvecs`` counts the certificates' products and
+    the Krylov fill's.
     ``wall_time`` is the pass's wall time in seconds; ``t_proj`` is the part
     spent forming the projection input x - alpha grad f(x) and projecting
     it, and ``t_eval`` the part spent moving to the next iterate, which
@@ -296,14 +309,14 @@ def _dense(a) -> np.ndarray:
 
 
 def _norm(x) -> float:
-    if isinstance(x, (LowRank, FactoredGradient)):
+    if isinstance(x, (ShiftedLowRank, FactoredGradient)):
         return math.sqrt(x.sq_norm)
     return frobenius_norm(_dense(x))
 
 
 def _distance(a, b) -> float:
     """||a - b||, from the stacked factors when both are factored."""
-    if isinstance(a, LowRank) and isinstance(b, LowRank):
+    if isinstance(a, ShiftedLowRank) and isinstance(b, ShiftedLowRank):
         return math.sqrt(a.sq_distance(b))
     return _norm(_dense(a) - _dense(b))
 
@@ -346,7 +359,10 @@ def _toward(x, w, t: float):
 
 
 def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
-    x0 = np.asarray(x0, dtype=float)
+    """x0 as the solve uses it: a ``ShiftedLowRank`` as it is, anything
+    else as a dense array."""
+    if not isinstance(x0, ShiftedLowRank):
+        x0 = np.asarray(x0, dtype=float)
     if not feasible_set.contains(x0, feas_tol=feas_tol):
         raise InfeasibleStartError("starting point is not feasible")
     return x0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import ipgm.linalg
 
@@ -40,3 +41,48 @@ def range_fill_bad_residual(monkeypatch):
         return vals, q, u
 
     monkeypatch.setattr(ipgm.linalg.StepOperator, "range_ritz", perturbed)
+
+
+class KrylovSpy:
+    """What the Krylov fills of ``IncrementalEigen`` asked ``eigsh`` for:
+    ``calls`` holds (pairs asked for, products spent) per call.  Setting
+    ``fault`` makes every fill miss: ``"no-convergence"`` raises ARPACK's
+    ``ArpackNoConvergence`` after the real call, ``"random-top"`` swaps the
+    top vector for a random unit vector, so the residual certificate
+    fails."""
+
+    def __init__(self):
+        self.calls = []
+        self.fault = None
+
+
+@pytest.fixture
+def krylov_spy(monkeypatch):
+    spy = KrylovSpy()
+    real = scipy.sparse.linalg.eigsh
+
+    def spying(a, k, **kwargs):
+        products = [0]
+
+        def matvec(x):
+            out = a.matvec(x)
+            products[0] += 1
+            return out
+
+        counted = scipy.sparse.linalg.LinearOperator(a.shape, matvec=matvec,
+                                                     dtype=a.dtype)
+        try:
+            vals, vecs = real(counted, k, **kwargs)
+        finally:
+            spy.calls.append((k, products[0]))
+        if spy.fault == "no-convergence":
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "forced", vals, vecs)
+        if spy.fault == "random-top":
+            vecs = vecs.copy()
+            vecs[:, np.argmax(vals)] = _random_unit(vecs.shape[0])
+        return vals, vecs
+
+    # the Krylov fill imports eigsh from scipy.sparse.linalg when it runs
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spying)
+    return spy

@@ -15,14 +15,16 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import ipgm.sets
+from ipgm.harness import run_variant
 from ipgm.linalg import (
     EigenSolverError,
     FactoredGradient,
     IncrementalEigen,
     LowRank,
+    ShiftedLowRank,
     StepOperator,
 )
-from ipgm.problems import generate_instance, starting_point
+from ipgm.problems import generate_instance, starting_point, structured_start
 from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
 from ipgm.sets import (
     ExactProjectionAdapter,
@@ -40,6 +42,7 @@ from ipgm.solver import (
     monitor_descent,
     solve_armijo,
     solve_constant,
+    spectral_step,
 )
 
 
@@ -632,3 +635,144 @@ def test_custom_objective_reads_factored_points_densely():
     assert any(seen)
     ref = np.asarray(exact_project_spectrahedron(c))
     assert np.linalg.norm(res.x_final - ref) <= 1e-6
+
+
+def _rel(a, b) -> float:
+    return abs(a - b) / max(abs(b), 1e-300)
+
+
+class TestShiftedStart:
+    """X0(beta) = (1 - beta)/n I + beta e1 e1^T held as c I + Y Y^T: every
+    closed form the solvers read at the start agrees with the dense
+    matrix, and whole solves from it agree with solves from the dense
+    start."""
+
+    N = 40
+
+    def _start(self, beta, seed=36):
+        inst = generate_instance(self.N, 2 * self.N, 5, seed=seed)
+        x0 = structured_start(beta, self.N)
+        return inst, x0, starting_point(beta, self.N)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    def test_point(self, beta):
+        _, x0, dense = self._start(beta)
+        assert isinstance(x0, ShiftedLowRank) and not isinstance(x0, LowRank)
+        assert x0.rank == (1 if beta else 0)
+        assert _max_abs(x0.dense() - dense) <= 1e-15
+        assert _rel(x0.sq_norm, np.vdot(dense, dense)) <= 1e-12
+        assert _rel(x0.trace, 1.0) <= 1e-12
+        q = np.linalg.qr(np.random.default_rng(1).standard_normal(
+            (self.N, 5)))[0]
+        ref = np.einsum("ij,ij->j", q, dense @ q)
+        assert _max_abs(x0.quad_diag(q) - ref) <= 1e-12 * _max_abs(ref)
+        cset = Spectrahedron(self.N)
+        assert cset.contains(x0) and cset.contains(dense)
+        # a trace off by 1e-6, and a negative shift, are refused like the
+        # dense matrices they stand for
+        for bad in (ShiftedLowRank(x0.shift + 1e-6 / self.N, x0.factor),
+                    ShiftedLowRank(-1e-6, np.sqrt(1.0 + 1e-6 * self.N)
+                                   * np.eye(self.N, 1))):
+            assert not cset.contains(bad) and not cset.contains(bad.dense())
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    def test_objective_and_gradient(self, beta):
+        inst, x0, dense = self._start(beta)
+        f, g = inst.value_and_gradient(x0)
+        f_ref, g_ref = inst.value_and_gradient(dense)
+        assert isinstance(g, FactoredGradient) and g.point is x0
+        assert g.s_range is None
+        assert _rel(f, f_ref) <= 1e-12
+        assert _max_abs(g.dense() - g_ref) <= 1e-12 * _max_abs(g_ref)
+        assert _rel(g.sq_norm, np.vdot(g_ref, g_ref)) <= 1e-12
+        assert _rel(g.inner(x0), np.vdot(g_ref, dense)) <= 1e-12
+        w = _unit_trace_point(np.random.default_rng(2), self.N, 3)
+        assert _rel(g.inner(w), np.vdot(g_ref, w.dense())) <= 1e-12
+        d = w.dense() - dense
+        for sq in (w.sq_distance(x0), x0.sq_distance(w)):
+            assert _rel(sq, np.vdot(d, d)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("armijo_step", [False, True])
+    def test_step_operator(self, beta, armijo_step):
+        # the Armijo rule's first step is alpha_max = 1e10, where factors
+        # Y - (alpha/2) P and (alpha/2) P would cancel in Z+ Z+^T - Z- Z-^T
+        inst, x0, dense = self._start(beta)
+        _, g = inst.value_and_gradient(x0)
+        g_ref = inst.value_and_gradient(dense)[1]
+        alpha = (1e10 if armijo_step
+                 else constant_alpha_from_gamma(inst.lipschitz_L, 0.0))
+        op = g.step(alpha)
+        ref = dense - alpha * g_ref
+        assert op.anchor is x0 and op.s_range is None
+        assert op.range_ritz() is None
+        vec = np.random.default_rng(3).standard_normal((self.N, 2))
+        assert _max_abs(op @ vec - ref @ vec) <= 1e-12 * _max_abs(ref @ vec)
+        assert _max_abs(op.dense() - ref) <= 1e-12 * _max_abs(ref)
+        assert _rel(op.sq_norm, np.vdot(ref, ref)) <= 1e-12
+        assert _rel(op.sq_dist, np.vdot(ref - dense, ref - dense)) <= 1e-12
+        lower = op.lower_fortran()
+        assert _max_abs(np.tril(lower) - np.tril(ref)) <= 1e-12 * _max_abs(
+            ref)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    def test_first_spectral_step(self, beta):
+        # Armijo at k = 1: the secant pair from a factored X1 back to the
+        # shifted start, against the dense spectral step
+        inst, x0, dense = self._start(beta)
+        _, g0 = inst.value_and_gradient(x0)
+        x1 = _unit_trace_point(np.random.default_rng(4), self.N, 2)
+        _, g1 = inst.value_and_gradient(x1)
+        ss, sy = g1.secant(g0)
+        s_ref = x1.dense() - dense
+        y_ref = g1.dense() - inst.value_and_gradient(dense)[1]
+        assert _rel(ss, np.vdot(s_ref, s_ref)) <= 1e-12
+        assert _rel(sy, np.vdot(s_ref, y_ref)) <= 1e-12
+        assert _rel(ss / sy, spectral_step(s_ref, y_ref, 1e-10, 1e10)) <= (
+            1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    @pytest.mark.parametrize("proj", ["inexact", "exact"])
+    def test_solves_match_the_dense_start(self, beta, rule, proj):
+        inst = generate_instance(self.N, 2 * self.N, 5, seed=31)
+        cset = inst.feasible_set()
+        if proj == "exact":
+            cset = ExactProjectionAdapter(cset)
+        runs = []
+        for start in (structured_start, starting_point):
+            x0 = start(beta, self.N)
+            if rule == "constant":
+                cfg = ConstantStepConfig(
+                    alpha=constant_alpha_from_gamma(inst.lipschitz_L, 0.0),
+                    schedule=SummableSchedule.logarithmic(100.0),
+                    max_iter=5000)
+                runs.append(solve_constant(inst.objective(), cset, x0, cfg))
+            else:
+                runs.append(solve_armijo(inst.objective(), cset, x0,
+                                         ArmijoConfig(max_iter=2000)))
+        fact, dense = runs
+        assert fact.iterations == dense.iterations > 0
+        assert [r.p_used for r in fact.records] == [
+            r.p_used for r in dense.records]
+        assert _rel(fact.f_final, dense.f_final) <= 1e-12
+        # the result's x0 is the dense start
+        assert isinstance(fact.x0, np.ndarray)
+        assert _max_abs(fact.x0 - dense.x0) <= 1e-15
+        assert monitor_descent(fact).passed and monitor_complexity(
+            fact).passed
+
+    def test_the_harness_starts_structured(self):
+        # run_variant (the benchmark's and ipgm compare's entry) passes the
+        # structured start: the first projection takes the Krylov fill, the
+        # second the range fill
+        inst = generate_instance(120, 240, 20, seed=5)
+        result, _ = run_variant(inst, "constant", "inexact", 0.0, 0.0,
+                                SummableSchedule.logarithmic(100.0), 1e-4,
+                                5000)
+        first, second = result.records[:2]
+        assert (first.range_dim, first.dense_fill, first.fills) == (
+            None, False, 1)
+        assert first.matvecs > first.p_used + 1
+        assert second.range_dim is not None and not second.dense_fill
+        assert isinstance(result.x0, np.ndarray)

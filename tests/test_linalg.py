@@ -12,7 +12,19 @@ from ipgm.linalg import (
     subset_eigh,
     symmetrize,
 )
-from ipgm.problems import generate_instance, starting_point
+from ipgm.harness import ARMIJO_GAMMA3, GAMMA2_CAP
+from ipgm.problems import generate_instance, starting_point, structured_start
+from ipgm.schedules import (
+    ForcingParams,
+    SummableSchedule,
+    ToleranceFn,
+    forcing_for_iteration,
+)
+from ipgm.sets import (
+    Spectrahedron,
+    certify_inexact_projection,
+    inexact_project_spectrahedron,
+)
 from ipgm.solver import constant_alpha_from_gamma
 
 
@@ -458,3 +470,129 @@ class TestSubsetEigh:
         # a one-pair fill holds no pair ahead to certify
         assert pairs == [1] and certified == [1]
         assert value == pytest.approx(np.linalg.eigvalsh(s)[-1], abs=1e-9)
+
+
+def _shifted_step(n: int, beta: float, seed: int, alpha: float | None = None):
+    """(X0, grad f(X0), V0) at ``structured_start(beta, n)`` of an instance
+    with omega 20, V0 = X0 - alpha G0 at the constant step's alpha unless
+    one is given."""
+    inst = generate_instance(n, 2 * n, 20, seed=seed)
+    x0 = structured_start(beta, n)
+    _, g = inst.value_and_gradient(x0)
+    if alpha is None:
+        alpha = constant_alpha_from_gamma(inst.lipschitz_L, 0.0)
+    return x0, g, g.step(alpha)
+
+
+def _first_forcing(rule: str, g) -> tuple[ForcingParams, ToleranceFn]:
+    """The first iteration's forcing parameters and phi of a step rule, as
+    the harness runs it."""
+    if rule == "constant":
+        a_0 = SummableSchedule.logarithmic(100.0).a(0)
+        return (forcing_for_iteration(g.sq_norm, a_0, GAMMA2_CAP, 0.0),
+                ToleranceFn.canonical("phi1"))
+    return (ForcingParams(0.0, 0.0, ARMIJO_GAMMA3),
+            ToleranceFn.canonical("phi4"))
+
+
+class TestKrylovFill:
+    """The step from a shifted start c I + Y Y^T has no range basis; its top
+    pairs come from ``eigsh`` on products with the operator, and a miss
+    ends in a LAPACK fill."""
+
+    def test_repeated_fills_are_bit_identical(self, krylov_spy):
+        _, _, op = _shifted_step(200, 0.0, 11)
+        ref = np.linalg.eigvalsh(op.dense())[::-1]
+        out = []
+        for _ in range(2):
+            cache = IncrementalEigen(op)
+            vals, vecs = cache.top(12)
+            out.append((vals.tobytes(), vecs.tobytes()))
+            assert (cache.fills, cache.dense_fill, cache.range_dim) == (
+                1, False, None)
+            assert _max_abs(vals - ref[:12]) <= cache.tol_abs
+            # the fill's products and the certificate's 13 (one ahead)
+            assert cache.matvecs_used == krylov_spy.calls[-1][1] + 13
+        assert out[0] == out[1]
+        assert [k for k, _ in krylov_spy.calls] == [16, 16]
+
+    @pytest.mark.parametrize("fault", ["no-convergence", "budget",
+                                       "random-top"])
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_a_miss_ends_in_a_lapack_fill(self, fault, rule, krylov_spy,
+                                          monkeypatch):
+        x0, g, op = _shifted_step(200, 0.5, 12)
+        gamma, phi = _first_forcing(rule, g)
+        ref = inexact_project_spectrahedron(op, x0, gamma, phi)
+        assert (ref.fills, ref.dense_fill, ref.range_dim) == (1, False, None)
+        if fault == "budget":
+            # 1 product per pair: 16, fewer than ARPACK's first 33 vectors
+            monkeypatch.setattr(ipgm.linalg, "_KRYLOV_PRODUCTS", 1)
+        else:
+            krylov_spy.fault = fault
+        res = inexact_project_spectrahedron(op, x0, gamma, phi)
+        assert (res.fills, res.dense_fill, res.range_dim) == (2, True, None)
+        assert krylov_spy.calls[-1][0] == 16
+        if fault == "budget":
+            assert krylov_spy.calls[-1][1] == 16
+        # the spent products count, and the certificates' after them
+        assert res.matvecs > krylov_spy.calls[-1][1]
+        assert res.rank_used == ref.rank_used
+        assert _max_abs(np.asarray(res.point) - np.asarray(ref.point)) <= (
+            1e-10)
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    @pytest.mark.parametrize("armijo_step", [False, True])
+    def test_cluster_start_projects_like_the_dense_path(self, rule,
+                                                        armijo_step):
+        # X0(0.99) at n=400: V0's multiple eigenvalue sits at c = 0.01/n,
+        # under about 20 pairs; constant-step V0 with both rules' forcing
+        # parameters (as project-cold takes it), and the Armijo rule's first
+        # V0 (alpha 1e10)
+        n = 400
+        x0, g, op = _shifted_step(n, 0.99, 628688073,
+                                  alpha=1e10 if armijo_step else None)
+        gamma, phi = _first_forcing(rule, g)
+        res = inexact_project_spectrahedron(op, x0, gamma, phi)
+        assert (res.dense_fill, res.range_dim) == (False, None)
+        v, u = op.dense(), starting_point(0.99, n)
+        ref = inexact_project_spectrahedron(v, u, gamma, phi)
+        assert res.rank_used == ref.rank_used
+        w = np.asarray(res.point)
+        assert _max_abs(w - np.asarray(ref.point)) <= 1e-9 * max(
+            1.0, _max_abs(w))
+        ok, _ = certify_inexact_projection(Spectrahedron(n), u, v, w, gamma,
+                                           phi)
+        assert ok
+
+    def test_no_pairs_at_or_below_the_shift(self, monkeypatch):
+        # V0 has 19 eigenvalues above c = 1/n and c itself 6 times, which
+        # Lanczos from one start vector cannot resolve
+        n = 200
+        x0, _, op = _shifted_step(n, 0.0, 11)
+        ref = np.linalg.eigvalsh(op.dense())[::-1]
+        cache = IncrementalEigen(op)
+        assert np.sum(ref > x0.shift + cache.tol_abs) == 19
+        assert np.sum(np.abs(ref - x0.shift) <= 1e-12) == 6
+        vals, _ = cache.top(15)
+        assert (cache.fills, cache.dense_fill) == (1, False)
+        assert _max_abs(vals - ref[:15]) <= cache.tol_abs
+        # the one Krylov fill is spent: LAPACK serves 32 pairs, twice its 16
+        pairs = _spy_on_subsets(monkeypatch)
+        vals, _ = cache.top(17)
+        assert (cache.fills, cache.dense_fill, pairs) == (2, True, [32])
+        assert _max_abs(vals - ref[:17]) <= cache.tol_abs
+        # given products enough, eigsh returns 32 certified pairs whose
+        # values below c are off by about 5e-6; the fill serves no value at
+        # or below c, so LAPACK serves top(32)
+        monkeypatch.setattr(ipgm.linalg, "_KRYLOV_PRODUCTS", 10 ** 4)
+        cache = IncrementalEigen(op)
+        vals, vecs = cache.top(32)
+        assert (cache.fills, cache.dense_fill) == (2, True)
+        assert _max_abs(vals - ref[:32]) <= cache.tol_abs
+        residual = np.linalg.norm(op.dense() @ vecs - vecs * vals, axis=0)
+        assert np.max(residual) <= cache.tol_abs
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
