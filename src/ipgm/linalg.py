@@ -8,12 +8,13 @@ vectors certified orthonormal.  It is filled in one of three ways.  A
 ``StepOperator`` whose range basis has fewer than n columns gets a range
 fill: one ``eigh`` of V restricted to that basis gives V's whole
 nonzero spectrum.  A ``StepOperator`` with no range basis (the first
-projection input of a solve, at a shifted start) gets a Krylov fill:
-``scipy.sparse.linalg.eigsh`` computes its top m pairs from products with
-the operator, under a product budget.  Every other request, and every
-Krylov miss, gets a LAPACK fill: ``subset_eigh`` computes the top m pairs
-of the dense matrix with LAPACK's MRRR driver ``evr`` (a full ``eigh``
-when ``evr`` fails or returns fewer than m), m doubling on each refill.
+projection input of a solve, at a shifted start) of order n >= 120 gets a
+Krylov fill: ``scipy.sparse.linalg.eigsh`` computes its top m pairs from
+products with the operator, under a product budget.  Every other request,
+and every Krylov miss, gets a LAPACK fill: ``subset_eigh`` computes the top
+m pairs of the dense matrix with LAPACK's MRRR driver ``evr`` (a full
+``eigh`` when ``evr`` fails or returns fewer than m), m doubling on each
+refill.
 ``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
 spectrahedron projection's too, can check what it gets.
 ``largest_eigenpair`` is the single-pair call the support point makes.
@@ -65,6 +66,16 @@ EIG_TOL = 1e-9
 
 # Pairs the first LAPACK or Krylov fill of a cache computes, at least.
 _FIRST_FILL = 16
+
+# Order n from which a step with no range basis takes the Krylov fill;
+# below it the LAPACK fill is the faster first fill.  Medians of the first
+# projection of 18 ``run_variant`` solves per n (3 instances, omega 20,
+# beta 0, 0.5 and 0.99, both step rules; best of 3 runs each; 2-core VM,
+# OpenBLAS 1 thread), Krylov against LAPACK fill, in ms: n=40 1.20 / 0.62,
+# 60 1.26 / 0.76, 80 1.27 / 1.40, 100 1.33 / 1.15, 120 1.36 / 1.40,
+# 140 1.42 / 1.65, 160 1.45 / 1.80, 200 1.50 / 2.45, 300 1.96 / 4.77.
+# Both fills gave the same iterations and first ranks.
+_KRYLOV_MIN_N = 120
 
 # Products a Krylov fill may spend per pair it asks for, and the seed of its
 # start vector (and of ARPACK's restarts), so that repeated fills agree bit
@@ -529,7 +540,8 @@ class IncrementalEigen:
     does not serve ends it, and ``range_dim`` returns to ``None``.
 
     A ``StepOperator`` with no range basis (``s_range`` is ``None``: the
-    step from a shifted start X0 = c I + Y Y^T) takes one Krylov fill:
+    step from a shifted start X0 = c I + Y Y^T) of order n >= 120 takes one
+    Krylov fill (below that order the LAPACK fill is faster):
     ``eigsh(which="LA")`` computes the top m = max(k, 16) pairs from
     products with the operator, from a fixed seeded start vector.  It
     serves ``top(k)`` only while the k-th value is above c plus the
@@ -551,8 +563,9 @@ class IncrementalEigen:
     by a LAPACK fill, which sets ``dense_fill``: ``subset_eigh`` computes the
     top m pairs of the dense matrix, m = max(k, 16) on the first fill
     (m = 1 when it is for one pair) and at least twice the last fill's m
-    (a Krylov fill's too) on each refill, at most n.  ``range_dim`` set means a range fill served the
-    pairs, ``dense_fill`` a LAPACK fill, and neither a Krylov fill.
+    (a Krylov fill's too) on each refill, at most n.  ``range_dim`` set
+    means a range fill served the pairs, ``dense_fill`` a LAPACK fill, and
+    neither a Krylov fill.
     ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds ``max(1,
     ||S||_F)``; a matrix whose Frobenius norm is not finite raises
     :class:`EigenSolverError`.
@@ -588,7 +601,8 @@ class IncrementalEigen:
         # serve top(k), and its name for the certificate's errors
         self._fill = (np.empty(0), None, np.inf, "")
         self._pairs = 0  # pairs of the last LAPACK or Krylov fill
-        self._krylov = isinstance(a, StepOperator) and a.s_range is None
+        self._krylov = (isinstance(a, StepOperator) and a.s_range is None
+                        and self.n >= _KRYLOV_MIN_N)
         ritz = a.range_ritz() if isinstance(a, StepOperator) else None
         if ritz is not None:
             vals, q, u = ritz

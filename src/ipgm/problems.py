@@ -6,8 +6,8 @@ entries, the planted matrix Xbar is a sum of omega rank-one terms
 g g^T with g carrying a (cos, sin) pair at two random positions, and
 B = A Xbar.  Since tr(Xbar) = omega > 1, Xbar is infeasible and the
 instances generically have a nonzero residue.  Xbar has at most 4 omega
-nonzeros, so B is kept as CSR and generation costs O(nnz(A) + omega),
-apart from the n x n A^T A behind ``lipschitz_L``.
+nonzeros, so Xbar and B are kept as CSR and generation costs O(nnz(A) +
+omega), apart from the n x n A^T A behind ``lipschitz_L``.
 
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
@@ -80,7 +80,10 @@ class SpectrahedronLSQ:
     ``b_mat`` is CSR, since B = A Xbar is almost empty, and the residual
     subtracts only its nonzeros.  Generation costs O(nnz(A) + omega) apart
     from the n x n A^T A behind ``lipschitz_L``; H = A^T A is kept in its
-    sparse form for the factored evaluation.
+    sparse form for the factored evaluation.  Xbar is kept as the CSR
+    ``x_bar_csr``, at most 4 omega stored entries; ``x_bar`` forms its
+    dense matrix, a new n x n array on every access, so a caller who reads
+    it twice should keep the array.
 
     ``value_and_gradient`` takes a dense X through the residual A X - B and
     a ``LowRank`` X = Y Y^T or a ``ShiftedLowRank`` X = c I + Y Y^T through
@@ -97,7 +100,7 @@ class SpectrahedronLSQ:
     omega: int
     density: float
     seed: int
-    x_bar: np.ndarray
+    x_bar_csr: sp.csr_matrix
     lipschitz_L: float = field(init=False)
 
     def __post_init__(self):
@@ -112,6 +115,10 @@ class SpectrahedronLSQ:
         # other entries are +0.0, so subtracting these gives A X - B exactly
         b = self.b_mat.tocoo()
         self._b_rows, self._b_cols, self._b_vals = b.row, b.col, b.data
+
+    @property
+    def x_bar(self) -> np.ndarray:
+        return self.x_bar_csr.toarray()
 
     @cached_property
     def _linear_term(self) -> tuple[sp.csr_matrix, float, float,
@@ -235,25 +242,32 @@ def generate_instance(n: int, m: int, omega: int, density: float | None = None,
     if a.count_nonzero() == 0:
         raise ValueError("generated A is identically zero; raise the density")
 
-    # each g g^T touches only its 2 x 2 block; the rest of Xbar stays +0.0
-    x_bar = np.zeros((n, n))
     planted = np.empty((omega, 2), dtype=np.intp)
+    terms = np.empty((omega, 2))
     for i in range(omega):
-        pos = rng_pos.choice(n, size=2, replace=False)
+        planted[i] = rng_pos.choice(n, size=2, replace=False)
         theta = rng_theta.uniform(0.0, 2.0 * np.pi)
-        g = np.array([np.cos(theta), np.sin(theta)])
-        x_bar[np.ix_(pos, pos)] += np.outer(g, g)
-        planted[i] = pos
-    # Xbar read as CSR on the union of those blocks, without a scan of all
-    # n^2 entries.  The sparse product adds each entry's nonzero terms in the
-    # order the dense a @ x_bar does and stores no entry that sums to zero,
-    # so B holds the dense product's bits.
+        terms[i] = np.cos(theta), np.sin(theta)
+    # each g g^T touches only its 2 x 2 block, so Xbar is summed on the
+    # sorted union U of the planted positions, each entry's terms in the
+    # order a dense n x n sum adds them, with no n x n array
+    union, local = np.unique(planted, return_inverse=True)
+    local = local.reshape(omega, 2)
+    u = union.size
+    block = np.zeros((u, u))
+    for pos, g in zip(local, terms):
+        block[np.ix_(pos, pos)] += np.outer(g, g)
+    # Xbar as CSR on the union of those blocks (U is sorted, so the local
+    # order of the entries is their global order).  The sparse product adds
+    # each entry's nonzero terms in the order the dense a @ Xbar does and
+    # stores no entry that sums to zero, so B holds the dense product's bits.
     rows, cols = np.divmod(
-        np.unique(planted[:, :, None] * n + planted[:, None, :]), n)
-    b_mat = a @ sp.csr_matrix((x_bar[rows, cols], (rows, cols)), shape=(n, n))
-    return SpectrahedronLSQ(a=a, b_mat=b_mat, n=int(n), m=int(m),
+        np.unique(local[:, :, None] * u + local[:, None, :]), u)
+    x_bar = sp.csr_matrix((block[rows, cols], (union[rows], union[cols])),
+                          shape=(n, n))
+    return SpectrahedronLSQ(a=a, b_mat=a @ x_bar, n=int(n), m=int(m),
                             omega=int(omega), density=float(density),
-                            seed=int(seed), x_bar=x_bar)
+                            seed=int(seed), x_bar_csr=x_bar)
 
 
 def _check_beta(beta: float) -> None:

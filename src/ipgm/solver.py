@@ -25,8 +25,9 @@ fill), ||x||, the distance to the first projection and, under the Armijo
 rule, the slope and the first secant pair all come from its shift and
 factor; only an Armijo trial strictly between it and the first projection
 is formed densely.  Any dense operand (a dense x0, a plain array gradient)
-puts that operation on the dense path, and ``x_final`` is formed once, at
-the end; ``SolveResult.x0`` is the start's dense matrix.
+puts that operation on the dense path.  ``SolveResult`` keeps the start
+and the final iterate in these forms; its ``x0`` and ``x_final`` form
+their dense matrices on access.
 
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
@@ -229,8 +230,8 @@ class IterationRecord:
     tell the eigensolver's fills apart: ``range_dim`` set means the range
     fill served the pairs, ``dense_fill`` true a LAPACK fill (``fills`` is
     2 after a Krylov miss, or once the rank outgrew the Krylov fill), and
-    neither the Krylov fill of a step from a shifted start.  ``matvecs`` counts the certificates' products and
-    the Krylov fill's.
+    neither the Krylov fill of a step from a shifted start.  ``matvecs``
+    counts the certificates' products and the Krylov fill's.
     ``wall_time`` is the pass's wall time in seconds; ``t_proj`` is the part
     spent forming the projection input x - alpha grad f(x) and projecting
     it, and ``t_eval`` the part spent moving to the next iterate, which
@@ -275,17 +276,35 @@ class IterationRecord:
 @dataclass
 class SolveResult:
     """A finished run: the configuration it used, the Lipschitz constant of
-    its objective (``None`` when unknown) and what it produced."""
+    its objective (``None`` when unknown) and what it produced.
+
+    Each point is stored in the form the solve held it.  ``start`` is the
+    checked x0: a ``ShiftedLowRank`` such as ``structured_start`` returns,
+    else a dense array.  ``final_point`` is the last iterate: a ``LowRank``
+    on the factored path, else a dense array (a dense run, or an iterate
+    whose factor reached n/4 columns), and ``start`` itself when no
+    iteration ran.  ``x_final`` and ``x0`` are their dense matrices; a
+    factored point forms a new n x n array on every access and none is
+    cached, so a caller who reads one twice should keep the array.
+    """
 
     config: ConstantStepConfig | ArmijoConfig
-    x_final: np.ndarray
+    final_point: np.ndarray | ShiftedLowRank
     f_final: float
     iterations: int
     stop_reason: str
     records: list[IterationRecord]
-    x0: np.ndarray
+    start: np.ndarray | ShiftedLowRank
     f0: float
     lipschitz_L: float | None
+
+    @property
+    def x_final(self) -> np.ndarray:
+        return _dense(self.final_point)
+
+    @property
+    def x0(self) -> np.ndarray:
+        return _dense(self.start)
 
     @property
     def algorithm(self) -> str:
@@ -384,7 +403,7 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
     projection or a failed line search raises ``SolverError`` naming the
     iteration.
     """
-    x = _check_start(feasible_set, x0)
+    x = start = _check_start(feasible_set, x0)
     f_x, g = obj.value_and_gradient(x)
     f_x = float(f_x)
     if not math.isfinite(f_x):
@@ -458,9 +477,9 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             stop_reason = STOP_CONVERGED
             break
     return SolveResult(
-        config=cfg, x_final=_dense(x), f_final=f_x, iterations=iterations,
-        stop_reason=stop_reason, records=records, x0=np.asarray(x0, dtype=float),
-        f0=f0, lipschitz_L=obj.lipschitz_L)
+        config=cfg, final_point=x, f_final=f_x, iterations=iterations,
+        stop_reason=stop_reason, records=records, start=start, f0=f0,
+        lipschitz_L=obj.lipschitz_L)
 
 
 def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,

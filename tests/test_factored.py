@@ -6,6 +6,8 @@ it stands for, and whole solves are checked against the same solves run
 densely from start to end.
 """
 
+import gc
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import ipgm.harness
+import ipgm.linalg
 import ipgm.sets
-from ipgm.harness import run_variant
+from ipgm.harness import ARMIJO_GAMMA3, run_variant
 from ipgm.linalg import (
     EigenSolverError,
     FactoredGradient,
@@ -776,3 +780,90 @@ class TestShiftedStart:
         assert first.matvecs > first.p_used + 1
         assert second.range_dim is not None and not second.dense_fill
         assert isinstance(result.x0, np.ndarray)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("algo", ["constant", "armijo"])
+    def test_below_the_krylov_floor_the_first_fill_is_lapack(
+            self, beta, algo, krylov_spy, monkeypatch):
+        # n=40 is below the Krylov fill's floor: the first step from the
+        # structured start takes one LAPACK fill, and the run matches the
+        # dense start's
+        assert self.N < ipgm.linalg._KRYLOV_MIN_N
+        inst = generate_instance(self.N, 2 * self.N, 5, seed=31)
+        gamma3 = 0.0 if algo == "constant" else ARMIJO_GAMMA3
+        runs = []
+        for start in (structured_start, starting_point):
+            monkeypatch.setattr(ipgm.harness, "structured_start", start)
+            runs.append(run_variant(inst, algo, "inexact", beta, gamma3,
+                                    SummableSchedule.logarithmic(100.0),
+                                    1e-4, 5000)[0])
+        fact, dense = runs
+        assert isinstance(fact.start, ShiftedLowRank)
+        first = fact.records[0]
+        assert (first.range_dim, first.dense_fill, first.fills) == (
+            None, True, 1)
+        assert krylov_spy.calls == []
+        assert fact.iterations == dense.iterations > 0
+        assert [r.p_used for r in fact.records] == [
+            r.p_used for r in dense.records]
+
+
+def _retained(make):
+    """(what ``make()`` returns, the bytes it still holds after
+    ``gc.collect()``, as ``tracemalloc`` counts them)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestResultMemory:
+    """A result holds its start and final iterate as the solve held them,
+    and an instance its planted Xbar as CSR; the dense matrices are formed
+    on access, a new array each time."""
+
+    N = 200
+
+    @pytest.mark.parametrize("algo", ["constant", "armijo"])
+    def test_a_result_holds_no_dense_matrix(self, algo):
+        n = self.N
+        inst = generate_instance(n, 2 * n, 20, seed=41)
+        gamma3 = 0.0 if algo == "constant" else ARMIJO_GAMMA3
+
+        def solve():
+            return run_variant(inst, algo, "inexact", 0.0, gamma3,
+                               SummableSchedule.logarithmic(100.0), 1e-4,
+                               5000)[0]
+
+        solve()  # the instance's cached S and any lazy import, untraced
+        result, held = _retained(solve)
+        # a dense x_final and x0 alone hold n^2 8 bytes each
+        assert held < n * n * 8 / 2
+        assert isinstance(result.final_point, LowRank)
+        assert isinstance(result.start, ShiftedLowRank)
+        for name, point in (("x_final", result.final_point),
+                            ("x0", result.start)):
+            dense = getattr(result, name)
+            assert dense.tobytes() == point.dense().tobytes()
+            dense += 1.0
+            again = getattr(result, name)
+            assert again is not dense
+            assert again.tobytes() == point.dense().tobytes()
+
+    def test_an_instance_keeps_x_bar_sparse(self):
+        n, omega = self.N, 10
+        generate_instance(n, 2 * n, omega, seed=40)  # lazy imports, untraced
+        inst, held = _retained(
+            lambda: generate_instance(n, 2 * n, omega, seed=41))
+        assert held < n * n * 8 / 2
+        assert inst.x_bar_csr.format == "csr"
+        assert inst.x_bar_csr.nnz <= 4 * omega
+        dense = inst.x_bar
+        assert dense.tobytes() == inst.x_bar_csr.toarray().tobytes()
+        dense += 1.0
+        assert np.count_nonzero(inst.x_bar) <= 4 * omega
