@@ -10,11 +10,12 @@ fill: one ``eigh`` of V restricted to that basis gives V's whole
 nonzero spectrum.  A ``StepOperator`` with no range basis (the first
 projection input of a solve, at a shifted start) of order n >= 120 gets a
 Krylov fill: ``scipy.sparse.linalg.eigsh`` computes its top m pairs from
-products with the operator, under a product budget.  Every other request,
-and every Krylov miss, gets a LAPACK fill: ``subset_eigh`` computes the top
-m pairs of the dense matrix with LAPACK's MRRR driver ``evr`` (a full
-``eigh`` when ``evr`` fails or returns fewer than m), m doubling on each
-refill.
+products with the operator, under a product budget, m at most the number
+of its eigenvalues that can lie above the start's shift.  Every other
+request, and every Krylov miss, gets a LAPACK fill: ``subset_eigh``
+computes the top m pairs of the dense matrix with LAPACK's MRRR driver
+``evr`` (a full ``eigh`` when ``evr`` fails or returns fewer than m), m
+doubling on each refill.
 ``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
 spectrahedron projection's too, can check what it gets.
 ``largest_eigenpair`` is the single-pair call the support point makes.
@@ -26,10 +27,11 @@ them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
 quadratic at such a point (P = H Y, S sparse; at a shifted point S also
 carries -c H), and ``StepOperator`` is the projection input V = X - alpha
 G, which ``IncrementalEigen`` applies through its factors.
-With X = Y Y^T the step is V = Z+ Z+^T - Z- Z-^T + alpha S, so range(V) lies
-in the span of S's range (a basis the objective supplies) and the 2 r
-columns of Z+ and Z-.  At a shifted point the sparse part is
-alpha S + c I, which has no such basis.
+At every such point the step has one form, V = c I + alpha S + sym(B Y^T)
+with B = Y - alpha P, in which no term is of order alpha^2.  At c = 0,
+range(V) lies in the span of S's range (a basis the objective supplies)
+and the 2 r columns of Y and B; at a shifted point c I and the -c H in S
+leave no such basis.
 Scalars (norms, inner products, distances) come from r x r matrices; each
 type forms its dense n x n matrix only through ``dense()`` (also reached by
 ``np.asarray``), and a ``StepOperator`` also through ``lower_fortran()``,
@@ -42,8 +44,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 __all__ = [
@@ -261,29 +262,6 @@ class LowRank(ShiftedLowRank):
         super().__init__(0.0, factor)
 
 
-def _signed_factors(y: np.ndarray, p: np.ndarray, alpha: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(Z+, Z-) with Z+ Z+^T - Z- Z-^T = Y Y^T - (alpha/2)(P Y^T + Y P^T).
-
-    With [Y, P] = Q R the matrix is Q C Q^T for a 2r x 2r core C, and Z+-
-    are Q times C's eigenvectors, scaled by the roots of |eigenvalue|.
-    C has no term in alpha^2, so a large alpha (the Armijo rule's first
-    step is 1e10) cancels nothing, where Y - (alpha/2) P and (alpha/2) P
-    would each carry alpha^2 ||P||^2 / 4 into a difference of order
-    alpha ||P|| ||Y||.
-    """
-    r = y.shape[1]
-    if r == 0:
-        return y, y
-    q, rr = _qr(np.hstack([y, p]))
-    r_y, r_p = rr[:, :r], rr[:, r:]
-    cross = r_p @ r_y.T
-    core = r_y @ r_y.T - (0.5 * alpha) * (cross + cross.T)
-    lam, u = np.linalg.eigh(core)
-    z = q @ (u * np.sqrt(np.abs(lam)))
-    return z[:, lam > 0.0], z[:, lam < 0.0]
-
-
 class FactoredGradient(_DenseArithmetic):
     """G = sym(P Y^T) - S at the factored point X = c I + Y Y^T, S sparse
     symmetric.
@@ -297,16 +275,20 @@ class FactoredGradient(_DenseArithmetic):
     as (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal, or ``None``
     at a shifted point, where S - the c H in it - has no low-rank range;
     ``step(alpha)`` hands the range, S itself and alpha to the step
-    operator, so a step copies no sparse matrix.
+    operator, so a step copies no sparse matrix.  ``above_shift``, when
+    known, bounds the number of eigenvalues of X - alpha G above c for
+    every alpha > 0: S0's positive eigenvalues plus r, for H positive
+    semidefinite (see ``IncrementalEigen``).
     """
 
     def __init__(self, point: ShiftedLowRank, p, s, s_sq_norm: float, sy,
-                 s_range):
+                 s_range, above_shift: int | None = None):
         y = point.factor
         self.point = point
         self.p = np.asarray(p, dtype=float)
         self.s = s
         self.s_range = s_range
+        self.above_shift = above_shift
         yp = y.T @ self.p  # Y^T H Y
         # ||sym(P Y^T)||^2 = (<P^T P, Y^T Y> + tr((Y^T P)^2)) / 2 and
         # <sym(P Y^T), S> = <P, S Y>
@@ -335,25 +317,16 @@ class FactoredGradient(_DenseArithmetic):
                 - float(np.vdot(z, self.s @ z)))
 
     def step(self, alpha: float) -> "StepOperator":
-        """V = X - alpha G, with ||V||^2 and ||V - X||^2 = alpha^2 ||G||^2.
-
-        At a shifted point V's sparse part alpha S + c I is formed (O(nnz
-        S)) and handed on with alpha 1 and no range, and its factors come
-        from ``_signed_factors``.
-        """
+        """V = X - alpha G = c I + alpha S + sym(B Y^T) with B = Y - alpha P,
+        with ||V||^2 and ||V - X||^2 = alpha^2 ||G||^2."""
         x = self.point
         sq_norm = max(0.0, x.sq_norm - 2.0 * alpha * self._inner_point
                       + alpha * alpha * self.sq_norm)
-        sq_dist = alpha * alpha * self.sq_norm
-        if x.shift:
-            s = (alpha * self.s + x.shift * sp.identity(x.shape[0])).tocsr()
-            z_plus, z_minus = _signed_factors(x.factor, self.p, alpha)
-            return StepOperator(x, z_plus, z_minus, s, 1.0, sq_norm=sq_norm,
-                                sq_dist=sq_dist, s_range=None)
-        half = (0.5 * alpha) * self.p
-        return StepOperator(x, x.factor - half, half, self.s, alpha,
-                            sq_norm=sq_norm, sq_dist=sq_dist,
-                            s_range=self.s_range)
+        return StepOperator(x, x.factor, x.factor - alpha * self.p, self.s,
+                            alpha, sq_norm=sq_norm,
+                            sq_dist=alpha * alpha * self.sq_norm,
+                            s_range=self.s_range,
+                            above_shift=self.above_shift)
 
     def secant(self, prev: "FactoredGradient") -> tuple[float, float]:
         """(<s, s>, <s, y>) for s = X - X_prev and y = G - G_prev.
@@ -378,29 +351,34 @@ class FactoredGradient(_DenseArithmetic):
 
 
 class StepOperator(_DenseArithmetic):
-    """The projection input V = X - alpha G at a factored point X, applied
-    through its factors.
+    """The projection input V = X - alpha G at a factored point X = c I +
+    Y Y^T, applied through its factors.
 
-    V = Z+ Z+^T - Z- Z-^T + alpha S with Z+ = Y - (alpha/2) P and
-    Z- = (alpha/2) P, S sparse and kept unscaled, so ``V @ x`` costs
-    O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
+    V = c I + alpha S + sym(B Y^T) with B = Y - alpha P and c the anchor's
+    shift, S sparse and kept unscaled.  No term is of order alpha^2, so the
+    Armijo rule's first step (alpha = 1e10) cancels nothing, and ``V @ x``
+    costs O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
     alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
-    exactly symmetric from alpha S and two rank-r updates.  ``s_range`` is
-    S's range as (Q_S, mu), S = Q_S diag(mu) Q_S^T, from which
-    ``range_ritz()`` takes V's spectrum.  At a shifted anchor X = c I +
-    Y Y^T the sparse part is alpha S + c I, handed over with alpha 1, and
-    ``s_range`` is ``None``: such an operator has no range basis, and
-    ``IncrementalEigen`` gives it a Krylov fill.
+    exactly symmetric.  ``s_range`` is S's range as (Q_S, mu), S = Q_S
+    diag(mu) Q_S^T, from which ``range_ritz()`` takes V's spectrum; at a
+    shifted anchor it is ``None`` (S holds -c H, and c I has no low-rank
+    range), and ``IncrementalEigen`` gives such an operator a Krylov fill,
+    asking for at most ``above_shift`` pairs when that bound is known.
     """
 
-    def __init__(self, anchor: LowRank, z_plus, z_minus, s, alpha: float,
-                 sq_norm: float, sq_dist: float, s_range):
+    def __init__(self, anchor: ShiftedLowRank, y, b, s, alpha: float,
+                 sq_norm: float, sq_dist: float, s_range,
+                 above_shift: int | None = None):
         self.anchor = anchor
-        self._r = z_plus.shape[1]
-        self._z = np.hstack([z_plus, z_minus])
+        self._r = y.shape[1]
+        self._z = np.hstack([y, b])
+        # sym(B Y^T) x = [B, Y] [Y^T x; B^T x] / 2 = W Z^T x
+        self._w = np.hstack([b, y])
+        self._w *= 0.5
         self._s = s
         self._alpha = alpha
         self.s_range = s_range
+        self.above_shift = above_shift
         self.sq_norm = sq_norm
         self.sq_dist = sq_dist
 
@@ -409,53 +387,51 @@ class StepOperator(_DenseArithmetic):
         return self.anchor.shape
 
     def __matmul__(self, x):
-        t = self._z.T @ x
-        t[self._r:] *= -1.0
-        out = self._z @ t
+        out = self._w @ (self._z.T @ x)
         sx = self._s @ x
         sx *= self._alpha
         out += sx
+        if self.anchor.shift:
+            out += self.anchor.shift * x
         return out
 
     def _alpha_s(self, order: str) -> np.ndarray:
-        """alpha S as a new dense array; scaling S's entries after
+        """alpha S plus c I as a new dense array; scaling S's entries after
         ``toarray`` gives the bits of ``(alpha * S).toarray()``."""
         out = self._s.toarray(order=order)
         out *= self._alpha
+        if self.anchor.shift:
+            out.flat[::out.shape[0] + 1] += self.anchor.shift
         return out
 
     def dense(self) -> np.ndarray:
-        z_plus = np.ascontiguousarray(self._z[:, :self._r])
-        z_minus = np.ascontiguousarray(self._z[:, self._r:])
-        v = self._alpha_s("C")
-        v += z_plus @ z_plus.T
-        v -= z_minus @ z_minus.T
+        r = self._r
+        v = symmetrize(self._z[:, r:] @ self._z[:, :r].T)
+        v += self._alpha_s("C")
         return v
 
     def lower_fortran(self) -> np.ndarray:
         """V's lower triangle in a new Fortran-ordered array, for a LAPACK
         routine that reads one triangle and may overwrite its input.
 
-        alpha S fills the array and two ``dsyrk`` updates add Z+ Z+^T and
-        -Z- Z-^T to its lower triangle in place, so no other n x n array is
-        made; the upper triangle holds alpha S alone.
+        alpha S + c I fills the array and one ``dsyr2k`` update adds
+        (B Y^T + Y B^T)/2 to its lower triangle in place, so no other
+        n x n array is made; the upper triangle holds alpha S + c I alone.
         """
-        out = self._alpha_s("F")
-        for sign, z in ((1.0, self._z[:, :self._r]),
-                        (-1.0, self._z[:, self._r:])):
-            out = dsyrk(sign, z, beta=1.0, c=out, lower=1, overwrite_c=1)
-        return out
+        r = self._r
+        return dsyr2k(0.5, self._z[:, r:], self._z[:, :r], beta=1.0,
+                      c=self._alpha_s("F"), lower=1, overwrite_c=1)
 
     def range_ritz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """V's nonzero spectrum from an orthonormal basis Q of its range.
 
-        range(V) lies in span(Q_S, Z) with Z = [Z+, Z-], so with
+        range(V) lies in span(Q_S, Z) with Z = [Y, B], so with
         Q = [Q_S, Q_Z] orthonormal, Q_Z spanning Z's part outside Q_S, V =
-        Q T Q^T for the k x k T = (Q^T Z) diag(+1, -1) (Q^T Z)^T +
-        diag(mu, 0), k = rank S + 2 r.  Returns (vals, Q, U) with
-        T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V are
-        (vals, Q U) together with n - k zeros.  ``None`` when k >= n, where
-        Q could not be orthonormal, or when there is no range basis.
+        Q T Q^T for the k x k T = sym(B_q Y_q^T) + diag(alpha mu, 0), with
+        Y_q = Q^T Y and B_q = Q^T B, k = rank S + 2 r.  Returns (vals, Q, U)
+        with T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V
+        are (vals, Q U) together with n - k zeros.  ``None`` when k >= n,
+        where Q could not be orthonormal, or when there is no range basis.
         """
         if self.s_range is None:
             return None
@@ -473,8 +449,7 @@ class StepOperator(_DenseArithmetic):
         q_z = _qr(q_z - q_s @ (q_s.T @ q_z), want_r=False)[0]
         q = np.hstack([q_s, q_z])
         w = q.T @ z
-        t = w[:, :r] @ w[:, :r].T
-        t -= w[:, r:] @ w[:, r:].T
+        t = symmetrize(w[:, r:] @ w[:, :r].T)
         rank_s = mu.size
         t[np.arange(rank_s), np.arange(rank_s)] += self._alpha * mu
         vals, u = np.linalg.eigh(t)
@@ -543,13 +518,15 @@ class IncrementalEigen:
     step from a shifted start X0 = c I + Y Y^T) of order n >= 120 takes one
     Krylov fill (below that order the LAPACK fill is faster):
     ``eigsh(which="LA")`` computes the top m = max(k, 16) pairs from
-    products with the operator, from a fixed seeded start vector.  It
-    serves ``top(k)`` only while the k-th value is above c plus the
-    residual tolerance: V0 = c (I - alpha H) + (alpha S0 +
-    the factor terms) with H positive semidefinite has at most as many
-    eigenvalues above c as the second term has positive ones, and at c
-    itself sits a multiple eigenvalue (directions that H, S0 and Y all
-    miss), which Lanczos from one start vector cannot resolve.
+    products with the operator, from a fixed seeded start vector, m capped
+    at the operator's ``above_shift``.  It serves ``top(k)`` only while the
+    k-th value is above c plus the residual tolerance: V0 = c (I - alpha H)
+    + (alpha S0 + sym(B Y^T)) with H positive semidefinite has at most as
+    many eigenvalues above c as the second term has positive ones (at most
+    ``above_shift``, S0's positive eigenvalues plus r; a request beyond it
+    skips the Krylov fill), and at c itself sits a multiple eigenvalue
+    (directions that H, S0 and Y all miss), which Lanczos from one start
+    vector cannot resolve.
     That the pairs above c are the top ones rests on Lanczos from a random
     start (Saad, Numerical Methods for Large Eigenvalue Problems, 2011);
     their residuals and orthonormality are certified like any other.  A
@@ -656,7 +633,9 @@ class IncrementalEigen:
         the cache untouched, on a miss, or when the k-th value is not
         above the anchor's shift c.
 
-        m is max(k, 16), below n - 1 (ARPACK's limit).  The products go
+        m is max(k, 16), at most the operator's ``above_shift`` (V's
+        eigenvalues above c, at most; with k above it the fill is not
+        tried) and below n - 1 (ARPACK's limit).  The products go
         through a counter that stops the fill after 8 m of them;
         ``matvecs_used`` adds the ones spent.  On the 16 first projections
         of the n=300 bench solves (8 instances, both step rules; medians of
@@ -669,6 +648,11 @@ class IncrementalEigen:
         3 bench-like instances need 20 pairs and have 20 values above c,
         and a second Krylov fill of 32 pairs ran into c, spending its whole
         budget (17-22 ms each) before the LAPACK fill that served anyway.
+        With omega 8 and 10 at n=120-300 (3 seeds each, beta 0, 0.5 and
+        0.99, both step rules' first alpha) V0 has at most 8-11 values
+        above c: a count of 16 reached c and missed in all 72 first
+        projections, which took a median of 10.0 ms with the LAPACK fill
+        after the miss; the capped count served 65 of 72 (median 2.5 ms).
         """
         # imported here, not with the module: scipy.sparse.linalg adds about
         # 2 MB of resident memory, which a run that takes no Krylov fill
@@ -677,6 +661,11 @@ class IncrementalEigen:
 
         n = self.n
         m = max(k, _FIRST_FILL)
+        bound = self._a.above_shift
+        if bound is not None:
+            if k > bound:
+                return False
+            m = min(m, bound)
         if m >= n - 1:
             return False
         self.fills += 1

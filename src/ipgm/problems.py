@@ -25,14 +25,16 @@ and P = H Y,
 
 A solve's start X0(beta) = (1 - beta)/n I + beta e1 e1^T is also held
 factored, as the ``ShiftedLowRank`` c I + Y Y^T that ``structured_start``
-returns (c = (1 - beta)/n, Y = sqrt(beta) e1).  With tr H = ||A||_F^2,
+returns (c = (1 - beta)/n, Y = sqrt(beta) e1; the ``LowRank`` e1 e1^T at
+beta = 1).  With tr H = ||A||_F^2,
 
     f = 1/2 (c^2 tr H + 2 c <Y, P> + <Y^T P, Y^T Y>) - c tr S - <Y, S Y>
         + 1/2 ||B||^2,
     grad f = sym(P Y^T) - (S - c H),
 
-which stays sparse plus factored.  A dense point takes the residual path
-above; ``starting_point`` returns the dense X0.
+which stays sparse plus factored; one evaluation serves both forms, the
+terms in c only at c != 0.  A dense point takes the residual path above;
+``starting_point`` returns the dense X0.
 """
 
 from __future__ import annotations
@@ -151,34 +153,33 @@ class SpectrahedronLSQ:
                 0.5 * float(np.vdot(self._b_vals, self._b_vals)),
                 (q @ w[:, keep], mu[keep]))
 
-    def _factored_value_and_gradient(self, x: LowRank
+    def _factored_value_and_gradient(self, x: ShiftedLowRank
                                      ) -> tuple[float, FactoredGradient]:
+        """f and grad f at X = c I + Y Y^T with no n x n array (see the
+        module docstring); at c != 0 the gradient's sparse part S - c H
+        costs O(nnz H) and has no low-rank range."""
         s, s_sq_norm, half_b_sq, s_range = self._linear_term
-        y = x.factor
-        p = self._h @ y
-        sy = s @ y
-        value = (0.5 * float(np.vdot(y.T @ p, x.gram))
-                 - float(np.vdot(y, sy)) + half_b_sq)
-        return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy,
-                                       s_range=s_range)
-
-    def _shifted_value_and_gradient(self, x: ShiftedLowRank
-                                    ) -> tuple[float, FactoredGradient]:
-        """f and grad f at X = c I + Y Y^T with no n x n array: the
-        gradient's sparse part S - c H costs O(nnz H)."""
-        s, _, half_b_sq, _ = self._linear_term
         c, y = x.shift, x.factor
-        s_c = (s - c * self._h).tocsr()
         p = self._h @ y
         sy = s @ y
-        value = (0.5 * (c * c * self._trace_h
-                        + 2.0 * c * float(np.vdot(y, p))
-                        + float(np.vdot(y.T @ p, x.gram)))
-                 - c * float(s.diagonal().sum()) - float(np.vdot(y, sy))
-                 + half_b_sq)
-        return value, FactoredGradient(
-            x, p, s_c, float(np.vdot(s_c.data, s_c.data)),
-            sy=sy - c * p, s_range=None)
+        quad = float(np.vdot(y.T @ p, x.gram))
+        lin = float(np.vdot(y, sy))
+        shift_lin = 0.0
+        above_shift = None
+        if c:
+            quad = (c * c * self._trace_h + 2.0 * c * float(np.vdot(y, p))
+                    + quad)
+            shift_lin = c * float(s.diagonal().sum())
+            s = (s - c * self._h).tocsr()
+            s_sq_norm = float(np.vdot(s.data, s.data))
+            sy = sy - c * p
+            above_shift = (int(np.count_nonzero(s_range[1] > 0.0))
+                           + y.shape[1])
+            s_range = None
+        value = 0.5 * quad - shift_lin - lin + half_b_sq
+        return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy,
+                                       s_range=s_range,
+                                       above_shift=above_shift)
 
     def _residual(self, x) -> np.ndarray:
         r = self.a @ np.asarray(x, dtype=float)
@@ -200,10 +201,8 @@ class SpectrahedronLSQ:
         """(value(x), gradient(x)) from one residual A X - B; a ``LowRank``
         or ``ShiftedLowRank`` x is evaluated from its factor and gets a
         ``FactoredGradient``."""
-        if isinstance(x, LowRank):
-            return self._factored_value_and_gradient(x)
         if isinstance(x, ShiftedLowRank):
-            return self._shifted_value_and_gradient(x)
+            return self._factored_value_and_gradient(x)
         r = self._residual(x)
         return 0.5 * float(np.vdot(r, r)), self._gradient_from(r)
 
@@ -287,12 +286,17 @@ def structured_start(beta: float, n: int) -> ShiftedLowRank:
     """The start of ``starting_point`` held as c I + Y Y^T with
     c = (1 - beta)/n and Y = sqrt(beta) e1 (no column at beta = 0), so the
     solvers evaluate it and take its first projection without n x n
-    arrays.  Its dense matrix differs from ``starting_point``'s at most in
-    the last bit of entry (0, 0), where sqrt(beta)^2 stands for beta."""
+    arrays.  At beta = 1 (c = 0) it is the ``LowRank`` e1 e1^T, whose
+    steps take the range fill and the exact projection's count path like
+    any factored iterate.  Its dense matrix differs from
+    ``starting_point``'s at most in the last bit of entry (0, 0), where
+    sqrt(beta)^2 stands for beta."""
     _check_beta(beta)
     y = np.zeros((n, 1 if beta > 0.0 else 0))
     if beta > 0.0:
         y[0, 0] = np.sqrt(beta)
+    if beta == 1.0:
+        return LowRank(y)
     return ShiftedLowRank((1.0 - beta) / n, y)
 
 

@@ -111,16 +111,18 @@ class TestFactoredAlgebra:
         op = g.step(alpha)
         assert op._s is g.s
         s_alpha = alpha * g.s
-        z_plus = np.ascontiguousarray(op._z[:, :3])
-        z_minus = np.ascontiguousarray(op._z[:, 3:])
-        ref = s_alpha.toarray()
-        ref += z_plus @ z_plus.T
-        ref -= z_minus @ z_minus.T
+        # the operator's factors [Y, B], B = Y - alpha P
+        y, b = op._z[:, :3], op._z[:, 3:]
+        assert np.array_equal(y, x.factor)
+        assert np.array_equal(b, x.factor - alpha * g.p)
+        ref = b @ y.T
+        ref = ref + ref.T
+        ref *= 0.5
+        ref += s_alpha.toarray()
         assert op.dense().tobytes() == ref.tobytes()
-        lower = s_alpha.toarray(order="F")
-        for sign, z in ((1.0, z_plus), (-1.0, z_minus)):
-            lower = scipy.linalg.blas.dsyrk(sign, z, beta=1.0, c=lower,
-                                            lower=1, overwrite_c=1)
+        lower = scipy.linalg.blas.dsyr2k(0.5, b, y, beta=1.0,
+                                         c=s_alpha.toarray(order="F"),
+                                         lower=1, overwrite_c=1)
         out = op.lower_fortran()
         assert out.flags.f_contiguous
         assert out.tobytes(order="F") == lower.tobytes(order="F")
@@ -187,9 +189,9 @@ class TestFactoredProjection:
 def _reanchored(g: FactoredGradient, alpha: float, anchor: LowRank
                 ) -> StepOperator:
     """g.step(alpha), the same matrix V, with ``anchor`` as its anchor."""
-    half = (0.5 * alpha) * g.p
+    y = g.point.factor
     op = g.step(alpha)
-    return StepOperator(anchor, g.point.factor - half, half, g.s, alpha,
+    return StepOperator(anchor, y, y - alpha * g.p, g.s, alpha,
                         sq_norm=op.sq_norm, sq_dist=op.sq_dist,
                         s_range=g.s_range)
 
@@ -337,8 +339,8 @@ def _lsq_step(seed: int, factor: np.ndarray):
 
 
 class TestRangeFill:
-    """Top eigenpairs of V = Z+ Z+^T - Z- Z-^T + alpha S from an orthonormal
-    basis [Q_S, Q_Z] of its range, k = rank S + 2 r columns."""
+    """Top eigenpairs of V = sym(B Y^T) + alpha S from an orthonormal basis
+    [Q_S, Q_Z] of its range, k = rank S + 2 r columns."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_factored_points(self, seed):
@@ -393,28 +395,32 @@ class TestRangeFill:
         assert cache.range_dim == _rank_s(inst) + 2 * 6
 
     def test_fewer_positive_eigenvalues_than_requested(self):
-        # V = Z+ Z+^T - Z- Z-^T - E_J E_J^T has two positive eigenvalues,
-        # n - 13 zeros and the rest negative; T holds no zero, so its third
-        # value is negative and must not be reported
+        # V = Z+ Z+^T - Z- Z-^T - E_J E_J^T (Z+, Z- of 2 columns each) has
+        # two positive eigenvalues, n - 14 zeros and the rest negative; as
+        # sym(B Y^T) with Y = Z+ + Z- and B = Z+ - Z-, its basis has
+        # 10 + 2 r = 14 columns and T holds no zero, so its third value is
+        # negative and must not be reported
         n, rng = 60, np.random.default_rng(80)
         cols = np.arange(10)
         q_s, mu = np.eye(n)[:, cols], -np.ones(cols.size)
         s = sp.csr_matrix((mu, (cols, cols)), shape=(n, n))
         z_plus = rng.standard_normal((n, 2))
-        z_minus = rng.standard_normal((n, 1))
+        z_minus = rng.standard_normal((n, 2))
         dense = s.toarray() + z_plus @ z_plus.T - z_minus @ z_minus.T
 
         def operator():
-            return StepOperator(LowRank(z_plus), z_plus, z_minus, s, 1.0,
+            return StepOperator(LowRank(z_plus), z_plus + z_minus,
+                                z_plus - z_minus, s, 1.0,
                                 sq_norm=float(np.vdot(dense, dense)),
                                 sq_dist=0.0, s_range=(q_s, mu))
 
+        assert _max_abs(operator().dense() - dense) <= 1e-14 * _max_abs(dense)
         vals_t = operator().range_ritz()[0]
-        assert vals_t.size == 13 and vals_t[2] < -0.5
+        assert vals_t.size == 14 and vals_t[2] < -0.5
         served = IncrementalEigen(operator())
         _check_against_eigh(served, operator(), 2)
         # the third value does not serve, so no pair ahead is certified
-        assert served.range_dim == 13 and served.matvecs_used == 2
+        assert served.range_dim == 14 and served.matvecs_used == 2
         # the request reaches V's zero eigenvalues: a LAPACK fill serves it
         cache = IncrementalEigen(operator())
         _check_against_eigh(cache, operator(), 4)
@@ -497,8 +503,10 @@ class TestRangeFillFallback:
         z_minus = 0.1 * rng.standard_normal((n, r))
 
         def operator():
+            # sym(B Y^T) with Y = Z+ + Z- and B = Z+ - Z- is
+            # Z+ Z+^T - Z- Z-^T, from 2 r columns
             dense = s.toarray() + z_plus @ z_plus.T - z_minus @ z_minus.T
-            return StepOperator(x, z_plus, z_minus, s, 1.0,
+            return StepOperator(x, z_plus + z_minus, z_plus - z_minus, s, 1.0,
                                 sq_norm=float(np.vdot(dense, dense)),
                                 sq_dist=float(np.sum((dense - x.dense())**2)),
                                 s_range=(q_s, mu))
@@ -806,6 +814,67 @@ class TestShiftedStart:
         assert fact.iterations == dense.iterations > 0
         assert [r.p_used for r in fact.records] == [
             r.p_used for r in dense.records]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("algo", ["constant", "armijo"])
+    def test_few_values_above_the_shift_take_one_krylov_fill(
+            self, beta, algo, krylov_spy):
+        # omega 10 at n=200: V0 has at most S's 10 positive eigenvalues plus
+        # r values above c, fewer than 16; the first Krylov fill asks for
+        # that many and serves the first projection
+        n = 200
+        inst = generate_instance(n, 2 * n, 10, seed=1)
+        _, g = inst.value_and_gradient(structured_start(beta, n))
+        assert g.above_shift == 10 + (1 if beta else 0)
+        gamma3 = 0.0 if algo == "constant" else ARMIJO_GAMMA3
+        result, _ = run_variant(inst, algo, "inexact", beta, gamma3,
+                                SummableSchedule.logarithmic(100.0), 1e-4,
+                                5000)
+        first = result.records[0]
+        assert first.fills == 1 and first.dense_fill is False
+        assert first.range_dim is None
+        assert [k for k, _ in krylov_spy.calls] == [g.above_shift]
+        assert monitor_descent(result).passed and monitor_complexity(
+            result).passed
+
+
+class TestZeroShiftStart:
+    """X0 = e1 e1^T (beta = 1) held as a ``LowRank``: the Armijo rule's
+    first step, alpha = alpha_max = 1e10, is formed from B = Y - alpha P,
+    with no term of order alpha^2 to cancel."""
+
+    @pytest.mark.parametrize("start", ["low_rank", "structured"])
+    def test_the_first_armijo_step_matches_the_dense_matrix(self, start):
+        n = 60
+        inst = generate_instance(n, 2 * n, 4, seed=1)
+        x0 = (LowRank(np.eye(n, 1)) if start == "low_rank"
+              else structured_start(1.0, n))
+        assert isinstance(x0, LowRank)
+        _, g = inst.value_and_gradient(x0)
+        dense = starting_point(1.0, n)
+        ref = dense - 1e10 * inst.value_and_gradient(dense)[1]
+        op = g.step(1e10)
+        scale = _max_abs(ref)
+        assert _max_abs(op.dense() - ref) <= 1e-14 * scale
+        assert _max_abs(np.tril(op.lower_fortran()) - np.tril(ref)) <= (
+            1e-14 * scale)
+        vec = np.random.default_rng(5).standard_normal((n, 2))
+        assert _max_abs(op @ vec - ref @ vec) <= 1e-14 * _max_abs(ref @ vec)
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("omega", [4, 10])
+    def test_armijo_from_a_rank_one_start(self, n, omega):
+        inst = generate_instance(n, 2 * n, omega, seed=1)
+        cfg = ArmijoConfig(gamma3_bar=ARMIJO_GAMMA3, max_iter=5000,
+                           stop_tol=1e-4)
+        res = solve_armijo(inst.objective(), inst.feasible_set(),
+                           LowRank(np.eye(n, 1)), cfg)
+        ref = solve_armijo(inst.objective(), inst.feasible_set(),
+                           starting_point(1.0, n), cfg)
+        assert res.stop_reason == ref.stop_reason == "converged"
+        assert res.iterations == ref.iterations
+        assert _rel(res.f_final, ref.f_final) <= 1e-12
+        assert monitor_descent(res).passed and monitor_complexity(res).passed
 
 
 def _retained(make):

@@ -565,6 +565,22 @@ class TestKrylovFill:
                                            phi)
         assert ok
 
+    def test_a_request_above_the_bound_skips_the_krylov_fill(
+            self, krylov_spy, monkeypatch):
+        # V0 has at most S's 20 positive eigenvalues plus r = 1 values above
+        # c, so its 22nd value is not above c: top(22) goes straight to a
+        # LAPACK fill, with no eigsh call
+        n = 200
+        _, _, op = _shifted_step(n, 0.5, 12)
+        assert op.above_shift == 21
+        pairs = _spy_on_subsets(monkeypatch)
+        cache = IncrementalEigen(op)
+        vals, _ = cache.top(22)
+        assert krylov_spy.calls == [] and pairs == [22]
+        assert (cache.fills, cache.dense_fill) == (1, True)
+        ref = np.linalg.eigvalsh(op.dense())[::-1]
+        assert _max_abs(vals - ref[:22]) <= cache.tol_abs
+
     def test_no_pairs_at_or_below_the_shift(self, monkeypatch):
         # V0 has 19 eigenvalues above c = 1/n and c itself 6 times, which
         # Lanczos from one start vector cannot resolve
@@ -582,14 +598,16 @@ class TestKrylovFill:
         vals, _ = cache.top(17)
         assert (cache.fills, cache.dense_fill, pairs) == (2, True, [32])
         assert _max_abs(vals - ref[:17]) <= cache.tol_abs
-        # given products enough, eigsh returns 32 certified pairs whose
-        # values below c are off by about 5e-6; the fill serves no value at
-        # or below c, so LAPACK serves top(32)
+        # given products enough, eigsh returns the 20 pairs that V0's bound
+        # on its values above c allows (S's 20 positive eigenvalues, r = 0),
+        # certified, the 20th at c; the fill serves no value at or below c,
+        # so LAPACK serves top(20)
+        assert op.above_shift == 20
         monkeypatch.setattr(ipgm.linalg, "_KRYLOV_PRODUCTS", 10 ** 4)
         cache = IncrementalEigen(op)
-        vals, vecs = cache.top(32)
+        vals, vecs = cache.top(20)
         assert (cache.fills, cache.dense_fill) == (2, True)
-        assert _max_abs(vals - ref[:32]) <= cache.tol_abs
+        assert _max_abs(vals - ref[:20]) <= cache.tol_abs
         residual = np.linalg.norm(op.dense() @ vecs - vecs * vals, axis=0)
         assert np.max(residual) <= cache.tol_abs
 
