@@ -7,15 +7,16 @@ matrix, with every returned pair certified by its residual and the returned
 vectors certified orthonormal.  It is filled in one of three ways.  A
 ``StepOperator`` whose range basis has fewer than n columns gets a range
 fill: one ``eigh`` of V restricted to that basis gives V's whole
-nonzero spectrum.  A ``StepOperator`` with no range basis (the first
-projection input of a solve, at a shifted start) of order n >= 120 gets a
-Krylov fill: ``scipy.sparse.linalg.eigsh`` computes its top m pairs from
-products with the operator, under a product budget, m at most the number
-of its eigenvalues that can lie above the start's shift.  Every other
-request, and every Krylov miss, gets a LAPACK fill: ``subset_eigh``
-computes the top m pairs of the dense matrix with LAPACK's MRRR driver
-``evr`` (a full ``eigh`` when ``evr`` fails or returns fewer than m), m
-doubling on each refill.
+nonzero spectrum.  A ``StepOperator`` at a shifted anchor (the first
+projection input of a solve, at a shifted start), which has no range
+basis, gets a Krylov fill: ``scipy.sparse.linalg.eigsh`` computes its top
+m pairs from products with the operator, under a product budget, m at
+most the number of its eigenvalues that can lie above the start's shift
+(the operator's ``above_shift``).  Every other request, and every Krylov
+miss, gets a LAPACK fill: ``subset_eigh`` computes the top m pairs of the
+dense matrix with LAPACK's MRRR driver ``evr`` (a full ``eigh`` when
+``evr`` fails or returns fewer than m), m doubling on each refill.  Only
+this module decides which fill a request gets.
 ``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
 spectrahedron projection's too, can check what it gets.
 ``largest_eigenpair`` is the single-pair call the support point makes.
@@ -29,9 +30,9 @@ carries -c H), and ``StepOperator`` is the projection input V = X - alpha
 G, which ``IncrementalEigen`` applies through its factors.
 At every such point the step has one form, V = c I + alpha S + sym(B Y^T)
 with B = Y - alpha P, in which no term is of order alpha^2.  At c = 0,
-range(V) lies in the span of S's range (a basis the objective supplies)
-and the 2 r columns of Y and B; at a shifted point c I and the -c H in S
-leave no such basis.
+range(V) lies in the span of S's range (a basis the objective supplies at
+every point) and the 2 r columns of Y and B; at a shifted point c I and
+the -c H in S leave no such basis.
 Scalars (norms, inner products, distances) come from r x r matrices; each
 type forms its dense n x n matrix only through ``dense()`` (also reached by
 ``np.asarray``), and a ``StepOperator`` also through ``lower_fortran()``,
@@ -68,19 +69,9 @@ EIG_TOL = 1e-9
 # Pairs the first LAPACK or Krylov fill of a cache computes, at least.
 _FIRST_FILL = 16
 
-# Order n from which a step with no range basis takes the Krylov fill;
-# below it the LAPACK fill is the faster first fill.  Medians of the first
-# projection of 18 ``run_variant`` solves per n (3 instances, omega 20,
-# beta 0, 0.5 and 0.99, both step rules; best of 3 runs each; 2-core VM,
-# OpenBLAS 1 thread), Krylov against LAPACK fill, in ms: n=40 1.20 / 0.62,
-# 60 1.26 / 0.76, 80 1.27 / 1.40, 100 1.33 / 1.15, 120 1.36 / 1.40,
-# 140 1.42 / 1.65, 160 1.45 / 1.80, 200 1.50 / 2.45, 300 1.96 / 4.77.
-# Both fills gave the same iterations and first ranks.
-_KRYLOV_MIN_N = 120
-
-# Products a Krylov fill may spend per pair it asks for, and the seed of its
-# start vector (and of ARPACK's restarts), so that repeated fills agree bit
-# for bit.
+# Products a Krylov fill may spend per pair it asks for (16 pairs at
+# least), and the seed of its start vector (and of ARPACK's restarts), so
+# that repeated fills agree bit for bit.
 _KRYLOV_PRODUCTS = 8
 _KRYLOV_SEED = 0
 
@@ -271,24 +262,20 @@ class FactoredGradient(_DenseArithmetic):
     ``LowRank`` point, c = 0).  ``sq_norm`` (||G||_F^2), ``inner(W)``
     (<G, W> for a factored W) and ``secant`` come from r x r products, and
     ``step(alpha)`` is the projection input X - alpha G as an operator.
-    ``s_sq_norm`` is ||S||_F^2, ``sy`` is S Y and ``s_range`` is S's range
-    as (Q_S, mu), S = Q_S diag(mu) Q_S^T with Q_S orthonormal, or ``None``
-    at a shifted point, where S - the c H in it - has no low-rank range;
+    ``s_sq_norm`` is ||S||_F^2, ``sy`` is S Y and ``s_range`` is S0's
+    range as (Q_S, mu), S0 = Q_S diag(mu) Q_S^T with Q_S orthonormal, at
+    every point (at a shifted one S = S0 - c H has no low-rank range);
     ``step(alpha)`` hands the range, S itself and alpha to the step
-    operator, so a step copies no sparse matrix.  ``above_shift``, when
-    known, bounds the number of eigenvalues of X - alpha G above c for
-    every alpha > 0: S0's positive eigenvalues plus r, for H positive
-    semidefinite (see ``IncrementalEigen``).
+    operator, so a step copies no sparse matrix.
     """
 
     def __init__(self, point: ShiftedLowRank, p, s, s_sq_norm: float, sy,
-                 s_range, above_shift: int | None = None):
+                 s_range):
         y = point.factor
         self.point = point
         self.p = np.asarray(p, dtype=float)
         self.s = s
         self.s_range = s_range
-        self.above_shift = above_shift
         yp = y.T @ self.p  # Y^T H Y
         # ||sym(P Y^T)||^2 = (<P^T P, Y^T Y> + tr((Y^T P)^2)) / 2 and
         # <sym(P Y^T), S> = <P, S Y>
@@ -325,8 +312,7 @@ class FactoredGradient(_DenseArithmetic):
         return StepOperator(x, x.factor, x.factor - alpha * self.p, self.s,
                             alpha, sq_norm=sq_norm,
                             sq_dist=alpha * alpha * self.sq_norm,
-                            s_range=self.s_range,
-                            above_shift=self.above_shift)
+                            s_range=self.s_range)
 
     def secant(self, prev: "FactoredGradient") -> tuple[float, float]:
         """(<s, s>, <s, y>) for s = X - X_prev and y = G - G_prev.
@@ -359,16 +345,15 @@ class StepOperator(_DenseArithmetic):
     Armijo rule's first step (alpha = 1e10) cancels nothing, and ``V @ x``
     costs O(n r + nnz(S)).  ``anchor`` is X, ``sq_dist`` is ||V - X||_F^2 =
     alpha^2 ||G||_F^2 and ``sq_norm`` is ||V||_F^2.  ``dense()`` forms V
-    exactly symmetric.  ``s_range`` is S's range as (Q_S, mu), S = Q_S
-    diag(mu) Q_S^T, from which ``range_ritz()`` takes V's spectrum; at a
-    shifted anchor it is ``None`` (S holds -c H, and c I has no low-rank
-    range), and ``IncrementalEigen`` gives such an operator a Krylov fill,
-    asking for at most ``above_shift`` pairs when that bound is known.
+    exactly symmetric.  ``s_range`` is S0's range as (Q_S, mu), S0 = Q_S
+    diag(mu) Q_S^T, with S = S0 - c H.  At c = 0 ``range_ritz()`` takes V's
+    spectrum from it; at a shifted anchor S holds -c H and c I has no
+    low-rank range, so ``IncrementalEigen`` gives the operator a Krylov fill
+    of at most ``above_shift`` pairs.
     """
 
     def __init__(self, anchor: ShiftedLowRank, y, b, s, alpha: float,
-                 sq_norm: float, sq_dist: float, s_range,
-                 above_shift: int | None = None):
+                 sq_norm: float, sq_dist: float, s_range):
         self.anchor = anchor
         self._r = y.shape[1]
         self._z = np.hstack([y, b])
@@ -378,13 +363,22 @@ class StepOperator(_DenseArithmetic):
         self._s = s
         self._alpha = alpha
         self.s_range = s_range
-        self.above_shift = above_shift
         self.sq_norm = sq_norm
         self.sq_dist = sq_dist
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.anchor.shape
+
+    @property
+    def above_shift(self) -> int | None:
+        """At a shifted anchor, a bound on V's eigenvalues above c for every
+        alpha > 0, H positive semidefinite: V = c (I - alpha H) + (alpha S0
+        + sym(B Y^T)) has at most as many as the second term has positive
+        ones, S0's positive mu plus r.  ``None`` at c = 0."""
+        if not self.anchor.shift:
+            return None
+        return int(np.count_nonzero(self.s_range[1] > 0.0)) + self._r
 
     def __matmul__(self, x):
         out = self._w @ (self._z.T @ x)
@@ -431,9 +425,10 @@ class StepOperator(_DenseArithmetic):
         Y_q = Q^T Y and B_q = Q^T B, k = rank S + 2 r.  Returns (vals, Q, U)
         with T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V
         are (vals, Q U) together with n - k zeros.  ``None`` when k >= n,
-        where Q could not be orthonormal, or when there is no range basis.
+        where Q could not be orthonormal, or at a shifted anchor, where S is
+        not Q_S diag(mu) Q_S^T.
         """
-        if self.s_range is None:
+        if self.anchor.shift:
             return None
         q_s, mu = self.s_range
         z, r = self._z, self._r
@@ -514,27 +509,27 @@ class IncrementalEigen:
     tolerance, since V's other eigenvalues are zeros; the first request it
     does not serve ends it, and ``range_dim`` returns to ``None``.
 
-    A ``StepOperator`` with no range basis (``s_range`` is ``None``: the
-    step from a shifted start X0 = c I + Y Y^T) of order n >= 120 takes one
-    Krylov fill (below that order the LAPACK fill is faster):
-    ``eigsh(which="LA")`` computes the top m = max(k, 16) pairs from
-    products with the operator, from a fixed seeded start vector, m capped
-    at the operator's ``above_shift``.  It serves ``top(k)`` only while the
-    k-th value is above c plus the residual tolerance: V0 = c (I - alpha H)
-    + (alpha S0 + sym(B Y^T)) with H positive semidefinite has at most as
-    many eigenvalues above c as the second term has positive ones (at most
-    ``above_shift``, S0's positive eigenvalues plus r; a request beyond it
-    skips the Krylov fill), and at c itself sits a multiple eigenvalue
-    (directions that H, S0 and Y all miss), which Lanczos from one start
-    vector cannot resolve.
+    A ``StepOperator`` at a shifted anchor (c != 0: the step from a
+    shifted start X0 = c I + Y Y^T, which has no range basis) takes one
+    Krylov fill, at every n where ARPACK can run: ``eigsh(which="LA")``
+    computes the top m = max(k, 16) pairs from products with the operator,
+    from a fixed seeded start vector, m capped at the operator's
+    ``above_shift``.  It serves ``top(k)`` only while the k-th value is
+    above c plus the residual tolerance: V0 = c (I - alpha H) + (alpha S0 +
+    sym(B Y^T)) with H positive semidefinite has at most as many eigenvalues
+    above c as the second term has positive ones (at most ``above_shift``,
+    S0's positive eigenvalues plus r; a request beyond it skips the Krylov
+    fill), and at c itself sits a multiple eigenvalue (directions that H,
+    S0 and Y all miss), which Lanczos from one start vector cannot resolve.
     That the pairs above c are the top ones rests on Lanczos from a random
     start (Saad, Numerical Methods for Large Eigenvalue Problems, 2011);
     their residuals and orthonormality are certified like any other.  A
-    miss (ARPACK fails, the budget of 8 products per pair asked for runs
-    out, a certificate fails, or the fill's k-th value is not above c), and
-    every request the fill does not serve, goes to a LAPACK fill.  Given
-    products enough, ARPACK does return pairs below c, certified yet with
-    values off by 5e-6 at n=200 (too few copies of c): hence the bound.
+    miss (ARPACK fails, the budget of 8 products per pair asked for, 16
+    pairs at least, runs out, a certificate fails, or the fill's k-th value
+    is not above c), and every request the fill does not serve, goes to a
+    LAPACK fill.  Given products enough, ARPACK does return pairs below c,
+    certified yet with values off by 5e-6 at n=200 (too few copies of c):
+    hence the bound.
 
     Every other request refills the cache (every cached vector is replaced)
     by a LAPACK fill, which sets ``dense_fill``: ``subset_eigh`` computes the
@@ -578,8 +573,7 @@ class IncrementalEigen:
         # serve top(k), and its name for the certificate's errors
         self._fill = (np.empty(0), None, np.inf, "")
         self._pairs = 0  # pairs of the last LAPACK or Krylov fill
-        self._krylov = (isinstance(a, StepOperator) and a.s_range is None
-                        and self.n >= _KRYLOV_MIN_N)
+        self._krylov = isinstance(a, StepOperator) and bool(a.anchor.shift)
         ritz = a.range_ritz() if isinstance(a, StepOperator) else None
         if ritz is not None:
             vals, q, u = ritz
@@ -636,7 +630,7 @@ class IncrementalEigen:
         m is max(k, 16), at most the operator's ``above_shift`` (V's
         eigenvalues above c, at most; with k above it the fill is not
         tried) and below n - 1 (ARPACK's limit).  The products go
-        through a counter that stops the fill after 8 m of them;
+        through a counter that stops the fill after 8 max(m, 16) of them;
         ``matvecs_used`` adds the ones spent.  On the 16 first projections
         of the n=300 bench solves (8 instances, both step rules; medians of
         5 rounds, 2-core VM, OpenBLAS 1 thread) first counts of 16 and 32
@@ -653,6 +647,11 @@ class IncrementalEigen:
         above c: a count of 16 reached c and missed in all 72 first
         projections, which took a median of 10.0 ms with the LAPACK fill
         after the miss; the capped count served 65 of 72 (median 2.5 ms).
+        ARPACK keeps at least 20 Lanczos vectors, so a budget of 8 m
+        products (64-88 for 8-11 pairs) ran out in the other 7, which
+        wanted 75-136; the floor of 16 pairs (128 products) serves 71 of
+        72.  The one it misses (n=120, seed 2, beta 0.5, the Armijo rule)
+        wants 136 products.  The bench counts of 16 keep their budget.
         """
         # imported here, not with the module: scipy.sparse.linalg adds about
         # 2 MB of resident memory, which a run that takes no Krylov fill
@@ -660,16 +659,12 @@ class IncrementalEigen:
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         n = self.n
-        m = max(k, _FIRST_FILL)
         bound = self._a.above_shift
-        if bound is not None:
-            if k > bound:
-                return False
-            m = min(m, bound)
-        if m >= n - 1:
+        m = min(max(k, _FIRST_FILL), bound)
+        if k > bound or m >= n - 1:
             return False
         self.fills += 1
-        budget = _KRYLOV_PRODUCTS * m
+        budget = _KRYLOV_PRODUCTS * max(m, _FIRST_FILL)
         used = 0
 
         def matvec(x):

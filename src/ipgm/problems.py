@@ -157,7 +157,8 @@ class SpectrahedronLSQ:
                                      ) -> tuple[float, FactoredGradient]:
         """f and grad f at X = c I + Y Y^T with no n x n array (see the
         module docstring); at c != 0 the gradient's sparse part S - c H
-        costs O(nnz H) and has no low-rank range."""
+        costs O(nnz H) and has no low-rank range, and the gradient carries
+        S's range at every point."""
         s, s_sq_norm, half_b_sq, s_range = self._linear_term
         c, y = x.shift, x.factor
         p = self._h @ y
@@ -165,7 +166,6 @@ class SpectrahedronLSQ:
         quad = float(np.vdot(y.T @ p, x.gram))
         lin = float(np.vdot(y, sy))
         shift_lin = 0.0
-        above_shift = None
         if c:
             quad = (c * c * self._trace_h + 2.0 * c * float(np.vdot(y, p))
                     + quad)
@@ -173,13 +173,9 @@ class SpectrahedronLSQ:
             s = (s - c * self._h).tocsr()
             s_sq_norm = float(np.vdot(s.data, s.data))
             sy = sy - c * p
-            above_shift = (int(np.count_nonzero(s_range[1] > 0.0))
-                           + y.shape[1])
-            s_range = None
         value = 0.5 * quad - shift_lin - lin + half_b_sq
         return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy,
-                                       s_range=s_range,
-                                       above_shift=above_shift)
+                                       s_range=s_range)
 
     def _residual(self, x) -> np.ndarray:
         r = self.a @ np.asarray(x, dtype=float)

@@ -349,10 +349,10 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     ``StepOperator`` whose range basis has k < n columns one ``eigh``
     of a k x k matrix serves every rank whose pairs have positive
     eigenvalues (``range_dim`` records k).  The step from a shifted start
-    takes a Krylov fill when n >= 120: ``eigsh`` finds its top 16 pairs
-    (fewer when V has fewer eigenvalues that can lie above the shift) from
-    products with V, under a product budget.  Otherwise, after a Krylov
-    miss, and for ranks beyond the Krylov fill, LAPACK computes the top
+    takes a Krylov fill: ``eigsh`` finds its top 16 pairs (fewer when V has
+    fewer eigenvalues that can lie above the shift) from products with V,
+    under a product budget.  Otherwise, after a Krylov miss, and for ranks
+    beyond the Krylov fill, LAPACK computes the top
     pairs of the dense V, at least 16 (32 after a Krylov fill) and twice as
     many on each refill.
     The returned state is the rank the next call starts from, p - 1 (at

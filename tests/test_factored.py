@@ -693,7 +693,7 @@ class TestShiftedStart:
         f, g = inst.value_and_gradient(x0)
         f_ref, g_ref = inst.value_and_gradient(dense)
         assert isinstance(g, FactoredGradient) and g.point is x0
-        assert g.s_range is None
+        assert g.s_range is inst._linear_term[3]
         assert _rel(f, f_ref) <= 1e-12
         assert _max_abs(g.dense() - g_ref) <= 1e-12 * _max_abs(g_ref)
         assert _rel(g.sq_norm, np.vdot(g_ref, g_ref)) <= 1e-12
@@ -716,7 +716,7 @@ class TestShiftedStart:
                  else constant_alpha_from_gamma(inst.lipschitz_L, 0.0))
         op = g.step(alpha)
         ref = dense - alpha * g_ref
-        assert op.anchor is x0 and op.s_range is None
+        assert op.anchor is x0 and op.s_range is inst._linear_term[3]
         assert op.range_ritz() is None
         vec = np.random.default_rng(3).standard_normal((self.N, 2))
         assert _max_abs(op @ vec - ref @ vec) <= 1e-12 * _max_abs(ref @ vec)
@@ -791,13 +791,15 @@ class TestShiftedStart:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
     @pytest.mark.parametrize("algo", ["constant", "armijo"])
-    def test_below_the_krylov_floor_the_first_fill_is_lapack(
+    def test_at_small_n_the_first_fill_is_krylov(
             self, beta, algo, krylov_spy, monkeypatch):
-        # n=40 is below the Krylov fill's floor: the first step from the
-        # structured start takes one LAPACK fill, and the run matches the
-        # dense start's
-        assert self.N < ipgm.linalg._KRYLOV_MIN_N
+        # n=40: the first step from the structured start takes one Krylov
+        # fill, and the run matches the dense start's.  The Armijo rule's
+        # V0 at beta 0.5 has 5 values far above c and its 6th (the bound)
+        # within 5e-8 of c, which ARPACK resolves only after 291 products:
+        # the budget of 128 runs out and LAPACK serves
         inst = generate_instance(self.N, 2 * self.N, 5, seed=31)
+        missed = (algo, beta) == ("armijo", 0.5)
         gamma3 = 0.0 if algo == "constant" else ARMIJO_GAMMA3
         runs = []
         for start in (structured_start, starting_point):
@@ -809,8 +811,8 @@ class TestShiftedStart:
         assert isinstance(fact.start, ShiftedLowRank)
         first = fact.records[0]
         assert (first.range_dim, first.dense_fill, first.fills) == (
-            None, True, 1)
-        assert krylov_spy.calls == []
+            (None, True, 2) if missed else (None, False, 1))
+        assert len(krylov_spy.calls) == 1
         assert fact.iterations == dense.iterations > 0
         assert [r.p_used for r in fact.records] == [
             r.p_used for r in dense.records]
@@ -825,7 +827,8 @@ class TestShiftedStart:
         n = 200
         inst = generate_instance(n, 2 * n, 10, seed=1)
         _, g = inst.value_and_gradient(structured_start(beta, n))
-        assert g.above_shift == 10 + (1 if beta else 0)
+        bound = g.step(1.0).above_shift
+        assert bound == 10 + (1 if beta else 0)
         gamma3 = 0.0 if algo == "constant" else ARMIJO_GAMMA3
         result, _ = run_variant(inst, algo, "inexact", beta, gamma3,
                                 SummableSchedule.logarithmic(100.0), 1e-4,
@@ -833,9 +836,26 @@ class TestShiftedStart:
         first = result.records[0]
         assert first.fills == 1 and first.dense_fill is False
         assert first.range_dim is None
-        assert [k for k, _ in krylov_spy.calls] == [g.above_shift]
+        assert [k for k, _ in krylov_spy.calls] == [bound]
         assert monitor_descent(result).passed and monitor_complexity(
             result).passed
+
+    def test_a_small_count_keeps_the_budget_of_sixteen_pairs(self,
+                                                            krylov_spy):
+        # omega 10 at n=200, seed 3: the Armijo rule's V0 at beta 0.5 asks
+        # for 11 pairs, and ARPACK keeps 20 Lanczos vectors for them; a
+        # budget of 8 products per pair asked for (88) ran out, the one of
+        # 16 pairs (128) serves
+        n = 200
+        inst = generate_instance(n, 2 * n, 10, seed=3)
+        result, _ = run_variant(inst, "armijo", "inexact", 0.5,
+                                ARMIJO_GAMMA3,
+                                SummableSchedule.logarithmic(100.0), 1e-4,
+                                5000)
+        first = result.records[0]
+        assert first.fills == 1 and first.dense_fill is False
+        ((pairs, products),) = krylov_spy.calls
+        assert pairs == 11 and 88 < products <= 128
 
 
 class TestZeroShiftStart:
