@@ -38,7 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipgm",
         description="Gradient projection with feasible inexact projections: "
-                    "benchmark instances, sweeps and verification.")
+                    "benchmark instances, sweeps and verification.  Set "
+                    "OPENBLAS_NUM_THREADS=1 before starting Python: the "
+                    "solvers' BLAS calls are small, and BLAS threads made "
+                    "a benchmark pass 2-3 times slower on a 2-core VM.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("sweep-gamma3", "constant-step runs across gamma3 caps (CSV)"),

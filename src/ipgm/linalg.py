@@ -6,17 +6,20 @@ algebraically largest eigenpairs of symmetric matrices.
 matrix, with every returned pair certified by its residual and the returned
 vectors certified orthonormal.  It is filled in one of three ways.  A
 ``StepOperator`` whose range basis has fewer than n columns gets a range
-fill: one ``eigh`` of V restricted to that basis gives V's whole
-nonzero spectrum.  A ``StepOperator`` at a shifted anchor (the first
-projection input of a solve, at a shifted start), which has no range
-basis, gets a Krylov fill: ``scipy.sparse.linalg.eigsh`` computes its top
-m pairs from products with the operator, under a product budget, m at
-most the number of its eigenvalues that can lie above the start's shift
-(the operator's ``above_shift``).  Every other request, and every Krylov
-miss, gets a LAPACK fill: ``subset_eigh`` computes the top m pairs of the
-dense matrix with LAPACK's MRRR driver ``evr`` (a full ``eigh`` when
-``evr`` fails or returns fewer than m), m doubling on each refill.  Only
-this module decides which fill a request gets.
+fill: V restricted to that basis is a k x k matrix T, whose tridiagonal
+form (LAPACK ``sytrd``) gives all of V's nonzero eigenvalues (``sterf``),
+and inverse iteration on it (``stein``, back-transformed by ``ormqr``)
+only the eigenvectors a request needs; one ``eigh`` of T serves when
+inverse iteration does not converge.  A ``StepOperator`` at a shifted
+anchor (the first projection input of a solve, at a shifted start), which
+has no range basis, gets a Krylov fill: ``scipy.sparse.linalg.eigsh``
+computes its top m pairs from products with the operator, under a product
+budget, m at most the number of its eigenvalues that can lie above the
+start's shift (the operator's ``above_shift``).  Every other request, and
+every Krylov miss, gets a LAPACK fill: ``subset_eigh`` computes the top m
+pairs of the dense matrix with LAPACK's MRRR driver ``evr`` (a full
+``eigh`` when ``evr`` fails or returns fewer than m), m doubling on each
+refill.  Only this module decides which fill a request gets.
 ``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
 spectrahedron projection's too, can check what it gets.
 ``largest_eigenpair`` is the single-pair call the support point makes.
@@ -41,12 +44,14 @@ the one triangle a LAPACK eigensolver reads.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyr2k
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from scipy.linalg.lapack import (dgeqrf, dorgqr, dormqr, dstein, dsterf,
+                                 dsytrd)
 
 __all__ = [
     "EigenSolverError",
@@ -416,17 +421,21 @@ class StepOperator(_DenseArithmetic):
         return dsyr2k(0.5, self._z[:, r:], self._z[:, :r], beta=1.0,
                       c=self._alpha_s("F"), lower=1, overwrite_c=1)
 
-    def range_ritz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def range_ritz(self) -> tuple[np.ndarray, np.ndarray,
+                                  Callable[[int], np.ndarray]] | None:
         """V's nonzero spectrum from an orthonormal basis Q of its range.
 
         range(V) lies in span(Q_S, Z) with Z = [Y, B], so with
         Q = [Q_S, Q_Z] orthonormal, Q_Z spanning Z's part outside Q_S, V =
         Q T Q^T for the k x k T = sym(B_q Y_q^T) + diag(alpha mu, 0), with
-        Y_q = Q^T Y and B_q = Q^T B, k = rank S + 2 r.  Returns (vals, Q, U)
-        with T = U diag(vals) U^T, vals non-increasing: the eigenpairs of V
-        are (vals, Q U) together with n - k zeros.  ``None`` when k >= n,
-        where Q could not be orthonormal, or at a shifted anchor, where S is
-        not Q_S diag(mu) Q_S^T.
+        Y_q = Q^T Y and B_q = Q^T B, k = rank S + 2 r.  Returns (vals, Q,
+        vectors): vals are all k eigenvalues of T, non-increasing, taken
+        from its tridiagonal form, and ``vectors(m)`` gives at least T's
+        top m eigenvectors U_m as columns (``_tridiagonal_eigen``).  The
+        eigenpairs of V are (vals, Q U) together with n - k zeros, so every
+        value is known while only the vectors asked for are computed.
+        ``None`` when k >= n, where Q could not be orthonormal, or at a
+        shifted anchor, where S is not Q_S diag(mu) Q_S^T.
         """
         if self.anchor.shift:
             return None
@@ -447,8 +456,58 @@ class StepOperator(_DenseArithmetic):
         t = symmetrize(w[:, r:] @ w[:, :r].T)
         rank_s = mu.size
         t[np.arange(rank_s), np.arange(rank_s)] += self._alpha * mu
+        vals, vectors = _tridiagonal_eigen(t)
+        return vals, q, vectors
+
+
+def _tridiagonal_eigen(
+        t: np.ndarray) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """Every eigenvalue of the symmetric k x k ``t``, non-increasing, and
+    ``vectors(m)``, at least the top m eigenvectors of ``t`` as columns in
+    the order of the values.
+
+    ``dsytrd`` reduces a copy of t's lower triangle to a tridiagonal T_d =
+    Q_T^T t Q_T and ``dsterf`` takes all k values from it.  Each call of
+    ``vectors(m)`` computes the top m eigenvectors of T_d by inverse
+    iteration, in one ``dstein`` call, so that the vectors of a cluster
+    are orthogonalized against each other, and applies Q_T with
+    ``dormqr``: for a lower-triangle reduction Q_T = diag(1, Q'), Q' the
+    product of the reflectors stored below t's subdiagonal, which is what
+    LAPACK's ``dormtr`` does.  Where ``dstein`` (or ``dsterf``) does not
+    converge, one ``np.linalg.eigh(t)`` gives all k vectors; t is kept
+    intact for it.
+    """
+    def full():
         vals, u = np.linalg.eigh(t)
-        return vals[::-1], q, u[:, ::-1]
+        return vals[::-1], u[:, ::-1]
+
+    k = t.shape[0]
+    if k == 1:  # the wrappers take no empty off-diagonal
+        return t[0].copy(), lambda m: np.ones((1, 1))
+    c, d, e, tau, info = dsytrd(t, lower=1)
+    if info < 0:
+        raise ValueError(f"sytrd rejected argument {-info}")
+    vals, info = dsterf(d, e)  # ascending
+    if info:
+        vals, u = full()
+        return vals, lambda m: u
+    # one unreduced block: no split of T_d, every value in block 1
+    block = np.ones(k, dtype=np.int32)
+    split = np.zeros(k, dtype=np.int32)
+    split[0] = k
+
+    def vectors(m):
+        z, info = dstein(d, e, vals[k - m:], block, split)
+        if info > 0:
+            return full()[1]
+        if info < 0:
+            raise ValueError(f"stein rejected argument {-info}")
+        z[1:], _, info = dormqr("L", "N", c[1:, :-1], tau, z[1:], m)
+        if info < 0:
+            raise ValueError(f"ormqr rejected argument {-info}")
+        return z[:, ::-1]
+
+    return vals[::-1], vectors
 
 
 def subset_eigh(a, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -503,8 +562,13 @@ class IncrementalEigen:
     vectors every request certifies as it adds them; ``fills`` counts them,
     a Krylov fill that missed included.
     A ``StepOperator`` whose ``range_ritz()`` gives a basis of fewer than n
-    columns is served by a range fill: one ``eigh`` of the matrix V takes
-    on that basis.  ``range_dim`` is then the basis' width.  It serves
+    columns is served by a range fill: every eigenvalue of the k x k matrix
+    V takes on that basis, from its tridiagonal form, and on the first
+    request the eigenvectors of the pairs it adds, one pair ahead.  A
+    request for j pairs past the m vectors computed recomputes the top
+    max(j, 2 m) in one call, so the vectors of an eigenvalue cluster never
+    come from two calls, and certifies them all again; it is still the
+    same fill.  ``range_dim`` is then the basis' width.  It serves
     ``top(k)`` only while the k-th largest value is above the residual
     tolerance, since V's other eigenvalues are zeros; the first request it
     does not serve ends it, and ``range_dim`` returns to ``None``.
@@ -576,10 +640,7 @@ class IncrementalEigen:
         self._krylov = isinstance(a, StepOperator) and bool(a.anchor.shift)
         ritz = a.range_ritz() if isinstance(a, StepOperator) else None
         if ritz is not None:
-            vals, q, u = ritz
-            self._fill = (vals, lambda i, j: q @ u[:, i:j], self.tol_abs,
-                          "the range fill")
-            self.fills, self.range_dim = 1, q.shape[1]
+            self._set_range_fill(*ritz)
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= k <= self.n:
@@ -595,6 +656,9 @@ class IncrementalEigen:
             # served from the cache with no certificate call of its own
             end = k + 1 if k < vals.size and vals[k] > bound else k
             new = vectors(done, end)
+            # a range fill that recomputes its vectors returns all of them
+            done = end - new.shape[1]
+            self._vals, self._vecs = self._vals[:done], self._vecs[:, :done]
             try:
                 self._certify(new, vals[done:end], source)
             except EigenSolverError:
@@ -614,6 +678,27 @@ class IncrementalEigen:
             if self._krylov_fill(k):
                 return
         self._lapack_fill(k)
+
+    def _set_range_fill(self, vals, q, ritz_vectors) -> None:
+        """Serve the cache from the range fill's values and basis Q.
+
+        Vectors i:j are Q U[:, i:j].  A request past the columns of U
+        computed so far (m of them, none at first) recomputes the top
+        max(j, 2 m) at once and returns all j, which replace every cached
+        vector: the vectors of one eigenvalue cluster always come from one
+        call.
+        """
+        u = np.empty((q.shape[1], 0))
+
+        def vectors(i, j):
+            nonlocal u
+            if j > u.shape[1]:
+                u = ritz_vectors(min(vals.size, max(j, 2 * u.shape[1])))
+                i = 0
+            return q @ u[:, i:j]
+
+        self._fill = (vals, vectors, self.tol_abs, "the range fill")
+        self.fills, self.range_dim = 1, q.shape[1]
 
     def _set_fill(self, vals, vecs, bound: float, source: str) -> None:
         self._fill = (vals, lambda i, j: vecs[:, i:j], bound, source)

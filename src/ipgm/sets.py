@@ -19,7 +19,9 @@ Both spectrahedron projections return their point factored, as a
 ``np.asarray`` forms the dense matrix for a caller that needs it.  The
 rank-p projector also takes a factored input: a ``StepOperator`` V (the
 solvers' X - alpha grad f(X)), whose top eigenpairs come from a basis of its
-range (the eigensolver's range fill), from products with V when it is the
+range (the eigensolver's range fill: all of V's nonzero eigenvalues from
+the tridiagonal form of a small matrix, eigenvectors only for the pairs
+asked for), from products with V when it is the
 step from a shifted start c I + Y Y^T and has no range basis (its Krylov
 fill), or else from LAPACK on V's lower triangle (its LAPACK fill), and a
 factored anchor U (``LowRank`` or ``ShiftedLowRank``), whose ||U||^2 and
@@ -346,9 +348,11 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     Q_p sqrt(lam).
 
     The pairs come from one ``IncrementalEigen`` per call.  For a
-    ``StepOperator`` whose range basis has k < n columns one ``eigh``
-    of a k x k matrix serves every rank whose pairs have positive
-    eigenvalues (``range_dim`` records k).  The step from a shifted start
+    ``StepOperator`` whose range basis has k < n columns one range fill
+    serves every rank whose pairs have positive eigenvalues (``range_dim``
+    records k): every eigenvalue of a k x k matrix comes from its
+    tridiagonal form, and eigenvectors only for the top pairs asked for so
+    far, recomputed in one call when a rank reaches past them.  The step from a shifted start
     takes a Krylov fill: ``eigsh`` finds its top 16 pairs (fewer when V has
     fewer eigenvalues that can lie above the shift) from products with V,
     under a product budget.  Otherwise, after a Krylov miss, and for ranks

@@ -35,10 +35,14 @@ def range_fill_bad_residual(monkeypatch):
         ritz = real(self)
         if ritz is None:
             return None
-        vals, q, u = ritz
-        u = u.copy()
-        u[:, 0] = _random_unit(u.shape[0])
-        return vals, q, u
+        vals, q, vectors = ritz
+
+        def swapped(m):
+            u = vectors(m).copy()
+            u[:, 0] = _random_unit(u.shape[0])
+            return u
+
+        return vals, q, swapped
 
     monkeypatch.setattr(ipgm.linalg.StepOperator, "range_ritz", perturbed)
 

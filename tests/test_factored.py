@@ -338,6 +338,59 @@ def _lsq_step(seed: int, factor: np.ndarray):
     return inst, g.step(constant_alpha_from_gamma(inst.lipschitz_L, 0.0))
 
 
+def _step_operators(inst, rule: str) -> list[StepOperator]:
+    """The step operators an inexact solve from X0(0) projects."""
+    ops = []
+
+    @dataclass(frozen=True)
+    class Recording(Spectrahedron):
+        def inexact_project(self, v, u, gamma, phi, state=None):
+            if isinstance(v, StepOperator):
+                ops.append(v)
+            return super().inexact_project(v, u, gamma, phi, state)
+
+    _solve(inst.objective(), Recording(inst.n), inst, rule, "inexact", 0.0)
+    return ops
+
+
+def _range_operator(q_s, mu, y, b, alpha: float) -> StepOperator:
+    """V = alpha S + sym(B Y^T) at the point Y Y^T, S = Q_S diag(mu) Q_S^T
+    for an orthonormal Q_S: a range basis of rank S + 2 r columns."""
+    s = sp.csr_matrix((q_s * mu) @ q_s.T)
+    dense = alpha * s.toarray() + 0.5 * (b @ y.T + y @ b.T)
+    return StepOperator(LowRank(y), y, b, s, alpha,
+                        sq_norm=float(np.vdot(dense, dense)), sq_dist=0.0,
+                        s_range=(q_s, mu))
+
+
+def _dstein_calls(monkeypatch) -> list:
+    """(vectors asked for, info) of every ``dstein`` call a range fill
+    makes."""
+    calls = []
+    real = ipgm.linalg.dstein
+
+    def spy(d, e, w, *args):
+        z, info = real(d, e, w, *args)
+        calls.append((w.size, info))
+        return z, info
+
+    monkeypatch.setattr(ipgm.linalg, "dstein", spy)
+    return calls
+
+
+def _eigh_calls(monkeypatch) -> list:
+    """The shapes of the matrices passed to ``np.linalg.eigh``."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 class TestRangeFill:
     """Top eigenpairs of V = sym(B Y^T) + alpha S from an orthonormal basis
     [Q_S, Q_Z] of its range, k = rank S + 2 r columns."""
@@ -352,8 +405,10 @@ class TestRangeFill:
         _check_against_eigh(cache, op, 7)  # extends the same fill
         rank_s = _rank_s(inst)
         assert cache.range_dim == rank_s + 2 * 4
-        # top(3) certifies pairs 1-4 and top(7) pairs 5-8: one pair ahead
-        assert cache.fills == 1 and cache.matvecs_used == 8
+        # top(3) computes and certifies pairs 1-4, one pair ahead; top(7)
+        # reaches past them, so the same fill recomputes pairs 1-8 in one
+        # call and certifies all of them again
+        assert cache.fills == 1 and cache.matvecs_used == 4 + 8
         assert not cache.dense_fill
 
     def test_basis_is_orthonormal_on_constant_step_inputs(self):
@@ -361,18 +416,8 @@ class TestRangeFill:
         # constant-step inputs, so the first QR pads with columns that lean
         # on Q_S; after the second pass [Q_S, Q_Z] is orthonormal to
         # rounding and every fill matches eigh
-        ops = []
-
-        @dataclass(frozen=True)
-        class Recording(Spectrahedron):
-            def inexact_project(self, v, u, gamma, phi, state=None):
-                if isinstance(v, StepOperator):
-                    ops.append(v)
-                return super().inexact_project(v, u, gamma, phi, state)
-
-        inst = generate_instance(60, 120, 6, seed=2)
-        _solve(inst.objective(), Recording(inst.n), inst, "constant",
-               "inexact", 0.0)
+        ops = _step_operators(generate_instance(60, 120, 6, seed=2),
+                              "constant")
         assert len(ops) > 10
         for op in ops:
             q = op.range_ritz()[1]
@@ -446,6 +491,107 @@ class TestRangeFill:
         assert _max_abs(q_s.T @ q_s - np.eye(mu.size)) <= 1e-13
         assert np.linalg.norm((q_s * mu) @ q_s.T - s) <= (
             1e-13 * np.linalg.norm(s))
+
+
+    @pytest.mark.parametrize("rule", ["constant", "armijo"])
+    def test_pairs_match_eigh_on_solver_inputs(self, rule, monkeypatch):
+        # every step a solve projects, asked for one more pair at a time as
+        # the rank-p projector asks; the range fill's vectors come from
+        # inverse iteration on T's tridiagonal form, and none falls back
+        calls = _dstein_calls(monkeypatch)
+        ops = _step_operators(generate_instance(60, 120, 6, seed=3), rule)
+        assert len(ops) >= 10
+        for op in ops:
+            cache = IncrementalEigen(op)
+            assert cache.range_dim is not None
+            for k in range(1, 8):
+                _check_against_eigh(cache, op, k)
+        assert calls and all(info == 0 for _, info in calls)
+
+    def test_an_exactly_repeated_top_eigenvalue(self, monkeypatch):
+        # mu = 2 three times on coordinates that Y and B miss: T is block
+        # diagonal with its top value 2 alpha exactly threefold.  top(1)
+        # computes two vectors of the cluster; top(3) recomputes all of
+        # them in one call, so the cluster's vectors are orthonormal
+        calls = _dstein_calls(monkeypatch)
+        n, rng = 40, np.random.default_rng(81)
+        q_s = np.eye(n)[:, :5]
+        mu = np.array([2.0, 2.0, 2.0, 1.0, -1.0])
+        y, b = np.zeros((n, 2)), np.zeros((n, 2))
+        y[5:] = 0.1 * rng.standard_normal((n - 5, 2))
+        b[5:] = y[5:] + 0.05 * rng.standard_normal((n - 5, 2))
+        op = _range_operator(q_s, mu, y, b, 0.5)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 1)
+        _check_against_eigh(cache, op, 3)
+        _check_against_eigh(cache, op, 5)
+        assert _max_abs(cache.top(3)[0] - 1.0) <= 1e-14
+        assert cache.range_dim == 9 and not cache.dense_fill
+        assert calls == [(2, 0), (4, 0), (8, 0)]
+
+    def test_a_request_past_the_computed_vectors_recomputes_them(
+            self, monkeypatch):
+        # the first request computes one vector ahead; each request past
+        # the computed ones recomputes the top max(j, 2 m) and certifies
+        # them all again, within the same fill
+        calls = _dstein_calls(monkeypatch)
+        x = _unit_trace_point(np.random.default_rng(91), 120, 4)
+        inst, op = _lsq_step(1, x.factor)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 1)  # computes 2, certifies 2
+        _check_against_eigh(cache, op, 3)  # computes 4, certifies 4
+        _check_against_eigh(cache, op, 5)  # computes 8, certifies 6
+        _check_against_eigh(cache, op, 7)  # certifies 7-8 only
+        assert [m for m, _ in calls] == [2, 4, 8]
+        assert cache.matvecs_used == 2 + 4 + 6 + 2
+        assert cache.range_dim == _rank_s(inst) + 2 * 4
+        assert cache.fills == 1 and not cache.dense_fill
+
+    def test_a_dstein_failure_falls_back_to_one_eigh(self, monkeypatch):
+        x = _unit_trace_point(np.random.default_rng(92), 120, 4)
+        _, op = _lsq_step(2, x.factor)
+        ref = IncrementalEigen(op)
+        ref_vals, ref_vecs = ref.top(6)
+
+        def failing(d, e, w, *args):
+            return np.zeros((d.size, w.size), order="F"), 1
+
+        monkeypatch.setattr(ipgm.linalg, "dstein", failing)
+        eighs = _eigh_calls(monkeypatch)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 2)
+        # the eigh gave every vector of T: no request calls it again
+        _check_against_eigh(cache, op, 6)
+        assert eighs == [(ref.range_dim,) * 2]
+        vals, vecs = cache.top(6)
+        assert np.array_equal(vals, ref_vals)
+        assert _max_abs(np.abs(np.sum(vecs * ref_vecs, axis=0)) - 1.0) <= (
+            1e-10)
+        assert (cache.fills, cache.dense_fill, cache.range_dim) == (
+            1, False, ref.range_dim)
+
+    def test_a_dsterf_failure_serves_the_fill_from_one_eigh(
+            self, monkeypatch):
+        x = _unit_trace_point(np.random.default_rng(92), 120, 4)
+        _, op = _lsq_step(2, x.factor)
+        monkeypatch.setattr(ipgm.linalg, "dsterf", lambda d, e: (d, 1))
+        eighs = _eigh_calls(monkeypatch)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 2)
+        _check_against_eigh(cache, op, 6)
+        assert eighs == [(cache.range_dim,) * 2]
+        assert cache.fills == 1 and not cache.dense_fill
+
+    @pytest.mark.parametrize("rank_s, r", [(1, 0), (0, 1)])
+    def test_bases_of_one_and_two_columns(self, rank_s, r):
+        n, rng = 30, np.random.default_rng(93)
+        q_s, mu = np.eye(n)[:, :rank_s], np.full(rank_s, 2.0)
+        y = rng.standard_normal((n, r))
+        b = y + 0.5 * rng.standard_normal((n, r))
+        op = _range_operator(q_s, mu, y, b, 0.5)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 1)
+        assert cache.range_dim == rank_s + 2 * r and not cache.dense_fill
 
 
 class TestRangeFillFallback:
