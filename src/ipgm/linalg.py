@@ -44,8 +44,9 @@ the one triangle a LAPACK eigensolver reads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -81,6 +82,14 @@ _KRYLOV_PRODUCTS = 8
 _KRYLOV_SEED = 0
 
 
+@lru_cache(maxsize=64)
+def _strictly_lower(k: int, n: int) -> np.ndarray:
+    """The read-only k x n boolean mask of the entries below the diagonal."""
+    mask = np.tri(k, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _qr(a: np.ndarray, want_q: bool = True, want_r: bool = True):
     """Householder QR of the m x n ``a`` straight from LAPACK's ``geqrf``
     and ``orgqr``: (Q, R) with Q m x k orthonormal and R k x n upper
@@ -89,13 +98,17 @@ def _qr(a: np.ndarray, want_q: bool = True, want_r: bool = True):
     These are the routines ``np.linalg.qr`` calls for its reduced and
     ``"r"`` modes, without its wrapper's cost, which dominates at the
     widths the solvers use (300 x 10, 2-core VM, OpenBLAS 1 thread: Q alone
-    about 50 against 20 us, R alone 32 against 18 us).
+    about 50 against 20 us, R alone 32 against 18 us).  R is
+    ``np.triu(qr[:k])`` bit for bit: the same ``np.where`` over a strictly
+    lower mask, which is cached per shape instead of rebuilt on each call.
     """
     qr, tau, _, info = dgeqrf(a)
     if info < 0:
         raise ValueError(f"geqrf rejected argument {-info}")
     k = min(a.shape)
-    r = np.triu(qr[:k]) if want_r else None
+    r = None
+    if want_r:
+        r = np.where(_strictly_lower(k, a.shape[1]), 0.0, qr[:k])
     if not want_q:
         return None, r
     q, _, info = dorgqr(qr[:, :k], tau, overwrite_a=1)
@@ -168,8 +181,7 @@ def _stacked_core(a: "ShiftedLowRank", b: "ShiftedLowRank",
     expansion ||A||^2 - 2 <A, B> + ||B||^2 leaves in ||A - B||^2.
     """
     k = a.factor.shape[1]
-    stacked = np.hstack([a.factor, b.factor])
-    q, r = _qr(stacked, want_q=with_q)
+    q, r = _qr(np.concatenate([a.factor, b.factor], axis=1), want_q=with_q)
     r_a, r_b = r[:, :k], r[:, k:]
     return q, r_a, r_b, r_a @ r_a.T - r_b @ r_b.T
 
@@ -205,16 +217,12 @@ class ShiftedLowRank(_DenseArithmetic):
             raise ValueError(f"expected an n x r factor, got shape {y.shape}")
         self.shift = float(shift)
         self.factor = y
+        self.shape = (y.shape[0], y.shape[0])
         self.gram = y.T @ y
         self.sq_norm = float(np.vdot(self.gram, self.gram))
         if self.shift:
             self.sq_norm += self.shift * (self.shift * y.shape[0]
                                           + 2.0 * float(np.trace(self.gram)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.factor.shape[0]
-        return (n, n)
 
     @property
     def rank(self) -> int:
@@ -360,20 +368,17 @@ class StepOperator(_DenseArithmetic):
     def __init__(self, anchor: ShiftedLowRank, y, b, s, alpha: float,
                  sq_norm: float, sq_dist: float, s_range):
         self.anchor = anchor
+        self.shape = anchor.shape
         self._r = y.shape[1]
-        self._z = np.hstack([y, b])
+        self._z = np.concatenate([y, b], axis=1)
         # sym(B Y^T) x = [B, Y] [Y^T x; B^T x] / 2 = W Z^T x
-        self._w = np.hstack([b, y])
+        self._w = np.concatenate([b, y], axis=1)
         self._w *= 0.5
         self._s = s
         self._alpha = alpha
         self.s_range = s_range
         self.sq_norm = sq_norm
         self.sq_dist = sq_dist
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.anchor.shape
 
     @property
     def above_shift(self) -> int | None:
@@ -451,7 +456,7 @@ class StepOperator(_DenseArithmetic):
         # takes them off it
         q_z = _qr(z - q_s @ (q_s.T @ z), want_r=False)[0]
         q_z = _qr(q_z - q_s @ (q_s.T @ q_z), want_r=False)[0]
-        q = np.hstack([q_s, q_z])
+        q = np.concatenate([q_s, q_z], axis=1)
         w = q.T @ z
         t = symmetrize(w[:, r:] @ w[:, :r].T)
         rank_s = mu.size
@@ -492,7 +497,8 @@ def _tridiagonal_eigen(
         vals, u = full()
         return vals, lambda m: u
     # one unreduced block: no split of T_d, every value in block 1
-    block = np.ones(k, dtype=np.int32)
+    block = np.empty(k, dtype=np.int32)
+    block.fill(1)
     split = np.zeros(k, dtype=np.int32)
     split[0] = k
 
@@ -619,8 +625,8 @@ class IncrementalEigen:
             # one pass gives ||S||_F^2; np.linalg.norm takes the root of the
             # same dot product, so the scale keeps its bits
             self.sq_norm = float(np.vdot(a, a))
-        norm = float(np.sqrt(self.sq_norm))
-        if not np.isfinite(norm):
+        norm = math.sqrt(self.sq_norm)
+        if not math.isfinite(norm):
             raise EigenSolverError(f"matrix has Frobenius norm {norm}")
         self._a = a
         self.n = a.shape[0]
@@ -667,7 +673,11 @@ class IncrementalEigen:
                 self._lapack_fill(k)  # a Krylov miss
                 return self.top(k)
             self._vals = vals[:end]
-            self._vecs = np.hstack([self._vecs, new])
+            # the first vectors become the cache as they are when a range
+            # fill computed them; a LAPACK or Krylov fill's are a strided
+            # view of its array
+            self._vecs = (np.concatenate([self._vecs, new], axis=1) if done
+                          else np.ascontiguousarray(new))
         return self._vals[:k], self._vecs[:, :k]
 
     def _refill(self, k: int) -> None:
@@ -800,20 +810,28 @@ class IncrementalEigen:
     def _certify(self, q: np.ndarray, vals: np.ndarray, source: str) -> None:
         """Certify the new cached vectors ``q`` and their values.
 
-        One block product gives every residual; ``q`` must be orthonormal
-        and orthogonal to the vectors already cached.
+        One block product gives every residual; the largest is the square
+        root of the largest column sum of squares of A Q - Q diag(vals).
+        ``q`` must be orthonormal and orthogonal to the vectors already
+        cached: [cached, Q]^T Q, with 1 taken off the diagonal of its Q^T Q
+        block, must be within the tolerance of zero (Q^T Q alone while
+        nothing is cached).
         """
         aq = self._a @ q
-        self.matvecs_used += q.shape[1]
-        worst = float(np.max(np.linalg.norm(aq - q * vals, axis=0)))
+        m = q.shape[1]
+        self.matvecs_used += m
+        aq -= q * vals
+        worst = math.sqrt(np.einsum("ij,ij->j", aq, aq).max())
         if worst > self.tol_abs:
             raise EigenSolverError(
                 f"{source} returned a pair with residual {worst:.3e} above "
                 f"the tolerance {self.tol_abs:.3e}", best_residual=worst)
         # callers build scalar identities on Q, so Q^T Q = I is certified too
-        gram = np.hstack([self._vecs, q]).T @ q
-        gram[self._vecs.shape[1]:] -= np.eye(q.shape[1])
-        drift = float(np.max(np.abs(gram)))
+        done = self._vecs.shape[1]
+        basis = np.concatenate([self._vecs, q], axis=1) if done else q
+        gram = basis.T @ q
+        gram.flat[done * m::m + 1] -= 1.0
+        drift = float(abs(gram).max())
         if drift > EIG_TOL:
             raise EigenSolverError(
                 f"{source} returned vectors {drift:.3e} from orthonormal, "

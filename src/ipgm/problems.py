@@ -153,16 +153,28 @@ class SpectrahedronLSQ:
                 0.5 * float(np.vdot(self._b_vals, self._b_vals)),
                 (q @ w[:, keep], mu[keep]))
 
+    @cached_property
+    def _h_over_s(self) -> sp.csr_matrix:
+        """The 2n x n CSR [H; S], formed once, with S from
+        ``_linear_term``: one product with it gives H Y and S Y."""
+        return sp.vstack([self._h, self._linear_term[0]], format="csr")
+
     def _factored_value_and_gradient(self, x: ShiftedLowRank
                                      ) -> tuple[float, FactoredGradient]:
         """f and grad f at X = c I + Y Y^T with no n x n array (see the
         module docstring); at c != 0 the gradient's sparse part S - c H
         costs O(nnz H) and has no low-rank range, and the gradient carries
-        S's range at every point."""
+        S's range at every point.
+
+        P = H Y and S Y are the two halves of one sparse product [H; S] Y,
+        one scipy dispatch instead of two.  Each row of a CSR product is
+        summed on its own, in the order of the row's stored entries, which
+        stacking keeps, so both halves hold the bits of ``h @ y`` and
+        ``s @ y``."""
         s, s_sq_norm, half_b_sq, s_range = self._linear_term
         c, y = x.shift, x.factor
-        p = self._h @ y
-        sy = s @ y
+        p_sy = self._h_over_s @ y
+        p, sy = p_sy[:self.n], p_sy[self.n:]
         quad = float(np.vdot(y.T @ p, x.gram))
         lin = float(np.vdot(y, sy))
         shift_lin = 0.0

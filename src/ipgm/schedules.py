@@ -43,9 +43,9 @@ class ForcingParams:
     gamma3: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma1", "gamma2", "gamma3"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
+        for name, v in (("gamma1", self.gamma1), ("gamma2", self.gamma2),
+                        ("gamma3", self.gamma3)):
+            if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
     @classmethod
@@ -95,7 +95,7 @@ class ToleranceFn:
                      sq_wu: float) -> float:
         """Evaluate phi from ||v - u||^2, ||w - v||^2 and ||w - u||^2."""
         val = float(self.fn(gamma, sq_vu, sq_wv, sq_wu))
-        if val < 0.0 or not np.isfinite(val):
+        if val < 0.0 or not math.isfinite(val):
             raise ValueError(f"tolerance function returned {val}")
         return val
 

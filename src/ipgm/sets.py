@@ -37,6 +37,7 @@ back to a full ``eigh`` when LAPACK fails or returns too few pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -147,19 +148,29 @@ class ConvexSetOracle:
 def project_simplex(d) -> np.ndarray:
     """Euclidean projection onto the probability simplex.
 
-    Sort-and-threshold in O(p log p): with the entries sorted decreasingly,
-    the unique threshold theta satisfying sum(max(d - theta, 0)) = 1 is found
-    among the partial-sum candidates.
+    Sort-and-threshold in O(p log p): with the entries u sorted decreasingly
+    and their partial sums c, the unique threshold theta satisfying
+    sum(max(d - theta, 0)) = 1 is (c_k - 1)/k for the last k with
+    u_k > (c_k - 1)/k.  The rank-p projector calls this twice a step on
+    a few values, so it uses ndarray methods and no numpy wrappers.  Raises
+    ``ValueError`` on an empty or non-finite input.
     """
     d = np.asarray(d, dtype=float).ravel()
     p = d.size
     if p == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(d)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, p + 1)
-    support = u - (css - 1.0) / ks > 0
-    k = int(np.nonzero(support)[0][-1]) + 1
+    u = d.copy()
+    u.sort()
+    u = u[::-1]
+    # the sort puts NaN first and +inf next (descending), -inf last
+    for end in (u[0], u[-1]):
+        if not math.isfinite(end):
+            raise ValueError(
+                f"cannot project a vector with a non-finite entry ({end})")
+    css = u.cumsum()
+    bound = css - 1.0
+    bound /= np.arange(1, p + 1)
+    k = int((u > bound).nonzero()[0][-1]) + 1
     theta = (css[k - 1] - 1.0) / k
     return np.maximum(d - theta, 0.0)
 
@@ -402,7 +413,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
         sq_wv = max(0.0, norm_v_sq - 2.0 * inner_vw + w_norm_sq)
         sq_wu = max(0.0, norm_u_sq - 2.0 * inner_uw + w_norm_sq)
         # largest eigenvalue of V - W_p
-        theta = float(np.max(vals[:p] - lam))
+        theta = float((vals[:p] - lam).max())
         if p < n:
             theta = max(theta, float(vals[p]))
         # <W_p - V, Y_p - W_p> = <V - W_p, W_p> - theta with Y_p = y y^T

@@ -90,6 +90,8 @@ STOP_MAX_ITER = "max-iter"
 GRAD_ZERO_REL = 1e-14
 FIXED_POINT_REL = 1e-12
 
+_TINY = np.finfo(float).tiny  # the relative change's floor on ||x||
+
 
 class SolverError(RuntimeError):
     pass
@@ -371,8 +373,9 @@ def _toward(x, w, t: float):
     if t == 1.0:
         return w
     if isinstance(x, LowRank) and isinstance(w, LowRank):
-        return _factored_or_dense(LowRank(np.hstack(
-            [math.sqrt(1.0 - t) * x.factor, math.sqrt(t) * w.factor])))
+        return _factored_or_dense(LowRank(np.concatenate(
+            [math.sqrt(1.0 - t) * x.factor, math.sqrt(t) * w.factor],
+            axis=1)))
     x = _dense(x)
     return x + t * (_dense(w) - x)
 
@@ -455,7 +458,7 @@ def _iterate(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0, cfg,
             raise SolverError(f"iteration {k}: objective value is {f_next}")
         norm_x = _norm(x)
         if norm_x > 0.0 or step == 0.0:
-            rel = step / max(norm_x, np.finfo(float).tiny)
+            rel = step / max(norm_x, _TINY)
         else:
             rel = np.inf  # any move away from the zero vector
         records.append(IterationRecord(

@@ -54,6 +54,37 @@ class TestSymMatrix:
         assert np.allclose(s, 0.5 * (g + g.T))
 
 
+class TestQR:
+    """``_qr`` takes R from a cached strictly-lower mask, bit for bit what
+    ``np.triu`` makes of the same ``geqrf`` factor."""
+
+    @pytest.mark.parametrize("shape", [(40, 7), (9, 9), (5, 12), (1, 1),
+                                       (300, 0)])
+    def test_r_is_triu_of_the_factor_bytewise(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        a[:, :1] = -0.0  # a zero column: signed zeros in the factor
+        qr, _, _, info = scipy.linalg.lapack.dgeqrf(a)
+        assert info == 0
+        k = min(shape)
+        for want_q in (False, True):
+            q, r = ipgm.linalg._qr(a, want_q=want_q)
+            assert r.shape == (k, shape[1])
+            assert r.tobytes() == np.triu(qr[:k]).tobytes()
+            assert r.flags.writeable
+            if want_q:
+                assert np.allclose(q @ r, a)
+
+    def test_the_cached_mask_is_read_only(self):
+        a = np.random.default_rng(3).standard_normal((6, 4))
+        ipgm.linalg._qr(a)
+        mask = ipgm.linalg._strictly_lower(4, 4)
+        assert mask is ipgm.linalg._strictly_lower(4, 4)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[1, 0] = False
+        assert np.array_equal(mask, np.tri(4, 4, -1, dtype=bool))
+
+
 class TestFrobenius:
     def test_identity_inner(self):
         assert frobenius_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0)

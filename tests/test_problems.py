@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ipgm.linalg import frobenius_norm
+import ipgm.problems
+from ipgm.linalg import FactoredGradient, LowRank, frobenius_norm
 from ipgm.problems import (
     BoxQP,
     default_density,
@@ -201,6 +202,27 @@ class TestValueAndGradient:
             # and the bits of the textbook formula sym(A^T (A X - B))
             at_r = inst.a.T @ (inst.a @ x - inst.b_mat.toarray())
             assert g.tobytes() == (0.5 * (at_r + at_r.T)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factored_products_bit_identical(self, seed, monkeypatch):
+        """P = H Y and S Y come from one product with the stacked [H; S],
+        with the bits of the two separate products."""
+        seen = []
+
+        def capture(point, p, s, s_sq_norm, sy, s_range):
+            seen.append((p, sy))
+            return FactoredGradient(point, p, s, s_sq_norm, sy, s_range)
+
+        monkeypatch.setattr(ipgm.problems, "FactoredGradient", capture)
+        inst = generate_instance(40, 80, 5, seed=seed)
+        s = inst._linear_term[0]
+        rng = np.random.default_rng(seed)
+        for r in (1, 3, 8):
+            y = rng.standard_normal((40, r))
+            inst.value_and_gradient(LowRank(y))
+            p, sy = seen.pop()
+            assert p.tobytes() == (inst._h @ y).tobytes()
+            assert sy.tobytes() == (s @ y).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boxqp_bit_identical(self, seed):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,86 @@ class TestProjectSimplexProperty:
     def test_simplex_points_unchanged(self, w):
         d = np.array(w) / np.sum(w)
         assert np.max(np.abs(project_simplex(d) - d)) <= 1e-12
+
+
+def simplex_sort_cumsum(d):
+    """The sort-and-threshold projection through numpy's wrappers
+    (``np.sort``, ``np.cumsum``, ``np.nonzero``), the reference that
+    ``project_simplex`` must match bit for bit."""
+    d = np.asarray(d, dtype=float).ravel()
+    p = d.size
+    u = np.sort(d)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, p + 1)
+    support = u - (css - 1.0) / ks > 0
+    k = int(np.nonzero(support)[0][-1]) + 1
+    theta = (css[k - 1] - 1.0) / k
+    return np.maximum(d - theta, 0.0)
+
+
+@st.composite
+def simplex_inputs(draw):
+    """Vectors of 1 to 3000 entries: all equal, drawn from a handful of
+    values (ties, signed zeros), or free."""
+    p = draw(st.integers(1, 3000))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["equal", "ties", "free"]))
+    if kind == "equal":
+        return np.full(p, draw(values))
+    if kind == "ties":
+        pool = np.array(draw(st.lists(values | st.sampled_from([0.0, -0.0]),
+                                      min_size=1, max_size=4)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        return pool[np.random.default_rng(seed).integers(0, pool.size, p)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.floats(1e-6, 1e6))
+    return scale * np.random.default_rng(seed).standard_normal(p)
+
+
+class TestProjectSimplexBits:
+    """The projection's trimmed calls leave its formula, and its bits, as
+    the wrapper form computes them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=simplex_inputs())
+    def test_matches_the_wrapper_form_bytewise(self, d):
+        assert (project_simplex(d).tobytes()
+                == simplex_sort_cumsum(d).tobytes())
+
+    @pytest.mark.parametrize("p", [1, 2, 6, 3000])
+    def test_all_equal_entries(self, p):
+        for c in (-2.5, 0.0, 1.0 / p, 7.0):
+            d = np.full(p, c)
+            x = project_simplex(d)
+            assert x.tobytes() == simplex_sort_cumsum(d).tobytes()
+            assert np.all(x == x[0])
+
+
+class TestProjectSimplexNonFinite:
+    """A non-finite entry is a ValueError that says so, with no warning on
+    the way, whether the vector comes directly or through SimplexSet."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_direct(self, bad, p):
+        d = np.linspace(-1.0, 1.0, p)
+        d[p // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                project_simplex(d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_through_simplex_set(self, bad):
+        d = np.array([0.2, bad, 0.5, -0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                SimplexSet(4).exact_project(d)
+
+    def test_nan_and_both_infinities_together(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_simplex([np.inf, 0.3, -np.inf, np.nan])
 
 
 class TestSimpleSets:
