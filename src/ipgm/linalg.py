@@ -24,13 +24,15 @@ refill.  Only this module decides which fill a request gets.
 spectrahedron projection's too, can check what it gets.
 ``largest_eigenpair`` is the single-pair call the support point makes.
 
-Iterates of the spectrahedron solvers are low rank, and four types keep
-them so: ``LowRank`` is a point X = Y Y^T held as its n x r factor Y,
-``ShiftedLowRank`` is X = c I + Y Y^T (a solve's start X0 = (1 - beta)/n I
-+ beta e1 e1^T), ``FactoredGradient`` is the gradient sym(P Y^T) - S of a
-quadratic at such a point (P = H Y, S sparse; at a shifted point S also
-carries -c H), and ``StepOperator`` is the projection input V = X - alpha
-G, which ``IncrementalEigen`` applies through its factors.
+Iterates of the spectrahedron solvers are low rank, and three types keep
+them so: ``LowRank`` is a point X = c I + Y Y^T held as its shift c and its
+n x r factor Y (c = 0 at every iterate; a solve's start X0 = (1 - beta)/n
+I + beta e1 e1^T has c = (1 - beta)/n), ``FactoredGradient`` is the
+gradient sym(P Y^T) - S of a quadratic at such a point (P = H Y, S sparse;
+at a shifted point S also carries -c H), and ``StepOperator`` is the
+projection input V = X - alpha G, which ``IncrementalEigen`` applies
+through its factors.  Which path a point takes is decided by its shift,
+never by how it was built.
 At every such point the step has one form, V = c I + alpha S + sym(B Y^T)
 with B = Y - alpha P, in which no term is of order alpha^2.  At c = 0,
 range(V) lies in the span of S's range (a basis the objective supplies at
@@ -62,7 +64,6 @@ __all__ = [
     "largest_eigenpair",
     "IncrementalEigen",
     "LowRank",
-    "ShiftedLowRank",
     "FactoredGradient",
     "StepOperator",
     "subset_eigh",
@@ -170,7 +171,7 @@ class _DenseArithmetic(np.lib.mixins.NDArrayOperatorsMixin):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def _stacked_core(a: "ShiftedLowRank", b: "ShiftedLowRank",
+def _stacked_core(a: "LowRank", b: "LowRank",
                   with_q: bool = False):
     """(Q, R_a, R_b, M) with [Y_a, Y_b] = Q [R_a, R_b] and
     M = R_a R_a^T - R_b R_b^T, so that Y_a Y_a^T - Y_b Y_b^T = Q M Q^T with
@@ -198,20 +199,20 @@ def _shifted_sq_norm(m: np.ndarray, d: float, n: int) -> float:
     return float(np.vdot(m, m)) + d * d * (n - k)
 
 
-class ShiftedLowRank(_DenseArithmetic):
-    """The symmetric X = c I + Y Y^T, kept as its shift c and its n x r
-    factor Y; positive semidefinite for c >= 0.
+class LowRank(_DenseArithmetic):
+    """The symmetric X = c I + Y Y^T, kept as its n x r factor Y and its
+    shift c (0 unless given); positive semidefinite for c >= 0.
 
-    A solve's start X0(beta) = (1 - beta)/n I + beta e1 e1^T has this form
-    (c = (1 - beta)/n, Y = sqrt(beta) e1, no column at beta = 0), and
-    ``LowRank`` is the case c = 0.  ``gram`` is Y^T Y, ``trace`` is
-    c n + tr(Y^T Y) and ``sq_norm`` is ||X||_F^2 = c^2 n + 2 c tr(Y^T Y) +
-    ||Y^T Y||_F^2.  ``dense()`` forms Y Y^T as one symmetric rank-r update
-    (numpy calls ``syrk`` for ``y @ y.T``) and adds c to its diagonal, so the
-    matrix is exactly symmetric.
+    The solvers' iterates have c = 0; a solve's start X0(beta) = (1 -
+    beta)/n I + beta e1 e1^T has c = (1 - beta)/n and Y = sqrt(beta) e1 (no
+    column at beta = 0).  ``gram`` is Y^T Y, ``trace`` is c n + tr(Y^T Y)
+    and ``sq_norm`` is ||X||_F^2 = c^2 n + 2 c tr(Y^T Y) + ||Y^T Y||_F^2.
+    ``dense()`` forms Y Y^T as one symmetric rank-r update (numpy calls
+    ``syrk`` for ``y @ y.T``) and adds c to its diagonal, so the matrix is
+    exactly symmetric.
     """
 
-    def __init__(self, shift: float, factor):
+    def __init__(self, factor, shift: float = 0.0):
         y = np.ascontiguousarray(factor, dtype=float)
         if y.ndim != 2:
             raise ValueError(f"expected an n x r factor, got shape {y.shape}")
@@ -233,7 +234,7 @@ class ShiftedLowRank(_DenseArithmetic):
     def trace(self) -> float:
         return self.shift * self.shape[0] + float(np.trace(self.gram))
 
-    def sq_distance(self, other: "ShiftedLowRank") -> float:
+    def sq_distance(self, other: "LowRank") -> float:
         """||X - Z||_F^2 for another factored Z, from the stacked factors:
         X - Z = Q M Q^T + (c_X - c_Z) I."""
         return _shifted_sq_norm(_stacked_core(self, other)[3],
@@ -255,26 +256,15 @@ class ShiftedLowRank(_DenseArithmetic):
         return out
 
 
-class LowRank(ShiftedLowRank):
-    """The symmetric positive semidefinite X = Y Y^T, kept as its n x r
-    factor Y: a ``ShiftedLowRank`` with shift 0.
-
-    ``gram`` is Y^T Y and ``sq_norm`` is ||X||_F^2 = ||Y^T Y||_F^2.
-    """
-
-    def __init__(self, factor):
-        super().__init__(0.0, factor)
-
-
 class FactoredGradient(_DenseArithmetic):
     """G = sym(P Y^T) - S at the factored point X = c I + Y Y^T, S sparse
     symmetric.
 
     This is the gradient of a quadratic 1/2 <X, H X> - <S0, X> + const (H
-    symmetric) at X, with P = H Y and S = S0 - c H (S0 itself at a
-    ``LowRank`` point, c = 0).  ``sq_norm`` (||G||_F^2), ``inner(W)``
-    (<G, W> for a factored W) and ``secant`` come from r x r products, and
-    ``step(alpha)`` is the projection input X - alpha G as an operator.
+    symmetric) at X, with P = H Y and S = S0 - c H (S0 itself at c = 0).
+    ``sq_norm`` (||G||_F^2), ``inner(W)`` (<G, W> for a ``LowRank`` W) and
+    ``secant`` come from r x r products, and ``step(alpha)`` is the
+    projection input X - alpha G as an operator.
     ``s_sq_norm`` is ||S||_F^2, ``sy`` is S Y and ``s_range`` is S0's
     range as (Q_S, mu), S0 = Q_S diag(mu) Q_S^T with Q_S orthonormal, at
     every point (at a shifted one S = S0 - c H has no low-rank range);
@@ -282,7 +272,7 @@ class FactoredGradient(_DenseArithmetic):
     operator, so a step copies no sparse matrix.
     """
 
-    def __init__(self, point: ShiftedLowRank, p, s, s_sq_norm: float, sy,
+    def __init__(self, point: LowRank, p, s, s_sq_norm: float, sy,
                  s_range):
         y = point.factor
         self.point = point
@@ -309,12 +299,16 @@ class FactoredGradient(_DenseArithmetic):
                 - float(self.s.diagonal().sum()))
 
     def inner(self, w: LowRank) -> float:
-        """<G, W> = <Y^T Z, P^T Z> - <Z, S Z> for W = Z Z^T."""
+        """<G, W> = <Y^T Z, P^T Z> - <Z, S Z> + c_W tr G for W = c_W I +
+        Z Z^T."""
         if w is self.point:
             return self._inner_point
         z = w.factor
-        return (float(np.vdot(self.point.factor.T @ z, self.p.T @ z))
-                - float(np.vdot(z, self.s @ z)))
+        out = (float(np.vdot(self.point.factor.T @ z, self.p.T @ z))
+               - float(np.vdot(z, self.s @ z)))
+        if w.shift:
+            out += w.shift * self.trace
+        return out
 
     def step(self, alpha: float) -> "StepOperator":
         """V = X - alpha G = c I + alpha S + sym(B Y^T) with B = Y - alpha P,
@@ -365,7 +359,7 @@ class StepOperator(_DenseArithmetic):
     of at most ``above_shift`` pairs.
     """
 
-    def __init__(self, anchor: ShiftedLowRank, y, b, s, alpha: float,
+    def __init__(self, anchor: LowRank, y, b, s, alpha: float,
                  sq_norm: float, sq_dist: float, s_range):
         self.anchor = anchor
         self.shape = anchor.shape

@@ -12,21 +12,20 @@ omega), apart from the n x n A^T A behind ``lipschitz_L``.
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
 
-Both offer ``value_and_gradient``, which at a dense point returns
-``(value(x), gradient(x))`` bit for bit from one residual A X - B (one
-product Q x for the box QP); ``objective()`` hands it to the solvers as the
-only objective callable.  At a factored point X = Y Y^T (a ``LowRank``,
-which the spectrahedron projections return) ``SpectrahedronLSQ`` evaluates
-without an n x n pass.  With H = A^T A and S = sym(A^T B), both sparse,
-and P = H Y,
+Both offer ``value_and_gradient``, which at a dense point returns f and
+grad f from one residual A X - B (one product Q x for the box QP);
+``objective()`` hands it to the solvers as the only objective callable.
+At a factored point X = Y Y^T (a ``LowRank``, which the spectrahedron
+projections return) ``SpectrahedronLSQ`` evaluates without an n x n pass.
+With H = A^T A and S = sym(A^T B), both sparse, and P = H Y,
 
     f = 1/2 <Y^T P, Y^T Y> - <Y, S Y> + 1/2 ||B||^2,
     grad f = sym(P Y^T) - S   (a ``FactoredGradient``).
 
 A solve's start X0(beta) = (1 - beta)/n I + beta e1 e1^T is also held
-factored, as the ``ShiftedLowRank`` c I + Y Y^T that ``structured_start``
-returns (c = (1 - beta)/n, Y = sqrt(beta) e1; the ``LowRank`` e1 e1^T at
-beta = 1).  With tr H = ||A||_F^2,
+factored, as the ``LowRank`` c I + Y Y^T that ``structured_start`` returns
+(c = (1 - beta)/n, Y = sqrt(beta) e1; c = 0 at beta = 1).  With
+tr H = ||A||_F^2,
 
     f = 1/2 (c^2 tr H + 2 c <Y, P> + <Y^T P, Y^T Y>) - c tr S - <Y, S Y>
         + 1/2 ||B||^2,
@@ -34,7 +33,9 @@ beta = 1).  With tr H = ||A||_F^2,
 
 which stays sparse plus factored; one evaluation serves both forms, the
 terms in c only at c != 0.  A dense point takes the residual path above;
-``starting_point`` returns the dense X0.
+``starting_point`` returns the dense X0.  ``value`` and ``gradient`` are
+the two halves of ``value_and_gradient`` at the dense matrix of their
+argument, so they always take the residual path.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import FactoredGradient, LowRank, ShiftedLowRank, symmetrize
+from .linalg import FactoredGradient, LowRank, symmetrize
 from .sets import Box, Spectrahedron
 from .solver import ObjectiveOracle
 
@@ -88,11 +89,10 @@ class SpectrahedronLSQ:
     it twice should keep the array.
 
     ``value_and_gradient`` takes a dense X through the residual A X - B and
-    a ``LowRank`` X = Y Y^T or a ``ShiftedLowRank`` X = c I + Y Y^T through
-    P = H Y (see the module docstring), at O(nnz(H) r + n r^2) for a rank-r
-    factor.  S = sym(A^T B), ||B||^2 and
-    an orthonormal basis of S's range are formed on the first factored
-    evaluation.
+    a ``LowRank`` X = c I + Y Y^T through P = H Y (see the module
+    docstring), at O(nnz(H) r + n r^2) for a rank-r factor.  S = sym(A^T B),
+    ||B||^2 and an orthonormal basis of S's range are formed on the first
+    factored evaluation.
     """
 
     a: sp.csr_matrix
@@ -159,7 +159,7 @@ class SpectrahedronLSQ:
         ``_linear_term``: one product with it gives H Y and S Y."""
         return sp.vstack([self._h, self._linear_term[0]], format="csr")
 
-    def _factored_value_and_gradient(self, x: ShiftedLowRank
+    def _factored_value_and_gradient(self, x: LowRank
                                      ) -> tuple[float, FactoredGradient]:
         """f and grad f at X = c I + Y Y^T with no n x n array (see the
         module docstring); at c != 0 the gradient's sparse part S - c H
@@ -189,30 +189,21 @@ class SpectrahedronLSQ:
         return value, FactoredGradient(x, p, s, s_sq_norm, sy=sy,
                                        s_range=s_range)
 
-    def _residual(self, x) -> np.ndarray:
-        r = self.a @ np.asarray(x, dtype=float)
-        r[self._b_rows, self._b_cols] -= self._b_vals
-        return r
+    def value(self, x) -> float:
+        return self.value_and_gradient(np.asarray(x))[0]
 
-    def _gradient_from(self, r: np.ndarray) -> np.ndarray:
-        return symmetrize(self._a_t @ r)
-
-    def value(self, x: np.ndarray) -> float:
-        r = self._residual(x)
-        return 0.5 * float(np.vdot(r, r))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradient_from(self._residual(x))
+    def gradient(self, x) -> np.ndarray:
+        return self.value_and_gradient(np.asarray(x))[1]
 
     def value_and_gradient(self, x
                            ) -> tuple[float, np.ndarray | FactoredGradient]:
-        """(value(x), gradient(x)) from one residual A X - B; a ``LowRank``
-        or ``ShiftedLowRank`` x is evaluated from its factor and gets a
-        ``FactoredGradient``."""
-        if isinstance(x, ShiftedLowRank):
+        """(f, grad f) from one residual A X - B; a ``LowRank`` x is
+        evaluated from its factor and gets a ``FactoredGradient``."""
+        if isinstance(x, LowRank):
             return self._factored_value_and_gradient(x)
-        r = self._residual(x)
-        return 0.5 * float(np.vdot(r, r)), self._gradient_from(r)
+        r = self.a @ np.asarray(x, dtype=float)
+        r[self._b_rows, self._b_cols] -= self._b_vals
+        return 0.5 * float(np.vdot(r, r)), symmetrize(self._a_t @ r)
 
     def objective(self) -> ObjectiveOracle:
         return ObjectiveOracle(self.value_and_gradient,
@@ -290,22 +281,19 @@ def starting_point(beta: float, n: int) -> np.ndarray:
     return x0
 
 
-def structured_start(beta: float, n: int) -> ShiftedLowRank:
-    """The start of ``starting_point`` held as c I + Y Y^T with
-    c = (1 - beta)/n and Y = sqrt(beta) e1 (no column at beta = 0), so the
-    solvers evaluate it and take its first projection without n x n
-    arrays.  At beta = 1 (c = 0) it is the ``LowRank`` e1 e1^T, whose
-    steps take the range fill and the exact projection's count path like
-    any factored iterate.  Its dense matrix differs from
-    ``starting_point``'s at most in the last bit of entry (0, 0), where
-    sqrt(beta)^2 stands for beta."""
+def structured_start(beta: float, n: int) -> LowRank:
+    """The start of ``starting_point`` held as the ``LowRank`` c I + Y Y^T
+    with c = (1 - beta)/n and Y = sqrt(beta) e1 (no column at beta = 0), so
+    the solvers evaluate it and take its first projection without n x n
+    arrays.  At beta = 1 the shift is exactly 0, so its steps take the
+    range fill and the exact projection's count path like any factored
+    iterate.  Its dense matrix differs from ``starting_point``'s at most
+    in the last bit of entry (0, 0), where sqrt(beta)^2 stands for beta."""
     _check_beta(beta)
     y = np.zeros((n, 1 if beta > 0.0 else 0))
     if beta > 0.0:
         y[0, 0] = np.sqrt(beta)
-    if beta == 1.0:
-        return LowRank(y)
-    return ShiftedLowRank((1.0 - beta) / n, y)
+    return LowRank(y, (1.0 - beta) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +317,13 @@ class BoxQP:
     x_star: np.ndarray | None = None
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ (self.q_mat @ x)) - float(self.b_vec @ x)
+        return self.value_and_gradient(np.asarray(x))[0]
 
     def gradient(self, x) -> np.ndarray:
-        return self.q_mat @ np.asarray(x, dtype=float) - self.b_vec
+        return self.value_and_gradient(np.asarray(x))[1]
 
     def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        """(value(x), gradient(x)) from one product Q x."""
+        """(f, grad f) from one product Q x."""
         x = np.asarray(x, dtype=float)
         qx = self.q_mat @ x
         return 0.5 * float(x @ qx) - float(self.b_vec @ x), qx - self.b_vec

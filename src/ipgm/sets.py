@@ -24,13 +24,13 @@ the tridiagonal form of a small matrix, eigenvectors only for the pairs
 asked for), from products with V when it is the
 step from a shifted start c I + Y Y^T and has no range basis (its Krylov
 fill), or else from LAPACK on V's lower triangle (its LAPACK fill), and a
-factored anchor U (``LowRank`` or ``ShiftedLowRank``), whose ||U||^2 and
+factored anchor U (a ``LowRank``, shifted or not), whose ||U||^2 and
 q^T U q come from its factor and shift.  A dense V takes the LAPACK fill.
-The exact projection of a ``StepOperator`` at a ``LowRank`` anchor asks
+The exact projection of a ``StepOperator`` at an unshifted anchor asks
 LAPACK for V's top m pairs, m one more than the anchor's rank and doubled
 until the m-th pair gets no simplex weight.  A dense V, and the step from a
 shifted start, are fully decomposed: the first exact projection of a solve
-keeps most of the n pairs.
+from a start with c != 0 keeps most of the n pairs.
 Both projections take their LAPACK pairs from ``subset_eigh``, which falls
 back to a full ``eigh`` when LAPACK fails or returns too few pairs.
 """
@@ -48,7 +48,6 @@ from .linalg import (
     EigenSolverError,
     IncrementalEigen,
     LowRank,
-    ShiftedLowRank,
     StepOperator,
     frobenius_inner,
     largest_eigenpair,
@@ -298,11 +297,12 @@ def exact_project_spectrahedron(v) -> LowRank:
     threshold and W are those of the full decomposition.  On the exact
     solvers' path the anchor is the last projection, factored over its
     positive weights, so one LAPACK call usually suffices.  The step from a
-    shifted start (a ``StepOperator`` whose anchor is not a ``LowRank``) is
+    shifted start (a ``StepOperator`` whose anchor has a nonzero shift) is
     fully decomposed from its lower triangle, like a dense V: its W keeps
-    193-284 of 300 pairs on the bench instances.
+    193-284 of 300 pairs on the bench instances.  An anchor with shift 0
+    takes the count path however it was built.
     """
-    if isinstance(v, StepOperator) and isinstance(v.anchor, LowRank):
+    if isinstance(v, StepOperator) and not v.anchor.shift:
         n = v.shape[0]
         m = min(n, v.anchor.rank + 1)
         while True:
@@ -353,10 +353,9 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
 
     A dense V is symmetrized first.  A ``StepOperator`` V is symmetric by
     construction and is applied through its factors; when U is its anchor,
-    ||V - U||^2 is the operator's ``sq_dist``.  A ``LowRank`` or
-    ``ShiftedLowRank`` U gives ||U||^2 and q^T U q from its factor and
-    shift.  The accepted W_p is returned as the ``LowRank`` factor
-    Q_p sqrt(lam).
+    ||V - U||^2 is the operator's ``sq_dist``.  A ``LowRank`` U gives
+    ||U||^2 and q^T U q from its factor and shift.  The accepted W_p is
+    returned as the ``LowRank`` factor Q_p sqrt(lam).
 
     The pairs come from one ``IncrementalEigen`` per call.  For a
     ``StepOperator`` whose range basis has k < n columns one range fill
@@ -383,7 +382,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     cache = IncrementalEigen(vs)
     slack = 1e-12 * cache.scale ** 2  # cache.scale = max(1, ||V||_F)
     norm_v_sq = cache.sq_norm
-    if isinstance(u, ShiftedLowRank):
+    if isinstance(u, LowRank):
         norm_u_sq = u.sq_norm
         u_diag = u.quad_diag
     else:
@@ -443,12 +442,12 @@ class Spectrahedron(ConvexSetOracle):
     def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
         """Unit trace and positive semidefinite within ``feas_tol``.
 
-        A factored X = c I + Y Y^T (``ShiftedLowRank``, ``LowRank``) is
-        symmetric by construction and its smallest eigenvalue is at least
-        c, so c >= -feas_tol and its trace decide it.  A dense X is checked
-        for symmetry and factored by Cholesky.
+        A factored X = c I + Y Y^T (a ``LowRank``) is symmetric by
+        construction and its smallest eigenvalue is at least c, so
+        c >= -feas_tol and its trace decide it.  A dense X is checked for
+        symmetry and factored by Cholesky.
         """
-        if isinstance(x, ShiftedLowRank):
+        if isinstance(x, LowRank):
             return (x.shape == (self.n, self.n)
                     and bool(np.all(np.isfinite(x.gram)))
                     and x.shift >= -feas_tol

@@ -18,16 +18,16 @@ with a ``FactoredGradient``, whose step X - alpha G goes to the next
 projection as a ``StepOperator``; the gradient norm, ||x||, the step and
 the Armijo slope come from r x r products, and an Armijo trial point
 (1 - t) X + t W stays factored as [sqrt(1 - t) Y_x, sqrt(t) Y_w].  A start
-given as a ``ShiftedLowRank`` c I + Y Y^T (the harness passes
+given as a ``LowRank`` c I + Y Y^T (the harness passes
 ``structured_start``) stays factored the same way: the start check, f, the
 gradient, the first step (an operator whose eigenpairs come from a Krylov
-fill), ||x||, the distance to the first projection and, under the Armijo
-rule, the slope and the first secant pair all come from its shift and
-factor; only an Armijo trial strictly between it and the first projection
-is formed densely.  Any dense operand (a dense x0, a plain array gradient)
-puts that operation on the dense path.  ``SolveResult`` keeps the start
-and the final iterate in these forms; its ``x0`` and ``x_final`` form
-their dense matrices on access.
+fill when c != 0), ||x||, the distance to the first projection and, under
+the Armijo rule, the slope and the first secant pair all come from its
+shift and factor; only an Armijo trial strictly between two points, one
+of them with a nonzero shift, is formed densely.  Any dense operand (a
+dense x0, a plain array gradient) puts that operation on the dense path.
+``SolveResult`` keeps the start and the final iterate in these forms; its
+``x0`` and ``x_final`` form their dense matrices on access.
 
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
@@ -49,7 +49,6 @@ from .linalg import (
     EigenSolverError,
     FactoredGradient,
     LowRank,
-    ShiftedLowRank,
     frobenius_inner,
     frobenius_norm,
 )
@@ -281,7 +280,7 @@ class SolveResult:
     its objective (``None`` when unknown) and what it produced.
 
     Each point is stored in the form the solve held it.  ``start`` is the
-    checked x0: a ``ShiftedLowRank`` such as ``structured_start`` returns,
+    checked x0: a ``LowRank`` such as ``structured_start`` returns,
     else a dense array.  ``final_point`` is the last iterate: a ``LowRank``
     on the factored path, else a dense array (a dense run, or an iterate
     whose factor reached n/4 columns), and ``start`` itself when no
@@ -291,12 +290,12 @@ class SolveResult:
     """
 
     config: ConstantStepConfig | ArmijoConfig
-    final_point: np.ndarray | ShiftedLowRank
+    final_point: np.ndarray | LowRank
     f_final: float
     iterations: int
     stop_reason: str
     records: list[IterationRecord]
-    start: np.ndarray | ShiftedLowRank
+    start: np.ndarray | LowRank
     f0: float
     lipschitz_L: float | None
 
@@ -330,14 +329,14 @@ def _dense(a) -> np.ndarray:
 
 
 def _norm(x) -> float:
-    if isinstance(x, (ShiftedLowRank, FactoredGradient)):
+    if isinstance(x, (LowRank, FactoredGradient)):
         return math.sqrt(x.sq_norm)
     return frobenius_norm(_dense(x))
 
 
 def _distance(a, b) -> float:
     """||a - b||, from the stacked factors when both are factored."""
-    if isinstance(a, ShiftedLowRank) and isinstance(b, ShiftedLowRank):
+    if isinstance(a, LowRank) and isinstance(b, LowRank):
         return math.sqrt(a.sq_distance(b))
     return _norm(_dense(a) - _dense(b))
 
@@ -367,12 +366,21 @@ def _factored_or_dense(x):
 
 
 def _toward(x, w, t: float):
-    """x + t (w - x), and w itself at t = 1.  For factored points the convex
-    combination stays factored, (1 - t) X + t W = [sqrt(1 - t) Y_x,
-    sqrt(t) Y_w] [...]^T, within the rank bound of ``_factored_or_dense``."""
+    """x + t (w - x), and w itself at t = 1.  For unshifted factored points
+    the convex combination stays factored, (1 - t) X + t W = [sqrt(1 - t)
+    Y_x, sqrt(t) Y_w] [...]^T, within the rank bound of
+    ``_factored_or_dense``."""
     if t == 1.0:
         return w
-    if isinstance(x, LowRank) and isinstance(w, LowRank):
+    # A shifted point (the start, under a backtrack at iteration 0) is
+    # combined densely.  Kept factored, the trial's projection would take
+    # the Krylov fill instead of LAPACK, which wins or loses by the input:
+    # for the sigma = 0.5 Armijo rule from ``structured_start`` with one
+    # backtrack at iteration 0 (2-core VM, OpenBLAS 1 thread) it took 2.1
+    # against 6.4 ms at n=300, omega 20, seed 3, but 7.0 against 4.0 ms at
+    # n=200, omega 10, seed 3, where the Krylov fill missed
+    if (isinstance(x, LowRank) and isinstance(w, LowRank)
+            and not (x.shift or w.shift)):
         return _factored_or_dense(LowRank(np.concatenate(
             [math.sqrt(1.0 - t) * x.factor, math.sqrt(t) * w.factor],
             axis=1)))
@@ -381,9 +389,9 @@ def _toward(x, w, t: float):
 
 
 def _check_start(feasible_set: ConvexSetOracle, x0, feas_tol=1e-8):
-    """x0 as the solve uses it: a ``ShiftedLowRank`` as it is, anything
-    else as a dense array."""
-    if not isinstance(x0, ShiftedLowRank):
+    """x0 as the solve uses it: a ``LowRank`` as it is, anything else as a
+    dense array."""
+    if not isinstance(x0, LowRank):
         x0 = np.asarray(x0, dtype=float)
     if not feasible_set.contains(x0, feas_tol=feas_tol):
         raise InfeasibleStartError("starting point is not feasible")

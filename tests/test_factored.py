@@ -19,14 +19,15 @@ import scipy.sparse as sp
 import ipgm.harness
 import ipgm.linalg
 import ipgm.sets
+import ipgm.solver
 from ipgm.harness import ARMIJO_GAMMA3, run_variant
 from ipgm.linalg import (
     EigenSolverError,
     FactoredGradient,
     IncrementalEigen,
     LowRank,
-    ShiftedLowRank,
     StepOperator,
+    frobenius_inner,
 )
 from ipgm.problems import generate_instance, starting_point, structured_start
 from ipgm.schedules import ForcingParams, SummableSchedule, ToleranceFn
@@ -812,10 +813,10 @@ class TestShiftedStart:
         x0 = structured_start(beta, self.N)
         return inst, x0, starting_point(beta, self.N)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99, 1.0])
     def test_point(self, beta):
         _, x0, dense = self._start(beta)
-        assert isinstance(x0, ShiftedLowRank) and not isinstance(x0, LowRank)
+        assert isinstance(x0, LowRank) and x0.shift == (1.0 - beta) / self.N
         assert x0.rank == (1 if beta else 0)
         assert _max_abs(x0.dense() - dense) <= 1e-15
         assert _rel(x0.sq_norm, np.vdot(dense, dense)) <= 1e-12
@@ -828,9 +829,9 @@ class TestShiftedStart:
         assert cset.contains(x0) and cset.contains(dense)
         # a trace off by 1e-6, and a negative shift, are refused like the
         # dense matrices they stand for
-        for bad in (ShiftedLowRank(x0.shift + 1e-6 / self.N, x0.factor),
-                    ShiftedLowRank(-1e-6, np.sqrt(1.0 + 1e-6 * self.N)
-                                   * np.eye(self.N, 1))):
+        for bad in (LowRank(x0.factor, x0.shift + 1e-6 / self.N),
+                    LowRank(np.sqrt(1.0 + 1e-6 * self.N) * np.eye(self.N, 1),
+                            -1e-6)):
             assert not cset.contains(bad) and not cset.contains(bad.dense())
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
@@ -849,6 +850,44 @@ class TestShiftedStart:
         d = w.dense() - dense
         for sq in (w.sq_distance(x0), x0.sq_distance(w)):
             assert _rel(sq, np.vdot(d, d)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("at", ["unshifted", "shifted"])
+    def test_inner_with_a_shifted_point(self, seed, at):
+        # <G, W> for W = c I + Z Z^T with c != 0 adds c tr G, whether or not
+        # G's own point is shifted
+        rng = np.random.default_rng(50 + seed)
+        inst = generate_instance(self.N, 2 * self.N, 5, seed=seed)
+        x = (_unit_trace_point(rng, self.N, 4) if at == "unshifted"
+             else structured_start(0.5, self.N))
+        _, g = inst.value_and_gradient(x)
+        g_dense = g.dense()
+        for w in (structured_start(0.5, self.N),
+                  LowRank(rng.standard_normal((self.N, 3)), 0.3 / self.N)):
+            ref = frobenius_inner(g_dense, w.dense())
+            assert _rel(g.inner(w), ref) <= 1e-12
+
+    def test_toward_stacks_only_unshifted_points(self):
+        # an Armijo trial between two unshifted points stays factored, with
+        # shift 0 however the points were built; with a shifted one it is
+        # formed densely
+        t = 0.3
+        rng = np.random.default_rng(6)
+        w = _unit_trace_point(rng, self.N, 3)
+        for x in (_unit_trace_point(rng, self.N, 2),
+                  LowRank(np.eye(self.N, 1), 0.0)):
+            mid = ipgm.solver._toward(x, w, t)
+            assert isinstance(mid, LowRank)
+            assert mid.shift == 0.0 and mid.rank == x.rank + w.rank
+            ref = x.dense() + t * (w.dense() - x.dense())
+            assert _max_abs(mid.dense() - ref) <= 1e-15
+        x0 = structured_start(0.5, self.N)
+        for a, b in ((x0, w), (w, x0)):
+            mid = ipgm.solver._toward(a, b, t)
+            assert isinstance(mid, np.ndarray)
+            a_dense = a.dense()
+            assert mid.tobytes() == (
+                a_dense + t * (b.dense() - a_dense)).tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
     @pytest.mark.parametrize("armijo_step", [False, True])
@@ -954,7 +993,7 @@ class TestShiftedStart:
                                     SummableSchedule.logarithmic(100.0),
                                     1e-4, 5000)[0])
         fact, dense = runs
-        assert isinstance(fact.start, ShiftedLowRank)
+        assert isinstance(fact.start, LowRank)
         first = fact.records[0]
         assert (first.range_dim, first.dense_fill, first.fills) == (
             (None, True, 2) if missed else (None, False, 1))
@@ -1027,6 +1066,41 @@ class TestZeroShiftStart:
         vec = np.random.default_rng(5).standard_normal((n, 2))
         assert _max_abs(op @ vec - ref @ vec) <= 1e-14 * _max_abs(ref @ vec)
 
+    @pytest.mark.parametrize("start", ["low_rank", "structured"])
+    def test_an_exact_solve_takes_the_count_path_at_iteration_0(
+            self, start, monkeypatch):
+        # the shift, not how the point was built, picks the exact
+        # projection's path: the first step from e1 e1^T asks LAPACK for the
+        # anchor's rank plus one pairs, like any iterate's
+        n = 120
+        inst = generate_instance(n, 2 * n, 8, seed=1)
+        x0 = (LowRank(np.eye(n, 1), 0.0) if start == "low_rank"
+              else structured_start(1.0, n))
+        projections = [0]
+        calls = []  # (projection number, pairs asked for)
+
+        @dataclass(frozen=True)
+        class Recording(Spectrahedron):
+            def exact_project(self, v):
+                projections[0] += 1
+                return super().exact_project(v)
+
+        real = ipgm.sets.subset_eigh
+
+        def spy(a, m):
+            calls.append((projections[0], m))
+            return real(a, m)
+
+        monkeypatch.setattr(ipgm.sets, "subset_eigh", spy)
+        cfg = ConstantStepConfig(
+            alpha=constant_alpha_from_gamma(inst.lipschitz_L, 0.0),
+            schedule=SummableSchedule.logarithmic(100.0), max_iter=3)
+        res = solve_constant(inst.objective(),
+                             ExactProjectionAdapter(Recording(n)), x0, cfg)
+        assert res.iterations == projections[0] == 3
+        assert calls[0] == (1, 2)
+        assert {k for k, _ in calls} == {1, 2, 3}
+
     @pytest.mark.parametrize("n", [60, 200])
     @pytest.mark.parametrize("omega", [4, 10])
     def test_armijo_from_a_rank_one_start(self, n, omega):
@@ -1080,7 +1154,7 @@ class TestResultMemory:
         # a dense x_final and x0 alone hold n^2 8 bytes each
         assert held < n * n * 8 / 2
         assert isinstance(result.final_point, LowRank)
-        assert isinstance(result.start, ShiftedLowRank)
+        assert isinstance(result.start, LowRank)
         for name, point in (("x_final", result.final_point),
                             ("x0", result.start)):
             dense = getattr(result, name)

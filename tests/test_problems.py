@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 import ipgm.problems
-from ipgm.linalg import FactoredGradient, LowRank, frobenius_norm
+from ipgm.linalg import FactoredGradient, LowRank, frobenius_norm, symmetrize
 from ipgm.problems import (
     BoxQP,
     default_density,
     generate_instance,
     make_boxqp,
     starting_point,
+    structured_start,
 )
 
 
@@ -225,6 +226,27 @@ class TestValueAndGradient:
             assert sy.tobytes() == (s @ y).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_lsq_value_and_gradient_take_the_residual(self, seed):
+        """value and gradient hold the bits of the residual formulas at the
+        dense matrix of their argument, a ``LowRank`` point's too."""
+        def reference(x):
+            r = inst.a @ np.asarray(x, dtype=float)
+            r[inst._b_rows, inst._b_cols] -= inst._b_vals
+            return 0.5 * float(np.vdot(r, r)), symmetrize(inst._a_t @ r)
+
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(30, 60, 4, seed=seed)
+        y = rng.standard_normal((30, 3))
+        for x in (starting_point(0.5, 30), rng.standard_normal((30, 30)),
+                  LowRank(y), LowRank(y, 0.2 / 30),
+                  structured_start(0.5, 30)):
+            f_ref, g_ref = reference(x)
+            assert inst.value(x) == f_ref
+            g = inst.gradient(x)
+            assert isinstance(g, np.ndarray)
+            assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_boxqp_bit_identical(self, seed):
         rng = np.random.default_rng(seed)
         qp = make_boxqp(9, 0.3, 7.0, seed=seed)
@@ -232,3 +254,6 @@ class TestValueAndGradient:
             f, g = qp.value_and_gradient(x)
             assert f == qp.value(x)
             assert g.tobytes() == qp.gradient(x).tobytes()
+            # and the bits of the formulas 0.5 x^T Q x - b^T x and Q x - b
+            assert f == 0.5 * float(x @ (qp.q_mat @ x)) - float(qp.b_vec @ x)
+            assert g.tobytes() == (qp.q_mat @ x - qp.b_vec).tobytes()

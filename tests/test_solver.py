@@ -549,6 +549,22 @@ class TestConfigValidation:
             min(2 * 0.5 * 0.5 * (1 - 0.49995) / (2.0 * 4.0), 1.0))
 
 
+# Armijo solves from the origin on make_boxqp(200, 0.01, 1.0, seed), as the
+# boxqp-loop benchmark runs them (workload seeds 4 and 108): next to the
+# minimizer f(x + t D) - f(x) cancels in rounding and the search backtracks
+# below tau_min = 5e-11 (to 1.4e-17 and 2.9e-11)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the Armijo "
+                   "decrease cancels next to the minimizer of a quadratic")
+@pytest.mark.parametrize("seed", [2391573156, 463897302])
+def test_boxqp_armijo_keeps_tau_above_its_lower_bound(seed):
+    qp = make_boxqp(200, 0.01, 1.0, seed=seed)
+    res = solve_armijo(qp.objective(), qp.feasible_set(), np.zeros(200),
+                       ArmijoConfig(max_iter=20000, stop_tol=1e-8))
+    assert res.stop_reason == "converged"
+    checks = {c.name: c for c in monitor_descent(res).checks}
+    assert checks["tau-lower-bound"].passed
+
+
 class TestMonitors:
     def run_constant(self, gamma2_cap=0.0, alpha=None, schedule=None,
                      track=False):
