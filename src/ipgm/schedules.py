@@ -12,7 +12,8 @@ squared distances: a caller with points gets them computed, and the rank-p
 projector, which knows them from eigenvalues, passes them directly.  The
 constant-step solver spends a summable per-iteration budget ``a_k``
 on the first two weights so that the accumulated projection error stays
-finite.
+finite.  ``SummableSchedule``, a name and a scale, defines a_k and the
+tail bounds b_k once: the solver reads a_k and the monitors b_k from it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "ForcingParams",
     "ToleranceFn",
     "SummableSchedule",
-    "schedule_values",
     "forcing_for_iteration",
 ]
 
@@ -116,70 +116,65 @@ class ToleranceFn:
 class SummableSchedule:
     """Budget pair (a_k, b_k) with 0 <= a_k <= b_{k-1} - b_k and b_k -> 0.
 
-    ``b`` maps k >= 0 to the tail bound, ``a`` maps k >= 0 to the
-    per-iteration budget; ``b_minus1 > b(0)`` caps the total budget, since
-    the partial sums of a_k telescope below ``b_minus1``.
+    ``name`` picks the tail bound b_k and ``bbar`` scales it: ``harmonic``
+    b_k = bbar/k and ``logarithmic`` b_k = bbar/ln(k+1) for k >= 1, both
+    with b_{-1} = 3 bbar and b_0 = 2 bbar, spend a_k = b_{k-1} - b_k;
+    ``zero`` has b_k = bbar/(k+2), b_{-1} = bbar and a_k = 0.  The partial
+    sums of a_k telescope below ``b_minus1``, which caps the total budget.
     """
 
     name: str
-    b_minus1: float
-    a: Callable[[int], float] = field(repr=False)
-    b: Callable[[int], float] = field(repr=False)
+    bbar: float
+
+    def __post_init__(self):
+        names = ("harmonic", "logarithmic", "zero")
+        if self.name not in names:
+            raise ValueError(f"unknown schedule {self.name!r}; "
+                             f"choose from {sorted(names)}")
+        if not self.bbar > 0:
+            raise ValueError("bbar must be positive")
+
+    @property
+    def b_minus1(self) -> float:
+        return self.bbar if self.name == "zero" else 3.0 * self.bbar
+
+    def b(self, k: int) -> float:
+        """The tail bound b_k for k >= 0."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if self.name == "zero":
+            return self.bbar / (k + 2)
+        if k == 0:
+            return 2.0 * self.bbar
+        if self.name == "harmonic":
+            return self.bbar / k
+        return self.bbar / math.log(k + 1)
 
     def b_at(self, k: int) -> float:
         """b_k extended to k = -1."""
-        return self.b_minus1 if k < 0 else self.b(k)
+        return self.b_minus1 if k == -1 else self.b(k)
+
+    def a(self, k: int) -> float:
+        """The per-iteration budget a_k for k >= 0."""
+        b_k = self.b(k)  # rejects k < 0
+        return 0.0 if self.name == "zero" else self.b_at(k - 1) - b_k
 
     @classmethod
     def harmonic(cls, bbar: float) -> "SummableSchedule":
-        """b_k = bbar/k with endpoints b_{-1} = 3 bbar, b_0 = 2 bbar."""
-        if bbar <= 0:
-            raise ValueError("bbar must be positive")
-
-        def b(k: int) -> float:
-            return 2.0 * bbar if k == 0 else bbar / k
-
-        def a(k: int) -> float:
-            return (3.0 * bbar if k == 0 else b(k - 1)) - b(k)
-
-        return cls(name="harmonic", b_minus1=3.0 * bbar, a=a, b=b)
+        return cls("harmonic", bbar)
 
     @classmethod
     def logarithmic(cls, bbar: float) -> "SummableSchedule":
-        """b_k = bbar/ln(k+1) for k >= 1, with the same explicit endpoints."""
-        if bbar <= 0:
-            raise ValueError("bbar must be positive")
-
-        def b(k: int) -> float:
-            return 2.0 * bbar if k == 0 else bbar / math.log(k + 1)
-
-        def a(k: int) -> float:
-            return (3.0 * bbar if k == 0 else b(k - 1)) - b(k)
-
-        return cls(name="logarithmic", b_minus1=3.0 * bbar, a=a, b=b)
+        return cls("logarithmic", bbar)
 
     @classmethod
     def zero_budget(cls, bbar: float = 1.0) -> "SummableSchedule":
         """a_k = 0 for all k: forces gamma1 = gamma2 = 0 every iteration."""
-        if bbar <= 0:
-            raise ValueError("bbar must be positive")
-        return cls(name="zero", b_minus1=bbar,
-                   a=lambda k: 0.0, b=lambda k: bbar / (k + 2))
+        return cls("zero", bbar)
 
     @classmethod
     def by_name(cls, name: str, bbar: float) -> "SummableSchedule":
-        table = {"harmonic": cls.harmonic, "logarithmic": cls.logarithmic,
-                 "zero": cls.zero_budget}
-        if name not in table:
-            raise ValueError(f"unknown schedule {name!r}; choose from {sorted(table)}")
-        return table[name](bbar)
-
-
-def schedule_values(s: SummableSchedule, k: int) -> tuple[float, float]:
-    """Return (a_k, b_k) for iteration k >= 0."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return float(s.a(k)), float(s.b(k))
+        return cls(name, bbar)
 
 
 def forcing_for_iteration(grad_norm_sq: float, a_k: float, gamma2_cap: float,

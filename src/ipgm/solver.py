@@ -32,8 +32,9 @@ dense x0, a plain array gradient) puts that operation on the dense path.
 Runs emit one scalar telemetry record per iteration; ``monitor_descent``
 and ``monitor_complexity`` replay the per-iteration and aggregate
 inequalities the scheme guarantees, with the parameters read from the
-run's ``SolveResult.config`` and ``lipschitz_L``, so a finished run can be
-audited without re-solving.
+run's ``SolveResult.config`` and ``lipschitz_L`` (the schedule's b_k
+included: a record keeps only the budget a_k its step spent), so a
+finished run can be audited without re-solving.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .schedules import (
     SummableSchedule,
     ToleranceFn,
     forcing_for_iteration,
-    schedule_values,
 )
 from .sets import ConvexSetOracle
 
@@ -237,7 +237,7 @@ class IterationRecord:
     spent forming the projection input x - alpha grad f(x) and projecting
     it, and ``t_eval`` the part spent moving to the next iterate, which
     evaluates the objective there (at every trial point of an Armijo
-    search).
+    search).  ``a_k`` is the budget a constant step spent.
     """
 
     k: int
@@ -254,8 +254,6 @@ class IterationRecord:
     t_proj: float
     t_eval: float
     a_k: float | None = None
-    b_k: float | None = None
-    b_prev: float | None = None
     tau: float | None = None
     backtracks: int | None = None
     dir_norm: float | None = None
@@ -498,19 +496,18 @@ def solve_constant(obj: ObjectiveOracle, feasible_set: ConvexSetOracle, x0,
                    track_distance_to: np.ndarray | None = None) -> SolveResult:
     """Constant-step rule.
 
-    Each iteration spends the budget a_k on the forcing parameters, takes
-    z = x - alpha grad f(x) and accepts any inexact projection of z onto the
-    set relative to x as the next iterate.
+    Each iteration spends the budget a_k = ``cfg.schedule.a(k)`` on the
+    forcing parameters, takes z = x - alpha grad f(x) and accepts any
+    inexact projection of z onto the set relative to x as the next iterate.
     """
     if obj.lipschitz_L is not None:
         cfg.validate_against(obj.lipschitz_L)
 
     def step_params(k, x, g, gn):
-        a_k, b_k = schedule_values(cfg.schedule, k)
-        b_prev = cfg.schedule.b_at(k - 1)
+        a_k = cfg.schedule.a(k)
         gamma = forcing_for_iteration(gn * gn, a_k, cfg.gamma2_cap,
                                       cfg.gamma3_bar)
-        return cfg.alpha, gamma, {"a_k": a_k, "b_k": b_k, "b_prev": b_prev}
+        return cfg.alpha, gamma, {"a_k": a_k}
 
     def move(x, w, g, f_x, dist):
         f_w, g_w = obj.value_and_gradient(w)
@@ -683,7 +680,8 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
     """Replay the per-iteration inequalities of a finished run.
 
     Constant step: the sufficient-decrease inequality with margin nu and the
-    monotonicity of the Lyapunov values f(x^k) + rho b_{k-1}.  Armijo: strict
+    monotonicity of the Lyapunov values f(x^k) + rho b_{k-1}, with b from
+    ``result.config.schedule``.  Armijo: strict
     descent, the feasible-direction slope bound, and the backtracking floor
     tau_k >= tau_min when a Lipschitz constant is available.
     """
@@ -703,9 +701,11 @@ def monitor_descent(result: SolveResult, rtol: float = 1e-8) -> MonitorReport:
                 tol))
         else:
             checks.append(_skipped("descent-inequality", "no Lipschitz constant"))
+        b = cfg.schedule.b_at
         checks.append(_run_check(
             "lyapunov-monotone",
-            ((r.f_next + rho * r.b_k, r.f_x + rho * r.b_prev) for r in recs),
+            ((r.f_next + rho * b(r.k), r.f_x + rho * b(r.k - 1))
+             for r in recs),
             tol))
     elif isinstance(cfg, ArmijoConfig):
         checks.append(_run_check(

@@ -172,6 +172,11 @@ class TestCli:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
+    def test_malformed_flag_value(self, capsys):
+        assert main(["compare", "--n", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n: ") and "'abc'" in err
+
     @pytest.mark.parametrize("argv", [
         ["sweep-gamma3", "--beta", ","],
         ["verify", "--beta", ","],

@@ -181,6 +181,15 @@ class TestBoxQP:
                    - float(qp.gradient(x) @ (y - x)))
             assert gap >= 0.5 * qp.mu * np.sum((y - x) ** 2) - 1e-10
 
+    def test_one_dimension(self):
+        # n = 1 has a single eigenvalue, so L is mu whatever L was asked for
+        qp = make_boxqp(1, 0.5, 5.0, seed=3)
+        assert qp.q_mat.tolist() == [[0.5]]
+        assert qp.lipschitz_L == qp.mu == 0.5
+        assert 0.2 <= qp.x_star[0] <= 0.8
+        assert qp.gradient(qp.x_star)[0] == pytest.approx(0.0, abs=1e-15)
+        assert qp.feasible_set().contains(qp.x_star)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_boxqp(5, 0.0, 1.0)

@@ -1,4 +1,7 @@
 import math
+import re
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from ipgm.schedules import (
     SummableSchedule,
     ToleranceFn,
     forcing_for_iteration,
-    schedule_values,
 )
 
 PHI1 = ToleranceFn.canonical("phi1")
@@ -40,15 +42,14 @@ class TestSchedules:
     def test_harmonic_hand_values(self):
         s = SummableSchedule.harmonic(1.0)
         # a_0 = b_{-1} - b_0 = 3 - 2, b_0 = 2
-        assert schedule_values(s, 0) == (1.0, 2.0)
+        assert (s.a(0), s.b(0)) == (1.0, 2.0)
         # a_2 = b_1 - b_2 = 1 - 1/2
-        assert schedule_values(s, 2) == (0.5, 0.5)
+        assert (s.a(2), s.b(2)) == (0.5, 0.5)
 
     def test_logarithmic_hand_values(self):
         s = SummableSchedule.logarithmic(100.0)
-        a0, b0 = schedule_values(s, 0)
-        assert (a0, b0) == (100.0, 200.0)
-        _, b1 = schedule_values(s, 1)
+        assert (s.a(0), s.b(0)) == (100.0, 200.0)
+        b1 = s.b(1)
         assert b1 == pytest.approx(100.0 / math.log(2.0))
         assert b1 == pytest.approx(144.27, abs=0.01)
 
@@ -60,7 +61,7 @@ class TestSchedules:
         prev_b = s.b_minus1
         total = 0.0
         for k in range(200):
-            a_k, b_k = schedule_values(s, k)
+            a_k, b_k = s.a(k), s.b(k)
             assert a_k >= 0.0
             assert b_k >= 0.0
             assert b_k <= prev_b + 1e-15
@@ -82,17 +83,57 @@ class TestSchedules:
     def test_rejects_nonpositive_bbar(self):
         for make in (SummableSchedule.harmonic, SummableSchedule.logarithmic,
                      SummableSchedule.zero_budget):
-            with pytest.raises(ValueError):
-                make(0.0)
+            for bbar in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="bbar must be positive"):
+                    make(bbar)
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_values(SummableSchedule.harmonic(1.0), -1)
+        for name in ("harmonic", "logarithmic", "zero"):
+            s = SummableSchedule.by_name(name, 1.0)
+            with pytest.raises(ValueError, match="k must be nonnegative"):
+                s.a(-1)
+            with pytest.raises(ValueError, match="k must be nonnegative"):
+                s.b(-1)
+            assert s.b_at(-1) == s.b_minus1
 
     def test_by_name(self):
         assert SummableSchedule.by_name("harmonic", 2.0).name == "harmonic"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown schedule 'nope'; choose from "
+                "['harmonic', 'logarithmic', 'zero']")):
             SummableSchedule.by_name("nope", 1.0)
+
+    def test_plain_data(self):
+        # a schedule is its name and bbar: equal data, equal schedules
+        assert [f.name for f in fields(SummableSchedule)] == ["name", "bbar"]
+        assert SummableSchedule.logarithmic(2.0) == SummableSchedule(
+            "logarithmic", 2.0)
+        assert SummableSchedule.zero_budget() == SummableSchedule("zero", 1.0)
+
+    @pytest.mark.parametrize("name", ["harmonic", "logarithmic", "zero"])
+    @pytest.mark.parametrize("bbar", [100.0, 3.7, 1e-3])
+    def test_bits_of_the_closures_it_replaced(self, name, bbar):
+        # the (a, b) closures the constructors built before the schedule
+        # was plain data, copied here; a_k and b_k keep their bits
+        if name == "zero":
+            def b(k):
+                return bbar / (k + 2)
+
+            def a(k):
+                return 0.0
+        else:
+            def b(k):
+                if k == 0:
+                    return 2.0 * bbar
+                return bbar / k if name == "harmonic" else bbar / math.log(k + 1)
+
+            def a(k):
+                return (3.0 * bbar if k == 0 else b(k - 1)) - b(k)
+
+        s = SummableSchedule.by_name(name, bbar)
+        for k in range(10**4 + 1):
+            assert struct.pack("<dd", s.a(k), s.b(k)) == struct.pack(
+                "<dd", a(k), b(k)), k
 
     def test_b_at_minus_one(self):
         s = SummableSchedule.harmonic(1.0)

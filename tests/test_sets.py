@@ -255,6 +255,17 @@ class TestSimpleSets:
         assert ball.contains([0.6, 0.8])
         assert np.allclose(ball.support_point([2.0, 0.0]), [1.0, 0.0])
 
+    def test_simplex_oracle(self):
+        simplex = SimplexSet(3)
+        assert simplex.contains([0.2, 0.3, 0.5])
+        assert simplex.contains([0.0, 0.0, 1.0 + 1e-12])
+        assert not simplex.contains([0.6, 0.6, -0.2])  # a negative entry
+        assert not simplex.contains([0.2, 0.2, 0.2])   # sums to 0.6
+        assert not simplex.contains([0.5, 0.5])        # wrong dimension
+        assert np.array_equal(simplex.support_point([1.0, 3.0, -2.0]),
+                              [0.0, 1.0, 0.0])
+        assert simplex.contains(simplex.exact_project([4.0, -1.0, 0.5]))
+
     def test_support_point_variational_inequality(self):
         # exact projection satisfies <v - Pv, y - Pv> <= 0 at support points
         rng = np.random.default_rng(9)
@@ -780,3 +791,15 @@ class TestExactAdapter:
                                 PHI1)
         assert np.allclose(res.point, exact_project_spectrahedron(v), atol=1e-12)
         assert res.certificate_gap is None
+
+    def test_adapter_delegates_the_other_oracles(self):
+        inner = SimplexSet(4)
+        s = ExactProjectionAdapter(inner)
+        assert s.name == "simplex-exact"
+        c = np.array([0.5, -1.0, 2.0, 2.0 - 1e-9])
+        assert np.array_equal(s.support_point(c), inner.support_point(c))
+        assert np.array_equal(s.support_point(c), [0.0, 0.0, 1.0, 0.0])
+        v = np.array([3.0, 0.1, -2.0, 0.4])
+        assert np.array_equal(s.exact_project(v), inner.exact_project(v))
+        assert s.contains(s.exact_project(v))
+        assert not s.contains(v)

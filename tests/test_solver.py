@@ -373,7 +373,7 @@ class TestFixedStep:
 
 
 class TestRecordFields:
-    CONSTANT_ONLY = ("a_k", "b_k", "b_prev")
+    CONSTANT_ONLY = ("a_k",)
     ARMIJO_ONLY = ("tau", "backtracks", "dir_norm", "dir_deriv")
 
     def test_each_rule_sets_only_its_own_fields(self):
@@ -620,6 +620,30 @@ class TestMonitors:
         replayed = displacement(replace(res, config=cfg))
         assert replayed.worst_slack == pytest.approx(expected, rel=1e-12)
         assert replayed.worst_slack < displacement(res).worst_slack
+
+    def test_lyapunov_check_reads_b_from_the_config(self):
+        # replay a logarithmic(100) run under logarithmic(1e-3): the
+        # Lyapunov values f(x^k) + rho b_{k-1} take the replayed schedule's
+        # b, as they take its rho
+        inst = generate_instance(60, 120, 6, seed=3)
+        cfg = ConstantStepConfig(
+            alpha=constant_alpha_from_gamma(inst.lipschitz_L, 0.0),
+            schedule=SummableSchedule.logarithmic(100.0))
+        res = solve_constant(inst.objective(), inst.feasible_set(),
+                             starting_point(0.0, 60), cfg)
+
+        def lyapunov(result):
+            rep = monitor_descent(result)
+            return {c.name: c for c in rep.checks}["lyapunov-monotone"]
+
+        cfg = replace(cfg, schedule=SummableSchedule.logarithmic(1e-3))
+        b, rho = cfg.schedule.b_at, cfg.rho
+        expected = min((r.f_x + rho * b(r.k - 1)) - (r.f_next + rho * b(r.k))
+                       for r in res.records)
+        replayed = lyapunov(replace(res, config=cfg))
+        assert replayed.checked == len(res.records) > 0
+        assert replayed.worst_slack == expected
+        assert replayed.worst_slack < 1e-2 < lyapunov(res).worst_slack
 
     def test_contraction_check(self):
         qp, res = self.run_constant(track=True)

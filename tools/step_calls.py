@@ -2,18 +2,19 @@
 
     python3 tools/step_calls.py --n 300 --seed 1
 
-Runs the spectrahedron solves the ``spectra-inexact`` benchmark workload
-runs (``generate_instance(n, 2 n, 20)`` on the 8 instance seeds its
-``--seed`` stands for, the constant step then the Armijo rule through
-``ipgm.harness.run_variant`` with the rank-p projector) once untraced, to
-warm caches and imports, then once under a profile hook.  It prints the
-numpy and scipy versions and, per steady step, the C-level calls (every
-``c_call`` event: numpy and scipy functions, ndarray methods, builtins)
-and the Python frames (every ``call`` event).  A steady step runs from one
-projection to the next: each solve's first projection, from the shifted
-start, takes a Krylov fill and is left out, as are the work before it and
-instance generation.  ``--top N`` lists the N most frequent C functions
-and Python functions over the steady steps.
+Runs the operations of the ``spectra-inexact`` benchmark workload
+(``bench/bench_workloads.py``, with its ``n`` set to ``--n``: the constant
+step then the Armijo rule through ``ipgm.harness.run_variant`` with the
+rank-p projector, on the instances its ``setup(seed)`` generates) once
+untraced, to warm caches and imports, then once under a profile hook.  It
+prints the numpy and scipy versions and, per steady step, the C-level
+calls (every ``c_call`` event: numpy and scipy functions, ndarray methods,
+builtins) and the Python frames (every ``call`` event).  A steady step
+runs from one projection to the next: each solve's first projection, from
+the shifted start, takes a Krylov fill and is left out, as are the work
+before it, instance generation and the monitors each operation runs after
+its solve.  ``--top N`` lists the N most frequent C functions and Python
+functions over the steady steps.
 
 Counts depend on the numpy and scipy versions (their Python wrappers call
 one another), so compare only runs on the same versions.  The result
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import os
 import sys
 
@@ -32,33 +34,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import ipgm.harness  # noqa: E402
-import ipgm.problems  # noqa: E402
-import ipgm.schedules  # noqa: E402
 import ipgm.sets  # noqa: E402
-
-# the benchmark's spectrahedron workloads: omega 20, 8 instances a seed
-OMEGA = 20
-INSTANCES = 8
+from bench_workloads import WORKLOADS  # noqa: E402
 
 
-def instance_seeds(seed: int, count: int) -> list[int]:
-    """The instance seeds of a workload seed, as the benchmark derives them."""
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
-
-
-def solve_pass(insts: list) -> None:
-    schedule = ipgm.schedules.SummableSchedule.logarithmic(100.0)
-    for inst in insts:
-        for algo, gamma3 in (("constant", 0.0),
-                             ("armijo", ipgm.harness.ARMIJO_GAMMA3)):
-            ipgm.harness.run_variant(inst, algo, "inexact", 0.0, gamma3,
-                                     schedule, 1e-4, 20000)
+def solve_pass(ops: list) -> None:
+    for op in ops:
+        op.call()
 
 
 class StepCounter:
@@ -111,14 +99,13 @@ def main(argv=None) -> int:
     ap.add_argument("--top", type=int, default=0)
     args = ap.parse_args(argv)
 
-    insts = [ipgm.problems.generate_instance(args.n, 2 * args.n, OMEGA,
-                                             seed=s)
-             for s in instance_seeds(args.seed, INSTANCES)]
-    solve_pass(insts)
+    workload = dataclasses.replace(WORKLOADS["spectra-inexact"], n=args.n)
+    ops = workload.ops(workload.setup(args.seed))
+    solve_pass(ops)
     counter = StepCounter(args.top > 0)
     sys.setprofile(counter)
     try:
-        solve_pass(insts)
+        solve_pass(ops)
     finally:
         sys.setprofile(None)
     if counter.steps == 0:
@@ -126,8 +113,8 @@ def main(argv=None) -> int:
         return 1
     print(f"numpy {np.__version__}, scipy {scipy.__version__}, "
           f"python {sys.version.split()[0]}")
-    print(f"n={args.n}, omega={OMEGA}, seed {args.seed}, "
-          f"{INSTANCES} instances, {counter.steps} steady steps")
+    print(f"n={args.n}, omega={workload.omega}, seed {args.seed}, "
+          f"{workload.instances} instances, {counter.steps} steady steps")
     print(f"c_calls_per_step {counter.c_calls / counter.steps:.1f}")
     print(f"py_frames_per_step {counter.frames / counter.steps:.1f}")
     for name, count in counter.by_name.most_common(args.top):
