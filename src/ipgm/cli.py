@@ -77,6 +77,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _assemble_config(args)
+        if args.command != "compare":
+            config.one_beta(args.command)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (ValueError, OSError) as exc:

@@ -8,6 +8,7 @@ time_s column; the JSON variant additionally carries an environment stamp.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import sys
 import time
@@ -98,8 +99,11 @@ class ExperimentConfig:
         for g in self.gamma3:
             if not 0.0 <= g < 0.5:
                 raise ValueError(f"gamma3 must lie in [0, 1/2), got {g}")
-        if self.tol <= 0 or self.max_iter < 1 or self.bbar <= 0:
-            raise ValueError("tol, bbar must be positive and max_iter >= 1")
+        # a NaN tol would switch the solvers' relative-change stop off
+        if (not 0.0 < self.tol < math.inf or self.max_iter < 1
+                or self.bbar <= 0):
+            raise ValueError("tol must be positive and finite, bbar "
+                             "positive and max_iter >= 1")
         SummableSchedule.by_name(self.schedule, self.bbar)  # validates name
         if self.phi is not None:
             ToleranceFn.canonical(self.phi)  # validates name
@@ -115,6 +119,14 @@ class ExperimentConfig:
 
     def make_schedule(self) -> SummableSchedule:
         return SummableSchedule.by_name(self.schedule, self.bbar)
+
+    def one_beta(self, command: str) -> float:
+        """The start mix of ``command``, which runs from one start; more
+        than one beta value is an error, not a list to cut short."""
+        if len(self.beta) > 1:
+            raise ValueError(f"{command} runs from one start; got beta = "
+                             f"{','.join(map(str, self.beta))}")
+        return self.beta[0]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -272,7 +284,7 @@ def cmd_sweep_gamma3(config: ExperimentConfig) -> RunReport:
     """One row per gamma3 cap, all on the same instance and start."""
     inst = config.make_instance()
     schedule = config.make_schedule()
-    beta = config.beta[0]
+    beta = config.one_beta("sweep-gamma3")
     report = RunReport(
         command="sweep-gamma3", config=config.to_dict(),
         columns=["gamma3", "f", "it", "time_s", "alpha", "p_mean", "p_max",
@@ -340,7 +352,7 @@ def cmd_verify(config: ExperimentConfig) -> dict:
     checks = {}
     inst = config.make_instance()
     schedule = config.make_schedule()
-    beta = config.beta[0]
+    beta = config.one_beta("verify")
 
     for algo, gamma3_bar in (("constant", 0.0), ("armijo", ARMIJO_GAMMA3)):
         result, _ = run_variant(inst, algo, "inexact", beta, gamma3_bar,

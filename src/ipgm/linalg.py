@@ -543,9 +543,6 @@ class _BudgetExhausted(Exception):
     """A Krylov fill spent its product budget."""
 
 
-_KRYLOV = "the Krylov fill"
-
-
 class IncrementalEigen:
     """Top-of-spectrum eigenpairs of a fixed matrix, computed on demand.
 
@@ -553,25 +550,27 @@ class IncrementalEigen:
     non-increasing order, and their eigenvectors as columns.  ``matrix`` is
     a dense symmetric array or a ``StepOperator``.  Each pair has a
     residual of at most ``EIG_TOL max(1, ||S||_F)`` and the vectors are
-    orthonormal to ``EIG_TOL``; ``matvecs_used`` counts the products these
-    certificates spend, and those of Krylov fills.  A request that adds
-    pairs also certifies and caches pair k + 1 when the fill serves it, so
-    ``top(k)`` then ``top(k + 1)`` makes one certificate call.
+    orthonormal to ``EIG_TOL``.  A fill certifies every pair it can serve,
+    once and as one block, when it computes them, and the cache is exactly
+    that block: a request within it makes no certificate call, and one
+    past it gets a new block.  ``matvecs_used`` counts the products the
+    certificates spend, pairs nobody has asked for yet included, and those
+    of Krylov fills.
 
-    The pairs come from one of three fills, each one decomposition whose
-    vectors every request certifies as it adds them; ``fills`` counts them,
-    a Krylov fill that missed included.
+    The blocks come from three fills; ``fills`` counts them, a Krylov fill
+    that missed included.
     A ``StepOperator`` whose ``range_ritz()`` gives a basis of fewer than n
     columns is served by a range fill: every eigenvalue of the k x k matrix
-    V takes on that basis, from its tridiagonal form, and on the first
-    request the eigenvectors of the pairs it adds, one pair ahead.  A
-    request for j pairs past the m vectors computed recomputes the top
-    max(j, 2 m) in one call, so the vectors of an eigenvalue cluster never
-    come from two calls, and certifies them all again; it is still the
-    same fill.  ``range_dim`` is then the basis' width.  It serves
-    ``top(k)`` only while the k-th largest value is above the residual
-    tolerance, since V's other eigenvalues are zeros; the first request it
-    does not serve ends it, and ``range_dim`` returns to ``None``.
+    V takes on that basis, from its tridiagonal form, and the eigenvectors
+    of the top m = max(j + 1, 2 m') pairs when a request for j pairs first
+    passes the m' computed before (none at first; j + 1 at most the values
+    the fill serves, m at most k).  Each such call recomputes all m in one
+    call, so the vectors of an eigenvalue cluster never come from two
+    calls, and its block replaces the cache; it is still the same fill.
+    ``range_dim`` is then the basis' width.  It serves ``top(k)`` only
+    while the k-th largest value is above the residual tolerance, since V's
+    other eigenvalues are zeros; the first request it does not serve ends
+    it, and ``range_dim`` returns to ``None``.
 
     A ``StepOperator`` at a shifted anchor (c != 0: the step from a
     shifted start X0 = c I + Y Y^T, which has no range basis) takes one
@@ -579,27 +578,29 @@ class IncrementalEigen:
     computes the top m = max(k, 16) pairs from products with the operator,
     from a fixed seeded start vector, m capped at the operator's
     ``above_shift``.  It serves ``top(k)`` only while the k-th value is
-    above c plus the residual tolerance: V0 = c (I - alpha H) + (alpha S0 +
-    sym(B Y^T)) with H positive semidefinite has at most as many eigenvalues
-    above c as the second term has positive ones (at most ``above_shift``,
-    S0's positive eigenvalues plus r; a request beyond it skips the Krylov
-    fill), and at c itself sits a multiple eigenvalue (directions that H,
-    S0 and Y all miss), which Lanczos from one start vector cannot resolve.
-    That the pairs above c are the top ones rests on Lanczos from a random
-    start (Saad, Numerical Methods for Large Eigenvalue Problems, 2011);
-    their residuals and orthonormality are certified like any other.  A
-    miss (ARPACK fails, the budget of 8 products per pair asked for, 16
-    pairs at least, runs out, a certificate fails, or the fill's k-th value
-    is not above c), and every request the fill does not serve, goes to a
+    above c plus the residual tolerance, and certifies only those pairs:
+    V0 = c (I - alpha H) + (alpha S0 + sym(B Y^T)) with H positive
+    semidefinite has at most as many eigenvalues above c as the second term
+    has positive ones (at most ``above_shift``, S0's positive eigenvalues
+    plus r; a request beyond it skips the Krylov fill), and at c itself sits
+    a multiple eigenvalue (directions that H, S0 and Y all miss), which
+    Lanczos from one start vector cannot resolve.  That the pairs above c
+    are the top ones rests on Lanczos from a random start (Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2011).  A miss (ARPACK fails,
+    the budget of 8 products per pair asked for, 16 pairs at least, runs
+    out, the fill's k-th value is not above c, or its block fails the
+    certificate), and every request the fill does not serve, goes to a
     LAPACK fill.  Given products enough, ARPACK does return pairs below c,
     certified yet with values off by 5e-6 at n=200 (too few copies of c):
     hence the bound.
 
-    Every other request refills the cache (every cached vector is replaced)
-    by a LAPACK fill, which sets ``dense_fill``: ``subset_eigh`` computes the
-    top m pairs of the dense matrix, m = max(k, 16) on the first fill
-    (m = 1 when it is for one pair) and at least twice the last fill's m
-    (a Krylov fill's too) on each refill, at most n.  ``range_dim`` set
+    Every other request refills the cache by a LAPACK fill, which sets
+    ``dense_fill`` and certifies every pair it returns: ``subset_eigh``
+    computes the top m pairs of the dense matrix, m = max(k, 16) on the
+    first fill (m = 1 when it is for one pair) and at least twice the last
+    fill's m (a Krylov fill's too, when it computed its pairs and either
+    served or failed its certificate) on each refill, at most n; all n
+    after ``subset_eigh`` falls back to a full ``eigh``.  ``range_dim`` set
     means a range fill served the pairs, ``dense_fill`` a LAPACK fill, and
     neither a Krylov fill.
     ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds ``max(1,
@@ -632,89 +633,49 @@ class IncrementalEigen:
         self.fills = 0
         self.dense_fill = False
         self.range_dim = None
-        # the fill that serves the cache: its values (non-increasing), its
-        # vectors i:j as a function, the value the k-th one must exceed to
-        # serve top(k), and its name for the certificate's errors
-        self._fill = (np.empty(0), None, np.inf, "")
         self._pairs = 0  # pairs of the last LAPACK or Krylov fill
         self._krylov = isinstance(a, StepOperator) and bool(a.anchor.shift)
-        ritz = a.range_ritz() if isinstance(a, StepOperator) else None
-        if ritz is not None:
-            self._set_range_fill(*ritz)
+        # the range fill's (vals, Q, vectors) and the count of its values
+        # above the residual tolerance, the pairs it serves
+        self._ritz = a.range_ritz() if isinstance(a, StepOperator) else None
+        self._served = 0
+        if self._ritz is not None:
+            vals, q, _ = self._ritz
+            self._served = int(np.count_nonzero(vals > self.tol_abs))
+            self.fills, self.range_dim = 1, q.shape[1]
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= k <= self.n:
             raise ValueError(f"need 1 <= k <= {self.n}, got {k}")
-        done = self._vals.size
-        if k > done:
-            vals, vectors, bound, source = self._fill
-            if k > vals.size or vals[k - 1] <= bound:
-                self._refill(k)
-                (vals, vectors, bound, source), done = self._fill, 0
-            # one pair ahead when the fill serves it: the rank-p projector
-            # asks for p + 1 pairs, then p + 2, so every second request is
-            # served from the cache with no certificate call of its own
-            end = k + 1 if k < vals.size and vals[k] > bound else k
-            new = vectors(done, end)
-            # a range fill that recomputes its vectors returns all of them
-            done = end - new.shape[1]
-            self._vals, self._vecs = self._vals[:done], self._vecs[:, :done]
-            try:
-                self._certify(new, vals[done:end], source)
-            except EigenSolverError:
-                if source != _KRYLOV:
-                    raise
-                self._lapack_fill(k)  # a Krylov miss
-                return self.top(k)
-            self._vals = vals[:end]
-            # the first vectors become the cache as they are when a range
-            # fill computed them; a LAPACK or Krylov fill's are a strided
-            # view of its array
-            self._vecs = (np.concatenate([self._vecs, new], axis=1) if done
-                          else np.ascontiguousarray(new))
+        if k > self._vals.size:
+            if k <= self._served:
+                self._range_fill(k)
+            elif not (self._krylov and self._krylov_fill(k)):
+                self._lapack_fill(k)
         return self._vals[:k], self._vecs[:, :k]
 
-    def _refill(self, k: int) -> None:
-        """The operator's one Krylov fill when it takes one and has not had
-        it, else a LAPACK fill."""
-        if self._krylov:
-            self._krylov = False
-            if self._krylov_fill(k):
-                return
-        self._lapack_fill(k)
+    def _range_fill(self, k: int) -> None:
+        """Certify the lifts Q U of T's top m eigenvectors, those whose
+        values the fill serves, as the cache.
 
-    def _set_range_fill(self, vals, q, ritz_vectors) -> None:
-        """Serve the cache from the range fill's values and basis Q.
-
-        Vectors i:j are Q U[:, i:j].  A request past the columns of U
-        computed so far (m of them, none at first) recomputes the top
-        max(j, 2 m) at once and returns all j, which replace every cached
-        vector: the vectors of one eigenvalue cluster always come from one
-        call.
+        m = max(k + 1, 2 m') with m' the vectors cached before (all that the
+        fill computed, since it is asked again only while it serves more),
+        k + 1 at most the values served and m at most T's order.  One pair
+        ahead: the rank-p projector asks for p + 1 pairs, then p + 2, so the
+        second request is served with no call of its own.
         """
-        u = np.empty((q.shape[1], 0))
-
-        def vectors(i, j):
-            nonlocal u
-            if j > u.shape[1]:
-                u = ritz_vectors(min(vals.size, max(j, 2 * u.shape[1])))
-                i = 0
-            return q @ u[:, i:j]
-
-        self._fill = (vals, vectors, self.tol_abs, "the range fill")
-        self.fills, self.range_dim = 1, q.shape[1]
-
-    def _set_fill(self, vals, vecs, bound: float, source: str) -> None:
-        self._fill = (vals, lambda i, j: vecs[:, i:j], bound, source)
-        self._pairs = vals.size
-        self._vals, self._vecs = np.empty(0), np.empty((self.n, 0))
-        self.range_dim = None
+        vals, q, vectors = self._ritz
+        m = min(vals.size, max(min(k + 1, self._served),
+                               2 * self._vals.size))
+        # m may pass the served values, and where inverse iteration fails
+        # all of T's vectors come back: the cache holds only those served
+        vecs = q @ vectors(m)[:, :self._served]
+        self._certify(vecs, vals[:vecs.shape[1]], "the range fill")
 
     def _krylov_fill(self, k: int) -> bool:
-        """Replace the fill, and every cached vector, by the top m pairs
-        that ``eigsh`` finds from products with the operator; False, with
-        the cache untouched, on a miss, or when the k-th value is not
-        above the anchor's shift c.
+        """Certify the top m pairs that ``eigsh`` finds from products with
+        the operator, those above the anchor's shift c, as the cache; False,
+        with the cache untouched, on a miss.
 
         m is max(k, 16), at most the operator's ``above_shift`` (V's
         eigenvalues above c, at most; with k above it the fill is not
@@ -747,6 +708,7 @@ class IncrementalEigen:
         # (exact projections, dense inputs) need not pay
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+        self._krylov = False
         n = self.n
         bound = self._a.above_shift
         m = min(max(k, _FIRST_FILL), bound)
@@ -774,15 +736,21 @@ class IncrementalEigen:
         finally:
             self.matvecs_used += used
         order = np.argsort(vals)[::-1]
+        vals = vals[order]
         bound = self._a.anchor.shift + self.tol_abs
-        if vals[order[k - 1]] <= bound:
+        if vals[k - 1] <= bound:
             return False
-        self._set_fill(vals[order], vecs[:, order], bound, _KRYLOV)
+        self._pairs = m
+        served = int(np.count_nonzero(vals > bound))
+        try:
+            self._certify(np.ascontiguousarray(vecs[:, order[:served]]),
+                          vals[:served], "the Krylov fill")
+        except EigenSolverError:
+            return False
         return True
 
     def _lapack_fill(self, k: int) -> None:
-        """Replace the fill, and every cached vector, by the top m pairs
-        of the dense matrix.
+        """Certify the top m pairs of the dense matrix as the cache.
 
         The floor of 16 pairs lets the rank-p projector, which asks for
         p + 1 pairs, then p + 2, ..., take its first ranks from one fill.
@@ -794,22 +762,22 @@ class IncrementalEigen:
         27.3, 15.7, 11.8 and 11.7 ms a projection.  A request for one pair,
         the support point's, computes only that pair.
         """
-        n = self.n
-        m = min(n, max(k, 2 * self._pairs, _FIRST_FILL if k > 1 else 1))
+        m = min(self.n, max(k, 2 * self._pairs, _FIRST_FILL if k > 1 else 1))
         vals, vecs = subset_eigh(self._a, m)
         self.fills += 1
-        self._set_fill(vals, vecs, -np.inf, "LAPACK")
         self.dense_fill = True
+        self._pairs = vals.size
+        self._ritz, self._served, self.range_dim = None, 0, None
+        self._certify(np.ascontiguousarray(vecs), vals, "LAPACK")
 
     def _certify(self, q: np.ndarray, vals: np.ndarray, source: str) -> None:
-        """Certify the new cached vectors ``q`` and their values.
+        """Certify one fill's block of pairs (``vals``, ``q``) and make it
+        the cache.
 
         One block product gives every residual; the largest is the square
         root of the largest column sum of squares of A Q - Q diag(vals).
-        ``q`` must be orthonormal and orthogonal to the vectors already
-        cached: [cached, Q]^T Q, with 1 taken off the diagonal of its Q^T Q
-        block, must be within the tolerance of zero (Q^T Q alone while
-        nothing is cached).
+        Q^T Q, with 1 taken off its diagonal, must be within the tolerance
+        of zero.
         """
         aq = self._a @ q
         m = q.shape[1]
@@ -821,15 +789,14 @@ class IncrementalEigen:
                 f"{source} returned a pair with residual {worst:.3e} above "
                 f"the tolerance {self.tol_abs:.3e}", best_residual=worst)
         # callers build scalar identities on Q, so Q^T Q = I is certified too
-        done = self._vecs.shape[1]
-        basis = np.concatenate([self._vecs, q], axis=1) if done else q
-        gram = basis.T @ q
-        gram.flat[done * m::m + 1] -= 1.0
+        gram = q.T @ q
+        gram.flat[::m + 1] -= 1.0
         drift = float(abs(gram).max())
         if drift > EIG_TOL:
             raise EigenSolverError(
                 f"{source} returned vectors {drift:.3e} from orthonormal, "
                 f"above the tolerance {EIG_TOL:.3e}", best_residual=worst)
+        self._vals, self._vecs = vals, q
 
 
 def largest_eigenpair(matrix) -> tuple[float, np.ndarray]:

@@ -87,8 +87,9 @@ class InexactProjection:
     ``state`` carries the rank the next call on a nearby input starts
     from.  ``point`` is a ``LowRank`` for the spectrahedron projections and
     an array otherwise.  The rank-p projector also records the eigensolver's
-    work: ``matvecs`` (the products its certificates and Krylov fills
-    spent), ``fills`` (cache fills), ``dense_fill`` (whether a LAPACK fill
+    work: ``matvecs`` (the products its Krylov fills spent and one
+    certificate product per pair a fill computed and can serve, asked for
+    or not), ``fills`` (cache fills), ``dense_fill`` (whether a LAPACK fill
     of the dense matrix served it), ``ranks_tried`` (p_used - p_start + 1)
     and ``range_dim`` (the dimension k of the range fill that served the
     pairs, ``None`` otherwise).  The fill that served the accepted pairs is

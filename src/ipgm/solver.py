@@ -148,14 +148,16 @@ class ConstantStepConfig:
     stop_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # written so that NaN fails every check
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 <= self.gamma3_bar < 0.5:
             raise ValueError("gamma3_bar must lie in [0, 1/2)")
         if not 0.0 <= self.gamma2_cap < 0.5:
             raise ValueError("gamma2_cap must lie in [0, 1/2)")
-        if self.stop_tol <= 0 or self.max_iter < 1:
-            raise ValueError("stop_tol must be positive and max_iter >= 1")
+        if not 0.0 < self.stop_tol < math.inf or self.max_iter < 1:
+            raise ValueError("stop_tol must be positive and finite and "
+                             "max_iter >= 1")
 
     def validate_against(self, lipschitz_L: float) -> None:
         # alpha L <= 1 - 2 gamma3_bar, undivided so that L = 0 passes
@@ -200,11 +202,12 @@ class ArmijoConfig:
             raise ValueError("sigma must lie in (0, 1)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if not 0.0 < self.alpha_min <= self.alpha_max:
-            raise ValueError("need 0 < alpha_min <= alpha_max")
+        if not 0.0 < self.alpha_min <= self.alpha_max < math.inf:
+            raise ValueError("need 0 < alpha_min <= alpha_max < inf")
         if not 0.0 <= self.gamma3_bar < 0.5:
             raise ValueError("gamma3_bar must lie in [0, 1/2)")
-        if self.stop_tol <= 0 or self.max_iter < 1 or self.max_backtracks < 1:
+        if (not 0.0 < self.stop_tol < math.inf or self.max_iter < 1
+                or self.max_backtracks < 1):
             raise ValueError("invalid iteration limits")
 
     @property
@@ -232,7 +235,8 @@ class IterationRecord:
     fill served the pairs, ``dense_fill`` true a LAPACK fill (``fills`` is
     2 after a Krylov miss, or once the rank outgrew the Krylov fill), and
     neither the Krylov fill of a step from a shifted start.  ``matvecs``
-    counts the certificates' products and the Krylov fill's.
+    counts the Krylov fill's products and one certificate product per pair
+    each fill computed and can serve, whether or not a rank asked for it.
     ``wall_time`` is the pass's wall time in seconds; ``t_proj`` is the part
     spent forming the projection input x - alpha grad f(x) and projecting
     it, and ``t_eval`` the part spent moving to the next iterate, which

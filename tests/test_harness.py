@@ -187,6 +187,23 @@ class TestCli:
         assert main(argv + ["--n", "24", "--m", "48", "--omega", "4"]) == 1
         assert "at least one value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep-gamma3", "verify"])
+    def test_more_than_one_beta_is_a_usage_error(self, command, capsys):
+        # these commands run from one start; a second value is not dropped
+        assert main([command, "--n", "20", "--m", "40", "--omega", "4",
+                     "--seed", "1", "--beta", "0,0.5", "--gamma3", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {command} runs from one start; "
+                                "got beta = 0.0,0.5\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_a_non_finite_tol_is_a_usage_error(self, tol, capsys):
+        assert main(["sweep-gamma3", "--n", "20", "--m", "40", "--omega", "4",
+                     "--gamma3", "0", "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: tol must be positive and finite")
+
     def test_sweep_to_stdout(self, capsys):
         code = main(["sweep-gamma3", "--n", "24", "--m", "48", "--omega", "4",
                      "--seed", "11", "--gamma3", "0.0"])

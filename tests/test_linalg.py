@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -245,7 +248,8 @@ class TestIncrementalEigen:
         used = cache.matvecs_used
         vals2, vecs2 = cache.top(5)
         assert np.allclose(vals2, oracle[:5], atol=1e-8)
-        assert cache.matvecs_used > used
+        # the first fill certified its 16 pairs; top(5) spends nothing
+        assert cache.matvecs_used == used == 16
         # asking again for fewer pairs reuses the cache
         vals1b, _ = cache.top(2)
         assert np.array_equal(vals1b, vals2[:2])
@@ -261,9 +265,10 @@ class TestIncrementalEigen:
             vals, vecs = cache.top(k)
             assert vals.size == vecs.shape[1] == k
             assert np.allclose(vals, oracle[:k], atol=1e-8)
-        # one fill of 16 pairs: top(2) certifies pairs 1-3, top(4) 4-5
-        assert certified == [3, 2]
-        assert cache.fills == 1 and cache.matvecs_used == 5
+        # one fill of 16 pairs, certified once as one block when top(2)
+        # computes it: the later requests are served from it
+        assert certified == [16]
+        assert cache.fills == 1 and cache.matvecs_used == 16
 
     def test_sq_norm_keeps_the_scale_bits(self):
         rng = np.random.default_rng(41)
@@ -361,17 +366,17 @@ class TestLapackFill:
             np.linspace(2.0, 1.0, 20), np.full(60, 0.1),
             0.1 - np.geomspace(1e-7, 1e-1, n - 80)]))
         pairs = _spy_on_subsets(monkeypatch)
+        certified = _spy_on_certificates(monkeypatch)
         cache = IncrementalEigen(s)
         oracle = np.sort(np.linalg.eigvalsh(s))[::-1]
         tol = 1e-9 * np.linalg.norm(s)
         # one pair, then the floor of 16, then at least twice the last fill.
-        # A refill certifies every returned vector and a served request only
-        # the vectors it adds, each with pair k + 1 when the fill holds it:
-        # 1, then 1 + 3, + 13 (pairs 4-16), + 22, + 34, + 101, + 200
-        for k, fills, m, used in ((1, 1, 1, 1), (2, 2, 16, 4),
-                                  (16, 2, 16, 17), (21, 3, 32, 39),
-                                  (33, 4, 64, 73), (100, 5, 128, 174),
-                                  (n, 6, n, 374)):
+        # Each fill certifies every pair it returns, once, and a served
+        # request certifies nothing: 1, then + 16, + 32, + 64, + 128, + 200
+        for k, fills, m, used in ((1, 1, 1, 1), (2, 2, 16, 17),
+                                  (16, 2, 16, 17), (21, 3, 32, 49),
+                                  (33, 4, 64, 113), (100, 5, 128, 241),
+                                  (n, 6, n, 441)):
             vals, vecs = cache.top(k)
             assert (cache.fills, pairs[-1]) == (fills, m)
             assert cache.matvecs_used == used
@@ -379,6 +384,7 @@ class TestLapackFill:
             assert np.max(np.linalg.norm(s @ vecs - vecs * vals,
                                          axis=0)) <= tol
         assert cache.dense_fill and cache.range_dim is None
+        assert certified == pairs  # one certificate call per fill
 
     def test_duplicated_vector_fails_orthonormality(self, monkeypatch):
         # two copies of one eigenvector both have a small residual; only the
@@ -531,9 +537,10 @@ class TestKrylovFill:
     pairs come from ``eigsh`` on products with the operator, and a miss
     ends in a LAPACK fill."""
 
-    def test_repeated_fills_are_bit_identical(self, krylov_spy):
+    def test_repeated_fills_are_bit_identical(self, krylov_spy, monkeypatch):
         _, _, op = _shifted_step(200, 0.0, 11)
         ref = np.linalg.eigvalsh(op.dense())[::-1]
+        certified = _spy_on_certificates(monkeypatch)
         out = []
         for _ in range(2):
             cache = IncrementalEigen(op)
@@ -542,9 +549,11 @@ class TestKrylovFill:
             assert (cache.fills, cache.dense_fill, cache.range_dim) == (
                 1, False, None)
             assert _max_abs(vals - ref[:12]) <= cache.tol_abs
-            # the fill's products and the certificate's 13 (one ahead)
-            assert cache.matvecs_used == krylov_spy.calls[-1][1] + 13
+            # the fill's products and the certificate's 16: all its pairs
+            # are above the shift, and one call certifies them
+            assert cache.matvecs_used == krylov_spy.calls[-1][1] + 16
         assert out[0] == out[1]
+        assert certified == [16, 16]
         assert [k for k, _ in krylov_spy.calls] == [16, 16]
 
     @pytest.mark.parametrize("fault", ["no-convergence", "budget",
@@ -561,8 +570,15 @@ class TestKrylovFill:
             monkeypatch.setattr(ipgm.linalg, "_KRYLOV_PRODUCTS", 1)
         else:
             krylov_spy.fault = fault
+        pairs = _spy_on_subsets(monkeypatch)
+        certified = _spy_on_certificates(monkeypatch)
         res = inexact_project_spectrahedron(op, x0, gamma, phi)
         assert (res.fills, res.dense_fill, res.range_dim) == (2, True, None)
+        # a fill whose block failed its certificate counts as one of 16
+        # pairs, so the LAPACK fill after it takes twice as many; one that
+        # computed none leaves the floor of 16
+        assert pairs == [32 if fault == "random-top" else 16]
+        assert certified == ([16] if fault == "random-top" else []) + pairs
         assert krylov_spy.calls[-1][0] == 16
         if fault == "budget":
             assert krylov_spy.calls[-1][1] == 16
@@ -641,6 +657,34 @@ class TestKrylovFill:
         assert _max_abs(vals - ref[:20]) <= cache.tol_abs
         residual = np.linalg.norm(op.dense() @ vecs - vecs * vals, axis=0)
         assert np.max(residual) <= cache.tol_abs
+
+
+class TestCacheLifetime:
+    """A dropped cache is freed by reference counting alone: no fill may
+    keep a reference cycle through it, which would hold its arrays until
+    the garbage collector runs."""
+
+    @pytest.mark.parametrize("fill", ["range", "krylov", "lapack"])
+    def test_a_dropped_cache_is_freed_without_the_collector(self, fill):
+        if fill == "range":  # beta 1: the shift is 0 and V has a range basis
+            matrix, k = _shifted_step(60, 1.0, 13)[2], 3
+        elif fill == "krylov":
+            matrix, k = _shifted_step(200, 0.0, 11)[2], 12
+        else:
+            matrix, k = random_symmetric(np.random.default_rng(24), 60), 3
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cache = IncrementalEigen(matrix)
+            cache.top(k)
+            assert (cache.range_dim is not None, cache.dense_fill) == (
+                fill == "range", fill == "lapack")
+            ref = weakref.ref(cache)
+            del cache
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _max_abs(a) -> float:

@@ -500,9 +500,8 @@ class TestInexactProjectSpectrahedron:
                                             ForcingParams(1.0, 0.4, 0.4),
                                             PHI1, p_start=1)
         assert res.dense_fill is True
-        # top(2) certifies the two pairs the loop reads at rank 1 and the
-        # third one ahead
-        assert (res.rank_used, res.fills, res.matvecs) == (1, 1, 3)
+        # the fill certifies all 15 pairs it computed
+        assert (res.rank_used, res.fills, res.matvecs) == (1, 1, 15)
 
     def test_records_lapack_products(self):
         n = 120
@@ -512,8 +511,8 @@ class TestInexactProjectSpectrahedron:
                                             ForcingParams(1.0, 0.4, 0.4),
                                             PHI1, p_start=1)
         assert res.dense_fill is True
-        # one fill of 16 pairs; top(2) certifies pairs 1-3
-        assert (res.rank_used, res.fills, res.matvecs) == (1, 1, 3)
+        # one fill of 16 pairs, all certified when it computes them
+        assert (res.rank_used, res.fills, res.matvecs) == (1, 1, 16)
         assert res.range_dim is None  # a dense input has no range basis
 
     @pytest.mark.parametrize("p_start", [1, 3])

@@ -530,6 +530,25 @@ class TestConfigValidation:
         assert cfg.nu(2.0) > 0
         assert cfg.rho == pytest.approx(0.49)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_constant_rejects_a_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            ConstantStepConfig(alpha=alpha, schedule=zero_schedule())
+
+    def test_constant_rejects_a_nan_stop_tol(self):
+        # NaN compares false, so it would switch the relative-change stop off
+        with pytest.raises(ValueError, match="stop_tol"):
+            ConstantStepConfig(alpha=0.2, schedule=zero_schedule(),
+                               stop_tol=math.nan)
+
+    def test_armijo_rejects_an_infinite_alpha_max(self):
+        with pytest.raises(ValueError, match="alpha_max"):
+            ArmijoConfig(alpha_max=math.inf)
+
+    def test_armijo_rejects_a_nan_stop_tol(self):
+        with pytest.raises(ValueError, match="iteration limits"):
+            ArmijoConfig(stop_tol=math.nan)
+
     def test_alpha_at_one_over_L_allowed(self):
         # boundary step size 1/L with gamma3_bar = 0 keeps nu positive
         cfg = ConstantStepConfig(alpha=0.5, schedule=zero_schedule(),
