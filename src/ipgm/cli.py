@@ -3,8 +3,9 @@
 Subcommands: sweep-gamma3 | compare | verify.  Options may come from a flat
 key=value config file (--config) and are overridable by flags of the same
 name: every ``ExperimentConfig`` field is a flag, parsed as the config file
-parses it.  Exit codes: 0 ok, 1 usage error, 2 run failure, 3 monitor
-violation in strict mode.
+parses it.  ``gamma3`` and ``proj``, which only sweep-gamma3 reads, are a
+usage error for the other two, as a flag or as a key.  Exit codes: 0 ok, 1
+usage error, 2 run failure, 3 monitor violation in strict mode.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUN_FAILURE = 2
 EXIT_STRICT_VIOLATION = 3
+
+# compare runs both projections with the rules' own gamma3, and verify the
+# inexact one: only sweep-gamma3 reads these options
+_SWEEP_ONLY = ("gamma3", "proj")
 
 
 def _flag(name: str) -> str:
@@ -57,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
+def _given(args: argparse.Namespace) -> dict:
+    """The options the config file and the flags give, a flag over a key."""
     mapping: dict = {}
     if args.config:
         mapping.update(load_config_file(args.config))
@@ -69,16 +75,25 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             mapping[f.name] = _coerce(f.name, value)
         except ValueError as exc:
             raise ValueError(f"{_flag(f.name)}: {exc}") from None
-    return config_from_mapping(mapping)
+    return mapping
+
+
+def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
+    return config_from_mapping(_given(args))
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _assemble_config(args)
+        given = _given(args)
+        config = config_from_mapping(given)
         if args.command != "compare":
             config.one_beta(args.command)
+        ignored = [k for k in _SWEEP_ONLY if k in given]
+        if args.command != "sweep-gamma3" and ignored:
+            raise ValueError(f"{args.command} does not read "
+                             f"{', '.join(ignored)}: only sweep-gamma3 does")
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (ValueError, OSError) as exc:

@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ValueError(f"need m >= n >= 2, got n={self.n}, m={self.m}")
         if self.omega <= 1:
             raise ValueError("omega must exceed 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.density is not None and not 0.0 < self.density <= 1.0:
+            raise ValueError(f"density must lie in (0, 1], got {self.density}")
         self.beta = tuple(float(b) for b in self.beta)
         self.gamma3 = tuple(float(g) for g in self.gamma3)
         if not self.beta or not self.gamma3:

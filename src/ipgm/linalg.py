@@ -4,22 +4,26 @@ The projection oracles in this package repeatedly ask for a handful of
 algebraically largest eigenpairs of symmetric matrices.
 ``IncrementalEigen`` is the one way to get them: a cache over a fixed
 matrix, with every returned pair certified by its residual and the returned
-vectors certified orthonormal.  It is filled in one of three ways.  A
-``StepOperator`` whose range basis has fewer than n columns gets a range
-fill: V restricted to that basis is a k x k matrix T, whose tridiagonal
-form (LAPACK ``sytrd``) gives all of V's nonzero eigenvalues (``sterf``),
-and inverse iteration on it (``stein``, back-transformed by ``ormqr``)
-only the eigenvectors a request needs; one ``eigh`` of T serves when
-inverse iteration does not converge.  A ``StepOperator`` at a shifted
+vectors certified orthonormal.  It is filled in one of three ways, and
+the input alone picks which, when the cache is built.  A ``StepOperator``
+whose range basis has k < n columns gets a range fill, for every request:
+V restricted to that basis is a k x k matrix T, whose tridiagonal form
+(LAPACK ``sytrd``) gives all of V's nonzero eigenvalues (``sterf``), and
+inverse iteration on it (``stein``, back-transformed by ``ormqr``) only
+the eigenvectors a request needs; one ``eigh`` of T serves when inverse
+iteration does not converge.  V's other n - k eigenvalues are exact
+zeros, with an orthonormal complement of the basis as their vectors, so
+the fill knows V's whole spectrum.  A ``StepOperator`` at a shifted
 anchor (the first projection input of a solve, at a shifted start), which
 has no range basis, gets a Krylov fill: ``scipy.sparse.linalg.eigsh``
 computes its top m pairs from products with the operator, under a product
 budget, m at most the number of its eigenvalues that can lie above the
-start's shift (the operator's ``above_shift``).  Every other request, and
-every Krylov miss, gets a LAPACK fill: ``subset_eigh`` computes the top m
-pairs of the dense matrix with LAPACK's MRRR driver ``evr`` (a full
-``eigh`` when ``evr`` fails or returns fewer than m), m doubling on each
-refill.  Only this module decides which fill a request gets.
+start's shift (the operator's ``above_shift``).  Every other input, and
+every request after a Krylov miss or past the Krylov fill, gets a LAPACK
+fill: ``subset_eigh`` computes the top m pairs of the dense matrix with
+LAPACK's MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails or
+returns fewer than m), m doubling on each refill.  Only this module
+decides which fill a request gets.
 ``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
 spectrahedron projection's too, can check what it gets.
 ``largest_eigenpair`` is the single-pair call the support point makes.
@@ -116,6 +120,23 @@ def _qr(a: np.ndarray, want_q: bool = True, want_r: bool = True):
     if info < 0:
         raise ValueError(f"orgqr rejected argument {-info}")
     return q, r
+
+
+def _complement(q: np.ndarray, z: int) -> np.ndarray:
+    """z orthonormal columns orthogonal to the n x d orthonormal ``q``: the
+    last z of the first d + z columns of the orthogonal factor of q's
+    Householder QR (``geqrf``, then ``orgqr`` for d + z columns)."""
+    n, d = q.shape
+    qr, tau, _, info = dgeqrf(q)
+    if info < 0:
+        raise ValueError(f"geqrf rejected argument {-info}")
+    # orgqr reads only the reflectors, in the first d columns
+    a = np.empty((n, d + z), order="F")
+    a[:, :d] = qr
+    out, _, info = dorgqr(a, tau, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"orgqr rejected argument {-info}")
+    return out[:, d:]
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -422,7 +443,7 @@ class StepOperator(_DenseArithmetic):
 
     def range_ritz(self) -> tuple[np.ndarray, np.ndarray,
                                   Callable[[int], np.ndarray]] | None:
-        """V's nonzero spectrum from an orthonormal basis Q of its range.
+        """V's whole spectrum from an orthonormal basis Q of its range.
 
         range(V) lies in span(Q_S, Z) with Z = [Y, B], so with
         Q = [Q_S, Q_Z] orthonormal, Q_Z spanning Z's part outside Q_S, V =
@@ -431,7 +452,8 @@ class StepOperator(_DenseArithmetic):
         vectors): vals are all k eigenvalues of T, non-increasing, taken
         from its tridiagonal form, and ``vectors(m)`` gives at least T's
         top m eigenvectors U_m as columns (``_tridiagonal_eigen``).  The
-        eigenpairs of V are (vals, Q U) together with n - k zeros, so every
+        eigenpairs of V are (vals, Q U) together with n - k exact zeros,
+        whose eigenvectors are any orthonormal complement of Q, so every
         value is known while only the vectors asked for are computed.
         ``None`` when k >= n, where Q could not be orthonormal, or at a
         shifted anchor, where S is not Q_S diag(mu) Q_S^T.
@@ -557,20 +579,24 @@ class IncrementalEigen:
     certificates spend, pairs nobody has asked for yet included, and those
     of Krylov fills.
 
-    The blocks come from three fills; ``fills`` counts them, a Krylov fill
-    that missed included.
-    A ``StepOperator`` whose ``range_ritz()`` gives a basis of fewer than n
-    columns is served by a range fill: every eigenvalue of the k x k matrix
-    V takes on that basis, from its tridiagonal form, and the eigenvectors
-    of the top m = max(j + 1, 2 m') pairs when a request for j pairs first
-    passes the m' computed before (none at first; j + 1 at most the values
-    the fill serves, m at most k).  Each such call recomputes all m in one
-    call, so the vectors of an eigenvalue cluster never come from two
-    calls, and its block replaces the cache; it is still the same fill.
-    ``range_dim`` is then the basis' width.  It serves ``top(k)`` only
-    while the k-th largest value is above the residual tolerance, since V's
-    other eigenvalues are zeros; the first request it does not serve ends
-    it, and ``range_dim`` returns to ``None``.
+    The blocks come from three fills, and the input alone picks them when
+    the cache is built: a range basis gets the range fill, a shifted anchor
+    the Krylov fill (and LAPACK after a miss), anything else LAPACK.
+    ``fills`` counts them, a Krylov fill that missed included.
+    A ``StepOperator`` whose ``range_ritz()`` gives a basis Q of d < n
+    columns is served by the range fill for every request: V = Q T Q^T has
+    T's d eigenvalues and n - d exact zeros, listed as T's values above 0,
+    the zeros, then T's other values.  The zeros' vectors are an
+    orthonormal complement of Q (``_complement``), on which V vanishes
+    since range(V) lies in span(Q).  A request for j pairs past the m'
+    pairs cached before (none at first) makes a new block.  While j is
+    within T's values above the residual tolerance the block is the lifts
+    Q U of T's top m = max(j + 1, 2 m') eigenvectors (j + 1 at most those
+    values, m at most d), kept to those values; past them it is V's top
+    max(j + 1, 2 m') pairs, at most n, zeros included.  The vectors of T
+    a block needs come from one call, so those of an eigenvalue cluster
+    never come from two, and each block replaces the cache; it is still
+    the same fill.  ``range_dim`` is the basis' width.
 
     A ``StepOperator`` at a shifted anchor (c != 0: the step from a
     shifted start X0 = c I + Y Y^T, which has no range basis) takes one
@@ -594,15 +620,15 @@ class IncrementalEigen:
     certified yet with values off by 5e-6 at n=200 (too few copies of c):
     hence the bound.
 
-    Every other request refills the cache by a LAPACK fill, which sets
-    ``dense_fill`` and certifies every pair it returns: ``subset_eigh``
-    computes the top m pairs of the dense matrix, m = max(k, 16) on the
-    first fill (m = 1 when it is for one pair) and at least twice the last
-    fill's m (a Krylov fill's too, when it computed its pairs and either
-    served or failed its certificate) on each refill, at most n; all n
-    after ``subset_eigh`` falls back to a full ``eigh``.  ``range_dim`` set
-    means a range fill served the pairs, ``dense_fill`` a LAPACK fill, and
-    neither a Krylov fill.
+    A LAPACK fill, every other input's and a shifted anchor's after a
+    miss, sets ``dense_fill`` and certifies every pair it returns:
+    ``subset_eigh`` computes the top m pairs of the dense matrix, m =
+    max(k, 16) on the first fill (m = 1 when it is for one pair) and at
+    least twice the last fill's m (a Krylov fill's too, when it computed
+    its pairs and either served or failed its certificate) on each refill,
+    at most n; all n after ``subset_eigh`` falls back to a full ``eigh``.
+    ``range_dim`` set means a range fill served the pairs, ``dense_fill`` a
+    LAPACK fill, and neither a Krylov fill.
     ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds ``max(1,
     ||S||_F)``; a matrix whose Frobenius norm is not finite raises
     :class:`EigenSolverError`.
@@ -635,10 +661,10 @@ class IncrementalEigen:
         self.range_dim = None
         self._pairs = 0  # pairs of the last LAPACK or Krylov fill
         self._krylov = isinstance(a, StepOperator) and bool(a.anchor.shift)
-        # the range fill's (vals, Q, vectors) and the count of its values
-        # above the residual tolerance, the pairs it serves
+        # the range fill's (vals, Q, vectors), the count of its values above
+        # the residual tolerance and T's vectors from its last vectors() call
         self._ritz = a.range_ritz() if isinstance(a, StepOperator) else None
-        self._served = 0
+        self._u = None
         if self._ritz is not None:
             vals, q, _ = self._ritz
             self._served = int(np.count_nonzero(vals > self.tol_abs))
@@ -648,28 +674,50 @@ class IncrementalEigen:
         if not 1 <= k <= self.n:
             raise ValueError(f"need 1 <= k <= {self.n}, got {k}")
         if k > self._vals.size:
-            if k <= self._served:
+            if self._ritz is not None:
                 self._range_fill(k)
             elif not (self._krylov and self._krylov_fill(k)):
                 self._lapack_fill(k)
         return self._vals[:k], self._vecs[:, :k]
 
     def _range_fill(self, k: int) -> None:
-        """Certify the lifts Q U of T's top m eigenvectors, those whose
-        values the fill serves, as the cache.
+        """Certify a block of V's top pairs, T's vectors lifted by Q and
+        zeros from Q's complement, as the cache.
 
-        m = max(k + 1, 2 m') with m' the vectors cached before (all that the
-        fill computed, since it is asked again only while it serves more),
-        k + 1 at most the values served and m at most T's order.  One pair
-        ahead: the rank-p projector asks for p + 1 pairs, then p + 2, so the
-        second request is served with no call of its own.
+        While k is within T's values above the residual tolerance, T's top
+        m = max(k + 1, 2 m') vectors are computed, m' the pairs cached
+        before, k + 1 at most those values and m at most T's order, and the
+        block is the lifts of those values' vectors.  One pair ahead: the
+        rank-p projector asks for p + 1 pairs, then p + 2, so the second
+        request is served with no call of its own.  A request past them
+        makes the block V's top max(k + 1, 2 m') pairs, at most n: T's
+        values above 0, then up to n - d zeros, then T's other values.  T's
+        vectors are computed again only for a block that needs more than
+        the last call gave.
         """
         vals, q, vectors = self._ritz
-        m = min(vals.size, max(min(k + 1, self._served),
-                               2 * self._vals.size))
-        # m may pass the served values, and where inverse iteration fails
-        # all of T's vectors come back: the cache holds only those served
-        vecs = q @ vectors(m)[:, :self._served]
+        served, cached = self._served, self._vals.size
+        if k <= served:
+            # dstein starts each vector from those before it, so m fixes the
+            # bits of all m vectors
+            m = min(vals.size, max(min(k + 1, served), 2 * cached))
+            keep, zeros = served, 0
+        else:
+            pos = int(np.count_nonzero(vals > 0.0))
+            size = min(self.n, max(k + 1, 2 * cached))
+            zeros = min(self.n - vals.size, max(0, size - pos))
+            m = keep = size - zeros
+        # where inverse iteration fails all of T's vectors come back, and
+        # they are kept for the fill's later blocks
+        u = self._u
+        if m and (u is None or u.shape[1] < m):
+            u = self._u = vectors(m)
+        vecs = q @ u[:, :keep] if m else q[:, :0]
+        if zeros:
+            vecs = np.concatenate([vecs[:, :pos], _complement(q, zeros),
+                                   vecs[:, pos:]], axis=1)
+            vals = np.concatenate([vals[:pos], np.zeros(zeros),
+                                   vals[pos:keep]])
         self._certify(vecs, vals[:vecs.shape[1]], "the range fill")
 
     def _krylov_fill(self, k: int) -> bool:
@@ -767,7 +815,6 @@ class IncrementalEigen:
         self.fills += 1
         self.dense_fill = True
         self._pairs = vals.size
-        self._ritz, self._served, self.range_dim = None, 0, None
         self._certify(np.ascontiguousarray(vecs), vals, "LAPACK")
 
     def _certify(self, q: np.ndarray, vals: np.ndarray, source: str) -> None:

@@ -19,13 +19,15 @@ Both spectrahedron projections return their point factored, as a
 ``np.asarray`` forms the dense matrix for a caller that needs it.  The
 rank-p projector also takes a factored input: a ``StepOperator`` V (the
 solvers' X - alpha grad f(X)), whose top eigenpairs come from a basis of its
-range (the eigensolver's range fill: all of V's nonzero eigenvalues from
-the tridiagonal form of a small matrix, eigenvectors only for the pairs
-asked for), from products with V when it is the
-step from a shifted start c I + Y Y^T and has no range basis (its Krylov
-fill), or else from LAPACK on V's lower triangle (its LAPACK fill), and a
-factored anchor U (a ``LowRank``, shifted or not), whose ||U||^2 and
-q^T U q come from its factor and shift.  A dense V takes the LAPACK fill.
+range for every rank (the eigensolver's range fill: V's whole spectrum,
+its nonzero eigenvalues from the tridiagonal form of a small matrix and
+n - k zeros whose vectors complete the basis, eigenvectors only for the
+pairs asked for), from products with V when it is the step from a shifted
+start c I + Y Y^T and has no range basis (its Krylov fill, and LAPACK
+after a miss), or else from LAPACK on V's lower triangle (its LAPACK
+fill), and a factored anchor U (a ``LowRank``, shifted or not), whose
+||U||^2 and q^T U q come from its factor and shift.  A dense V takes the
+LAPACK fill.  The input alone picks the fill.
 The exact projection of a ``StepOperator`` at an unshifted anchor asks
 LAPACK for V's top m pairs, m one more than the anchor's rank and doubled
 until the m-th pair gets no simplex weight.  A dense V, and the step from a
@@ -358,13 +360,16 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     ||U||^2 and q^T U q from its factor and shift.  The accepted W_p is
     returned as the ``LowRank`` factor Q_p sqrt(lam).
 
-    The pairs come from one ``IncrementalEigen`` per call.  For a
-    ``StepOperator`` whose range basis has k < n columns one range fill
-    serves every rank whose pairs have positive eigenvalues (``range_dim``
-    records k): every eigenvalue of a k x k matrix comes from its
-    tridiagonal form, and eigenvectors only for the top pairs asked for so
-    far, recomputed in one call when a rank reaches past them.  The step from a shifted start
-    takes a Krylov fill: ``eigsh`` finds its top 16 pairs (fewer when V has
+    The pairs come from one ``IncrementalEigen`` per call, and the input
+    alone picks its fill.  For a ``StepOperator`` whose range basis has
+    k < n columns one range fill serves every rank (``range_dim`` records
+    k): V's nonzero eigenvalues are those of a k x k matrix, from its
+    tridiagonal form, and its other n - k are zeros, whose vectors complete
+    the basis; eigenvectors are computed only for the top pairs asked for
+    so far, again in one call when a rank reaches past them.  A rank past
+    V's positive values reads zeros, whose vectors enter W_p only when the
+    simplex threshold is negative.  The step from a shifted start takes a
+    Krylov fill: ``eigsh`` finds its top 16 pairs (fewer when V has
     fewer eigenvalues that can lie above the shift) from products with V,
     under a product budget.  Otherwise, after a Krylov miss, and for ranks
     beyond the Krylov fill, LAPACK computes the top

@@ -465,13 +465,24 @@ class TestRangeFill:
         assert vals_t.size == 14 and vals_t[2] < -0.5
         served = IncrementalEigen(operator())
         _check_against_eigh(served, operator(), 2)
-        # the third value does not serve, so no pair ahead is certified
+        # the pair after the positive ones is a zero: within them, no pair
+        # ahead is certified
         assert served.range_dim == 14 and served.matvecs_used == 2
-        # the request reaches V's zero eigenvalues: a LAPACK fill serves it
+        # the request reaches V's zero eigenvalues: the range fill serves
+        # them from a complement of its basis, and certifies 3 zeros in the
+        # block of 2 + 3 pairs
         cache = IncrementalEigen(operator())
         _check_against_eigh(cache, operator(), 4)
-        assert cache.range_dim is None and cache.dense_fill
-        assert np.all(cache.top(4)[0][2:] > -cache.tol_abs)
+        assert cache.range_dim == 14 and not cache.dense_fill
+        assert cache.fills == 1 and cache.matvecs_used == 5
+        vals, vecs = cache.top(4)
+        assert np.array_equal(vals[2:], np.zeros(2))
+        q = operator().range_ritz()[1]
+        assert _max_abs(q.T @ vecs[:, 2:]) <= 1e-14
+        # the positive pairs are eigh's, up to the sign of each vector
+        ref_vecs = np.linalg.eigh(dense)[1][:, ::-1][:, :2]
+        assert _max_abs(np.abs(np.sum(vecs[:, :2] * ref_vecs, axis=0))
+                        - 1.0) <= 1e-10
 
     def test_a_basis_without_s_fails_the_certificate(self):
         # a range fill that drops Q_S misses alpha S: its pairs are wrong,
@@ -583,6 +594,67 @@ class TestRangeFill:
         assert eighs == [(cache.range_dim,) * 2]
         assert cache.fills == 1 and not cache.dense_fill
 
+    def test_a_request_past_the_zeros_reaches_the_negative_values(self):
+        # a basis of n - 1 columns leaves V one zero; every request, up to
+        # all n pairs, is served by the one range fill: T's positive values,
+        # the zero, then T's other values
+        n, r = 30, 2
+        rng = np.random.default_rng(95)
+        q_s = np.linalg.qr(rng.standard_normal((n, n - 2 * r - 1)))[0]
+        mu = rng.uniform(-1.0, 1.0, q_s.shape[1])
+        y = 0.3 * rng.standard_normal((n, r))
+        b = y + 0.1 * rng.standard_normal((n, r))
+        op = _range_operator(q_s, mu, y, b, 1.0)
+        cache = IncrementalEigen(op)
+        positive = int(np.count_nonzero(op.range_ritz()[0] > 0.0))
+        assert 0 < positive < n - 2
+        for k in (positive, positive + 1, positive + 3, n):
+            _check_against_eigh(cache, op, k)
+        assert cache.top(n)[0][positive] == 0.0
+        assert (cache.fills, cache.dense_fill, cache.range_dim) == (
+            1, False, n - 1)
+
+    def test_a_value_within_the_tolerance_comes_before_the_zeros(self):
+        # mu = 1e-12 on a coordinate that Y and B miss: T's value alpha
+        # 1e-12 is positive but within the residual tolerance, so a request
+        # for it reaches past the values served first, and the block lists
+        # it before V's zeros
+        n, rng = 40, np.random.default_rng(82)
+        q_s = np.eye(n)[:, :4]
+        mu = np.array([2.0, 1.0, 1e-12, -1.0])
+        y, b = np.zeros((n, 2)), np.zeros((n, 2))
+        y[4:] = 0.1 * rng.standard_normal((n - 4, 2))
+        b[4:] = y[4:] + 0.05 * rng.standard_normal((n - 4, 2))
+        op = _range_operator(q_s, mu, y, b, 0.5)
+        vals_t = op.range_ritz()[0]
+        served = int(np.count_nonzero(vals_t > 1e-9))
+        assert abs(vals_t[served] - 0.5e-12) <= 1e-15
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, served)
+        _check_against_eigh(cache, op, served + 2)
+        vals = cache.top(served + 2)[0]
+        assert vals[served] == vals_t[served] and vals[served + 1] == 0.0
+        assert cache.fills == 1 and not cache.dense_fill
+
+    def test_an_operator_with_no_positive_value(self, monkeypatch):
+        # V = alpha S with S negative semidefinite: its top pairs are zeros,
+        # served from the complement of the basis with no vector of T; a
+        # request past the zeros computes T's vectors
+        calls = _dstein_calls(monkeypatch)
+        n, r = 40, 0
+        q_s = np.eye(n)[:, :6]
+        mu = -np.arange(1.0, 7.0)
+        y = np.zeros((n, r))
+        op = _range_operator(q_s, mu, y, y, 0.5)
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 1)
+        _check_against_eigh(cache, op, 3)
+        assert np.array_equal(cache.top(3)[0], np.zeros(3)) and calls == []
+        _check_against_eigh(cache, op, n - 5)
+        assert cache.top(n - 5)[0][-1] == -0.5 and calls
+        assert (cache.fills, cache.dense_fill, cache.range_dim) == (
+            1, False, 6)
+
     @pytest.mark.parametrize("rank_s, r", [(1, 0), (0, 1)])
     def test_bases_of_one_and_two_columns(self, rank_s, r):
         n, rng = 30, np.random.default_rng(93)
@@ -603,8 +675,9 @@ class TestRangeFillFallback:
     GAMMA = ForcingParams(0.5, 0.2, 0.0)
     PHI = ToleranceFn.canonical("phi1")
 
-    def _project(self, v, x):
-        res = inexact_project_spectrahedron(v, x, self.GAMMA, self.PHI)
+    def _project(self, v, x, p_start=1):
+        res = inexact_project_spectrahedron(v, x, self.GAMMA, self.PHI,
+                                            p_start=p_start)
         ok, _ = certify_inexact_projection(Spectrahedron(x.shape[0]),
                                            np.asarray(x), np.asarray(v),
                                            np.asarray(res.point), self.GAMMA,
@@ -673,6 +746,36 @@ class TestRangeFillFallback:
         dense = self._project(op.dense(), x.dense())
         assert fact.range_dim is not None and dense.range_dim is None
         assert fact.rank_used == dense.rank_used
+        assert _max_abs(fact.point - dense.point) <= 1e-9
+
+    def test_a_rank_past_the_positive_values(self, monkeypatch):
+        # started two ranks past V's positive values, the projector reads
+        # V's zeros from the range fill, and no LAPACK fill runs
+        x = _unit_trace_point(np.random.default_rng(96), 120, 4)
+        _, op = _lsq_step(0, x.factor)
+        vals_t = op.range_ritz()[0]
+        positive = int(np.count_nonzero(vals_t > 0.0))
+        assert vals_t.size < 120 - 3
+        calls = []
+        real = ipgm.linalg.subset_eigh
+
+        def spy(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(ipgm.linalg, "subset_eigh", spy)
+        fact = inexact_project_spectrahedron(op, x, self.GAMMA, self.PHI,
+                                             p_start=positive + 2)
+        assert calls == []
+        monkeypatch.undo()
+        ok, _ = certify_inexact_projection(
+            Spectrahedron(120), x.dense(), op.dense(), fact.point.dense(),
+            self.GAMMA, self.PHI)
+        assert ok
+        assert fact.rank_used == positive + 2 and fact.fills == 1
+        assert fact.range_dim == vals_t.size and not fact.dense_fill
+        dense = self._project(op.dense(), x.dense(), p_start=positive + 2)
+        assert dense.dense_fill and dense.rank_used == fact.rank_used
         assert _max_abs(fact.point - dense.point) <= 1e-9
 
     def test_exact_solve_survives_a_lapack_failure(self, monkeypatch):

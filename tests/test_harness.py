@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(schedule="exp")
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("density", 0.0), ("density", 1.5),
+        ("density", float("nan"))])
+    def test_seed_and_density_are_validated(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            ExperimentConfig(**{field: value})
+        # the bounds themselves are valid
+        ExperimentConfig(seed=0, density=1.0)
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -196,6 +205,48 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: {command} runs from one start; "
                                 "got beta = 0.0,0.5\n")
+
+    @pytest.mark.parametrize("command", ["compare", "verify"])
+    @pytest.mark.parametrize("flags, named", [
+        ("--gamma3 0.3", "gamma3"),
+        ("--proj exact", "proj"),
+        ("--gamma3 0.3 --proj exact", "gamma3, proj"),
+    ])
+    def test_a_sweep_option_is_a_usage_error(self, command, flags, named,
+                                             capsys):
+        # compare and verify would run as if the option were not given
+        assert main([command, "--n", "20", "--m", "40", "--omega", "4"]
+                    + flags.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {command} does not read {named}: "
+                                "only sweep-gamma3 does\n")
+
+    @pytest.mark.parametrize("command", ["compare", "verify"])
+    @pytest.mark.parametrize("line, named", [("gamma3 = 0.3", "gamma3"),
+                                             ("proj = exact", "proj")])
+    def test_a_sweep_key_in_a_config_file_is_a_usage_error(
+            self, command, line, named, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"n = 20\nm = 40\nomega = 4\n{line}\n")
+        assert main([command, "--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command} does not read {named}: only sweep-gamma3 "
+            "does\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--m", "40", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["compare", "--density", "0"], "density must lie in (0, 1], got 0.0"),
+        (["compare", "--density", "1.5"],
+         "density must lie in (0, 1], got 1.5"),
+        (["compare", "--density", "nan"],
+         "density must lie in (0, 1], got nan"),
+    ])
+    def test_a_bad_seed_or_density_is_a_usage_error(self, argv, message,
+                                                     capsys):
+        # rejected with the config, not by the run (exit 2, "run failed")
+        assert main(argv + ["--n", "20", "--omega", "4"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_a_non_finite_tol_is_a_usage_error(self, tol, capsys):
