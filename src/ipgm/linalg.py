@@ -22,7 +22,8 @@ start's shift (the operator's ``above_shift``).  Every other input, and
 every request after a Krylov miss or past the Krylov fill, gets a LAPACK
 fill: ``subset_eigh`` computes the top m pairs of the dense matrix with
 LAPACK's MRRR driver ``evr`` (a full ``eigh`` when ``evr`` fails or
-returns fewer than m), m doubling on each refill.  Only this module
+returns fewer than m).  Every refill is sized from the block it replaces,
+whichever fill made it: at least twice its pairs.  Only this module
 decides which fill a request gets.
 ``subset_eigh`` takes only a count, so every LAPACK subset call, the exact
 spectrahedron projection's too, can check what it gets.
@@ -589,12 +590,9 @@ class IncrementalEigen:
     the zeros, then T's other values.  The zeros' vectors are an
     orthonormal complement of Q (``_complement``), on which V vanishes
     since range(V) lies in span(Q).  A request for j pairs past the m'
-    pairs cached before (none at first) makes a new block.  While j is
-    within T's values above the residual tolerance the block is the lifts
-    Q U of T's top m = max(j + 1, 2 m') eigenvectors (j + 1 at most those
-    values, m at most d), kept to those values; past them it is V's top
-    max(j + 1, 2 m') pairs, at most n, zeros included.  The vectors of T
-    a block needs come from one call, so those of an eigenvalue cluster
+    pairs cached before (none at first) makes a new block: V's top
+    max(j + 1, 2 m') pairs, at most n, in that order.  The vectors of T a
+    block needs come from one call, so those of an eigenvalue cluster
     never come from two, and each block replaces the cache; it is still
     the same fill.  ``range_dim`` is the basis' width.
 
@@ -622,11 +620,10 @@ class IncrementalEigen:
 
     A LAPACK fill, every other input's and a shifted anchor's after a
     miss, sets ``dense_fill`` and certifies every pair it returns:
-    ``subset_eigh`` computes the top m pairs of the dense matrix, m =
-    max(k, 16) on the first fill (m = 1 when it is for one pair) and at
-    least twice the last fill's m (a Krylov fill's too, when it computed
-    its pairs and either served or failed its certificate) on each refill,
-    at most n; all n after ``subset_eigh`` falls back to a full ``eigh``.
+    ``subset_eigh`` computes the top m = max(k, 2 m', 16) pairs of the
+    dense matrix, m' the pairs cached before (none at first or after a
+    Krylov miss), at most n, and m = 1 for a one-pair request; all n after
+    ``subset_eigh`` falls back to a full ``eigh``.
     ``range_dim`` set means a range fill served the pairs, ``dense_fill`` a
     LAPACK fill, and neither a Krylov fill.
     ``sq_norm`` holds ``||S||_F^2`` and ``scale`` holds ``max(1,
@@ -659,15 +656,14 @@ class IncrementalEigen:
         self.fills = 0
         self.dense_fill = False
         self.range_dim = None
-        self._pairs = 0  # pairs of the last LAPACK or Krylov fill
         self._krylov = isinstance(a, StepOperator) and bool(a.anchor.shift)
-        # the range fill's (vals, Q, vectors), the count of its values above
-        # the residual tolerance and T's vectors from its last vectors() call
+        # the range fill's (vals, Q, vectors), the count of T's values above
+        # 0 and T's vectors from its last vectors() call
         self._ritz = a.range_ritz() if isinstance(a, StepOperator) else None
         self._u = None
         if self._ritz is not None:
             vals, q, _ = self._ritz
-            self._served = int(np.count_nonzero(vals > self.tol_abs))
+            self._pos = int(np.count_nonzero(vals > 0.0))
             self.fills, self.range_dim = 1, q.shape[1]
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -684,41 +680,31 @@ class IncrementalEigen:
         """Certify a block of V's top pairs, T's vectors lifted by Q and
         zeros from Q's complement, as the cache.
 
-        While k is within T's values above the residual tolerance, T's top
-        m = max(k + 1, 2 m') vectors are computed, m' the pairs cached
-        before, k + 1 at most those values and m at most T's order, and the
-        block is the lifts of those values' vectors.  One pair ahead: the
+        The block is V's top s = max(k + 1, 2 m') pairs, m' the pairs
+        cached before and s at most n, in V's order: T's values above 0,
+        then up to n - d zeros, then T's other values.  One pair ahead: the
         rank-p projector asks for p + 1 pairs, then p + 2, so the second
-        request is served with no call of its own.  A request past them
-        makes the block V's top max(k + 1, 2 m') pairs, at most n: T's
-        values above 0, then up to n - d zeros, then T's other values.  T's
-        vectors are computed again only for a block that needs more than
-        the last call gave.
+        request is served with no call of its own.  T's vectors are
+        computed again only for a block that needs more than the last call
+        gave, all of them in one call (``dstein`` starts each vector from
+        those before it, so the count fixes the bits of all of them).
         """
         vals, q, vectors = self._ritz
-        served, cached = self._served, self._vals.size
-        if k <= served:
-            # dstein starts each vector from those before it, so m fixes the
-            # bits of all m vectors
-            m = min(vals.size, max(min(k + 1, served), 2 * cached))
-            keep, zeros = served, 0
-        else:
-            pos = int(np.count_nonzero(vals > 0.0))
-            size = min(self.n, max(k + 1, 2 * cached))
-            zeros = min(self.n - vals.size, max(0, size - pos))
-            m = keep = size - zeros
+        pos = self._pos
+        size = min(self.n, max(k + 1, 2 * self._vals.size))
+        zeros = min(self.n - vals.size, size - pos) if size > pos else 0
+        m = size - zeros
         # where inverse iteration fails all of T's vectors come back, and
         # they are kept for the fill's later blocks
         u = self._u
         if m and (u is None or u.shape[1] < m):
             u = self._u = vectors(m)
-        vecs = q @ u[:, :keep] if m else q[:, :0]
+        vecs = q @ u[:, :m] if m else q[:, :0]
         if zeros:
             vecs = np.concatenate([vecs[:, :pos], _complement(q, zeros),
                                    vecs[:, pos:]], axis=1)
-            vals = np.concatenate([vals[:pos], np.zeros(zeros),
-                                   vals[pos:keep]])
-        self._certify(vecs, vals[:vecs.shape[1]], "the range fill")
+            vals = np.concatenate([vals[:pos], np.zeros(zeros), vals[pos:m]])
+        self._certify(vecs, vals[:size], "the range fill")
 
     def _krylov_fill(self, k: int) -> bool:
         """Certify the top m pairs that ``eigsh`` finds from products with
@@ -788,7 +774,6 @@ class IncrementalEigen:
         bound = self._a.anchor.shift + self.tol_abs
         if vals[k - 1] <= bound:
             return False
-        self._pairs = m
         served = int(np.count_nonzero(vals > bound))
         try:
             self._certify(np.ascontiguousarray(vecs[:, order[:served]]),
@@ -798,7 +783,8 @@ class IncrementalEigen:
         return True
 
     def _lapack_fill(self, k: int) -> None:
-        """Certify the top m pairs of the dense matrix as the cache.
+        """Certify the top m pairs of the dense matrix as the cache, m =
+        max(k, 2 m', 16) with m' the pairs cached before, at most n.
 
         The floor of 16 pairs lets the rank-p projector, which asks for
         p + 1 pairs, then p + 2, ..., take its first ranks from one fill.
@@ -810,11 +796,11 @@ class IncrementalEigen:
         27.3, 15.7, 11.8 and 11.7 ms a projection.  A request for one pair,
         the support point's, computes only that pair.
         """
-        m = min(self.n, max(k, 2 * self._pairs, _FIRST_FILL if k > 1 else 1))
+        m = min(self.n, max(k, 2 * self._vals.size,
+                            _FIRST_FILL if k > 1 else 1))
         vals, vecs = subset_eigh(self._a, m)
         self.fills += 1
         self.dense_fill = True
-        self._pairs = vals.size
         self._certify(np.ascontiguousarray(vecs), vals, "LAPACK")
 
     def _certify(self, q: np.ndarray, vals: np.ndarray, source: str) -> None:

@@ -465,9 +465,9 @@ class TestRangeFill:
         assert vals_t.size == 14 and vals_t[2] < -0.5
         served = IncrementalEigen(operator())
         _check_against_eigh(served, operator(), 2)
-        # the pair after the positive ones is a zero: within them, no pair
-        # ahead is certified
-        assert served.range_dim == 14 and served.matvecs_used == 2
+        # the pair after the positive ones is a zero: the block carries the
+        # first zero as its pair ahead, and certifies 2 + 1 pairs
+        assert served.range_dim == 14 and served.matvecs_used == 3
         # the request reaches V's zero eigenvalues: the range fill serves
         # them from a complement of its basis, and certifies 3 zeros in the
         # block of 2 + 3 pairs
@@ -539,7 +539,7 @@ class TestRangeFill:
         _check_against_eigh(cache, op, 5)
         assert _max_abs(cache.top(3)[0] - 1.0) <= 1e-14
         assert cache.range_dim == 9 and not cache.dense_fill
-        assert calls == [(2, 0), (4, 0), (8, 0)]
+        assert calls == [(2, 0), (4, 0), (6, 0)]
 
     def test_a_request_past_the_computed_vectors_recomputes_them(
             self, monkeypatch):
@@ -634,6 +634,34 @@ class TestRangeFill:
         _check_against_eigh(cache, op, served + 2)
         vals = cache.top(served + 2)[0]
         assert vals[served] == vals_t[served] and vals[served + 1] == 0.0
+        assert cache.fills == 1 and not cache.dense_fill
+
+    def test_a_doubled_block_runs_past_the_tolerance(self, monkeypatch):
+        # T's 4 values above the tolerance, then alpha 1e-12, then V's
+        # zeros: top(2) computes 3 vectors; top(4) doubles the block to
+        # V's top 6 pairs, which cross the tolerance into T's small value
+        # and one zero, with T's 5 vectors from one call
+        calls = _dstein_calls(monkeypatch)
+        n, rng = 40, np.random.default_rng(82)
+        q_s = np.eye(n)[:, :4]
+        mu = np.array([2.0, 1.0, 1e-12, -1.0])
+        y, b = np.zeros((n, 2)), np.zeros((n, 2))
+        y[4:] = 0.1 * rng.standard_normal((n - 4, 2))
+        b[4:] = y[4:] + 0.05 * rng.standard_normal((n - 4, 2))
+        op = _range_operator(q_s, mu, y, b, 0.5)
+        vals_t = op.range_ritz()[0]
+        assert np.count_nonzero(vals_t > 1e-9) == 4
+        assert np.count_nonzero(vals_t > 0.0) == 5
+        cache = IncrementalEigen(op)
+        _check_against_eigh(cache, op, 2)
+        _check_against_eigh(cache, op, 4)
+        assert calls == [(3, 0), (5, 0)]
+        assert cache.matvecs_used == 3 + 6
+        # the block of 6 serves top(6) with no other call or certificate
+        _check_against_eigh(cache, op, 6)
+        vals = cache.top(6)[0]
+        assert np.array_equal(vals[:5], vals_t[:5]) and vals[5] == 0.0
+        assert calls == [(3, 0), (5, 0)] and cache.matvecs_used == 3 + 6
         assert cache.fills == 1 and not cache.dense_fill
 
     def test_an_operator_with_no_positive_value(self, monkeypatch):

@@ -4,11 +4,14 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import ipgm.linalg
 from ipgm.linalg import (
     EigenSolverError,
     IncrementalEigen,
+    LowRank,
+    StepOperator,
     frobenius_inner,
     frobenius_norm,
     largest_eigenpair,
@@ -574,10 +577,10 @@ class TestKrylovFill:
         certified = _spy_on_certificates(monkeypatch)
         res = inexact_project_spectrahedron(op, x0, gamma, phi)
         assert (res.fills, res.dense_fill, res.range_dim) == (2, True, None)
-        # a fill whose block failed its certificate counts as one of 16
-        # pairs, so the LAPACK fill after it takes twice as many; one that
-        # computed none leaves the floor of 16
-        assert pairs == [32 if fault == "random-top" else 16]
+        # a fill whose block failed its certificate leaves the cache empty,
+        # as one that computed none does, so the LAPACK fill after it takes
+        # the floor of 16
+        assert pairs == [16]
         assert certified == ([16] if fault == "random-top" else []) + pairs
         assert krylov_spy.calls[-1][0] == 16
         if fault == "budget":
@@ -587,6 +590,33 @@ class TestKrylovFill:
         assert res.rank_used == ref.rank_used
         assert _max_abs(np.asarray(res.point) - np.asarray(ref.point)) <= (
             1e-10)
+
+    def test_a_lapack_refill_doubles_the_krylov_block(self, krylov_spy,
+                                                      monkeypatch):
+        # V = c I + alpha S with S diagonal: S0 has 20 positive values, so
+        # the Krylov fill may ask for 16 pairs, but -c H pulls 8 of them
+        # below c and its block holds the 12 above; a request past it gets
+        # a LAPACK fill of max(k, 2 * 12, 16) pairs
+        n, c, alpha = 60, 0.01, 1.0
+        d = np.concatenate([np.linspace(1.0, 0.45, 12),
+                            -np.linspace(0.1, 1.0, n - 12)])
+        v = c * np.eye(n) + alpha * np.diag(d)
+        none = np.zeros((n, 0))
+        op = StepOperator(LowRank(none, c), none, none,
+                          scipy.sparse.diags(d).tocsr(), alpha,
+                          sq_norm=float(np.vdot(v, v)), sq_dist=0.0,
+                          s_range=(np.eye(n)[:, :20], np.ones(20)))
+        assert op.above_shift == 20
+        pairs = _spy_on_subsets(monkeypatch)
+        certified = _spy_on_certificates(monkeypatch)
+        cache = IncrementalEigen(op)
+        cache.top(12)
+        assert krylov_spy.calls[-1][0] == 16 and not cache.dense_fill
+        vals, vecs = cache.top(13)
+        assert pairs == [24] and certified == [12, 24]
+        assert (cache.fills, cache.dense_fill) == (2, True)
+        assert _max_abs(vals - np.sort(c + alpha * d)[::-1][:13]) <= (
+            cache.tol_abs)
 
     @pytest.mark.parametrize("rule", ["constant", "armijo"])
     @pytest.mark.parametrize("armijo_step", [False, True])
