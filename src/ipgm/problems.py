@@ -7,7 +7,7 @@ g g^T with g carrying a (cos, sin) pair at two random positions, and
 B = A Xbar.  Since tr(Xbar) = omega > 1, Xbar is infeasible and the
 instances generically have a nonzero residue.  Xbar has at most 4 omega
 nonzeros, so Xbar and B are kept as CSR and generation costs O(nnz(A) +
-omega), apart from the n x n A^T A behind ``lipschitz_L``.
+omega) plus the sparse A^T A behind ``lipschitz_L``.
 
 ``BoxQP`` is a strongly convex quadratic over a box with a closed-form
 minimizer, used to exercise the contraction and fixed-point guarantees.
@@ -81,9 +81,9 @@ class SpectrahedronLSQ:
     RNG streams (PCG64 children of the seed, in order): A's support and
     values; positions of the planted vectors g_i; their angles theta_i.
     ``b_mat`` is CSR, since B = A Xbar is almost empty, and the residual
-    subtracts only its nonzeros.  Generation costs O(nnz(A) + omega) apart
-    from the n x n A^T A behind ``lipschitz_L``; H = A^T A is kept in its
-    sparse form for the factored evaluation.  Xbar is kept as the CSR
+    subtracts only its nonzeros.  Generation costs O(nnz(A) + omega) plus
+    the sparse H = A^T A, whose entries give ``lipschitz_L`` = ||H||_F and
+    which the factored evaluation reuses; no n x n array is formed.  Xbar is kept as the CSR
     ``x_bar_csr``, at most 4 omega stored entries; ``x_bar`` forms its
     dense matrix, a new n x n array on every access, so a caller who reads
     it twice should keep the array.
@@ -106,9 +106,9 @@ class SpectrahedronLSQ:
     lipschitz_L: float = field(init=False)
 
     def __post_init__(self):
-        ata = self.a.T @ self.a
-        self.lipschitz_L = float(np.linalg.norm(ata.toarray()))
-        self._h = ata.tocsr()
+        self._h = (self.a.T @ self.a).tocsr()
+        # ||H||_F from H's stored entries; no n x n array is formed
+        self.lipschitz_L = float(np.linalg.norm(self._h.data))
         self._trace_h = float(np.vdot(self.a.data, self.a.data))
         # A^T built once (a.T on every call costs about 0.07 ms at n=300);
         # as CSR its products keep the accumulation order of a.T @ r

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,7 +30,10 @@ def _dense_reference(n, m, omega, seed):
         g[pos[0]] = np.cos(theta)
         g[pos[1]] = np.sin(theta)
         x_bar += np.outer(g, g)
-    return x_bar, a @ x_bar, float(np.linalg.norm((a.T @ a).toarray()))
+    # ||A^T A||_F over its nonzero entries in row-major order, the order
+    # of the sparse H's stored entries
+    ata = (a.T @ a).toarray()
+    return x_bar, a @ x_bar, float(np.linalg.norm(ata[ata != 0.0]))
 
 
 class TestGenerateInstance:
@@ -105,6 +110,19 @@ class TestGenerateInstance:
         inst = generate_instance(20, 40, 3, seed=5)
         ata = (inst.a.T @ inst.a).toarray()
         assert inst.lipschitz_L == pytest.approx(np.linalg.norm(ata))
+
+    def test_generation_forms_no_dense_matrix(self):
+        # L = ||A^T A||_F comes from the sparse product's entries; a dense
+        # n x n array alone would take n^2 8 bytes
+        n = 2000
+        generate_instance(40, 80, 4, seed=0)  # lazy imports, untraced
+        tracemalloc.start()
+        try:
+            generate_instance(n, 2 * n, 20, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_gradient_lipschitz_bound(self):
         inst = generate_instance(15, 30, 3, seed=6)
