@@ -8,11 +8,11 @@ relative to an anchor ``u`` when
 
 which is decidable because the left side is maximized at a support point of
 C in direction ``v - w``.  Every set here has a support point, so every
-projection is certified.  Simple sets (box, ball, simplex) project
-exactly; the spectrahedron (unit-trace PSD matrices) additionally
-offers an adaptive rank-p inexact projector that raises p until the
-certificate above accepts, so low-rank partial eigendecompositions replace
-the full one whenever the tolerance allows.
+projection is certified.  A box projects exactly; the spectrahedron
+(unit-trace PSD matrices) projects exactly through ``project_simplex`` on
+its eigenvalues, and also offers an adaptive rank-p inexact projector
+that raises p until the certificate above accepts, so low-rank partial
+eigendecompositions replace the full one whenever the tolerance allows.
 
 Both spectrahedron projections return their point factored, as a
 ``LowRank`` W = Y Y^T with Y = Q sqrt(lam) from the eigenpairs they used;
@@ -62,13 +62,10 @@ __all__ = [
     "ConvexSetOracle",
     "InexactProjection",
     "Box",
-    "Ball",
-    "SimplexSet",
     "Spectrahedron",
     "ExactProjectionAdapter",
     "project_simplex",
     "exact_project_box",
-    "exact_project_ball",
     "exact_project_spectrahedron",
     "support_point_spectrahedron",
     "inexact_project_spectrahedron",
@@ -177,44 +174,12 @@ def project_simplex(d) -> np.ndarray:
     return np.maximum(d - theta, 0.0)
 
 
-@dataclass(frozen=True)
-class SimplexSet(ConvexSetOracle):
-    """Probability simplex in R^p."""
-
-    p: int
-    name = "simplex"
-
-    def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return (x.size == self.p and np.all(x >= -feas_tol)
-                and abs(float(np.sum(x)) - 1.0) <= feas_tol)
-
-    def support_point(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        y = np.zeros(self.p)
-        y[int(np.argmax(c))] = 1.0
-        return y
-
-    def exact_project(self, v) -> np.ndarray:
-        return project_simplex(v)
-
-
 # ---------------------------------------------------------------------------
-# box, ball
+# box
 
 
 def exact_project_box(v, lower, upper) -> np.ndarray:
     return np.clip(np.asarray(v, dtype=float), lower, upper)
-
-
-def exact_project_ball(v, center, radius: float) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    center = np.asarray(center, dtype=float)
-    d = v - center
-    nd = np.linalg.norm(d)
-    if nd <= radius:
-        return v.copy()
-    return center + (radius / nd) * d
 
 
 @dataclass(frozen=True)
@@ -242,33 +207,6 @@ class Box(ConvexSetOracle):
 
     def exact_project(self, v) -> np.ndarray:
         return exact_project_box(v, self.lower, self.upper)
-
-
-@dataclass(frozen=True)
-class Ball(ConvexSetOracle):
-    center: np.ndarray
-    radius: float
-    name = "ball"
-
-    @classmethod
-    def make(cls, center, radius: float) -> "Ball":
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return cls(center=np.asarray(center, dtype=float), radius=float(radius))
-
-    def contains(self, x, feas_tol: float = DEFAULT_FEAS_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.center) <= self.radius + feas_tol
-
-    def support_point(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        nc = np.linalg.norm(c)
-        if nc == 0.0:
-            return self.center.copy()
-        return self.center + (self.radius / nc) * c
-
-    def exact_project(self, v) -> np.ndarray:
-        return exact_project_ball(v, self.center, self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +310,9 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     Krylov fill: ``eigsh`` finds its top 16 pairs (fewer when V has
     fewer eigenvalues that can lie above the shift) from products with V,
     under a product budget.  Otherwise, after a Krylov miss, and for ranks
-    beyond the Krylov fill, LAPACK computes the top
-    pairs of the dense V, at least 16 (32 after a Krylov fill) and twice as
-    many on each refill.
+    beyond the Krylov fill, LAPACK computes the top pairs of the dense V,
+    at least 16.  Every refill, whichever fill made the block it replaces,
+    holds at least twice that block's pairs.
     The returned state is the rank the next call starts from, p - 1 (at
     least 1), and ``ranks_tried`` is p - p_start + 1.
     """

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from ipgm.linalg import frobenius_inner, frobenius_norm, symmetrize
 from ipgm.schedules import ForcingParams, ToleranceFn
 from ipgm.sets import (
-    Ball,
     Box,
     ExactProjectionAdapter,
-    SimplexSet,
     Spectrahedron,
     certify_inexact_projection,
-    exact_project_ball,
     exact_project_box,
     exact_project_spectrahedron,
     inexact_project_spectrahedron,
@@ -213,7 +210,7 @@ class TestProjectSimplexBits:
 
 class TestProjectSimplexNonFinite:
     """A non-finite entry is a ValueError that says so, with no warning on
-    the way, whether the vector comes directly or through SimplexSet."""
+    the way."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("p", [1, 5])
@@ -225,14 +222,6 @@ class TestProjectSimplexNonFinite:
             with pytest.raises(ValueError, match="non-finite"):
                 project_simplex(d)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_through_simplex_set(self, bad):
-        d = np.array([0.2, bad, 0.5, -0.1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
-                SimplexSet(4).exact_project(d)
-
     def test_nan_and_both_infinities_together(self):
         with pytest.raises(ValueError, match="non-finite"):
             project_simplex([np.inf, 0.3, -np.inf, np.nan])
@@ -242,29 +231,11 @@ class TestSimpleSets:
     def test_box_clamp(self):
         assert np.allclose(exact_project_box([2.0, -1.0], 0.0, 1.0), [1.0, 0.0])
 
-    def test_ball_radial(self):
-        assert np.allclose(exact_project_ball([3.0, 4.0], [0.0, 0.0], 1.0),
-                           [0.6, 0.8])
-
     def test_oracle_objects_roundtrip(self):
         box = Box.make(np.zeros(2), np.ones(2))
         assert box.contains([0.5, 0.5])
         assert not box.contains([1.5, 0.5])
         assert np.allclose(box.support_point([1.0, -2.0]), [1.0, 0.0])
-        ball = Ball.make(np.zeros(2), 1.0)
-        assert ball.contains([0.6, 0.8])
-        assert np.allclose(ball.support_point([2.0, 0.0]), [1.0, 0.0])
-
-    def test_simplex_oracle(self):
-        simplex = SimplexSet(3)
-        assert simplex.contains([0.2, 0.3, 0.5])
-        assert simplex.contains([0.0, 0.0, 1.0 + 1e-12])
-        assert not simplex.contains([0.6, 0.6, -0.2])  # a negative entry
-        assert not simplex.contains([0.2, 0.2, 0.2])   # sums to 0.6
-        assert not simplex.contains([0.5, 0.5])        # wrong dimension
-        assert np.array_equal(simplex.support_point([1.0, 3.0, -2.0]),
-                              [0.0, 1.0, 0.0])
-        assert simplex.contains(simplex.exact_project([4.0, -1.0, 0.5]))
 
     def test_support_point_variational_inequality(self):
         # exact projection satisfies <v - Pv, y - Pv> <= 0 at support points
@@ -674,23 +645,18 @@ class TestCertificateGapProperty:
 
 class TestSimpleSetCertificateProperty:
     @settings(max_examples=80, deadline=None)
-    @given(kind=st.sampled_from(["box", "ball", "simplex"]),
-           dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+    @given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            spread=st.floats(0.01, 100.0),
            phi_kind=st.sampled_from(["phi1", "phi4"]),
            gammas=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 0.49),
                             st.floats(0.0, 0.49)))
-    def test_gap_agrees_with_certify(self, kind, dim, seed, spread, phi_kind,
+    def test_gap_agrees_with_certify(self, dim, seed, spread, phi_kind,
                                      gammas):
-        # the exact projection of a simple set carries its own certificate
+        # the exact projection of a box carries its own certificate, from
+        # ConvexSetOracle.inexact_project's default
         rng = np.random.default_rng(seed)
-        if kind == "box":
-            lower = rng.uniform(-1.0, 0.0, dim)
-            c_set = Box.make(lower, lower + rng.uniform(0.0, 2.0, dim))
-        elif kind == "ball":
-            c_set = Ball.make(rng.standard_normal(dim), rng.uniform(0.1, 3.0))
-        else:
-            c_set = SimplexSet(dim)
+        lower = rng.uniform(-1.0, 0.0, dim)
+        c_set = Box.make(lower, lower + rng.uniform(0.0, 2.0, dim))
         v = spread * rng.standard_normal(dim)
         u = c_set.exact_project(rng.standard_normal(dim))
         g = ForcingParams(*gammas)
@@ -792,12 +758,12 @@ class TestExactAdapter:
         assert res.certificate_gap is None
 
     def test_adapter_delegates_the_other_oracles(self):
-        inner = SimplexSet(4)
+        inner = Box.make(np.zeros(4), np.ones(4))
         s = ExactProjectionAdapter(inner)
-        assert s.name == "simplex-exact"
-        c = np.array([0.5, -1.0, 2.0, 2.0 - 1e-9])
+        assert s.name == "box-exact"
+        c = np.array([0.5, -1.0, 2.0, -1e-9])
         assert np.array_equal(s.support_point(c), inner.support_point(c))
-        assert np.array_equal(s.support_point(c), [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(s.support_point(c), [1.0, 0.0, 1.0, 0.0])
         v = np.array([3.0, 0.1, -2.0, 0.4])
         assert np.array_equal(s.exact_project(v), inner.exact_project(v))
         assert s.contains(s.exact_project(v))
