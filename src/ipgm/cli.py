@@ -78,10 +78,6 @@ def _given(args: argparse.Namespace) -> dict:
     return mapping
 
 
-def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    return config_from_mapping(_given(args))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

@@ -6,7 +6,7 @@ import pytest
 
 import ipgm.cli
 import ipgm.harness
-from ipgm.cli import _assemble_config, _build_parser, main
+from ipgm.cli import _build_parser, _given, main
 from ipgm.harness import (
     ExperimentConfig,
     cmd_compare,
@@ -286,7 +286,8 @@ class TestCli:
         argv = ["sweep-gamma3", "--" + name.replace("_", "-")]
         if name != "strict":  # the one flag without a value
             argv.append(raw)
-        from_flag = _assemble_config(_build_parser().parse_args(argv))
+        from_flag = config_from_mapping(
+            _given(_build_parser().parse_args(argv)))
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"{name} = {raw}\n")
         parsed = load_config_file(cfgfile)
