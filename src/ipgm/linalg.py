@@ -78,7 +78,7 @@ __all__ = [
 # and the tolerance on the orthonormality of the returned vectors.
 EIG_TOL = 1e-9
 
-# Pairs the first LAPACK or Krylov fill of a cache computes, at least.
+# Pairs a LAPACK or Krylov fill of a cache computes, at least.
 _FIRST_FILL = 16
 
 # Products a Krylov fill may spend per pair it asks for (16 pairs at
@@ -680,9 +680,9 @@ class IncrementalEigen:
         """Certify a block of V's top pairs, T's vectors lifted by Q and
         zeros from Q's complement, as the cache.
 
-        The block is V's top s = max(k + 1, 2 m') pairs, m' the pairs
-        cached before and s at most n, in V's order: T's values above 0,
-        then up to n - d zeros, then T's other values.  One pair ahead: the
+        The block is V's top max(k + 1, 2 m') pairs, m' the pairs cached
+        before, at most n, in V's order: T's values above 0, then up to
+        n - d zeros, then T's other values.  One pair ahead: the
         rank-p projector asks for p + 1 pairs, then p + 2, so the second
         request is served with no call of its own.  T's vectors are
         computed again only for a block that needs more than the last call
