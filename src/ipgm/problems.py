@@ -83,10 +83,10 @@ class SpectrahedronLSQ:
     ``b_mat`` is CSR, since B = A Xbar is almost empty, and the residual
     subtracts only its nonzeros.  Generation costs O(nnz(A) + omega) plus
     the sparse H = A^T A, whose entries give ``lipschitz_L`` = ||H||_F and
-    which the factored evaluation reuses; no n x n array is formed.  Xbar is kept as the CSR
-    ``x_bar_csr``, at most 4 omega stored entries; ``x_bar`` forms its
-    dense matrix, a new n x n array on every access, so a caller who reads
-    it twice should keep the array.
+    which the factored evaluation reuses; no n x n array is formed.  Xbar
+    is kept as the CSR ``x_bar_csr``, at most 4 omega stored entries;
+    ``x_bar`` forms its dense matrix, a new n x n array on every access, so
+    a caller who reads it twice should keep the array.
 
     ``value_and_gradient`` takes a dense X through the residual A X - B and
     a ``LowRank`` X = c I + Y Y^T through P = H Y (see the module
