@@ -14,8 +14,8 @@ the eigenvectors a request needs; one ``eigh`` of T serves when inverse
 iteration does not converge.  V's other n - k eigenvalues are exact
 zeros, with an orthonormal complement of the basis as their vectors, so
 the fill knows V's whole spectrum.  A ``StepOperator`` at a shifted
-anchor (the first projection input of a solve, at a shifted start), which
-has no range basis, gets a Krylov fill: ``scipy.sparse.linalg.eigsh``
+anchor (a solve's shifted start, or an Armijo trial from it), which has
+no range basis, gets a Krylov fill: ``scipy.sparse.linalg.eigsh``
 computes its top m pairs from products with the operator, under a product
 budget, m at most the number of its eigenvalues that can lie above the
 start's shift (the operator's ``above_shift``).  Every other input, and
@@ -31,13 +31,13 @@ spectrahedron projection's too, can check what it gets.
 
 Iterates of the spectrahedron solvers are low rank, and three types keep
 them so: ``LowRank`` is a point X = c I + Y Y^T held as its shift c and its
-n x r factor Y (c = 0 at every iterate; a solve's start X0 = (1 - beta)/n
-I + beta e1 e1^T has c = (1 - beta)/n), ``FactoredGradient`` is the
-gradient sym(P Y^T) - S of a quadratic at such a point (P = H Y, S sparse;
-at a shifted point S also carries -c H), and ``StepOperator`` is the
-projection input V = X - alpha G, which ``IncrementalEigen`` applies
-through its factors.  Which path a point takes is decided by its shift,
-never by how it was built.
+n x r factor Y (c = 0 at a projection; a solve's start X0 = (1 - beta)/n
+I + beta e1 e1^T has c = (1 - beta)/n, its Armijo trials a share of it),
+``FactoredGradient`` is the gradient sym(P Y^T) - S of a quadratic at such
+a point (P = H Y, S sparse; at a shifted point S also carries -c H), and
+``StepOperator`` is the projection input V = X - alpha G, which
+``IncrementalEigen`` applies through its factors.  Which path a point
+takes is decided by its shift, never by how it was built.
 At every such point the step has one form, V = c I + alpha S + sym(B Y^T)
 with B = Y - alpha P, in which no term is of order alpha^2.  At c = 0,
 range(V) lies in the span of S's range (a basis the objective supplies at
@@ -225,10 +225,11 @@ class LowRank(_DenseArithmetic):
     """The symmetric X = c I + Y Y^T, kept as its n x r factor Y and its
     shift c (0 unless given); positive semidefinite for c >= 0.
 
-    The solvers' iterates have c = 0; a solve's start X0(beta) = (1 -
-    beta)/n I + beta e1 e1^T has c = (1 - beta)/n and Y = sqrt(beta) e1 (no
-    column at beta = 0).  ``gram`` is Y^T Y, ``trace`` is c n + tr(Y^T Y)
-    and ``sq_norm`` is ||X||_F^2 = c^2 n + 2 c tr(Y^T Y) + ||Y^T Y||_F^2.
+    A projection has c = 0, a solve's start X0(beta) = (1 - beta)/n I +
+    beta e1 e1^T has c = (1 - beta)/n and Y = sqrt(beta) e1 (no column at
+    beta = 0), and an Armijo trial from it a share of that c.  ``gram`` is
+    Y^T Y, ``trace`` is c n + tr(Y^T Y) and ``sq_norm`` is ||X||_F^2 =
+    c^2 n + 2 c tr(Y^T Y) + ||Y^T Y||_F^2.
     ``dense()`` forms Y Y^T as one symmetric rank-r update (numpy calls
     ``syrk`` for ``y @ y.T``) and adds c to its diagonal, so the matrix is
     exactly symmetric.
@@ -415,10 +416,11 @@ class StepOperator(_DenseArithmetic):
             out += self.anchor.shift * x
         return out
 
-    def _alpha_s(self, order: str) -> np.ndarray:
-        """alpha S plus c I as a new dense array; scaling S's entries after
-        ``toarray`` gives the bits of ``(alpha * S).toarray()``."""
-        out = self._s.toarray(order=order)
+    def _alpha_s(self) -> np.ndarray:
+        """alpha S plus c I as a new array, equal to its transpose (S is
+        exactly symmetric); scaling S's entries after ``toarray`` gives the
+        bits of ``(alpha * S).toarray()``."""
+        out = self._s.toarray()
         out *= self._alpha
         if self.anchor.shift:
             out.flat[::out.shape[0] + 1] += self.anchor.shift
@@ -427,7 +429,7 @@ class StepOperator(_DenseArithmetic):
     def dense(self) -> np.ndarray:
         r = self._r
         v = symmetrize(self._z[:, r:] @ self._z[:, :r].T)
-        v += self._alpha_s("C")
+        v += self._alpha_s()
         return v
 
     def lower_fortran(self) -> np.ndarray:
@@ -440,7 +442,7 @@ class StepOperator(_DenseArithmetic):
         """
         r = self._r
         return dsyr2k(0.5, self._z[:, r:], self._z[:, :r], beta=1.0,
-                      c=self._alpha_s("F"), lower=1, overwrite_c=1)
+                      c=self._alpha_s().T, lower=1, overwrite_c=1)
 
     def range_ritz(self) -> tuple[np.ndarray, np.ndarray,
                                   Callable[[int], np.ndarray]] | None:
@@ -597,7 +599,7 @@ class IncrementalEigen:
     the same fill.  ``range_dim`` is the basis' width.
 
     A ``StepOperator`` at a shifted anchor (c != 0: the step from a
-    shifted start X0 = c I + Y Y^T, which has no range basis) takes one
+    shifted point c I + Y Y^T, which has no range basis) takes one
     Krylov fill, at every n where ARPACK can run: ``eigsh(which="LA")``
     computes the top m = max(k, 16) pairs from products with the operator,
     from a fixed seeded start vector, m capped at the operator's

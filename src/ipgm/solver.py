@@ -17,15 +17,15 @@ iterate stays factored: the oracle sees the ``LowRank`` and may answer
 with a ``FactoredGradient``, whose step X - alpha G goes to the next
 projection as a ``StepOperator``; the gradient norm, ||x||, the step and
 the Armijo slope come from r x r products, and an Armijo trial point
-(1 - t) X + t W stays factored as [sqrt(1 - t) Y_x, sqrt(t) Y_w].  A start
-given as a ``LowRank`` c I + Y Y^T (the harness passes
-``structured_start``) stays factored the same way: the start check, f, the
-gradient, the first step (an operator whose eigenpairs come from a Krylov
-fill when c != 0), ||x||, the distance to the first projection and, under
-the Armijo rule, the slope and the first secant pair all come from its
-shift and factor; only an Armijo trial strictly between two points, one
-of them with a nonzero shift, is formed densely.  Any dense operand (a
-dense x0, a plain array gradient) puts that operation on the dense path.
+(1 - t) X + t W stays factored as [sqrt(1 - t) Y_x, sqrt(t) Y_w] with
+shift (1 - t) c_x + t c_w.  A start given as a ``LowRank`` c I + Y Y^T
+(the harness passes ``structured_start``) stays factored the same way:
+the start check, f, the gradient, the first step (an operator whose
+eigenpairs come from a Krylov fill when c != 0), ||x||, the distance to
+the first projection and, under the Armijo rule, the slope, the trials
+(shifted, like the iterate a backtrack leaves until a full step) and the
+first secant pair all come from shifts and factors.  Any dense operand
+(a dense x0, a plain array gradient) puts it on the dense path.
 ``SolveResult`` keeps the start and the final iterate in these forms; its
 ``x0`` and ``x_final`` form their dense matrices on access.
 
@@ -234,7 +234,7 @@ class IterationRecord:
     tell the eigensolver's fills apart: ``range_dim`` set means the range
     fill served the pairs, ``dense_fill`` true a LAPACK fill (``fills`` is
     2 after a Krylov miss, or once the rank outgrew the Krylov fill), and
-    neither the Krylov fill of a step from a shifted start.  ``matvecs``
+    neither the Krylov fill of a step from a shifted point.  ``matvecs``
     counts the Krylov fill's products and one certificate product per pair
     each fill computed and can serve, whether or not a rank asked for it.
     ``wall_time`` is the pass's wall time in seconds; ``t_proj`` is the part
@@ -368,24 +368,15 @@ def _factored_or_dense(x):
 
 
 def _toward(x, w, t: float):
-    """x + t (w - x), and w itself at t = 1.  For unshifted factored points
-    the convex combination stays factored, (1 - t) X + t W = [sqrt(1 - t)
-    Y_x, sqrt(t) Y_w] [...]^T, within the rank bound of
-    ``_factored_or_dense``."""
+    """x + t (w - x), and w itself at t = 1.  Two factored points combine
+    factored, (1 - t) X + t W = ((1 - t) c_x + t c_w) I + [sqrt(1 - t) Y_x,
+    sqrt(t) Y_w] [...]^T, within the rank bound of ``_factored_or_dense``."""
     if t == 1.0:
         return w
-    # A shifted point (the start, under a backtrack at iteration 0) is
-    # combined densely.  Kept factored, the trial's projection would take
-    # the Krylov fill instead of LAPACK, which wins or loses by the input:
-    # for the sigma = 0.5 Armijo rule from ``structured_start`` with one
-    # backtrack at iteration 0 (2-core VM, OpenBLAS 1 thread) it took 2.1
-    # against 6.4 ms at n=300, omega 20, seed 3, but 7.0 against 4.0 ms at
-    # n=200, omega 10, seed 3, where the Krylov fill missed
-    if (isinstance(x, LowRank) and isinstance(w, LowRank)
-            and not (x.shift or w.shift)):
+    if isinstance(x, LowRank) and isinstance(w, LowRank):
         return _factored_or_dense(LowRank(np.concatenate(
             [math.sqrt(1.0 - t) * x.factor, math.sqrt(t) * w.factor],
-            axis=1)))
+            axis=1), (1.0 - t) * x.shift + t * w.shift))
     x = _dense(x)
     return x + t * (_dense(w) - x)
 
@@ -531,9 +522,9 @@ def armijo_search(obj: ObjectiveOracle, xk, wk, sigma: float, tau: float,
     = <grad f(x), d>.  Each trial point takes one ``value_and_gradient``
     call; returns (tau^j, j, x_trial, f, grad f) at the accepted one, where
     ``x_trial`` is the object the oracle saw: w itself for a full step,
-    factored when x and w are (within ``_toward``'s rank bound).  A NaN
-    value of f(x) or of a trial point raises ``LineSearchError`` at once; a
-    +inf trial value backtracks like any other rejected one.
+    factored, and shifted if either is, when x and w are (within
+    ``_toward``'s rank bound).  A NaN value of f(x) or of a trial point
+    raises ``LineSearchError`` at once; a +inf one backtracks.
     """
     if math.isnan(f_x):
         raise LineSearchError("objective value at the base point is nan")

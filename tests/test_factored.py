@@ -543,19 +543,22 @@ class TestRangeFill:
 
     def test_a_request_past_the_computed_vectors_recomputes_them(
             self, monkeypatch):
-        # the first request computes one vector ahead; each request past
-        # the computed ones recomputes the top max(j, 2 m) and certifies
-        # them all again, within the same fill
+        # each request past the cached block makes a new one, the top
+        # max(j + 1, 2 m') pairs, and certifies all of it again, within the
+        # same fill; a request within the block certifies nothing
         calls = _dstein_calls(monkeypatch)
         x = _unit_trace_point(np.random.default_rng(91), 120, 4)
         inst, op = _lsq_step(1, x.factor)
         cache = IncrementalEigen(op)
         _check_against_eigh(cache, op, 1)  # computes 2, certifies 2
+        assert cache.matvecs_used == 2
         _check_against_eigh(cache, op, 3)  # computes 4, certifies 4
-        _check_against_eigh(cache, op, 5)  # computes 8, certifies 6
-        _check_against_eigh(cache, op, 7)  # certifies 7-8 only
+        assert cache.matvecs_used == 6
+        _check_against_eigh(cache, op, 5)  # computes 8, certifies 8
+        assert cache.matvecs_used == 14
+        _check_against_eigh(cache, op, 7)  # within the block of 8
+        assert cache.matvecs_used == 14
         assert [m for m, _ in calls] == [2, 4, 8]
-        assert cache.matvecs_used == 2 + 4 + 6 + 2
         assert cache.range_dim == _rank_s(inst) + 2 * 4
         assert cache.fills == 1 and not cache.dense_fill
 
@@ -998,10 +1001,10 @@ class TestShiftedStart:
             ref = frobenius_inner(g_dense, w.dense())
             assert _rel(g.inner(w), ref) <= 1e-12
 
-    def test_toward_stacks_only_unshifted_points(self):
-        # an Armijo trial between two unshifted points stays factored, with
-        # shift 0 however the points were built; with a shifted one it is
-        # formed densely
+    def test_toward_stacks_any_two_factored_points(self):
+        # an Armijo trial between two factored points stays factored, with
+        # the convex combination of their shifts however the points were
+        # built: shift 0 between unshifted ones, a share of c with the start
         t = 0.3
         rng = np.random.default_rng(6)
         w = _unit_trace_point(rng, self.N, 3)
@@ -1013,12 +1016,13 @@ class TestShiftedStart:
             ref = x.dense() + t * (w.dense() - x.dense())
             assert _max_abs(mid.dense() - ref) <= 1e-15
         x0 = structured_start(0.5, self.N)
-        for a, b in ((x0, w), (w, x0)):
+        c = x0.shift
+        for a, b, shift in ((x0, w, (1.0 - t) * c), (w, x0, t * c)):
             mid = ipgm.solver._toward(a, b, t)
-            assert isinstance(mid, np.ndarray)
-            a_dense = a.dense()
-            assert mid.tobytes() == (
-                a_dense + t * (b.dense() - a_dense)).tobytes()
+            assert isinstance(mid, LowRank)
+            assert mid.shift == shift and mid.rank == a.rank + b.rank
+            ref = a.dense() + t * (b.dense() - a.dense())
+            assert _max_abs(mid.dense() - ref) <= 1e-15
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
     @pytest.mark.parametrize("armijo_step", [False, True])
@@ -1132,6 +1136,30 @@ class TestShiftedStart:
         assert fact.iterations == dense.iterations > 0
         assert [r.p_used for r in fact.records] == [
             r.p_used for r in dense.records]
+
+    def test_a_backtrack_from_the_shifted_start_stays_factored(self):
+        # sigma = 0.5 rejects the full step at iteration 0: the trial
+        # between the start and its projection is a shifted LowRank, so
+        # its gradient, its step and the next projection form no n x n
+        # array, and the solve matches the one from the dense start
+        n = 600
+        inst = generate_instance(n, 2 * n, 20, seed=2)
+        obj, cset = inst.objective(), inst.feasible_set()
+        cfg = ArmijoConfig(sigma=0.5)
+        # the dense solve first: the instance's cached terms, untraced
+        dense = solve_armijo(obj, cset, starting_point(0.0, n), cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fact = solve_armijo(obj, cset, structured_start(0.0, n), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fact.records[0].backtracks >= 1
+        assert not any(r.dense_fill for r in fact.records)
+        assert peak < n * n * 8
+        assert fact.iterations == dense.iterations
+        assert _rel(fact.f_final, dense.f_final) <= 1e-12
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
     @pytest.mark.parametrize("algo", ["constant", "armijo"])

@@ -252,6 +252,18 @@ class TestValueAndGradient:
             assert p.tobytes() == (inst._h @ y).tobytes()
             assert sy.tobytes() == (s @ y).tobytes()
 
+    @pytest.mark.parametrize("n, omega, seed", [(20, 4, 0), (60, 6, 1),
+                                                (120, 10, 2), (300, 20, 1)])
+    def test_sparse_terms_are_exactly_symmetric(self, n, omega, seed):
+        """S, H and the shifted gradient's S - c H (c of the starts at beta
+        0 and 0.5) equal their transposes entry for entry: a step
+        operator's ``lower_fortran`` reads the transpose of alpha S as its
+        Fortran-ordered copy."""
+        inst = generate_instance(n, 2 * n, omega, seed=seed)
+        s, h = inst._linear_term[0], inst._h
+        for m in (s, h, *((s - c * h).tocsr() for c in (1.0 / n, 0.5 / n))):
+            assert (m != m.T).nnz == 0
+
     @pytest.mark.parametrize("seed", range(4))
     def test_lsq_value_and_gradient_take_the_residual(self, seed):
         """value and gradient hold the bits of the residual formulas at the
