@@ -24,8 +24,8 @@ With H = A^T A and S = sym(A^T B), both sparse, and P = H Y,
 
 A solve's start X0(beta) = (1 - beta)/n I + beta e1 e1^T is also held
 factored, as the ``LowRank`` c I + Y Y^T that ``structured_start`` returns
-(c = (1 - beta)/n, Y = sqrt(beta) e1; c = 0 at beta = 1).  With
-tr H = ||A||_F^2,
+(c = (1 - beta)/n, Y = sqrt(beta) e1; c = 0 at beta = 1), like the
+Armijo trials from it.  With tr H = ||A||_F^2,
 
     f = 1/2 (c^2 tr H + 2 c <Y, P> + <Y^T P, Y^T Y>) - c tr S - <Y, S Y>
         + 1/2 ||B||^2,

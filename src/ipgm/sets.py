@@ -23,7 +23,7 @@ range for every rank (the eigensolver's range fill: V's whole spectrum,
 its nonzero eigenvalues from the tridiagonal form of a small matrix and
 n - k zeros whose vectors complete the basis, eigenvectors only for the
 pairs asked for), from products with V when it is the step from a shifted
-start c I + Y Y^T and has no range basis (its Krylov fill, and LAPACK
+point c I + Y Y^T and has no range basis (its Krylov fill, and LAPACK
 after a miss), or else from LAPACK on V's lower triangle (its LAPACK
 fill), and a factored anchor U (a ``LowRank``, shifted or not), whose
 ||U||^2 and q^T U q come from its factor and shift.  A dense V takes the
@@ -31,7 +31,7 @@ LAPACK fill.  The input alone picks the fill.
 The exact projection of a ``StepOperator`` at an unshifted anchor asks
 LAPACK for V's top m pairs, m one more than the anchor's rank and doubled
 until the m-th pair gets no simplex weight.  A dense V, and the step from a
-shifted start, are fully decomposed: the first exact projection of a solve
+shifted point, are fully decomposed: the first exact projection of a solve
 from a start with c != 0 keeps most of the n pairs.
 Both projections take their LAPACK pairs from ``subset_eigh``, which falls
 back to a full ``eigh`` when LAPACK fails or returns too few pairs.
@@ -238,10 +238,10 @@ def exact_project_spectrahedron(v) -> LowRank:
     threshold and W are those of the full decomposition.  On the exact
     solvers' path the anchor is the last projection, factored over its
     positive weights, so one LAPACK call usually suffices.  The step from a
-    shifted start (a ``StepOperator`` whose anchor has a nonzero shift) is
-    fully decomposed from its lower triangle, like a dense V: its W keeps
-    193-284 of 300 pairs on the bench instances.  An anchor with shift 0
-    takes the count path however it was built.
+    shifted point (a ``StepOperator`` whose anchor has a nonzero shift) is
+    fully decomposed from its lower triangle, like a dense V: a start's W
+    keeps 193-284 of 300 pairs on the bench instances.  An anchor with
+    shift 0 takes the count path however it was built.
     """
     if isinstance(v, StepOperator) and not v.anchor.shift:
         n = v.shape[0]
@@ -306,7 +306,7 @@ def inexact_project_spectrahedron(v, u, gamma: ForcingParams, phi: ToleranceFn,
     the basis; eigenvectors are computed only for the top pairs asked for
     so far, again in one call when a rank reaches past them.  A rank past
     V's positive values reads zeros, whose vectors enter W_p only when the
-    simplex threshold is negative.  The step from a shifted start takes a
+    simplex threshold is negative.  The step from a shifted point takes a
     Krylov fill: ``eigsh`` finds its top 16 pairs (fewer when V has
     fewer eigenvalues that can lie above the shift) from products with V,
     under a product budget.  Otherwise, after a Krylov miss, and for ranks
