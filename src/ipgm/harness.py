@@ -19,7 +19,6 @@ import numpy as np
 
 from .problems import (
     SpectrahedronLSQ,
-    default_density,
     generate_instance,
     make_boxqp,
     structured_start,
@@ -53,8 +52,8 @@ __all__ = [
     "load_config_file",
 ]
 
-GAMMA2_CAP = 0.49995
-ARMIJO_GAMMA3 = 0.49995
+GAMMA2_CAP = ConstantStepConfig.gamma2_cap
+ARMIJO_GAMMA3 = ArmijoConfig.gamma3_bar
 
 
 @dataclass
@@ -108,21 +107,16 @@ class ExperimentConfig:
                 or self.bbar <= 0):
             raise ValueError("tol must be positive and finite, bbar "
                              "positive and max_iter >= 1")
-        SummableSchedule.by_name(self.schedule, self.bbar)  # validates name
+        self.make_schedule()  # validates name
         if self.phi is not None:
             ToleranceFn.canonical(self.phi)  # validates name
 
-    def resolved_density(self) -> float:
-        return self.density if self.density is not None else default_density(
-            self.n, self.m)
-
     def make_instance(self) -> SpectrahedronLSQ:
         return generate_instance(self.n, self.m, self.omega,
-                                 density=self.resolved_density(),
-                                 seed=self.seed)
+                                 density=self.density, seed=self.seed)
 
     def make_schedule(self) -> SummableSchedule:
-        return SummableSchedule.by_name(self.schedule, self.bbar)
+        return SummableSchedule(self.schedule, self.bbar)
 
     def one_beta(self, command: str) -> float:
         """The start mix of ``command``, which runs from one start; more

@@ -33,9 +33,9 @@ Armijo trials from it.  With tr H = ||A||_F^2,
 
 which stays sparse plus factored; one evaluation serves both forms, the
 terms in c only at c != 0.  A dense point takes the residual path above;
-``starting_point`` returns the dense X0.  ``value`` and ``gradient`` are
-the two halves of ``value_and_gradient`` at the dense matrix of their
-argument, so they always take the residual path.
+``starting_point`` returns the dense matrix of that same start.  ``value``
+and ``gradient`` are the two halves of ``value_and_gradient`` at the dense
+matrix of their argument, so they always take the residual path.
 """
 
 from __future__ import annotations
@@ -268,32 +268,24 @@ def generate_instance(n: int, m: int, omega: int, density: float | None = None,
                             seed=int(seed), x_bar_csr=x_bar)
 
 
-def _check_beta(beta: float) -> None:
+def structured_start(beta: float, n: int) -> LowRank:
+    """The feasible start (1 - beta) (1/n) I + beta e1 e1^T held as the
+    ``LowRank`` c I + Y Y^T with c = (1 - beta)/n and Y = sqrt(beta) e1 (no
+    column at beta = 0), so the solvers evaluate it and take its first
+    projection without n x n arrays.  At beta = 1 the shift is exactly 0,
+    so its steps take the range fill and the exact projection's count path
+    like any factored iterate."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-
-
-def starting_point(beta: float, n: int) -> np.ndarray:
-    """Feasible start (1 - beta) (1/n) I + beta e1 e1^T."""
-    _check_beta(beta)
-    x0 = (1.0 - beta) / n * np.eye(n)
-    x0[0, 0] += beta
-    return x0
-
-
-def structured_start(beta: float, n: int) -> LowRank:
-    """The start of ``starting_point`` held as the ``LowRank`` c I + Y Y^T
-    with c = (1 - beta)/n and Y = sqrt(beta) e1 (no column at beta = 0), so
-    the solvers evaluate it and take its first projection without n x n
-    arrays.  At beta = 1 the shift is exactly 0, so its steps take the
-    range fill and the exact projection's count path like any factored
-    iterate.  Its dense matrix differs from ``starting_point``'s at most
-    in the last bit of entry (0, 0), where sqrt(beta)^2 stands for beta."""
-    _check_beta(beta)
     y = np.zeros((n, 1 if beta > 0.0 else 0))
     if beta > 0.0:
         y[0, 0] = np.sqrt(beta)
     return LowRank(y, (1.0 - beta) / n)
+
+
+def starting_point(beta: float, n: int) -> np.ndarray:
+    """The dense matrix of ``structured_start(beta, n)``."""
+    return structured_start(beta, n).dense()
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ class ForcingParams:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
-    @classmethod
-    def zero(cls) -> "ForcingParams":
-        return cls(0.0, 0.0, 0.0)
-
 
 def _squares(u, v, w) -> tuple[float, float, float]:
     """||v - u||^2, ||w - v||^2, ||w - u||^2."""
@@ -171,10 +167,6 @@ class SummableSchedule:
     def zero_budget(cls, bbar: float = 1.0) -> "SummableSchedule":
         """a_k = 0 for all k: forces gamma1 = gamma2 = 0 every iteration."""
         return cls("zero", bbar)
-
-    @classmethod
-    def by_name(cls, name: str, bbar: float) -> "SummableSchedule":
-        return cls(name, bbar)
 
 
 def forcing_for_iteration(grad_norm_sq: float, a_k: float, gamma2_cap: float,

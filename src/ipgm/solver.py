@@ -799,8 +799,9 @@ def monitor_complexity(result: SolveResult, f_star: float | None = None,
                 checks.append(_skipped("armijo-convex-rate",
                                        "needs convexity and x_star"))
         else:
-            checks.append(_skipped("armijo-displacement-bound",
-                                   "no Lipschitz constant or empty run"))
+            note = "no Lipschitz constant or empty run"
+            checks += [_skipped("armijo-displacement-bound", note),
+                       _skipped("armijo-convex-rate", note)]
     else:
         raise ValueError(f"unknown configuration {type(cfg).__name__}")
     return MonitorReport(checks=checks)

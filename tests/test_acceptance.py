@@ -119,7 +119,7 @@ def test_c02_exact_collapse_at_zero_tolerance():
         n = int(rng.integers(2, 31))
         v = symmetrize(rng.standard_normal((n, n))) * float(rng.uniform(0.2, 4.0))
         u = _random_feasible(rng, n)
-        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+        res = inexact_project_spectrahedron(v, u, ForcingParams(), PHI1,
                                             p_start=1)
         diff = frobenius_norm(res.point - exact_project_spectrahedron(v))
         worst = max(worst, diff)

@@ -78,6 +78,10 @@ class TestFactoredAlgebra:
         assert g.inner(x) == pytest.approx(np.vdot(g_ref, x.dense()),
                                            rel=1e-12)
 
+    def test_a_one_dimensional_factor_is_rejected(self):
+        with pytest.raises(ValueError, match="expected an n x r factor"):
+            LowRank(np.ones(4))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_step_operator_is_x_minus_alpha_g(self, seed):
         rng = np.random.default_rng(10 + seed)

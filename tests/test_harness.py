@@ -29,12 +29,13 @@ class TestConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.m == 2 * cfg.n
-        assert cfg.resolved_density() > 0
+        assert cfg.make_instance().density > 0
 
     def test_smallest_instance_takes_its_default_density(self):
         cfg = ExperimentConfig(n=2, m=3)
-        assert cfg.resolved_density() == 1.0
-        assert cfg.make_instance().a.shape == (3, 2)
+        inst = cfg.make_instance()
+        assert inst.density == 1.0
+        assert inst.a.shape == (3, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -246,6 +247,16 @@ class TestCli:
                                                      capsys):
         # rejected with the config, not by the run (exit 2, "run failed")
         assert main(argv + ["--n", "20", "--omega", "4"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-gamma3", "--proj", "dense"],
+         "proj must be inexact|exact, got 'dense'"),
+        (["compare", "--omega", "1"], "omega must exceed 1"),
+    ])
+    def test_a_bad_proj_or_omega_is_a_usage_error(self, argv, message,
+                                                   capsys):
+        assert main(argv + ["--n", "20", "--m", "40"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])

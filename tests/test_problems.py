@@ -72,6 +72,8 @@ class TestGenerateInstance:
             generate_instance(10, 20, 1, seed=0)  # omega must exceed 1
         with pytest.raises(ValueError):
             generate_instance(10, 20, 4, density=0.0, seed=0)
+        with pytest.raises(ValueError, match="n and m must be integers"):
+            generate_instance(10.0, 20, 4, seed=0)
 
     def test_entries_in_open_interval(self):
         inst = generate_instance(50, 100, 5, density=0.05, seed=7)
@@ -157,6 +159,13 @@ class TestStartingPoint:
         from ipgm.sets import Spectrahedron
         x0 = starting_point(beta, 12)
         assert Spectrahedron(12).contains(x0)
+
+    @pytest.mark.parametrize("n", [5, 300])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.7, 0.99, 1.0])
+    def test_is_the_structured_start_bytewise(self, beta, n):
+        # dense and factored solves start from the same matrix
+        x0 = starting_point(beta, n)
+        assert x0.tobytes() == structured_start(beta, n).dense().tobytes()
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):

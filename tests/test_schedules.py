@@ -34,7 +34,7 @@ class TestForcingParams:
             ForcingParams(np.nan, 0.0, 0.0)
 
     def test_zero(self):
-        g = ForcingParams.zero()
+        g = ForcingParams()
         assert (g.gamma1, g.gamma2, g.gamma3) == (0.0, 0.0, 0.0)
 
 
@@ -89,19 +89,19 @@ class TestSchedules:
 
     def test_negative_k_rejected(self):
         for name in ("harmonic", "logarithmic", "zero"):
-            s = SummableSchedule.by_name(name, 1.0)
+            s = SummableSchedule(name, 1.0)
             with pytest.raises(ValueError, match="k must be nonnegative"):
                 s.a(-1)
             with pytest.raises(ValueError, match="k must be nonnegative"):
                 s.b(-1)
             assert s.b_at(-1) == s.b_minus1
 
-    def test_by_name(self):
-        assert SummableSchedule.by_name("harmonic", 2.0).name == "harmonic"
+    def test_from_its_name(self):
+        assert SummableSchedule("harmonic", 2.0).name == "harmonic"
         with pytest.raises(ValueError, match=re.escape(
                 "unknown schedule 'nope'; choose from "
                 "['harmonic', 'logarithmic', 'zero']")):
-            SummableSchedule.by_name("nope", 1.0)
+            SummableSchedule("nope", 1.0)
 
     def test_plain_data(self):
         # a schedule is its name and bbar: equal data, equal schedules
@@ -130,7 +130,7 @@ class TestSchedules:
             def a(k):
                 return (3.0 * bbar if k == 0 else b(k - 1)) - b(k)
 
-        s = SummableSchedule.by_name(name, bbar)
+        s = SummableSchedule(name, bbar)
         for k in range(10**4 + 1):
             assert struct.pack("<dd", s.a(k), s.b(k)) == struct.pack(
                 "<dd", a(k), b(k)), k
@@ -171,6 +171,18 @@ class TestForcingForIteration:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError):
             forcing_for_iteration(0.0, 1.0, 0.49995, 0.0)
+
+    @pytest.mark.parametrize("a_k, gamma2_cap, gamma3_bar, message", [
+        (-1.0, 0.49995, 0.0, "a_k must be nonnegative"),
+        (1.0, 0.49995, 0.5, "gamma3_bar must lie in"),
+        (1.0, 0.49995, -0.1, "gamma3_bar must lie in"),
+        (1.0, 0.5, 0.0, "gamma2_cap must lie in"),
+        (1.0, -0.1, 0.0, "gamma2_cap must lie in"),
+    ])
+    def test_invalid_budget_or_caps_rejected(self, a_k, gamma2_cap,
+                                             gamma3_bar, message):
+        with pytest.raises(ValueError, match=message):
+            forcing_for_iteration(4.0, a_k, gamma2_cap, gamma3_bar)
 
 
 class TestToleranceFns:
@@ -228,18 +240,18 @@ class TestToleranceFns:
     def test_negative_tolerance_rejected(self):
         phi = ToleranceFn.custom(lambda g, vu, wv, wu: -1.0)
         with pytest.raises(ValueError):
-            phi(ForcingParams.zero(), 0.0, 0.0, 0.0)
+            phi(ForcingParams(), 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            phi.from_squares(ForcingParams.zero(), 0.0, 0.0, 0.0)
+            phi.from_squares(ForcingParams(), 0.0, 0.0, 0.0)
         nan = ToleranceFn.custom(lambda g, vu, wv, wu: float("nan"))
         with pytest.raises(ValueError):
-            nan.from_squares(ForcingParams.zero(), 1.0, 1.0, 1.0)
+            nan.from_squares(ForcingParams(), 1.0, 1.0, 1.0)
 
     def test_custom_receives_squared_distances(self):
         seen = []
         phi = ToleranceFn.custom(
             lambda g, vu, wv, wu: seen.append((vu, wv, wu)) or 0.0)
-        phi(ForcingParams.zero(), np.zeros(2), np.array([3.0, 4.0]),
+        phi(ForcingParams(), np.zeros(2), np.array([3.0, 4.0]),
             np.array([3.0, 0.0]))
         # ||v - u||^2 = 25, ||w - v||^2 = 16, ||w - u||^2 = 9
         assert seen == [(25.0, 16.0, 9.0)]

@@ -247,9 +247,13 @@ class TestSimpleSets:
             y = box.support_point(v - w)
             assert frobenius_inner(v - w, y - w) <= 1e-12
 
+    def test_box_rejects_a_lower_bound_above_the_upper(self):
+        with pytest.raises(ValueError, match="invalid box bounds"):
+            Box.make(np.ones(2), np.array([2.0, 0.5]))
+
     def test_default_inexact_is_exact(self):
         box = Box.make(np.zeros(2), np.ones(2))
-        res = box.inexact_project([2.0, 0.5], np.zeros(2), ForcingParams.zero(), PHI1)
+        res = box.inexact_project([2.0, 0.5], np.zeros(2), ForcingParams(), PHI1)
         assert np.allclose(res.point, [1.0, 0.5])
         assert res.certificate_gap is not None and res.certificate_gap <= 1e-12
 
@@ -374,7 +378,7 @@ class TestSupportPointSpectrahedron:
 class TestInexactProjectSpectrahedron:
     def test_rank1_immediate_accept(self):
         res = inexact_project_spectrahedron(
-            np.diag([2.0, 0.0]), np.diag([1.0, 0.0]), ForcingParams.zero(),
+            np.diag([2.0, 0.0]), np.diag([1.0, 0.0]), ForcingParams(),
             PHI1, p_start=1)
         assert res.rank_used == 1
         assert np.allclose(res.point, np.diag([1.0, 0.0]), atol=1e-10)
@@ -383,7 +387,7 @@ class TestInexactProjectSpectrahedron:
     def test_feasible_input_needs_rank2(self):
         v = np.diag([0.6, 0.4, 0.0])
         res = inexact_project_spectrahedron(
-            v, np.eye(3) / 3, ForcingParams.zero(), PHI1, p_start=1)
+            v, np.eye(3) / 3, ForcingParams(), PHI1, p_start=1)
         assert res.rank_used == 2
         assert np.allclose(res.point, v, atol=1e-9)
 
@@ -402,7 +406,7 @@ class TestInexactProjectSpectrahedron:
             n = int(rng.integers(3, 31))
             v = symmetrize(rng.standard_normal((n, n)))
             u = random_feasible_spectra(rng, n)
-            res = inexact_project_spectrahedron(v, u, ForcingParams.zero(),
+            res = inexact_project_spectrahedron(v, u, ForcingParams(),
                                                 PHI1, p_start=1)
             ref = exact_project_spectrahedron(v)
             assert frobenius_norm(res.point - ref) < 1e-7
@@ -414,7 +418,7 @@ class TestInexactProjectSpectrahedron:
         v = rng.standard_normal((12, 12))
         assert np.max(np.abs(v - v.T)) > 1.0
         u = random_feasible_spectra(rng, 12)
-        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+        res = inexact_project_spectrahedron(v, u, ForcingParams(), PHI1,
                                             p_start=p_start)
         ref = exact_project_spectrahedron(symmetrize(v))
         assert np.max(np.abs(res.point - ref)) <= 1e-10
@@ -453,10 +457,10 @@ class TestInexactProjectSpectrahedron:
         s = Spectrahedron(10)
         v = symmetrize(rng.standard_normal((10, 10)))
         u = random_feasible_spectra(rng, 10)
-        res = s.inexact_project(v, u, ForcingParams.zero(), PHI1, state=None)
+        res = s.inexact_project(v, u, ForcingParams(), PHI1, state=None)
         assert res.state == max(1, res.rank_used - 1)
         v2 = v + 1e-3 * symmetrize(rng.standard_normal((10, 10)))
-        res2 = s.inexact_project(v2, res.point, ForcingParams.zero(), PHI1,
+        res2 = s.inexact_project(v2, res.point, ForcingParams(), PHI1,
                                  state=res.state)
         ref2 = exact_project_spectrahedron(v2)
         assert frobenius_norm(res2.point - ref2) < 1e-7
@@ -494,7 +498,7 @@ class TestInexactProjectSpectrahedron:
         d = np.concatenate([np.full(8, 0.2), np.linspace(-1.0, 0.0, n - 8)])
         res = inexact_project_spectrahedron(symmetrize((q * d) @ q.T),
                                             np.eye(n) / n,
-                                            ForcingParams.zero(), PHI1,
+                                            ForcingParams(), PHI1,
                                             p_start=p_start)
         assert res.rank_used == 8
         assert res.ranks_tried == 8 - p_start + 1
@@ -503,13 +507,13 @@ class TestInexactProjectSpectrahedron:
         n = 10
         v = symmetrize(np.random.default_rng(86).standard_normal((n, n)))
         res = ExactProjectionAdapter(Spectrahedron(n)).inexact_project(
-            v, np.eye(n) / n, ForcingParams.zero(), PHI1)
+            v, np.eye(n) / n, ForcingParams(), PHI1)
         assert (res.ranks_tried, res.range_dim, res.matvecs) == (None,) * 3
 
     def test_p_start_bounds(self):
         with pytest.raises(ValueError):
             inexact_project_spectrahedron(np.eye(3), np.eye(3) / 3,
-                                          ForcingParams.zero(), PHI1, p_start=0)
+                                          ForcingParams(), PHI1, p_start=0)
 
     def test_dense_fallback_is_exact_projection(self):
         # a flat positive spectrum keeps every eigenvalue in the support of
@@ -520,12 +524,12 @@ class TestInexactProjectSpectrahedron:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         v = (q * (0.05 + 1e-3 * np.arange(n))) @ q.T
         u = np.eye(n) / n
-        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+        res = inexact_project_spectrahedron(v, u, ForcingParams(), PHI1,
                                             p_start=1)
         assert res.rank_used == n
         assert frobenius_norm(res.point - exact_project_spectrahedron(v)) < 1e-12
         ok, gap = certify_inexact_projection(Spectrahedron(n), u, v, res.point,
-                                             ForcingParams.zero(), PHI1)
+                                             ForcingParams(), PHI1)
         assert ok, f"certificate gap {gap}"
         # the single state rule: restart at rank p - 1
         assert res.state == n - 1
@@ -556,7 +560,7 @@ class TestInexactProjectSpectrahedron:
         u = random_feasible_spectra(rng, 60)
         with pytest.raises(EigenSolverError,
                            match="rank p=3: LAPACK .* residual") as exc:
-            inexact_project_spectrahedron(v, u, ForcingParams.zero(), PHI1,
+            inexact_project_spectrahedron(v, u, ForcingParams(), PHI1,
                                           p_start=3)
         assert np.isfinite(exc.value.best_residual)
 
@@ -572,7 +576,7 @@ class TestInexactProjectSpectrahedron:
         v = inst.value_and_gradient(x)[1].step(1.0 / inst.lipschitz_L)
         with pytest.raises(EigenSolverError, match=(
                 "rank p=1: the range fill .* residual")) as exc:
-            inexact_project_spectrahedron(v, x, ForcingParams.zero(), PHI1,
+            inexact_project_spectrahedron(v, x, ForcingParams(), PHI1,
                                           p_start=1)
         assert np.isfinite(exc.value.best_residual)
 
@@ -603,7 +607,7 @@ class TestCustomTolerance:
             seen.append((vu, wv, wu))
             return 0.3 * wu
 
-        res = inexact_project_spectrahedron(v, u, ForcingParams.zero(),
+        res = inexact_project_spectrahedron(v, u, ForcingParams(),
                                             ToleranceFn.custom(fn), p_start=1)
         w = res.point
         ref = [frobenius_norm(a - b) ** 2 for a, b in ((v, u), (w, v), (w, u))]
@@ -689,7 +693,7 @@ class TestCertify:
         s = Spectrahedron(3)
         v = np.diag([0.6, 0.4, 0.0])
         w = np.diag([1.0, 0.0, 0.0])
-        ok, gap = certify_inexact_projection(s, v, v, w, ForcingParams.zero(),
+        ok, gap = certify_inexact_projection(s, v, v, w, ForcingParams(),
                                              PHI1)
         assert not ok
         assert gap == pytest.approx(0.8, abs=1e-9)
@@ -697,7 +701,7 @@ class TestCertify:
     def test_self_projection(self):
         s = Spectrahedron(3)
         v = np.eye(3) / 3
-        ok, gap = certify_inexact_projection(s, v, v, v, ForcingParams.zero(),
+        ok, gap = certify_inexact_projection(s, v, v, v, ForcingParams(),
                                              PHI1)
         assert ok
         assert gap == pytest.approx(0.0, abs=1e-10)

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -23,8 +24,10 @@ from ipgm.schedules import SummableSchedule
 from ipgm.sets import Box, ExactProjectionAdapter
 from ipgm.solver import (
     ArmijoConfig,
+    CheckResult,
     ConstantStepConfig,
     InfeasibleStartError,
+    IterationRecord,
     LineSearchError,
     ObjectiveOracle,
     SolverError,
@@ -525,6 +528,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ConstantStepConfig(alpha=0.1, schedule=zero_schedule(),
                                gamma3_bar=0.7)
+        for cap in (0.5, -0.1):
+            with pytest.raises(ValueError, match="gamma2_cap must lie"):
+                ConstantStepConfig(alpha=0.1, schedule=zero_schedule(),
+                                   gamma2_cap=cap)
         cfg = ConstantStepConfig(alpha=0.49, schedule=zero_schedule(),
                                  gamma2_cap=0.0)
         assert cfg.nu(2.0) > 0
@@ -562,6 +569,9 @@ class TestConfigValidation:
             ArmijoConfig(tau=0.0)
         with pytest.raises(ValueError):
             ArmijoConfig(alpha_min=1.0, alpha_max=0.5)
+        for bar in (0.5, -0.1):
+            with pytest.raises(ValueError, match="gamma3_bar must lie"):
+                ArmijoConfig(gamma3_bar=bar)
         cfg = ArmijoConfig(sigma=0.5, alpha_max=2.0)
         assert cfg.xi == pytest.approx(8.0)
         assert cfg.tau_min(4.0) == pytest.approx(
@@ -711,18 +721,19 @@ class TestMonitors:
             res = solve_constant(qp.objective(), qp.feasible_set(), qp.x_star,
                                  ConstantStepConfig(alpha=1.0 / qp.lipschitz_L,
                                                     schedule=zero_schedule()))
-            skipped = "displacement-bound"
+            skipped = ("displacement-bound",)
         else:
             res = solve_armijo(qp.objective(), qp.feasible_set(), qp.x_star,
                                ArmijoConfig())
-            skipped = "armijo-displacement-bound"
+            skipped = ("armijo-displacement-bound", "armijo-convex-rate")
         assert (res.stop_reason, res.records) == ("stationary-gradient", [])
         assert monitor_descent(res).passed
         comp = monitor_complexity(res)
         assert comp.passed
-        check = {c.name: c for c in comp.checks}[skipped]
-        assert (check.checked, check.note) == (
-            0, "no Lipschitz constant or empty run")
+        checks = {c.name: c for c in comp.checks}
+        for name in skipped:
+            assert (checks[name].checked, checks[name].note) == (
+                0, "no Lipschitz constant or empty run")
 
     def test_constant_run_without_lipschitz_skips_its_bounds(self):
         qp = make_boxqp(10, 0.5, 5.0, seed=21)
@@ -753,11 +764,30 @@ class TestMonitors:
         descent = {c.name: c for c in monitor_descent(res).checks}
         assert descent["tau-lower-bound"].checked == 0
         assert descent["armijo-descent"].checked == len(res.records)
+        # both bounds need tau_min(L): each is skipped with a note
         comp = monitor_complexity(res)
         assert [(c.name, c.checked, c.note) for c in comp.checks] == [
             ("armijo-displacement-bound", 0,
-             "no Lipschitz constant or empty run")]
+             "no Lipschitz constant or empty run"),
+            ("armijo-convex-rate", 0, "no Lipschitz constant or empty run")]
         assert comp.passed
+
+    @pytest.mark.parametrize("monitor", [monitor_descent, monitor_complexity])
+    def test_unknown_config_rejected(self, monitor):
+        qp, res = self.run_constant()
+        with pytest.raises(ValueError, match="unknown configuration object"):
+            monitor(replace(res, config=object()))
+
+    def test_records_and_reports_round_trip_through_json(self):
+        qp, res = self.run_constant()
+        rec = res.records[0]
+        assert IterationRecord(**json.loads(json.dumps(rec.to_dict()))) == rec
+        rep = monitor_complexity(res, f_star=qp.objective().opt_value_hint,
+                                 x_star=qp.x_star, mu=qp.mu, convex=True)
+        d = rep.to_dict()
+        assert list(d) == [c.name for c in rep.checks]
+        back = json.loads(json.dumps(d))
+        assert [CheckResult(**v) for v in back.values()] == rep.checks
 
 
 class TestGradientFiniteDifferences:
